@@ -344,10 +344,11 @@ def emit_report(table: dict, fmt: str, stream=None) -> None:
         return
     rows = table.get("rows", [])
     if rows and "degree" in rows[0]:
+        theory = "HH" if table.get("command") == "hh" else "HC"
         width = max(len(str(r.get("value", r))) for r in rows)
         for r in rows:
             stream.write(
-                f"  HC_{r['degree']:<3} {str(r.get('value', '')):<{width}}"
+                f"  {theory}_{r['degree']:<3} {str(r.get('value', '')):<{width}}"
                 f"  [{r.get('provenance', '')}]\n"
             )
     for r in table.get("verify", []) + [r for r in rows if "check" in r]:
@@ -382,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", help="character selector: eps or an index")
         p.add_argument("--beta", help="character selector: eps or an index")
         p.add_argument("--max-degree", type=int, default=3)
-        p.add_argument("--grade-cap", type=int, default=4)
         p.add_argument("--compare", choices=["closed"], default=None)
         p.add_argument("--allow-invalid", action="store_true",
                        help="build the module even for an inadmissible triple")

@@ -82,10 +82,6 @@ class AlgebraData:
                         out[k] = t
         return out
 
-    def multiplication_matrix_pairs(self):
-        """Cached (i, j) -> sparse product vector, for operator assembly."""
-        return self.mult
-
     def verify_associativity(self) -> bool:
         for i in range(self.dim):
             for j in range(self.dim):

@@ -3,13 +3,22 @@ Z and Z/m, and homology of a composable pair of boundary maps.
 
 Matrices are dictionaries (row, col) -> nonzero payload together with a ring.
 They are treated as immutable; every operation returns a fresh matrix.
-Elimination keeps rows as dictionaries and picks pivots in sparsest columns
-first, which works well for the boundary operators of tensor-power bases.
+
+Every rank and Smith normal form goes through one elimination kernel,
+`_eliminate`.  It keeps rows as dictionaries and takes pivots from a lazy
+min-heap of columns keyed by (live row count, column), so the next pivot
+column is always the sparsest one (Markowitz order) without rescanning the
+matrix.  Only unit entries qualify as pivots: every nonzero entry over a
+field, +-1 over Z.  The Smith normal form over Z runs in two phases: the
+kernel eliminates the +-1 pivots sparsely, each contributing an invariant
+factor 1, and a dense Smith normal form reduces the small residual that is
+left.  Over Z/m the matrix is lifted to Z with m * identity rows appended.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .errors import NotAComplex, NotAField, RingMismatch, UnsupportedRing
 from .rings import QQ, ZZ, HomologyModule, IntegersMod, Ring
@@ -212,27 +221,32 @@ def _rows_and_colindex(M: SparseMatrix):
 
 
 def _eliminate(M: SparseMatrix, jordan: bool):
-    """Sparse Gaussian elimination; returns (rows, pivots).
+    """Sparse elimination with a pivot queue; returns (rows, pivots).
 
-    pivots is a list of (row_index, col_index).  With jordan=True the pivot
+    pivots is a list of (row_index, col_index).  The next pivot column is the
+    one with the fewest live (not yet pivot) rows, ties going to the lowest
+    column index, and its pivot row the one with the fewest entries, ties
+    going to the lowest row index.  Only entries that are units of the ring
+    qualify: over Z a column whose live entries are all non-units is skipped
+    until one of its entries changes.  A pivot changes live counts only in
+    the columns of its own row, so only those are pushed back on the queue;
+    stale queue entries are dropped when popped.  With jordan=True the pivot
     column is cleared from every other row (needed for kernel extraction).
     """
     R = M.ring
     rows, col_rows = _rows_and_colindex(M)  # column index over active rows only
     retired_by_col: dict[int, set[int]] = {}  # pivot rows, tracked in jordan mode
     pivots = []
-    while True:
-        best = None
-        for j, rs in col_rows.items():
-            live = len(rs)
-            if live == 0:
-                continue
-            if best is None or live < best[1] or (live == best[1] and j < best[0]):
-                best = (j, live)
-        if best is None:
-            break
-        c = best[0]
-        r = min(col_rows[c], key=lambda i: (len(rows[i]), i))
+    queue = [(len(rs), j) for j, rs in col_rows.items()]
+    heapify(queue)
+    while queue:
+        live, c = heappop(queue)
+        if live != len(col_rows[c]):
+            continue
+        units = [i for i in col_rows[c] if R.is_unit(rows[i][c])]
+        if not units:
+            continue
+        r = min(units, key=lambda i: (len(rows[i]), i))
         pivots.append((r, c))
         pv_inv = R.inv(rows[r][c])
         targets = set(col_rows[c]) - {r}
@@ -255,7 +269,10 @@ def _eliminate(M: SparseMatrix, jordan: bool):
                     row2[j] = nv
         # retire the pivot row from further pivot selection
         for j in rows[r]:
-            col_rows[j].discard(r)
+            rs = col_rows[j]
+            rs.discard(r)
+            if rs:
+                heappush(queue, (len(rs), j))
             if jordan:
                 retired_by_col.setdefault(j, set()).add(r)
     return rows, pivots
@@ -376,22 +393,40 @@ def _snf_invariants(dense):
     return invariants
 
 
+def _integer_invariants(M: SparseMatrix) -> list[int]:
+    """Nonzero invariant factors of a matrix over Z, in two phases.
+
+    Each +-1 pivot of the elimination kernel is a unimodular row and column
+    operation: it contributes the invariant factor 1, and its row and column
+    leave the matrix.  The rows that are not pivots form the residual, which
+    the dense `_snf_invariants` reduces.
+    """
+    rows, pivots = _eliminate(M, jordan=False)
+    pivot_rows = {r for r, _ in pivots}
+    residual = [row for i, row in enumerate(rows) if row and i not in pivot_rows]
+    cols = {j: k for k, j in enumerate(sorted({j for row in residual for j in row}))}
+    dense = [[0] * len(cols) for _ in residual]
+    for drow, row in zip(dense, residual):
+        for j, v in row.items():
+            drow[cols[j]] = v
+    return [1] * len(pivots) + _snf_invariants(dense)
+
+
 def smith_normal_form(M: SparseMatrix) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... of a matrix over Z or Z/m.
 
-    Over Z/m the matrix is lifted to Z, m * identity rows are appended, and
-    the resulting invariants are reduced mod m (zeros dropped).
+    Over Z/m the matrix is lifted to Z (residues taken in (-m/2, m/2], so that
+    m - 1 lifts to the unit -1), m * identity rows are appended, and the
+    resulting invariants are reduced mod m (zeros dropped).
     """
     if M.ring == ZZ:
-        return _snf_invariants(M.to_dense())
+        return _integer_invariants(M)
     if isinstance(M.ring, IntegersMod):
         m = M.ring.m
-        dense = [[0] * M.ncols for _ in range(M.nrows + M.ncols)]
-        for (i, j), v in M.entries.items():
-            dense[i][j] = v
+        lifted = {(i, j): v - m if 2 * v > m else v for (i, j), v in M.entries.items()}
         for j in range(M.ncols):
-            dense[M.nrows + j][j] = m
-        inv = _snf_invariants(dense)
+            lifted[(M.nrows + j, j)] = m
+        inv = _integer_invariants(SparseMatrix(ZZ, M.nrows + M.ncols, M.ncols, lifted))
         return [d % m for d in inv if d % m]
     raise UnsupportedRing(f"Smith normal form over {M.ring} is not supported")
 
@@ -405,10 +440,11 @@ def homology_at(d_in: SparseMatrix, d_out: SparseMatrix) -> HomologyModule:
     """ker(d_out) / im(d_in) for d_in: C_{p+1} -> C_p, d_out: C_p -> C_{p-1}.
 
     Over a field the answer is the dimension nullity(d_out) - rank(d_in).
-    Over Z the free rank comes from ranks over Q and the torsion is the list
-    of invariant factors > 1 of d_in (ker d_out is a saturated subgroup, so
-    the elementary divisors of im(d_in) inside it agree with those inside the
-    ambient lattice).
+    Over Z both maps go through the Smith normal form: a rank is the number of
+    nonzero invariant factors, and the torsion is the list of invariant
+    factors > 1 of d_in (ker d_out is a saturated subgroup, so the elementary
+    divisors of im(d_in) inside it agree with those inside the ambient
+    lattice).
     """
     if d_in.ring != d_out.ring:
         raise RingMismatch("boundary maps over different rings")
@@ -422,7 +458,8 @@ def homology_at(d_in: SparseMatrix, d_out: SparseMatrix) -> HomologyModule:
         free = nullity(d_out) - rank(d_in)
         return HomologyModule(R, free)
     if R == ZZ:
-        free = (d_out.ncols - rank_over_rationals(d_out)) - rank_over_rationals(d_in)
-        torsion = tuple(d for d in smith_normal_form(d_in) if d > 1)
+        invariants = smith_normal_form(d_in)
+        free = d_out.ncols - len(smith_normal_form(d_out)) - len(invariants)
+        torsion = tuple(d for d in invariants if d > 1)
         return HomologyModule(R, free, torsion)
     raise UnsupportedRing(f"homology over {R} is not supported")

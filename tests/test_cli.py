@@ -4,10 +4,12 @@ import io
 import json
 import subprocess
 import sys
+from math import gcd
 
 import pytest
 
-from hopfcycl import HomologyModule, QQ
+import hopfcycl.sparse as sparse
+from hopfcycl import ZZ, HomologyModule, QQ, closed_hc_cyclic_group
 from hopfcycl.cli import build_parser, carrier_cap, emit_report, run
 
 
@@ -43,6 +45,34 @@ def test_cm_hc_taft_compare_closed():
     assert all(c["pass"] for c in doc["comparisons"])
 
 
+@pytest.mark.parametrize("m, pi", [(4, 0), (4, 1), (4, 2), (4, 3), (5, 0)])
+def test_hc_over_z_at_scale_matches_closed_form(monkeypatch, m, pi):
+    """HC_0..4(Z[Z/m]): degree 4 needs the Smith normal form of a 341x1365
+    (m = 4) or 781x3906 (m = 5) boundary.  Its +-1 pivots are eliminated
+    sparsely, so only a small residual may reach the dense stage."""
+    dense_cells = []
+    dense_snf = sparse._snf_invariants
+
+    def recording(dense):
+        dense_cells.append(len(dense) * (len(dense[0]) if dense else 0))
+        return dense_snf(dense)
+
+    monkeypatch.setattr(sparse, "_snf_invariants", recording)
+    code, out = run_cli(
+        ["hc", "--group", f"cyclic:{m}", "--ring", "Z", "--pi", str(pi),
+         "--max-degree", "4", "--compare", "closed", "--format", "json"]
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 5
+    for n, row in enumerate(rows):
+        closed = closed_hc_cyclic_group(ZZ, gcd(m, pi), n)
+        assert (row["free_rank"], tuple(row["torsion"])) == (
+            closed.free_rank, closed.torsion,
+        ), n
+    assert dense_cells and max(dense_cells) <= 10_000
+
+
 def test_verify_taft_all_triples():
     code, out = run_cli(["verify", "--taft", "2", "--max-degree", "2"])
     assert code == 0
@@ -68,6 +98,18 @@ def test_hh_quiver_graded_rows():
     doc = json.loads(out)
     assert [r["free_rank"] for r in doc["rows"]] == [2, 1, 1]
     assert doc["rows"][0]["graded"]["0"]["free_rank"] == 2
+
+
+def test_text_rows_name_the_theory():
+    code, out = run_cli(["hh", "--quiver", "crown:3", "--truncation", "3"])
+    assert code == 0
+    labels = [line.split()[0] for line in out.splitlines() if "[" in line]
+    assert labels == ["HH_0", "HH_1", "HH_2", "HH_3"]
+    for command in ("hc", "cm-hc", "compare"):
+        code, out = run_cli([command, "--trivial", "--max-degree", "1"])
+        assert code == 0
+        labels = [line.split()[0] for line in out.splitlines() if "[" in line]
+        assert labels == ["HC_0", "HC_1"], command
 
 
 def test_hc_quiver_compare_closed():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hopfcycl import (
     QQ,
     ZZ,
+    CyclotomicField,
     HomologyModule,
     IntegersMod,
     NotAComplex,
@@ -26,8 +27,10 @@ from hopfcycl import (
     rank_over_rationals,
     smith_normal_form,
 )
+from hopfcycl.sparse import _eliminate, _rows_and_colindex, _snf_invariants
 
 F7 = PrimeField(7)
+QZETA3 = CyclotomicField(3)
 
 
 def dense_rank_oracle(ring, rows):
@@ -198,3 +201,127 @@ def test_homology_at_guards():
             SparseMatrix.zero(IntegersMod(4), 1, 1),
             SparseMatrix.zero(IntegersMod(4), 0, 1),
         )
+
+
+# -- the pivot-queue elimination kernel ---------------------------------------
+
+
+def eliminate_by_column_scan(M, jordan):
+    """Reference pivot order: rescan every column for the fewest live rows
+    (ties to the lowest column), then take the live row with the fewest
+    entries (ties to the lowest row)."""
+    R = M.ring
+    rows, col_rows = _rows_and_colindex(M)
+    retired_by_col = {}
+    pivots = []
+    while True:
+        best = None
+        for j, rs in col_rows.items():
+            live = len(rs)
+            if live == 0:
+                continue
+            if best is None or live < best[1] or (live == best[1] and j < best[0]):
+                best = (j, live)
+        if best is None:
+            break
+        c = best[0]
+        r = min(col_rows[c], key=lambda i: (len(rows[i]), i))
+        pivots.append((r, c))
+        pv_inv = R.inv(rows[r][c])
+        targets = set(col_rows[c]) - {r}
+        if jordan:
+            targets |= retired_by_col.get(c, set())
+        for r2 in targets:
+            f = R.mul(rows[r2][c], pv_inv)
+            row2 = rows[r2]
+            is_active = r2 in col_rows.get(c, ())
+            for j, v in rows[r].items():
+                nv = R.sub(row2.get(j, R.zero), R.mul(f, v))
+                index = col_rows if is_active else retired_by_col
+                if R.is_zero(nv):
+                    if j in row2:
+                        del row2[j]
+                        index.get(j, set()).discard(r2)
+                else:
+                    if j not in row2:
+                        index.setdefault(j, set()).add(r2)
+                    row2[j] = nv
+        for j in rows[r]:
+            col_rows[j].discard(r)
+            if jordan:
+                retired_by_col.setdefault(j, set()).add(r)
+    return rows, pivots
+
+
+def random_field_matrix(ring, rng, m, n, density):
+    ent = {}
+    for i in range(m):
+        for j in range(n):
+            if rng.random() < density:
+                v = ring.from_int(rng.randint(-3, 3))
+                if ring == QZETA3:
+                    v = ring.mul(v, ring.zeta_pow(rng.randrange(3)))
+                ent[(i, j)] = v
+    return SparseMatrix(ring, m, n, ent)
+
+
+@pytest.mark.parametrize("jordan", [False, True])
+@pytest.mark.parametrize("ring", [F7, QQ, QZETA3], ids=lambda r: r.name)
+@given(seed=st.integers(0, 10**6), m=st.integers(1, 12), n=st.integers(1, 12),
+       density=st.sampled_from([0.15, 0.4, 0.8]))
+@settings(max_examples=30, deadline=None)
+def test_pivot_queue_matches_column_scan(jordan, ring, seed, m, n, density):
+    M = random_field_matrix(ring, random.Random(seed), m, n, density)
+    assert _eliminate(M, jordan) == eliminate_by_column_scan(M, jordan)
+
+
+def random_integer_matrix(rng, m, n, values, per_column):
+    """Each column gets up to per_column entries, drawn from values."""
+    return SparseMatrix(ZZ, m, n, {
+        (i, j): rng.choice(values)
+        for j in range(n)
+        for i in rng.sample(range(m), rng.randint(0, min(m, per_column)))
+    })
+
+
+# values, largest shape, most entries per column
+SNF_REGIMES = {
+    # boundary-like: a few entries per column, most of them +-1
+    "unit-rich": ((1, -1, 1, -1, 1, -1, 2, -2, 3), (30, 60), 4),
+    # no pivot is a unit, so the whole matrix reaches the dense stage; the
+    # dense reference's entries grow too fast to run it beyond about 10x20
+    "no-units": ((2, -2, 3, -3, 6, -6), (10, 20), 10),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(SNF_REGIMES))
+@given(seed=st.integers(0, 10**6), zero_lines=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_snf_matches_dense_snf_of_the_full_matrix(regime, seed, zero_lines):
+    values, (max_rows, max_cols), per_column = SNF_REGIMES[regime]
+    rng = random.Random(seed)
+    m, n = rng.randint(1, max_rows), rng.randint(1, max_cols)
+    M = random_integer_matrix(rng, m, n, values, rng.randint(1, per_column))
+    if zero_lines:
+        dead_rows = set(rng.sample(range(m), m // 3))
+        dead_cols = set(rng.sample(range(n), n // 3))
+        M = SparseMatrix(ZZ, m, n, {
+            (i, j): v for (i, j), v in M.entries.items()
+            if i not in dead_rows and j not in dead_cols
+        })
+    assert smith_normal_form(M) == _snf_invariants(M.to_dense())
+
+
+@pytest.mark.parametrize("modulus", [4, 6, 9])
+@given(seed=st.integers(0, 10**6), m=st.integers(1, 12), n=st.integers(1, 16),
+       density=st.sampled_from([0.15, 0.5]))
+@settings(max_examples=20, deadline=None)
+def test_snf_over_zmod_matches_dense_snf(modulus, seed, m, n, density):
+    rng = random.Random(seed)
+    rows = [
+        [rng.randrange(modulus) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(m)
+    ]
+    lifted = rows + [[modulus * (i == j) for j in range(n)] for i in range(n)]
+    expected = [d % modulus for d in _snf_invariants(lifted) if d % modulus]
+    assert smith_normal_form(SparseMatrix.from_rows(IntegersMod(modulus), rows)) == expected
