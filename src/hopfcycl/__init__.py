@@ -44,6 +44,7 @@ from .rings import (
 from .sparse import (
     SparseMatrix,
     homology_at,
+    homology_sequence,
     kernel_basis,
     nullity,
     rank,
@@ -69,6 +70,7 @@ from .cyclic import (
     CyclicModule,
     connes_lambda_hc,
     cyclic_bicomplex_hc,
+    cyclic_bicomplex_hc_upto,
     hochschild_homology,
     hochschild_window,
     sbi_check,

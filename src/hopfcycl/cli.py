@@ -19,7 +19,7 @@ from .cyclic import (
     ClassicalCyclicModule,
     ConnesMoscoviciModule,
     connes_lambda_hc,
-    cyclic_bicomplex_hc,
+    cyclic_bicomplex_hc_upto,
     hochschild_window,
     verify_cyclic_axioms,
 )
@@ -170,10 +170,11 @@ def _module_dim(module) -> int:
     return module.level_dim(1)
 
 
-def _hc_of(module, n):
+def _hc_table(module, N):
+    """(HC_n, provenance) for n = 0..N."""
     if module.ring.contains_rationals:
-        return connes_lambda_hc(module, n), "computed-lambda"
-    return cyclic_bicomplex_hc(module, n), "computed-bicomplex"
+        return [(connes_lambda_hc(module, n), "computed-lambda") for n in range(N + 1)]
+    return [(h, "computed-bicomplex") for h in cyclic_bicomplex_hc_upto(module, N)]
 
 
 def _describe(mod: HomologyModule) -> dict:
@@ -290,15 +291,14 @@ def _cmd_hc(args) -> dict:
     else:
         module, source = _cm_module_from_args(args)
         ensure_within_cap(_module_dim(module), N + 2)
-        for n in range(N + 1):
-            computed, provenance = _hc_of(module, n)
+        if args.compare == "closed":
+            closed_rows = [_closed_hc(source, module.ring, n) for n in range(N + 1)]
+            if any(closed is None for closed in closed_rows):
+                raise UnsupportedCombination("no closed formula available for this source")
+        for n, (computed, provenance) in enumerate(_hc_table(module, N)):
             rows.append({"degree": n, **_describe(computed), "provenance": provenance})
             if args.compare == "closed":
-                closed = _closed_hc(source, module.ring, n)
-                if closed is None:
-                    raise UnsupportedCombination(
-                        "no closed formula available for this source"
-                    )
+                closed = closed_rows[n]
                 ok = (computed.free_rank, computed.torsion) == (
                     closed.free_rank, closed.torsion,
                 )

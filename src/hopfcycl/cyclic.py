@@ -20,6 +20,7 @@ rank-bookkeeping checker for the periodicity long exact sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     IndexOutOfRange,
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .hopf import CMTriple, Character, HopfAlgebraData, twisted_antipode
 from .rings import HomologyModule, Ring
-from .sparse import SparseMatrix, homology_at, rank
+from .sparse import SparseMatrix, homology_at, homology_sequence, rank
 
 
 def tuple_to_index(t, d):
@@ -166,6 +167,11 @@ class ConnesMoscoviciModule(CyclicModule):
     def level_dim(self, m: int) -> int:
         return self.hopf.dim**m if m else 1
 
+    @cached_property
+    def _s_pi_cols(self) -> list[dict]:
+        """Columns of S_pi; the cyclic operator reads one per fold-state entry."""
+        return [self.s_pi.column(j) for j in range(self.hopf.dim)]
+
     # three-leg coproduct with alpha applied to the first leg, per basis elt
     def _cop3_alpha(self):
         if self._cop3a is None:
@@ -235,6 +241,7 @@ class ConnesMoscoviciModule(CyclicModule):
         d = self.hopf.dim
         mult = self.hopf.algebra.mult
         cop3a = self._cop3_alpha()
+        s_pi_cols = self._s_pi_cols
         cols = []
         for idx in range(d**m):
             t = index_to_tuple(idx, d, m)
@@ -260,7 +267,7 @@ class ConnesMoscoviciModule(CyclicModule):
                 c = R.mul(c, self.beta(zt[-1]))
                 if R.is_zero(c):
                     continue
-                for w, sv in self.s_pi.column(yacc).items():
+                for w, sv in s_pi_cols[yacc].items():
                     out_idx = tuple_to_index((w,) + zt[:-1], d)
                     s = R.add(col.get(out_idx, R.zero), R.mul(c, sv))
                     if R.is_zero(s):
@@ -436,6 +443,12 @@ def cyclic_bicomplex_hc(module: CyclicModule, n: int) -> HomologyModule:
     return homology_at(d_in, d_out)
 
 
+def cyclic_bicomplex_hc_upto(module: CyclicModule, N: int) -> list[HomologyModule]:
+    """HC_0..HC_N from the total complex, each total boundary built and
+    reduced once (`cyclic_bicomplex_hc` per degree builds D_n and D_(n+1))."""
+    return homology_sequence(_total_boundary(module, k) for k in range(1, N + 2))
+
+
 # -- Connes quotient complex -------------------------------------------------
 
 
@@ -592,7 +605,7 @@ def sbi_check(module: CyclicModule, N: int, use_bicomplex: bool = False) -> SBIR
     window = hochschild_window(module, N + 1)
     h_dims = [window.homology(n).free_rank for n in range(N + 1)]
     if use_bicomplex or not module.ring.contains_rationals:
-        hc_dims = [cyclic_bicomplex_hc(module, n).free_rank for n in range(N + 1)]
+        hc_dims = [h.free_rank for h in cyclic_bicomplex_hc_upto(module, N)]
     else:
         hc_dims = [connes_lambda_hc(module, n).free_rank for n in range(N + 1)]
     return sbi_rank_assignment(h_dims, hc_dims)

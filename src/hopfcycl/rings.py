@@ -1,13 +1,15 @@
 """Exact coefficient rings: Z, Q, Z/m, prime fields F_p and cyclotomic fields Q(zeta_n).
 
-Ring elements are plain Python payloads (int, Fraction, residue int, or a
-tuple of Fractions for cyclotomic numbers); the ring object carries the
-arithmetic.  Containers such as sparse matrices store payloads and a single
-ring reference, which keeps tensor-power computations cheap.
+Ring elements are plain Python payloads (int, Fraction, residue int, or for
+cyclotomic numbers a pair of an int numerator tuple and one positive int
+denominator); the ring object carries the arithmetic.  Containers such as
+sparse matrices store payloads and a single ring reference, which keeps
+tensor-power computations cheap.
 
 All arithmetic is exact: integers are arbitrary precision, fractions are kept
 reduced, residues canonical in [0, m), and cyclotomic payloads reduced modulo
-the n-th cyclotomic polynomial.
+the n-th cyclotomic polynomial, with numerators and denominator coprime.
+Every payload is canonical, so == on payloads is equality of ring elements.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add as _add, neg as _neg, sub as _sub
 
 from .errors import NotAUnit, ParseError, UnsupportedRing
 
@@ -289,10 +292,22 @@ class PrimeField(IntegersMod):
 
 
 class CyclotomicField(Ring):
-    """Q(zeta_n) = Q[x] / Phi_n(x); payloads are Fraction tuples of length phi(n).
+    """Q(zeta_n) = Q[x] / Phi_n(x), with integer-numerator payloads.
 
-    zeta is the class of x, a primitive n-th root of unity.  For n = 1, 2 the
-    field degenerates to Q with zeta = 1 resp. -1.
+    A payload is a pair (numerators, denominator): an int tuple of length
+    phi(n), the coefficients of 1, x, ..., x^(phi(n) - 1), over one positive
+    int denominator.  Payloads are canonical (the gcd of the denominator and
+    all numerators is 1, and zero is ((0, ..., 0), 1)), so equal field
+    elements have equal payloads.  Elements of Z[zeta_n], which is where
+    every Taft structure constant lives, have denominator 1; the arithmetic
+    reaches for gcd only when a denominator is not 1.
+
+    Products reduce modulo Phi_n with the precomputed integer vectors
+    x^k mod Phi_n for k = phi(n) .. 2 phi(n) - 2, exact because Phi_n is
+    monic; inverses divide the product of the other Galois conjugates by the
+    norm.  No operation but `format` builds a Fraction.  zeta is the class of
+    x, a primitive n-th root of unity.  For n = 1, 2 the field degenerates to
+    Q with zeta = 1 resp. -1.
     """
 
     is_field = True
@@ -303,47 +318,88 @@ class CyclotomicField(Ring):
             raise ValueError("n must be positive")
         self.n = n
         self.modulus = cyclotomic_polynomial(n)
-        self.degree = len(self.modulus) - 1
+        self.degree = d = len(self.modulus) - 1
         self.name = f"Q(zeta{n})"
+        # x^e mod Phi_n as int vectors, e = 0 .. max(n - 1, 2d - 2)
+        powers = [[int(j == 0) for j in range(d)]]
+        for _ in range(max(n - 1, 2 * d - 2)):
+            top = powers[-1][-1]
+            powers.append([0] + powers[-1][:-1])
+            for j in range(d):
+                powers[-1][j] -= top * self.modulus[j]
+        # products reduce x^d .. x^(2d - 2) with these sparse (index, coefficient) lists
+        self._xpow = [[(j, c) for j, c in enumerate(v) if c] for v in powers[d : 2 * d - 1]]
+        # the Galois automorphisms x -> x^k other than the identity, as the
+        # images of 1, x, ..., x^(d - 1)
+        self._conjugations = [
+            [powers[j * k % n] for j in range(d)] for k in range(2, n) if gcd(k, n) == 1
+        ]
+        self._zero = self.from_int(0)
+        self._one = self.from_int(1)
 
     def _key(self):
         return (self.n,)
 
+    @property
+    def zero(self):
+        return self._zero
+
+    @property
+    def one(self):
+        return self._one
+
+    @staticmethod
+    def _canonical(nums, den):
+        """The payload of nums / den for a positive den."""
+        g = gcd(den, *nums)
+        if g != 1:
+            return tuple([x // g for x in nums]), den // g
+        return tuple(nums), den
+
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        an, ad = a
+        bn, bd = b
+        if ad == bd:
+            nums = tuple(map(_add, an, bn))
+            return (nums, 1) if ad == 1 else self._canonical(nums, ad)
+        return self._canonical([x * bd + y * ad for x, y in zip(an, bn)], ad * bd)
+
+    def sub(self, a, b):
+        an, ad = a
+        bn, bd = b
+        if ad == bd:
+            nums = tuple(map(_sub, an, bn))
+            return (nums, 1) if ad == 1 else self._canonical(nums, ad)
+        return self._canonical([x * bd - y * ad for x, y in zip(an, bn)], ad * bd)
 
     def neg(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(_neg, a[0])), a[1]
 
     def mul(self, a, b):
+        an, ad = a
+        bn, bd = b
         d = self.degree
-        prod = [Fraction(0)] * (2 * d - 1 if d > 0 else 1)
-        for i, x in enumerate(a):
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(an):
             if x:
-                for j, y in enumerate(b):
+                for k, y in enumerate(bn, i):
                     if y:
-                        prod[i + j] += x * y
-        return self._reduce(prod)
-
-    def _reduce(self, coeffs):
-        d = self.degree
-        c = list(coeffs)
-        mod = self.modulus
-        for k in range(len(c) - 1, d - 1, -1):
-            lead = c[k]
-            if lead:
-                # subtract lead * x^(k-d) * Phi_n  (Phi_n is monic)
-                for j in range(d + 1):
-                    c[k - d + j] -= lead * mod[j]
-        c = c[:d]
-        c += [Fraction(0)] * (d - len(c))
-        return tuple(c)
+                        prod[k] += x * y
+        out = prod[:d]
+        for k, reduction in enumerate(self._xpow, d):
+            c = prod[k]
+            if c:
+                for j, r in reduction:
+                    out[j] += c * r
+        if ad == 1 and bd == 1:
+            return tuple(out), 1
+        return self._canonical(out, ad * bd)
 
     def from_int(self, c):
-        return tuple([Fraction(c)] + [Fraction(0)] * (self.degree - 1))
+        return (c,) + (0,) * (self.degree - 1), 1
 
     def is_zero(self, a):
-        return all(x == 0 for x in a)
+        return not any(a[0])
 
     def is_unit(self, a):
         return not self.is_zero(a)
@@ -351,38 +407,44 @@ class CyclotomicField(Ring):
     @property
     def zeta(self):
         if self.degree == 1:
-            # x = zeta reduces to the rational root of Phi_n (n = 1 or 2)
-            return self._reduce([Fraction(0), Fraction(1)])
-        return tuple(
-            [Fraction(0), Fraction(1)] + [Fraction(0)] * (self.degree - 2)
-        )
+            # x = zeta is the rational root of Phi_n = x - r (n = 1 or 2)
+            return self.from_int(-self.modulus[0])
+        return (0, 1) + (0,) * (self.degree - 2), 1
 
     def zeta_pow(self, k: int):
         return self.pow(self.zeta, k % self.n)
 
     def inv(self, a):
+        """1 / a as the product of the other Galois conjugates of a over its norm.
+
+        For integer numerators the norm a * prod(sigma(a)) is a nonzero
+        integer, so no step leaves Z[zeta_n] until the final division.
+        """
         if self.is_zero(a):
             raise NotAUnit("0 is not a unit")
-        # extended gcd of a and Phi_n in Q[x]
-        mod = [Fraction(c) for c in self.modulus]
-        r0, r1 = mod, _poly_trim(a)
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _qpoly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _qpoly_sub(s0, _poly_mul(q, s1))
-        # r0 is a nonzero constant (Phi_n is irreducible)
-        assert len(r0) == 1
-        c = r0[0]
-        return self._reduce([x / c for x in s0])
+        nums, den = a
+        others = self._one
+        for images in self._conjugations:
+            conj = [0] * self.degree
+            for x, image in zip(nums, images):
+                if x:
+                    for j, c in enumerate(image):
+                        conj[j] += x * c
+            others = self.mul(others, (tuple(conj), 1))
+        norm = self.mul((nums, 1), others)[0][0]
+        if norm < 0:
+            den, norm = -den, -norm
+        return self._canonical([den * x for x in others[0]], norm)
 
     def format(self, a) -> str:
         if self.is_zero(a):
             return "0"
+        nums, den = a
         parts = []
-        for i, c in enumerate(a):
-            if c == 0:
+        for i, x in enumerate(nums):
+            if x == 0:
                 continue
+            c = Fraction(x, den)
             if i == 0:
                 parts.append(str(c))
             elif i == 1:
@@ -390,25 +452,6 @@ class CyclotomicField(Ring):
             else:
                 parts.append(f"{c}*z^{i}" if c != 1 else f"z^{i}")
         return " + ".join(parts)
-
-
-def _qpoly_divmod(a, b):
-    a = list(a)
-    out = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    for k in range(len(out) - 1, -1, -1):
-        q = a[k + len(b) - 1] / b[-1]
-        out[k] = q
-        for j, d in enumerate(b):
-            a[k + j] -= q * d
-    return _poly_trim(out), _poly_trim(a)
-
-
-def _qpoly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    for j, y in enumerate(b):
-        a[j] -= y
-    return _poly_trim(a)
 
 
 ZZ = IntegerRing()

@@ -12,7 +12,9 @@ matrix.  Only unit entries qualify as pivots: every nonzero entry over a
 field, +-1 over Z.  The Smith normal form over Z runs in two phases: the
 kernel eliminates the +-1 pivots sparsely, each contributing an invariant
 factor 1, and a dense Smith normal form reduces the small residual that is
-left.  Over Z/m the matrix is lifted to Z with m * identity rows appended.
+left.  Over Z/m the matrix is lifted to Z; the residual is reduced mod m
+and m * identity rows are appended for its columns only.  `homology_sequence`
+reduces every boundary of a complex once for a whole table of degrees.
 """
 
 from __future__ import annotations
@@ -393,40 +395,51 @@ def _snf_invariants(dense):
     return invariants
 
 
-def _integer_invariants(M: SparseMatrix) -> list[int]:
-    """Nonzero invariant factors of a matrix over Z, in two phases.
+def _integer_invariants(M: SparseMatrix, m: int = 0) -> list[int]:
+    """Nonzero invariant factors of a matrix over Z, or over Z/m when m > 0.
 
     Each +-1 pivot of the elimination kernel is a unimodular row and column
     operation: it contributes the invariant factor 1, and its row and column
     leave the matrix.  The rows that are not pivots form the residual, which
-    the dense `_snf_invariants` reduces.
+    the dense `_snf_invariants` reduces.  Over Z/m the lattice also holds
+    m * Z^n, so the residual entries are reduced mod m and m * e_j is
+    appended for the residual's columns only (the m * e_j of an eliminated
+    column lies in the lattice spanned by the others).
     """
     rows, pivots = _eliminate(M, jordan=False)
     pivot_rows = {r for r, _ in pivots}
     residual = [row for i, row in enumerate(rows) if row and i not in pivot_rows]
+    if m:
+        residual = [{j: _lift(v % m, m) for j, v in row.items() if v % m} for row in residual]
+        residual = [row for row in residual if row]
     cols = {j: k for k, j in enumerate(sorted({j for row in residual for j in row}))}
     dense = [[0] * len(cols) for _ in residual]
     for drow, row in zip(dense, residual):
         for j, v in row.items():
             drow[cols[j]] = v
+    if m:
+        dense += [[m * (k == j) for j in range(len(cols))] for k in range(len(cols))]
     return [1] * len(pivots) + _snf_invariants(dense)
+
+
+def _lift(v: int, m: int) -> int:
+    """The representative of the residue v in (-m/2, m/2], so that m - 1 is -1."""
+    return v - m if 2 * v > m else v
 
 
 def smith_normal_form(M: SparseMatrix) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... of a matrix over Z or Z/m.
 
-    Over Z/m the matrix is lifted to Z (residues taken in (-m/2, m/2], so that
-    m - 1 lifts to the unit -1), m * identity rows are appended, and the
-    resulting invariants are reduced mod m (zeros dropped).
+    Over Z/m these are the invariant factors of the lift of M to Z stacked on
+    m * identity, reduced mod m (zeros dropped); the lift takes residues in
+    (-m/2, m/2], so that m - 1 becomes the unit pivot -1.
     """
     if M.ring == ZZ:
         return _integer_invariants(M)
     if isinstance(M.ring, IntegersMod):
         m = M.ring.m
-        lifted = {(i, j): v - m if 2 * v > m else v for (i, j), v in M.entries.items()}
-        for j in range(M.ncols):
-            lifted[(M.nrows + j, j)] = m
-        inv = _integer_invariants(SparseMatrix(ZZ, M.nrows + M.ncols, M.ncols, lifted))
+        lifted = {k: _lift(v, m) for k, v in M.entries.items()}
+        inv = _integer_invariants(SparseMatrix(ZZ, M.nrows, M.ncols, lifted), m)
         return [d % m for d in inv if d % m]
     raise UnsupportedRing(f"Smith normal form over {M.ring} is not supported")
 
@@ -434,6 +447,17 @@ def smith_normal_form(M: SparseMatrix) -> list[int]:
 # ---------------------------------------------------------------------------
 # homology of a pair of boundary maps
 # ---------------------------------------------------------------------------
+
+
+def _rank_and_torsion(d: SparseMatrix) -> tuple[int, tuple[int, ...]]:
+    """Rank of a boundary and, over Z, its invariant factors > 1."""
+    R = d.ring
+    if R.is_field:
+        return rank(d), ()
+    if R == ZZ:
+        invariants = smith_normal_form(d)
+        return len(invariants), tuple(x for x in invariants if x > 1)
+    raise UnsupportedRing(f"homology over {R} is not supported")
 
 
 def homology_at(d_in: SparseMatrix, d_out: SparseMatrix) -> HomologyModule:
@@ -446,20 +470,27 @@ def homology_at(d_in: SparseMatrix, d_out: SparseMatrix) -> HomologyModule:
     divisors of im(d_in) inside it agree with those inside the ambient
     lattice).
     """
-    if d_in.ring != d_out.ring:
-        raise RingMismatch("boundary maps over different rings")
-    if d_in.nrows != d_out.ncols:
-        raise ValueError("boundary maps are not composable")
-    comp = d_out @ d_in
-    if not comp.is_zero:
-        raise NotAComplex("d_out . d_in != 0")
-    R = d_in.ring
-    if R.is_field:
-        free = nullity(d_out) - rank(d_in)
-        return HomologyModule(R, free)
-    if R == ZZ:
-        invariants = smith_normal_form(d_in)
-        free = d_out.ncols - len(smith_normal_form(d_out)) - len(invariants)
-        torsion = tuple(d for d in invariants if d > 1)
-        return HomologyModule(R, free, torsion)
-    raise UnsupportedRing(f"homology over {R} is not supported")
+    return homology_sequence([d_out, d_in])[1]
+
+
+def homology_sequence(boundaries) -> list[HomologyModule]:
+    """H_0..H_N of a complex given by its boundaries D_1, ..., D_(N+1) in order.
+
+    Every boundary is reduced (rank or Smith normal form) once, and only the
+    previous boundary is kept for the d^2 = 0 check.  The boundaries may be
+    a generator, so each is built only when it is needed.
+    """
+    out = []
+    prev, prev_rank = None, 0
+    for d in boundaries:
+        if prev is not None:
+            if d.ring != prev.ring:
+                raise RingMismatch("boundary maps over different rings")
+            if d.nrows != prev.ncols:
+                raise ValueError("boundary maps are not composable")
+            if not (prev @ d).is_zero:
+                raise NotAComplex("d_out . d_in != 0")
+        r, torsion = _rank_and_torsion(d)
+        out.append(HomologyModule(d.ring, d.nrows - prev_rank - r, torsion))
+        prev, prev_rank = d, r
+    return out

@@ -230,3 +230,21 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rows"][0]["free_rank"] == 1
+
+
+@pytest.mark.parametrize("ring, reduction", [("Z", "smith_normal_form"), ("F2", "rank")])
+def test_hc_reduces_each_total_boundary_once(monkeypatch, ring, reduction):
+    """HC_0..4 over a ring without Q needs the total boundaries D_1..D_5 of
+    the bicomplex; each is built and reduced once, not once per degree."""
+    seen = []
+    reduce = getattr(sparse, reduction)
+
+    def counting(M):
+        seen.append((M.nrows, M.ncols, frozenset(M.entries.items())))
+        return reduce(M)
+
+    monkeypatch.setattr(sparse, reduction, counting)
+    code, out = run_cli(["hc", "--group", "cyclic:4", "--ring", ring, "--pi", "0",
+                         "--max-degree", "4", "--compare", "closed", "--format", "json"])
+    assert code == 0 and json.loads(out)["passed"]
+    assert len(seen) == len(set(seen)) == 5

@@ -1,6 +1,7 @@
 """Coefficient rings: exact arithmetic, parsing, homology descriptors."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -17,14 +18,18 @@ from hopfcycl import (
     PrimeField,
     UnsupportedRing,
     annihilator_and_quotient,
+    connes_lambda_hc,
     cyclotomic_polynomial,
     free_module,
     parse_ring,
     primitive_root_of_unity,
+    taft_cm_module,
+    taft_cm_triples,
+    taft_hopf,
     zero_module,
 )
 from hopfcycl.errors import MissingRootOfUnity
-from hopfcycl.rings import _poly_mul, euler_phi
+from hopfcycl.rings import _poly_mul, _poly_trim, euler_phi
 
 RINGS = [ZZ, QQ, IntegersMod(6), PrimeField(5), CyclotomicField(5)]
 
@@ -195,3 +200,209 @@ def test_annihilator_and_quotient_other_rings():
     assert ann.free_rank == 1 and quot.free_rank == 1
     with pytest.raises(UnsupportedRing):
         annihilator_and_quotient(2, CyclotomicField(3))
+
+
+# -- integer-numerator cyclotomic payloads against the Fraction-tuple field ----
+
+
+class FractionTupleCyclotomic(CyclotomicField):
+    """Reference: Q(zeta_n) with payloads tuples of Fractions, one per power
+    of zeta, reduced modulo Phi_n.  This is the field's former payload; it
+    keeps CyclotomicField as its base so that taft_hopf accepts it."""
+
+    @property
+    def zero(self):
+        return self.from_int(0)
+
+    @property
+    def one(self):
+        return self.from_int(1)
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x for x in a)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        d = self.degree
+        prod = [Fraction(0)] * (2 * d - 1 if d > 0 else 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        return self._reduce(prod)
+
+    def _reduce(self, coeffs):
+        d = self.degree
+        c = list(coeffs)
+        mod = self.modulus
+        for k in range(len(c) - 1, d - 1, -1):
+            lead = c[k]
+            if lead:
+                for j in range(d + 1):
+                    c[k - d + j] -= lead * mod[j]
+        c = c[:d]
+        c += [Fraction(0)] * (d - len(c))
+        return tuple(c)
+
+    def from_int(self, c):
+        return tuple([Fraction(c)] + [Fraction(0)] * (self.degree - 1))
+
+    def is_zero(self, a):
+        return all(x == 0 for x in a)
+
+    @property
+    def zeta(self):
+        if self.degree == 1:
+            return self._reduce([Fraction(0), Fraction(1)])
+        return tuple([Fraction(0), Fraction(1)] + [Fraction(0)] * (self.degree - 2))
+
+    def inv(self, a):
+        if self.is_zero(a):
+            raise NotAUnit("0 is not a unit")
+        mod = [Fraction(c) for c in self.modulus]
+        r0, r1 = mod, _poly_trim(a)
+        s0, s1 = [], [Fraction(1)]
+        while r1:
+            q, r = _qpoly_divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _qpoly_sub(s0, _poly_mul(q, s1))
+        assert len(r0) == 1
+        c = r0[0]
+        return self._reduce([x / c for x in s0])
+
+    def format(self, a) -> str:
+        if self.is_zero(a):
+            return "0"
+        parts = []
+        for i, c in enumerate(a):
+            if c == 0:
+                continue
+            if i == 0:
+                parts.append(str(c))
+            elif i == 1:
+                parts.append(f"{c}*z" if c != 1 else "z")
+            else:
+                parts.append(f"{c}*z^{i}" if c != 1 else f"z^{i}")
+        return " + ".join(parts)
+
+
+def _qpoly_divmod(a, b):
+    a = list(a)
+    out = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(out) - 1, -1, -1):
+        q = a[k + len(b) - 1] / b[-1]
+        out[k] = q
+        for j, d in enumerate(b):
+            a[k + j] -= q * d
+    return _poly_trim(out), _poly_trim(a)
+
+
+def _qpoly_sub(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    for j, y in enumerate(b):
+        a[j] -= y
+    return _poly_trim(a)
+
+
+def as_fractions(payload):
+    nums, den = payload
+    return tuple(Fraction(x, den) for x in nums)
+
+
+def from_fractions(coeffs):
+    den = lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
+
+
+def assert_canonical(K, payload):
+    nums, den = payload
+    assert len(nums) == K.degree
+    assert all(type(x) is int for x in nums) and type(den) is int
+    assert den > 0 and gcd(den, *nums) == 1
+
+
+CYCLOTOMIC_ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
+
+
+def cyclotomic_element(n):
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    return st.lists(coeff, min_size=euler_phi(n), max_size=euler_phi(n)).map(tuple)
+
+
+@pytest.mark.parametrize("n", CYCLOTOMIC_ORDERS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_payloads_agree_with_fraction_tuples(n, data):
+    K, ref = CyclotomicField(n), FractionTupleCyclotomic(n)
+    x = data.draw(cyclotomic_element(n))
+    y = data.draw(cyclotomic_element(n))
+    k = data.draw(st.integers(-3, 4))
+    a, b = from_fractions(x), from_fractions(y)
+    assert as_fractions(a) == x
+    for op in ("add", "sub", "mul"):
+        out = getattr(K, op)(a, b)
+        assert_canonical(K, out)
+        assert as_fractions(out) == getattr(ref, op)(x, y), op
+    assert_canonical(K, K.neg(a))
+    assert as_fractions(K.neg(a)) == ref.neg(x)
+    assert K.is_zero(a) == ref.is_zero(x)
+    assert K.format(a) == ref.format(x)
+    if ref.is_zero(x):
+        with pytest.raises(NotAUnit):
+            K.inv(a)
+        return
+    assert_canonical(K, K.inv(a))
+    assert as_fractions(K.inv(a)) == ref.inv(x)
+    assert as_fractions(K.pow(a, k)) == ref.pow(x, k)
+    # canonical payloads: equal values are equal payloads
+    assert K.mul(a, K.inv(a)) == K.one
+    assert K.sub(a, a) == K.zero == K.from_int(0)
+
+
+@pytest.mark.parametrize("n", CYCLOTOMIC_ORDERS)
+def test_cyclotomic_constants_agree_with_fraction_tuples(n):
+    K, ref = CyclotomicField(n), FractionTupleCyclotomic(n)
+    assert as_fractions(K.zeta) == ref.zeta
+    for c in (-3, 0, 1, 7):
+        assert K.from_int(c) == from_fractions(ref.from_int(c))
+    assert K.zero == ((0,) * K.degree, 1) and K.one == K.from_int(1)
+    assert K.pow(K.zeta, n) == K.one
+
+
+def converted(M):
+    return {k: as_fractions(v) for k, v in M.entries.items()}
+
+
+def test_taft3_operators_and_homology_match_fraction_tuples():
+    hopf, ref_hopf = taft_hopf(3), taft_hopf(3, FractionTupleCyclotomic(3))
+    for triple in taft_cm_triples(3):
+        module = taft_cm_module(hopf, *triple)
+        ref_module = taft_cm_module(ref_hopf, *triple)
+        assert converted(module.cyclic(2)) == ref_module.cyclic(2).entries
+        assert converted(module.boundary_b(3)) == ref_module.boundary_b(3).entries
+        assert [connes_lambda_hc(module, p).free_rank for p in range(4)] == [
+            connes_lambda_hc(ref_module, p).free_rank for p in range(4)
+        ], triple
+
+
+def test_cyclotomic_hot_operations_make_no_fraction(monkeypatch):
+    import hopfcycl.rings as rings
+
+    def refuse(*args):
+        raise AssertionError("Fraction created")
+
+    K = CyclotomicField(12)
+    x = from_fractions((Fraction(1, 6), Fraction(-3, 4), Fraction(0), Fraction(5, 9)))
+    y = K.add(K.zeta, K.from_int(2))
+    monkeypatch.setattr(rings, "Fraction", refuse)
+    for a, b in ((x, y), (x, x), (y, y)):
+        K.add(a, b), K.sub(a, b), K.mul(a, b), K.neg(a), K.is_zero(a), K.inv(a)

@@ -27,6 +27,7 @@ from hopfcycl import (
     rank_over_rationals,
     smith_normal_form,
 )
+import hopfcycl.sparse as sparse
 from hopfcycl.sparse import _eliminate, _rows_and_colindex, _snf_invariants
 
 F7 = PrimeField(7)
@@ -325,3 +326,36 @@ def test_snf_over_zmod_matches_dense_snf(modulus, seed, m, n, density):
     lifted = rows + [[modulus * (i == j) for j in range(n)] for i in range(n)]
     expected = [d % modulus for d in _snf_invariants(lifted) if d % modulus]
     assert smith_normal_form(SparseMatrix.from_rows(IntegersMod(modulus), rows)) == expected
+
+
+def test_snf_over_zmod_sends_only_the_residual_to_the_dense_stage(monkeypatch):
+    """m * e_j is appended only for the residual's columns: an 80x160 matrix
+    over Z/4 used to carry all 160 appended rows into the dense stage."""
+    modulus, m, n = 4, 80, 160
+    rng = random.Random(0)
+    entries = {
+        (i, j): rng.randrange(1, modulus) for j in range(n) for i in rng.sample(range(m), 3)
+    }
+    M = SparseMatrix(IntegersMod(modulus), m, n, entries)
+    lifted = {k: v - modulus if 2 * v > modulus else v for k, v in entries.items()}
+    rows, pivots = _eliminate(SparseMatrix(ZZ, m, n, lifted), jordan=False)
+    pivot_rows = {r for r, _ in pivots}
+    residual_rows = sum(1 for i, row in enumerate(rows) if row and i not in pivot_rows)
+
+    shapes = []
+    dense_snf = sparse._snf_invariants
+
+    def recording(dense):
+        shapes.append((len(dense), len(dense[0]) if dense else 0))
+        return dense_snf(dense)
+
+    monkeypatch.setattr(sparse, "_snf_invariants", recording)
+    inv = smith_normal_form(M)
+    assert len(shapes) == 1
+    dense_rows, dense_cols = shapes[0]
+    assert dense_rows <= residual_rows + dense_cols
+    # the former route: the whole lift with m * identity rows through the kernel
+    for j in range(n):
+        lifted[(m + j, j)] = modulus
+    full = sparse._integer_invariants(SparseMatrix(ZZ, m + n, n, lifted))
+    assert inv == [d % modulus for d in full if d % modulus]
