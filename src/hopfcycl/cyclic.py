@@ -3,7 +3,9 @@
 A cyclic module is presented operator-wise: carrier dimensions per level,
 face / degeneracy / cyclic operators as exact sparse matrices.  Level m has
 faces d_0..d_m, degeneracies s_0..s_m and a cyclic operator t with
-t^(m+1) = id.  Two main instances live here:
+t^(m+1) = id.  Carriers are tensor powers of a basis of size d, and the
+operators are assembled by index arithmetic on the base-d digits of the
+basis index; no basis tuple is decoded.  Two main instances live here:
 
 * the Connes-Moscovici module of a Hopf algebra with an admissible
   (grouplike, character, character) triple, whose level-m carrier is the
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 
 from .errors import (
     IndexOutOfRange,
@@ -45,6 +48,46 @@ def index_to_tuple(idx, d, length):
     for pos in range(length - 1, -1, -1):
         idx, out[pos] = divmod(idx, d)
     return tuple(out)
+
+
+# Operators on tensor powers are assembled by index arithmetic: a basis
+# tensor of length p + 2 + s (or p + s) is the index (A * d + x) * d**s + C
+# with A the index of its first p legs and C that of its last s legs, so an
+# operator acting on the middle legs only moves the middle digit(s).
+
+
+def _merge_face(ring, d, mult, p, s):
+    """The face multiplying legs p and p + 1 of a tensor of length p + 2 + s:
+    column ((A * d + x) * d + y) * D + C goes to rows (A * d + k) * D + C,
+    D = d**s, with the structure constants mult[x][y][k]."""
+    D = d**s
+    # the row offsets k * D and constants of each (x, y), in column order
+    pair_terms = [[(k * D, c) for k, c in mult[x][y].items()] for x in range(d) for y in range(d)]
+    ent = {}
+    col = 0
+    for A in range(d**p):
+        base = A * d * D
+        for terms in pair_terms:
+            for C in range(base, base + D):
+                for k, c in terms:
+                    ent[(k + C, col)] = c
+                col += 1
+    return SparseMatrix(ring, d ** (p + 1 + s), col, ent)
+
+
+def _insert_unit(ring, d, unit, p, s):
+    """The degeneracy inserting the unit after the first p legs of a tensor of
+    length p + s: column A * D + C goes to rows (A * d + u) * D + C, D = d**s."""
+    D = d**s
+    terms = [(u * D, c) for u, c in unit.items()]
+    ent = {}
+    for A in range(d**p):
+        base = A * d * D
+        for C in range(D):
+            col = A * D + C
+            for u, c in terms:
+                ent[(base + u + C, col)] = c
+    return SparseMatrix(ring, d ** (p + 1 + s), d ** (p + s), ent)
 
 
 class CyclicModule:
@@ -145,7 +188,7 @@ class CyclicModule:
 class ConnesMoscoviciModule(CyclicModule):
     """C_m = H^(tensor m), with operators twisted by (pi, alpha, beta).
 
-    Operators are materialized column by column from basis tuples; the
+    Operators are materialized column by column in basis-index order; the
     three-leg coproducts needed by the cyclic operator are pre-contracted
     with alpha per basis element and cached.
     """
@@ -196,86 +239,79 @@ class ConnesMoscoviciModule(CyclicModule):
     def _face(self, m, i):
         R = self.ring
         d = self.hopf.dim
-        mult = self.hopf.algebra.mult
-        if m == 1:
-            if i == 0:
-                values = {(0, b): self.alpha(b) for b in range(d)}
-            else:
-                values = {(0, b): self.beta(b) for b in range(d)}
-            return SparseMatrix(R, 1, d, values)
-        cols = []
-        for idx in range(d**m):
-            t = index_to_tuple(idx, d, m)
-            col: dict = {}
-            if i == 0:
-                c = self.alpha(t[0])
-                if not R.is_zero(c):
-                    col[tuple_to_index(t[1:], d)] = c
-            elif i == m:
-                c = self.beta(t[-1])
-                if not R.is_zero(c):
-                    col[tuple_to_index(t[:-1], d)] = c
-            else:
-                for k, c in mult[t[i - 1]][t[i]].items():
-                    col[tuple_to_index(t[: i - 1] + (k,) + t[i + 1 :], d)] = c
-            cols.append(col)
-        return SparseMatrix.from_columns(R, d ** (m - 1), cols)
+        if 0 < i < m:
+            return _merge_face(R, d, self.hopf.algebra.mult, i - 1, m - 1 - i)
+        D = d ** (m - 1)
+        ent = {}
+        if i == 0:
+            # column a * D + c goes to row c with alpha(a)
+            for a in range(d):
+                c = self.alpha(a)
+                for row in range(D):
+                    ent[(row, a * D + row)] = c
+        else:
+            # column c * d + b goes to row c with beta(b)
+            betas = [self.beta(b) for b in range(d)]
+            for row in range(D):
+                for b, c in enumerate(betas):
+                    ent[(row, row * d + b)] = c
+        return SparseMatrix(R, D, d**m, ent)
 
     def _degeneracy(self, m, i):
-        R = self.ring
-        d = self.hopf.dim
-        unit = self.hopf.algebra.unit
-        cols = []
-        for idx in range(self.level_dim(m)):
-            t = index_to_tuple(idx, d, m)
-            col = {
-                tuple_to_index(t[:i] + (u,) + t[i:], d): c for u, c in unit.items()
-            }
-            cols.append(col)
-        return SparseMatrix.from_columns(R, d ** (m + 1), cols)
+        return _insert_unit(self.ring, self.hopf.dim, self.hopf.algebra.unit, i, m - i)
 
     def _cyclic(self, m):
+        """Columns in index order; the fold state of each prefix of the basis
+        tuple is kept, so a column re-folds only from the first leg that
+        differs from the previous column's."""
         R = self.ring
         if m == 0:
             return SparseMatrix.identity(R, 1)
+        mul, add, is_zero = R.mul, R.add, R.is_zero
         d = self.hopf.dim
+        D = d ** (m - 1)
         mult = self.hopf.algebra.mult
         cop3a = self._cop3_alpha()
         s_pi_cols = self._s_pi_cols
-        cols = []
-        for idx in range(d**m):
-            t = index_to_tuple(idx, d, m)
-            # fold over the factors, accumulating the product of second legs
-            # and the emitted third legs
-            state = {(y, (z,)): c for (y, z), c in cop3a[t[0]].items()}
-            for b in t[1:]:
+        betas = [self.beta(z) for z in range(d)]
+        # states[p]: the fold over the first p + 1 legs, keyed by (product of
+        # the second legs, index of the emitted third legs)
+        states: list = [None] * m
+        prev = None
+        ent = {}
+        for col, t in enumerate(product(range(d), repeat=m)):
+            # re-fold from the first leg that differs from the previous column's
+            p = 0 if prev is None else next(q for q in range(m) if t[q] != prev[q])
+            prev = t
+            if p == 0:
+                states[0] = cop3a[t[0]]
+                p = 1
+            for p in range(p, m):
                 nxt: dict = {}
-                table = cop3a[b]
-                for (yacc, zt), c in state.items():
-                    for (y2, z2), c2 in table.items():
-                        cc = R.mul(c, c2)
-                        for k, pv in mult[yacc][y2].items():
-                            key = (k, zt + (z2,))
-                            s = R.add(nxt.get(key, R.zero), R.mul(cc, pv))
-                            if R.is_zero(s):
-                                nxt.pop(key, None)
-                            else:
-                                nxt[key] = s
-                state = nxt
-            col: dict = {}
-            for (yacc, zt), c in state.items():
-                c = R.mul(c, self.beta(zt[-1]))
-                if R.is_zero(c):
+                table = cop3a[t[p]].items()
+                for (yacc, zidx), c in states[p - 1].items():
+                    row = mult[yacc]
+                    zidx *= d
+                    for (y2, z2), c2 in table:
+                        cc = mul(c, c2)
+                        for k, pv in row[y2].items():
+                            key = (k, zidx + z2)
+                            s = nxt.get(key)
+                            nxt[key] = mul(cc, pv) if s is None else add(s, mul(cc, pv))
+                states[p] = {key: c for key, c in nxt.items() if not is_zero(c)}
+            out: dict = {}
+            for (yacc, zidx), c in states[m - 1].items():
+                zprefix, zlast = divmod(zidx, d)
+                c = mul(c, betas[zlast])
+                if is_zero(c):
                     continue
                 for w, sv in s_pi_cols[yacc].items():
-                    out_idx = tuple_to_index((w,) + zt[:-1], d)
-                    s = R.add(col.get(out_idx, R.zero), R.mul(c, sv))
-                    if R.is_zero(s):
-                        col.pop(out_idx, None)
-                    else:
-                        col[out_idx] = s
-            cols.append(col)
-        return SparseMatrix.from_columns(R, d**m, cols)
+                    key = w * D + zprefix
+                    s = out.get(key)
+                    out[key] = mul(c, sv) if s is None else add(s, mul(c, sv))
+            for row, c in out.items():
+                ent[(row, col)] = c
+        return SparseMatrix(R, d**m, d**m, ent)
 
 
 # ---------------------------------------------------------------------------
@@ -298,41 +334,33 @@ class ClassicalCyclicModule(CyclicModule):
         R = self.ring
         d = self.algebra.dim
         mult = self.algebra.mult
-        cols = []
-        for idx in range(d ** (m + 1)):
-            t = index_to_tuple(idx, d, m + 1)
-            col: dict = {}
-            if i < m:
-                for k, c in mult[t[i]][t[i + 1]].items():
-                    col[tuple_to_index(t[:i] + (k,) + t[i + 2 :], d)] = c
-            else:
-                for k, c in mult[t[m]][t[0]].items():
-                    col[tuple_to_index((k,) + t[1:m], d)] = c
-            cols.append(col)
-        return SparseMatrix.from_columns(R, d**m, cols)
+        if i < m:
+            return _merge_face(R, d, mult, i, m - 1 - i)
+        # the last face multiplies t[m] . t[0]: column (x * E + B) * d + y
+        # goes to rows k * E + B for k in mult[y][x], E = d**(m - 1)
+        E = d ** (m - 1)
+        ent = {}
+        col = 0
+        for x in range(d):
+            terms = [[(k * E, c) for k, c in mult[y][x].items()] for y in range(d)]
+            for B in range(E):
+                for y_terms in terms:
+                    for k, c in y_terms:
+                        ent[(k + B, col)] = c
+                    col += 1
+        return SparseMatrix(R, d**m, d ** (m + 1), ent)
 
     def _degeneracy(self, m, i):
-        R = self.ring
-        d = self.algebra.dim
-        unit = self.algebra.unit
-        cols = []
-        for idx in range(d ** (m + 1)):
-            t = index_to_tuple(idx, d, m + 1)
-            col = {
-                tuple_to_index(t[: i + 1] + (u,) + t[i + 1 :], d): c
-                for u, c in unit.items()
-            }
-            cols.append(col)
-        return SparseMatrix.from_columns(R, d ** (m + 2), cols)
+        return _insert_unit(self.ring, self.algebra.dim, self.algebra.unit, i + 1, m - i)
 
     def _cyclic(self, m):
+        # t[0..m] goes to (t[m],) + t[0..m-1]: column B * d + y to row y * E + B
         R = self.ring
         d = self.algebra.dim
-        ent = {}
-        for idx in range(d ** (m + 1)):
-            t = index_to_tuple(idx, d, m + 1)
-            ent[(tuple_to_index((t[m],) + t[:m], d), idx)] = R.one
-        return SparseMatrix(R, d ** (m + 1), d ** (m + 1), ent)
+        E = d**m
+        one = R.one
+        ent = {(y * E + B, B * d + y): one for B in range(E) for y in range(d)}
+        return SparseMatrix(R, d * E, d * E, ent)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +489,9 @@ def connes_lambda_hc(module: CyclicModule, n: int) -> HomologyModule:
 
         dim H_n = dim C_n + rank(1 - lambda_{n-1})
                   - rank[b_n | 1 - lambda_{n-1}] - rank[b_{n+1} | 1 - lambda_n]
+
+    The ranks are cached on the module, so neighbouring degrees share the
+    augmented rank they have in common.
     """
     R = module.ring
     if not R.contains_rationals:
@@ -468,13 +499,21 @@ def connes_lambda_hc(module: CyclicModule, n: int) -> HomologyModule:
             f"the quotient complex computes HC only over rings containing Q, not {R}"
         )
     dim_n = module.level_dim(n)
-    r_in = rank(module.boundary_b(n + 1).hstack(module.one_minus_lambda(n)))
+    r_in = _augmented_rank(module, n + 1)
     if n == 0:
         return HomologyModule(R, dim_n - r_in)
-    w = module.one_minus_lambda(n - 1)
-    r_w = rank(w)
-    r_out = rank(module.boundary_b(n).hstack(w))
-    return HomologyModule(R, dim_n + r_w - r_out - r_in)
+    r_w = module._memo(("rank 1-lambda", n - 1), lambda: rank(module.one_minus_lambda(n - 1)))
+    return HomologyModule(R, dim_n + r_w - _augmented_rank(module, n) - r_in)
+
+
+def _augmented_rank(module: CyclicModule, m: int) -> int:
+    """rank[b_m | 1 - lambda_(m-1)], kept with the module's operators: it is
+    the r_in of HC_(m-1) and the r_out of HC_m."""
+
+    def build():
+        return rank(module.boundary_b(m).hstack(module.one_minus_lambda(m - 1)))
+
+    return module._memo(("rank [b|1-lambda]", m), build)
 
 
 # -- cyclic module law verification ------------------------------------------

@@ -378,6 +378,39 @@ def _hh_window(A: TruncatedPathAlgebra, p_max: int) -> ChainComplexWindow:
     return window
 
 
+def _pair_grades(A: TruncatedPathAlgebra, window: ChainComplexWindow) -> list[list[int]]:
+    """The path-length grade len(a) + len(gamma) of every pair, per degree."""
+    path_len = A.quiver.path_len
+    return [[path_len(a) + path_len(g) for a, g in basis] for basis in window.pair_bases]
+
+
+def _grade_positions(grades) -> tuple[list[int], dict[int, int]]:
+    """Each index's position among the indices of its grade, and the number
+    of indices of each grade."""
+    at, count = [], {}
+    for q in grades:
+        at.append(count.get(q, 0))
+        count[q] = at[-1] + 1
+    return at, count
+
+
+def _graded_blocks(M: SparseMatrix, row_grades, col_grades) -> dict[int, SparseMatrix]:
+    """The diagonal blocks of a grade-preserving matrix: block q keeps the
+    rows and columns of grade q in their order.  Every grade of a row or a
+    column has a block, empty blocks included."""
+    rows_at, nrows = _grade_positions(row_grades)
+    cols_at, ncols = _grade_positions(col_grades)
+    ent: dict = {}
+    for (r, c), v in M.entries.items():
+        q = col_grades[c]
+        if row_grades[r] == q:
+            ent.setdefault(q, {})[(rows_at[r], cols_at[c])] = v
+    return {
+        q: SparseMatrix(M.ring, nrows.get(q, 0), ncols.get(q, 0), ent.get(q))
+        for q in sorted(nrows.keys() | ncols.keys())
+    }
+
+
 def hh_via_skoldberg(A: TruncatedPathAlgebra, p: int):
     """HH_p(A, A) from the small complex: (total, {grade q: HomologyModule}).
 
@@ -386,36 +419,15 @@ def hh_via_skoldberg(A: TruncatedPathAlgebra, p: int):
     """
     if A.n < 2:
         raise PreconditionFailed("the small complex needs truncation exponent >= 2")
-    quiver = A.quiver
     window = _hh_window(A, p + 1)
-    bases = window.pair_bases
-
-    def grade(pair):
-        a, g = pair
-        return quiver.path_len(a) + quiver.path_len(g)
-
-    grades = sorted({grade(b) for b in bases[p]})
+    grades = _pair_grades(A, window)
+    d_in = _graded_blocks(window.boundaries[p + 1], grades[p], grades[p + 1])
+    d_out = _graded_blocks(window.boundaries[p], grades[p - 1], grades[p]) if p else None
     per_grade = {}
     total = zero_module(A.ring)
-    for q in grades:
-        sel = [
-            [k for k, b in enumerate(basis) if grade(b) == q] for basis in bases
-        ]
-        sub = {}
-        for i in range(1, p + 2):
-            rows = {r: ri for ri, r in enumerate(sel[i - 1])}
-            cols = {c: ci for ci, c in enumerate(sel[i])}
-            ent = {
-                (rows[r], cols[c]): v
-                for (r, c), v in window.boundaries[i].entries.items()
-                if c in cols and r in rows
-            }
-            sub[i] = SparseMatrix(A.ring, len(sel[i - 1]), len(sel[i]), ent)
-        if p == 0:
-            d_out = SparseMatrix.zero(A.ring, 0, len(sel[0]))
-        else:
-            d_out = sub[p]
-        piece = homology_at(sub[p + 1], d_out)
+    for q in sorted(set(grades[p])):
+        out = d_out[q] if p else SparseMatrix.zero(A.ring, 0, d_in[q].nrows)
+        piece = homology_at(d_in[q], out)
         per_grade[q] = piece
         total = total + piece
     return total, per_grade
@@ -579,11 +591,24 @@ def graded_sbi_hc(A: TruncatedPathAlgebra, N: int) -> list[int]:
     R = A.ring
     if not R.contains_rationals:
         raise RingWithoutRationals("the graded splitting argument needs Q in the ring")
+    if A.n < 2:
+        raise PreconditionFailed("the small complex needs truncation exponent >= 2")
     v = A.quiver.num_vertices
-    reduced_hh = []
-    for j in range(N + 1):
-        total, _ = hh_via_skoldberg(A, j)
-        reduced_hh.append(total.free_rank - (v if j == 0 else 0))
+    # one small complex for all degrees; dim HH_j = dim C_j - rank D_j - rank D_(j+1),
+    # each rank the sum over the graded blocks, each block ranked once
+    window = _hh_window(A, N + 1)
+    grades = _pair_grades(A, window)
+    ranks = [0] + [
+        sum(
+            rank(block)
+            for block in _graded_blocks(window.boundaries[i], grades[i - 1], grades[i]).values()
+            if block.entries
+        )
+        for i in range(1, N + 2)
+    ]
+    reduced_hh = [
+        window.dims[j] - ranks[j] - ranks[j + 1] - (v if j == 0 else 0) for j in range(N + 1)
+    ]
     out = []
     acc = 0
     for nn in range(N + 1):

@@ -304,10 +304,12 @@ class CyclotomicField(Ring):
 
     Products reduce modulo Phi_n with the precomputed integer vectors
     x^k mod Phi_n for k = phi(n) .. 2 phi(n) - 2, exact because Phi_n is
-    monic; inverses divide the product of the other Galois conjugates by the
-    norm.  No operation but `format` builds a Fraction.  zeta is the class of
-    x, a primitive n-th root of unity.  For n = 1, 2 the field degenerates to
-    Q with zeta = 1 resp. -1.
+    monic; a product with the unit returns the other operand as it is, which
+    is exact because payloads are canonical (in the Taft operators most
+    products have a factor 1).  Inverses divide the product of the other
+    Galois conjugates by the norm.  No operation but `format` builds a
+    Fraction.  zeta is the class of x, a primitive n-th root of unity.  For
+    n = 1, 2 the field degenerates to Q with zeta = 1 resp. -1.
     """
 
     is_field = True
@@ -376,6 +378,10 @@ class CyclotomicField(Ring):
         return tuple(map(_neg, a[0])), a[1]
 
     def mul(self, a, b):
+        if a == self._one:
+            return b
+        if b == self._one:
+            return a
         an, ad = a
         bn, bd = b
         d = self.degree

@@ -2,7 +2,11 @@
 Z and Z/m, and homology of a composable pair of boundary maps.
 
 Matrices are dictionaries (row, col) -> nonzero payload together with a ring.
-They are treated as immutable; every operation returns a fresh matrix.
+They are treated as immutable; every operation returns a fresh matrix.  No
+row or column index is cached on a matrix (one per operator would cost more
+memory than it saves time): a product indexes whichever operand has fewer
+entries by the shared index, scans the other, and drops the sums that cancel
+in one pass at the end.
 
 Every rank and Smith normal form goes through one elimination kernel,
 `_eliminate`.  It keeps rows as dictionaries and takes pivots from a lazy
@@ -33,13 +37,15 @@ class SparseMatrix:
         self.ring = ring
         self.nrows = nrows
         self.ncols = ncols
-        self.entries = {}
+        self.entries = ent = {}
         if entries:
-            for (i, j), v in entries.items():
+            is_zero = ring.is_zero
+            for key, v in entries.items():
+                i, j = key
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise IndexError(f"entry ({i},{j}) outside {nrows}x{ncols}")
-                if not ring.is_zero(v):
-                    self.entries[(i, j)] = v
+                if not is_zero(v):
+                    ent[key] = v
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -64,13 +70,16 @@ class SparseMatrix:
 
     @classmethod
     def from_columns(cls, ring, nrows, columns):
-        """columns: list of dicts row -> payload."""
-        ent = {}
+        """columns: list of dicts row -> payload; zero payloads are dropped."""
+        out = cls(ring, nrows, len(columns))
+        ent, is_zero = out.entries, ring.is_zero
         for j, col in enumerate(columns):
             for i, v in col.items():
-                if not ring.is_zero(v):
+                if not 0 <= i < nrows:
+                    raise IndexError(f"entry ({i},{j}) outside {nrows}x{len(columns)}")
+                if not is_zero(v):
                     ent[(i, j)] = v
-        return cls(ring, nrows, len(columns), ent)
+        return out
 
     # -- basic algebra -------------------------------------------------------
     def _check(self, other):
@@ -111,18 +120,29 @@ class SparseMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
         R = self.ring
-        rows = {}
-        for (i, j), v in self.entries.items():
-            rows.setdefault(j, []).append((i, v))
+        mul, add = R.mul, R.add
         out = {}
-        for (j, l), w in other.entries.items():
-            for i, v in rows.get(j, ()):
-                k = (i, l)
-                s = R.add(out.get(k, R.zero), R.mul(v, w))
-                if R.is_zero(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+        get = out.get
+        # index the operand with fewer entries by the shared index, scan the other
+        if len(self.entries) <= len(other.entries):
+            by_col = {}
+            for (i, j), v in self.entries.items():
+                by_col.setdefault(j, []).append((i, v))
+            for (j, l), w in other.entries.items():
+                for i, v in by_col.get(j, ()):
+                    k = (i, l)
+                    s = get(k)
+                    out[k] = mul(v, w) if s is None else add(s, mul(v, w))
+        else:
+            by_row = {}
+            for (j, l), w in other.entries.items():
+                by_row.setdefault(j, []).append((l, w))
+            for (i, j), v in self.entries.items():
+                for l, w in by_row.get(j, ()):
+                    k = (i, l)
+                    s = get(k)
+                    out[k] = mul(v, w) if s is None else add(s, mul(v, w))
+        # the constructor drops the sums that cancelled to zero
         return SparseMatrix(R, self.nrows, other.ncols, out)
 
     def transpose(self):

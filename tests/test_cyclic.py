@@ -9,10 +9,12 @@ from hopfcycl import (
     ZZ,
     ChainComplexWindow,
     ClassicalCyclicModule,
+    ConnesMoscoviciModule,
     FiniteGroup,
     IndexOutOfRange,
     NotAComplex,
     PreconditionFailed,
+    Quiver,
     RingWithoutRationals,
     SparseMatrix,
     cm_group_module,
@@ -23,6 +25,11 @@ from hopfcycl import (
     hochschild_window,
     sbi_check,
     sbi_rank_assignment,
+    taft_cm_closed_form,
+    taft_cm_module,
+    taft_cm_triples,
+    taft_hopf,
+    truncated_algebra,
     verify_cyclic_axioms,
 )
 from hopfcycl.cyclic import index_to_tuple, tuple_to_index
@@ -184,3 +191,195 @@ def test_sbi_check_group_module():
     assert rep.ranks == [(1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 0)]
     rep2 = sbi_check(cm_z3(1), 3, use_bicomplex=True)
     assert rep2.consistent and rep2.ranks == rep.ranks
+
+
+# -- operator assembly by index arithmetic -----------------------------------
+
+
+class TupleDecodingCM(ConnesMoscoviciModule):
+    """Reference operators: every column decodes its basis tuple and encodes
+    the sliced tuples of its image (the assembly before index arithmetic)."""
+
+    def _face(self, m, i):
+        R = self.ring
+        d = self.hopf.dim
+        mult = self.hopf.algebra.mult
+        if m == 1:
+            if i == 0:
+                values = {(0, b): self.alpha(b) for b in range(d)}
+            else:
+                values = {(0, b): self.beta(b) for b in range(d)}
+            return SparseMatrix(R, 1, d, values)
+        cols = []
+        for idx in range(d**m):
+            t = index_to_tuple(idx, d, m)
+            col = {}
+            if i == 0:
+                c = self.alpha(t[0])
+                if not R.is_zero(c):
+                    col[tuple_to_index(t[1:], d)] = c
+            elif i == m:
+                c = self.beta(t[-1])
+                if not R.is_zero(c):
+                    col[tuple_to_index(t[:-1], d)] = c
+            else:
+                for k, c in mult[t[i - 1]][t[i]].items():
+                    col[tuple_to_index(t[: i - 1] + (k,) + t[i + 1 :], d)] = c
+            cols.append(col)
+        return SparseMatrix.from_columns(R, d ** (m - 1), cols)
+
+    def _degeneracy(self, m, i):
+        d = self.hopf.dim
+        unit = self.hopf.algebra.unit
+        cols = []
+        for idx in range(self.level_dim(m)):
+            t = index_to_tuple(idx, d, m)
+            cols.append({tuple_to_index(t[:i] + (u,) + t[i:], d): c for u, c in unit.items()})
+        return SparseMatrix.from_columns(self.ring, d ** (m + 1), cols)
+
+    def _cyclic(self, m):
+        R = self.ring
+        if m == 0:
+            return SparseMatrix.identity(R, 1)
+        d = self.hopf.dim
+        mult = self.hopf.algebra.mult
+        cop3a = self._cop3_alpha()
+        cols = []
+        for idx in range(d**m):
+            t = index_to_tuple(idx, d, m)
+            state = {(y, (z,)): c for (y, z), c in cop3a[t[0]].items()}
+            for b in t[1:]:
+                nxt = {}
+                for (yacc, zt), c in state.items():
+                    for (y2, z2), c2 in cop3a[b].items():
+                        cc = R.mul(c, c2)
+                        for k, pv in mult[yacc][y2].items():
+                            key = (k, zt + (z2,))
+                            s = R.add(nxt.get(key, R.zero), R.mul(cc, pv))
+                            if R.is_zero(s):
+                                nxt.pop(key, None)
+                            else:
+                                nxt[key] = s
+                state = nxt
+            col = {}
+            for (yacc, zt), c in state.items():
+                c = R.mul(c, self.beta(zt[-1]))
+                if R.is_zero(c):
+                    continue
+                for w, sv in self.s_pi.column(yacc).items():
+                    out_idx = tuple_to_index((w,) + zt[:-1], d)
+                    s = R.add(col.get(out_idx, R.zero), R.mul(c, sv))
+                    if R.is_zero(s):
+                        col.pop(out_idx, None)
+                    else:
+                        col[out_idx] = s
+            cols.append(col)
+        return SparseMatrix.from_columns(R, d**m, cols)
+
+
+class TupleDecodingClassical(ClassicalCyclicModule):
+    """Reference operators of the classical module, tuple by tuple."""
+
+    def _face(self, m, i):
+        d = self.algebra.dim
+        mult = self.algebra.mult
+        cols = []
+        for idx in range(d ** (m + 1)):
+            t = index_to_tuple(idx, d, m + 1)
+            col = {}
+            if i < m:
+                for k, c in mult[t[i]][t[i + 1]].items():
+                    col[tuple_to_index(t[:i] + (k,) + t[i + 2 :], d)] = c
+            else:
+                for k, c in mult[t[m]][t[0]].items():
+                    col[tuple_to_index((k,) + t[1:m], d)] = c
+            cols.append(col)
+        return SparseMatrix.from_columns(self.ring, d**m, cols)
+
+    def _degeneracy(self, m, i):
+        d = self.algebra.dim
+        unit = self.algebra.unit
+        cols = []
+        for idx in range(d ** (m + 1)):
+            t = index_to_tuple(idx, d, m + 1)
+            cols.append(
+                {tuple_to_index(t[: i + 1] + (u,) + t[i + 1 :], d): c for u, c in unit.items()}
+            )
+        return SparseMatrix.from_columns(self.ring, d ** (m + 2), cols)
+
+    def _cyclic(self, m):
+        d = self.algebra.dim
+        ent = {}
+        for idx in range(d ** (m + 1)):
+            t = index_to_tuple(idx, d, m + 1)
+            ent[(tuple_to_index((t[m],) + t[:m], d), idx)] = self.ring.one
+        return SparseMatrix(self.ring, d ** (m + 1), d ** (m + 1), ent)
+
+
+def assert_same_operators(module, reference, top, cyclic_top=None):
+    cyclic_top = top if cyclic_top is None else cyclic_top
+    for m in range(top + 1):
+        for i in range(m + 1):
+            if m >= 1:
+                assert module.face(m, i) == reference.face(m, i), ("d", m, i)
+            assert module.degeneracy(m, i) == reference.degeneracy(m, i), ("s", m, i)
+        if m <= cyclic_top:
+            assert module.cyclic(m) == reference.cyclic(m), ("t", m)
+
+
+def cm_reference(module):
+    return TupleDecodingCM(module.hopf, module.triple, require_valid=False)
+
+
+@pytest.mark.parametrize(
+    "group,pi",
+    [(FiniteGroup.cyclic(3), 1), (FiniteGroup.symmetric(3), 0)],
+    ids=["Z3 pi=g", "S3"],
+)
+def test_cm_group_operators_match_tuple_decoding(group, pi):
+    module = cm_group_module(group, pi, QQ)
+    assert_same_operators(module, cm_reference(module), 3)
+
+
+def test_taft_operators_match_tuple_decoding():
+    hopf = taft_hopf(2)
+    for triple in taft_cm_triples(2):
+        module = taft_cm_module(hopf, *triple)
+        assert_same_operators(module, cm_reference(module), 3)
+    # an inadmissible triple exercises alpha and beta values other than 1
+    module = taft_cm_module(hopf, 1, 1, 1, require_valid=False)
+    assert_same_operators(module, cm_reference(module), 3)
+    module = taft_cm_module(taft_hopf(3), *taft_cm_triples(3)[2])
+    assert_same_operators(module, cm_reference(module), 3, cyclic_top=2)
+
+
+def test_classical_operators_match_tuple_decoding():
+    # the crown algebra is not commutative, so the last face must multiply
+    # t[m] . t[0] in that order
+    algebra = truncated_algebra(Quiver.crown(2), 2, QQ).algebra
+    module = ClassicalCyclicModule(algebra)
+    assert_same_operators(module, TupleDecodingClassical(algebra), 3)
+    commutative = group_algebra(FiniteGroup.cyclic(3), QQ).algebra
+    assert_same_operators(
+        ClassicalCyclicModule(commutative), TupleDecodingClassical(commutative), 3
+    )
+
+
+@pytest.mark.parametrize("triple", [(1, 0, 0), (0, 1, 0)])
+def test_lambda_engine_ranks_each_matrix_once(monkeypatch, triple):
+    """HC_n ranks [b_n | 1 - lambda_(n-1)], the matrix HC_(n-1) already ranked."""
+    import hopfcycl.cyclic as cyclic
+
+    seen = []
+    real_rank = cyclic.rank
+
+    def recording(M):
+        seen.append((M.nrows, M.ncols, frozenset(M.entries.items())))
+        return real_rank(M)
+
+    monkeypatch.setattr(cyclic, "rank", recording)
+    module = taft_cm_module(taft_hopf(2), *triple)
+    dims = {n: connes_lambda_hc(module, n).free_rank for n in (3, 1, 2, 0)}
+    assert dims == {n: taft_cm_closed_form(2, *triple, n) for n in range(4)}
+    # augmented ranks at levels 1..4 and rank(1 - lambda) at levels 0..2
+    assert len(seen) == len(set(seen)) == 7

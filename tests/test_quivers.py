@@ -329,3 +329,39 @@ def test_taft_homology_small_degrees():
     hopf = taft_hopf(2)
     assert [taft_cm_homology(hopf, 1, 0, 0, p).free_rank for p in range(3)] == [1, 0, 2]
     assert [taft_cm_homology(hopf, 0, 1, 0, p).free_rank for p in range(3)] == [0, 1, 0]
+
+
+# values of the per-degree construction (one small complex per HH_j)
+GRADED_SBI_HC_5 = {
+    (1, 2): [2, 0, 2, 0, 2, 0],
+    (1, 3): [3, 0, 3, 0, 3, 0],
+    (2, 2): [2, 1, 2, 1, 2, 1],
+    (2, 3): [3, 0, 3, 0, 3, 0],
+    (3, 2): [3, 0, 4, 0, 3, 0],
+    (3, 3): [3, 2, 3, 2, 3, 2],
+}
+
+
+@pytest.mark.parametrize("crown,n", sorted(GRADED_SBI_HC_5))
+def test_graded_sbi_builds_the_small_complex_once(monkeypatch, crown, n):
+    import hopfcycl.quivers as quivers
+
+    windows = []
+    build = quivers._hh_window
+
+    def counting(A, p_max):
+        windows.append(p_max)
+        return build(A, p_max)
+
+    monkeypatch.setattr(quivers, "_hh_window", counting)
+    A = truncated_algebra(Quiver.crown(crown), n, QQ)
+    assert graded_sbi_hc(A, 5) == GRADED_SBI_HC_5[crown, n]
+    assert windows == [6]
+    assert GRADED_SBI_HC_5[crown, n] == [
+        hc_closed_form_truncated(Quiver.crown(crown), n, p, QQ) for p in range(6)
+    ]
+
+
+def test_graded_sbi_needs_truncation_two():
+    with pytest.raises(PreconditionFailed):
+        graded_sbi_hc(truncated_algebra(Quiver.crown(2), 1, QQ), 2)

@@ -406,3 +406,16 @@ def test_cyclotomic_hot_operations_make_no_fraction(monkeypatch):
     monkeypatch.setattr(rings, "Fraction", refuse)
     for a, b in ((x, y), (x, x), (y, y)):
         K.add(a, b), K.sub(a, b), K.mul(a, b), K.neg(a), K.is_zero(a), K.inv(a)
+
+
+@pytest.mark.parametrize("n", CYCLOTOMIC_ORDERS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_product_with_the_unit_returns_the_other_operand(n, data):
+    K = CyclotomicField(n)
+    x = from_fractions(data.draw(cyclotomic_element(n)))
+    for out in (K.mul(K.one, x), K.mul(x, K.one), K.mul(x, K.from_int(1))):
+        assert out == x
+        assert_canonical(K, out)
+    assert K.mul(K.one, K.one) == K.one
+    assert K.mul(K.one, K.zero) == K.zero == K.mul(K.zero, K.one)

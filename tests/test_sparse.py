@@ -359,3 +359,89 @@ def test_snf_over_zmod_sends_only_the_residual_to_the_dense_stage(monkeypatch):
         lifted[(m + j, j)] = modulus
     full = sparse._integer_invariants(SparseMatrix(ZZ, m + n, n, lifted))
     assert inv == [d % modulus for d in full if d % modulus]
+
+
+# -- the sparse product ---------------------------------------------------------
+
+
+def matmul_by_indexing_the_left(A, B):
+    """Reference product: index the left operand by column, scan the right
+    one, and add every product into the result with a zero check."""
+    R = A.ring
+    rows = {}
+    for (i, j), v in A.entries.items():
+        rows.setdefault(j, []).append((i, v))
+    out = {}
+    for (j, l), w in B.entries.items():
+        for i, v in rows.get(j, ()):
+            k = (i, l)
+            s = R.add(out.get(k, R.zero), R.mul(v, w))
+            if R.is_zero(s):
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return SparseMatrix(R, A.nrows, B.ncols, out)
+
+
+F3 = PrimeField(3)
+
+
+def random_signed_matrix(ring, rng, m, n, density):
+    """Entries +-1 and +-2 (as ring elements), times a power of zeta over
+    Q(zeta3): many products cancel in the sums."""
+    ent = {}
+    for i in range(m):
+        for j in range(n):
+            if rng.random() < density:
+                v = ring.from_int(rng.choice((1, -1, 1, -1, 2, -2)))
+                if ring == QZETA3:
+                    v = ring.mul(v, ring.zeta_pow(rng.randrange(3)))
+                if not ring.is_zero(v):
+                    ent[(i, j)] = v
+    return SparseMatrix(ring, m, n, ent)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, F3, QZETA3], ids=lambda r: r.name)
+@given(seed=st.integers(0, 10**6), m=st.integers(0, 9), k=st.integers(0, 9),
+       n=st.integers(0, 9), left=st.sampled_from([0.1, 0.5, 0.9]),
+       right=st.sampled_from([0.1, 0.5, 0.9]))
+@settings(max_examples=60, deadline=None)
+def test_product_matches_the_reference(ring, seed, m, k, n, left, right):
+    rng = random.Random(seed)
+    A = random_signed_matrix(ring, rng, m, k, left)
+    B = random_signed_matrix(ring, rng, k, n, right)
+    P = A @ B
+    assert P == matmul_by_indexing_the_left(A, B)
+    assert not any(ring.is_zero(v) for v in P.entries.values())
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, F3, QZETA3], ids=lambda r: r.name)
+def test_product_either_operand_larger_with_cancellation(ring):
+    rng = random.Random(5)
+    one, minus = ring.one, ring.neg(ring.one)
+    # [1 1] @ [[1, 1], [-1, 1]]: the first column cancels to zero
+    row = SparseMatrix(ring, 1, 2, {(0, 0): one, (0, 1): one})
+    square = SparseMatrix(ring, 2, 2, {(0, 0): one, (0, 1): one, (1, 0): minus, (1, 1): one})
+    for A, B in ((row, square), (square.transpose(), row.transpose())):
+        P = A @ B
+        assert P == matmul_by_indexing_the_left(A, B)
+        assert len(P.entries) == 1
+    for shape in ((30, 4, 30), (4, 30, 4)):
+        m, k, n = shape
+        for dense_left in (True, False):
+            A = random_signed_matrix(ring, rng, m, k, 0.8 if dense_left else 0.1)
+            B = random_signed_matrix(ring, rng, k, n, 0.1 if dense_left else 0.8)
+            assert (len(A.entries) > len(B.entries)) == dense_left
+            assert A @ B == matmul_by_indexing_the_left(A, B)
+            # [A | -A] @ [B ; B] = AB - AB cancels everywhere
+            assert (A.hstack(-A) @ B.vstack(B)).is_zero
+
+
+def test_from_columns_checks_every_entry():
+    with pytest.raises(IndexError):
+        SparseMatrix.from_columns(QQ, 2, [{0: Fraction(1)}, {2: Fraction(1)}])
+    with pytest.raises(IndexError):
+        SparseMatrix.from_columns(QQ, 2, [{-1: Fraction(1)}])
+    M = SparseMatrix.from_columns(QQ, 3, [{0: Fraction(0), 2: Fraction(5)}, {}])
+    assert (M.nrows, M.ncols) == (3, 2)
+    assert M.entries == {(2, 0): Fraction(5)}
