@@ -72,6 +72,7 @@ from .cyclic import (
     cyclic_bicomplex_hc,
     cyclic_bicomplex_hc_upto,
     hochschild_homology,
+    hochschild_homology_upto,
     hochschild_window,
     sbi_check,
     sbi_rank_assignment,

@@ -20,7 +20,7 @@ from .cyclic import (
     ConnesMoscoviciModule,
     connes_lambda_hc,
     cyclic_bicomplex_hc_upto,
-    hochschild_window,
+    hochschild_homology_upto,
     verify_cyclic_axioms,
 )
 from .errors import HopfCyclError, ParseError, ResourceCap, UnsupportedCombination
@@ -245,10 +245,8 @@ def _cmd_hh(args) -> dict:
     else:
         module, _ = _cm_module_from_args(args)
         ensure_within_cap(_module_dim(module), N + 1)
-        window = hochschild_window(module, N + 1)
-        for p in range(N + 1):
-            rows.append({"degree": p, **_describe(window.homology(p)),
-                         "provenance": "computed-b-complex"})
+        for p, h in enumerate(hochschild_homology_upto(module, N)):
+            rows.append({"degree": p, **_describe(h), "provenance": "computed-b-complex"})
     return {"rows": rows, "passed": True}
 
 

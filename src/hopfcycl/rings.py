@@ -1,15 +1,17 @@
 """Exact coefficient rings: Z, Q, Z/m, prime fields F_p and cyclotomic fields Q(zeta_n).
 
-Ring elements are plain Python payloads (int, Fraction, residue int, or for
-cyclotomic numbers a pair of an int numerator tuple and one positive int
-denominator); the ring object carries the arithmetic.  Containers such as
-sparse matrices store payloads and a single ring reference, which keeps
-tensor-power computations cheap.
+Ring elements are plain Python payloads (int for Z; int for an integral
+rational and Fraction for any other; residue int; or for cyclotomic numbers
+a pair of an int numerator tuple and one positive int denominator); the ring
+object carries the arithmetic.  Containers such as sparse matrices store
+payloads and a single ring reference, which keeps tensor-power computations
+cheap.
 
 All arithmetic is exact: integers are arbitrary precision, fractions are kept
-reduced, residues canonical in [0, m), and cyclotomic payloads reduced modulo
-the n-th cyclotomic polynomial, with numerators and denominator coprime.
-Every payload is canonical, so == on payloads is equality of ring elements.
+reduced with denominator > 1, residues canonical in [0, m), and cyclotomic
+payloads reduced modulo the n-th cyclotomic polynomial, with numerators and
+denominator coprime.  Every payload is canonical, so == on payloads is
+equality of ring elements.
 """
 
 from __future__ import annotations
@@ -212,34 +214,56 @@ class IntegerRing(Ring):
 
 
 class RationalField(Ring):
-    """Q with Fraction payloads."""
+    """Q with int payloads for integers and Fraction payloads otherwise.
+
+    A payload is canonical: a plain int when the value is an integer, and a
+    reduced Fraction with denominator > 1 only otherwise.  Every operation
+    returns a canonical payload, and accepts a Fraction with denominator 1 as
+    well, so integral matrices (every boundary of the bar complex and of the
+    small complex of a quiver algebra) are reduced in int arithmetic with no
+    Fraction built.  A Z payload is a Q payload, so from_int is the identity,
+    and an int equals and hashes like the Fraction of the same value.
+    """
 
     name = "Q"
     is_field = True
     contains_rationals = True
+    zero = 0
+    one = 1
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
+
+    def sub(self, a, b):
+        c = a - b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def neg(self, a):
-        return -a
+        c = -a
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def from_int(self, c):
-        return Fraction(c)
+        return c
 
     def is_zero(self, a):
-        return a == 0
+        return not a
 
     def is_unit(self, a):
         return a != 0
 
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise NotAUnit("0 is not a unit in Q")
-        return 1 / Fraction(a)
+        if type(a) is int:
+            # 1 / a is integral exactly for the units +-1, which are their own inverses
+            return a if a == 1 or a == -1 else Fraction(1, a)
+        c = 1 / a
+        return c if c.denominator != 1 else c.numerator
 
 
 class IntegersMod(Ring):
@@ -557,6 +581,8 @@ class HomologyModule:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if self.free_rank < 0:
+            raise ValueError(f"negative free rank {self.free_rank}")
         object.__setattr__(self, "torsion", _invariant_chain(self.torsion))
         if self.ring.is_field and self.torsion:
             raise ValueError("field homology cannot carry torsion")

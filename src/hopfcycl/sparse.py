@@ -6,7 +6,9 @@ They are treated as immutable; every operation returns a fresh matrix.  No
 row or column index is cached on a matrix (one per operator would cost more
 memory than it saves time): a product indexes whichever operand has fewer
 entries by the shared index, scans the other, and drops the sums that cancel
-in one pass at the end.
+in one pass at the end.  The constructor checks every entry; operations
+whose entries are in range and nonzero by construction (negation,
+transpose, stacking, sums and products after dropping their zeros) skip it.
 
 Every rank and Smith normal form goes through one elimination kernel,
 `_eliminate`.  It keeps rows as dictionaries and takes pivots from a lazy
@@ -23,7 +25,6 @@ reduces every boundary of a complex once for a whole table of degrees.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .errors import NotAComplex, NotAField, RingMismatch, UnsupportedRing
@@ -49,12 +50,20 @@ class SparseMatrix:
 
     # -- constructors --------------------------------------------------------
     @classmethod
+    def _unchecked(cls, ring, nrows, ncols, entries):
+        """A matrix on `entries` as given, unchecked: for operations whose keys
+        are in range and whose values are nonzero by construction."""
+        out = cls.__new__(cls)
+        out.ring, out.nrows, out.ncols, out.entries = ring, nrows, ncols, entries
+        return out
+
+    @classmethod
     def zero(cls, ring, nrows, ncols):
         return cls(ring, nrows, ncols)
 
     @classmethod
     def identity(cls, ring, n):
-        return cls(ring, n, n, {(i, i): ring.one for i in range(n)})
+        return cls._unchecked(ring, n, n, {(i, i): ring.one for i in range(n)})
 
     @classmethod
     def from_rows(cls, ring, rows):
@@ -98,12 +107,12 @@ class SparseMatrix:
                 ent.pop(k, None)
             else:
                 ent[k] = s
-        return SparseMatrix(R, self.nrows, self.ncols, ent)
+        return SparseMatrix._unchecked(R, self.nrows, self.ncols, ent)
 
     def __neg__(self):
-        R = self.ring
-        return SparseMatrix(
-            R, self.nrows, self.ncols, {k: R.neg(v) for k, v in self.entries.items()}
+        neg = self.ring.neg
+        return SparseMatrix._unchecked(
+            self.ring, self.nrows, self.ncols, {k: neg(v) for k, v in self.entries.items()}
         )
 
     def __sub__(self, other):
@@ -142,11 +151,13 @@ class SparseMatrix:
                     k = (i, l)
                     s = get(k)
                     out[k] = mul(v, w) if s is None else add(s, mul(v, w))
-        # the constructor drops the sums that cancelled to zero
-        return SparseMatrix(R, self.nrows, other.ncols, out)
+        # drop the sums that cancelled to zero, once
+        is_zero = R.is_zero
+        out = {k: v for k, v in out.items() if not is_zero(v)}
+        return SparseMatrix._unchecked(R, self.nrows, other.ncols, out)
 
     def transpose(self):
-        return SparseMatrix(
+        return SparseMatrix._unchecked(
             self.ring,
             self.ncols,
             self.nrows,
@@ -160,7 +171,7 @@ class SparseMatrix:
         ent = dict(self.entries)
         for (i, j), v in other.entries.items():
             ent[(i, j + self.ncols)] = v
-        return SparseMatrix(self.ring, self.nrows, self.ncols + other.ncols, ent)
+        return SparseMatrix._unchecked(self.ring, self.nrows, self.ncols + other.ncols, ent)
 
     def vstack(self, other):
         self._check(other)
@@ -169,7 +180,7 @@ class SparseMatrix:
         ent = dict(self.entries)
         for (i, j), v in other.entries.items():
             ent[(i + self.nrows, j)] = v
-        return SparseMatrix(self.ring, self.nrows + other.nrows, self.ncols, ent)
+        return SparseMatrix._unchecked(self.ring, self.nrows + other.nrows, self.ncols, ent)
 
     # -- access --------------------------------------------------------------
     def column(self, j):
@@ -336,12 +347,12 @@ def kernel_basis(M: SparseMatrix) -> SparseMatrix:
 
 
 def rank_over_rationals(M: SparseMatrix) -> int:
-    """Rank of an integer matrix, computed over Q."""
+    """Rank of an integer matrix, computed over Q (a Z payload is a Q payload)."""
     if M.ring == QQ:
         return rank(M)
     if M.ring != ZZ:
         raise UnsupportedRing("rank_over_rationals expects a matrix over Z or Q")
-    return rank(M.cast(QQ, Fraction))
+    return rank(M.cast(QQ))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +491,7 @@ def _rank_and_torsion(d: SparseMatrix) -> tuple[int, tuple[int, ...]]:
     raise UnsupportedRing(f"homology over {R} is not supported")
 
 
-def homology_at(d_in: SparseMatrix, d_out: SparseMatrix) -> HomologyModule:
+def homology_at(d_in: SparseMatrix, d_out: SparseMatrix, *, check_square=True) -> HomologyModule:
     """ker(d_out) / im(d_in) for d_in: C_{p+1} -> C_p, d_out: C_p -> C_{p-1}.
 
     Over a field the answer is the dimension nullity(d_out) - rank(d_in).
@@ -488,17 +499,19 @@ def homology_at(d_in: SparseMatrix, d_out: SparseMatrix) -> HomologyModule:
     nonzero invariant factors, and the torsion is the list of invariant
     factors > 1 of d_in (ker d_out is a saturated subgroup, so the elementary
     divisors of im(d_in) inside it agree with those inside the ambient
-    lattice).
+    lattice).  check_square=False skips the d_out . d_in = 0 check, for a
+    caller that has made it already.
     """
-    return homology_sequence([d_out, d_in])[1]
+    return homology_sequence([d_out, d_in], check_squares=check_square)[1]
 
 
-def homology_sequence(boundaries) -> list[HomologyModule]:
+def homology_sequence(boundaries, *, check_squares=True) -> list[HomologyModule]:
     """H_0..H_N of a complex given by its boundaries D_1, ..., D_(N+1) in order.
 
     Every boundary is reduced (rank or Smith normal form) once, and only the
-    previous boundary is kept for the d^2 = 0 check.  The boundaries may be
-    a generator, so each is built only when it is needed.
+    previous boundary is kept for the d^2 = 0 check, which
+    check_squares=False skips.  The boundaries may be a generator, so each is
+    built only when it is needed.
     """
     out = []
     prev, prev_rank = None, 0
@@ -508,7 +521,7 @@ def homology_sequence(boundaries) -> list[HomologyModule]:
                 raise RingMismatch("boundary maps over different rings")
             if d.nrows != prev.ncols:
                 raise ValueError("boundary maps are not composable")
-            if not (prev @ d).is_zero:
+            if check_squares and not (prev @ d).is_zero:
                 raise NotAComplex("d_out . d_in != 0")
         r, torsion = _rank_and_torsion(d)
         out.append(HomologyModule(d.ring, d.nrows - prev_rank - r, torsion))

@@ -182,6 +182,23 @@ def test_invalid_triple_exit_2_and_allow_invalid():
     assert code == 0
 
 
+@pytest.mark.parametrize("triple,level", [((1, 1, 0), 1), ((1, 1, 1), 2)])
+def test_inadmissible_triple_refused_where_the_module_is_not_cyclic(triple, level):
+    """HC_n by the quotient complex needs t_m^(m+1) = id for m <= n; the
+    inadmissible Taft-2 triples break it at one level, where the rank formula
+    gave negative dimensions."""
+    pi, alpha, beta = triple
+    argv = ["cm-hc", "--taft", "2", "--pi", str(pi), "--alpha", str(alpha),
+            "--beta", str(beta), "--allow-invalid", "--format", "json"]
+    code, out = run_cli(argv + ["--max-degree", str(level - 1)])
+    assert code == 0
+    assert all(row["free_rank"] >= 0 for row in json.loads(out)["rows"])
+    for top in (level, level + 1):
+        code, out = run_cli(argv + ["--max-degree", str(top)])
+        assert code == 2
+        assert f"PreconditionFailed: t_{level}^{level + 1} != id" in out
+
+
 def test_resource_cap(monkeypatch):
     monkeypatch.setenv("HOPFCYCL_MAX_CARRIER", "10")
     assert carrier_cap() == 10

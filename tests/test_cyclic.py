@@ -10,10 +10,13 @@ from hopfcycl import (
     ChainComplexWindow,
     ClassicalCyclicModule,
     ConnesMoscoviciModule,
+    CyclotomicField,
     FiniteGroup,
     IndexOutOfRange,
+    IntegersMod,
     NotAComplex,
     PreconditionFailed,
+    PrimeField,
     Quiver,
     RingWithoutRationals,
     SparseMatrix,
@@ -22,6 +25,7 @@ from hopfcycl import (
     cyclic_bicomplex_hc,
     group_algebra,
     hochschild_homology,
+    hochschild_homology_upto,
     hochschild_window,
     sbi_check,
     sbi_rank_assignment,
@@ -383,3 +387,105 @@ def test_lambda_engine_ranks_each_matrix_once(monkeypatch, triple):
     assert dims == {n: taft_cm_closed_form(2, *triple, n) for n in range(4)}
     # augmented ranks at levels 1..4 and rank(1 - lambda) at levels 0..2
     assert len(seen) == len(set(seen)) == 7
+
+
+# -- one-pass boundaries against the sum of face matrices ----------------------
+
+
+def boundary_by_face_sums(module, m, count):
+    """Reference: sum((-1)^i d_i) over i < count through SparseMatrix.__add__,
+    with a negated copy of each odd face (the assembly before one pass)."""
+    out = SparseMatrix.zero(module.ring, module.level_dim(m - 1), module.level_dim(m))
+    for i in range(count):
+        di = module.face(m, i)
+        out = out + (di if i % 2 == 0 else -di)
+    return out
+
+
+def boundary_modules(ring):
+    crown = truncated_algebra(Quiver.crown(2), 2, ring).algebra
+    modules = [ClassicalCyclicModule(crown)]
+    if isinstance(ring, CyclotomicField):
+        hopf = taft_hopf(3, ring)
+        modules += [taft_cm_module(hopf, *triple) for triple in taft_cm_triples(3, ring)[:3]]
+    else:
+        modules += [
+            cm_group_module(FiniteGroup.cyclic(3), 1, ring),
+            cm_group_module(FiniteGroup.symmetric(3), 0, ring),
+        ]
+    return modules
+
+
+@pytest.mark.parametrize(
+    "ring", [QQ, ZZ, PrimeField(2), IntegersMod(4), CyclotomicField(3)], ids=lambda r: r.name
+)
+def test_one_pass_boundaries_match_face_sums(ring):
+    for module in boundary_modules(ring):
+        for m in range(1, 4):
+            assert module.boundary_b(m) == boundary_by_face_sums(module, m, m + 1), ("b", m)
+            assert module.boundary_bprime(m) == boundary_by_face_sums(module, m, m), ("b'", m)
+
+
+# -- d^2 = 0 checked once per path ---------------------------------------------
+
+
+def count_products(monkeypatch):
+    products = []
+    real = SparseMatrix.__matmul__
+
+    def counting(a, b):
+        products.append((a.nrows, a.ncols, b.ncols))
+        return real(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counting)
+    return products
+
+
+def test_each_square_is_checked_once(monkeypatch):
+    module = cm_z3(1)
+    expected = [hochschild_homology(module, n) for n in range(4)]
+    window = hochschild_window(module, 4)
+    products = count_products(monkeypatch)
+    # the window's constructor checked its squares; homology does not again
+    assert [window.homology(n) for n in range(4)] == expected
+    assert products == []
+    # one sequence over b_1..b_4 checks b_1 b_2, b_2 b_3, b_3 b_4 once each
+    assert hochschild_homology_upto(module, 3) == expected
+    assert len(products) == len(set(products)) == 3
+    products.clear()
+    hochschild_homology(module, 2)
+    assert len(products) == 1
+    products.clear()
+    assert sbi_check(module, 3).consistent
+    assert len([p for p in products if p[0] == 1]) == 1  # b_1 b_2, out of C_0 = k
+
+
+def test_hochschild_homology_still_refuses_a_bad_pair():
+    module = cm_z3(1)
+    b3 = module.boundary_b(3)
+    j, c = next(iter(b3.entries))
+    # (bad . b_3)[0, c] = b_3[j, c] != 0
+    module._cache[("b", 2)] = SparseMatrix(QQ, 3, 9, {(0, j): 1})
+    with pytest.raises(NotAComplex):
+        hochschild_homology(module, 2)
+    with pytest.raises(NotAComplex):
+        hochschild_homology_upto(module, 2)
+
+
+# -- the quotient engine needs t^(m+1) = id -------------------------------------
+
+
+@pytest.mark.parametrize("triple,level", [((1, 1, 0), 1), ((1, 1, 1), 2)])
+def test_lambda_engine_refuses_levels_that_are_not_cyclic(monkeypatch, triple, level):
+    module = taft_cm_module(taft_hopf(2), *triple, require_valid=False)
+    report = verify_cyclic_axioms(module, 3)
+    assert [m for m in range(4) if not report[f"t_{m}^{m + 1} = id"]][0] == level
+    for n in range(level):
+        assert connes_lambda_hc(module, n).free_rank >= 0
+    with pytest.raises(PreconditionFailed, match=f"t_{level}\\^{level + 1}"):
+        connes_lambda_hc(module, level)
+    # the level checks are kept with the module: asking again multiplies nothing
+    products = count_products(monkeypatch)
+    with pytest.raises(PreconditionFailed):
+        connes_lambda_hc(module, level + 1)
+    assert products == []

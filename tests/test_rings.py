@@ -29,7 +29,7 @@ from hopfcycl import (
     zero_module,
 )
 from hopfcycl.errors import MissingRootOfUnity
-from hopfcycl.rings import _poly_mul, _poly_trim, euler_phi
+from hopfcycl.rings import Ring, _poly_mul, _poly_trim, euler_phi
 
 RINGS = [ZZ, QQ, IntegersMod(6), PrimeField(5), CyclotomicField(5)]
 
@@ -163,6 +163,14 @@ def test_homology_module_guards():
         HomologyModule(QQ, 1) + HomologyModule(ZZ, 1)
     with pytest.raises(UnsupportedRing):
         HomologyModule(ZZ, 1).dim
+
+
+def test_homology_module_refuses_negative_free_rank():
+    with pytest.raises(ValueError):
+        HomologyModule(QQ, -1)
+    with pytest.raises(ValueError):
+        HomologyModule(ZZ, -2, (3,))
+    assert HomologyModule(QQ, 0).is_zero
 
 
 def test_free_module_over_zmod():
@@ -419,3 +427,116 @@ def test_product_with_the_unit_returns_the_other_operand(n, data):
         assert_canonical(K, out)
     assert K.mul(K.one, K.one) == K.one
     assert K.mul(K.one, K.zero) == K.zero == K.mul(K.zero, K.one)
+
+
+# -- int payloads for integral rationals against the Fraction field -----------
+
+
+class FractionRationalField(Ring):
+    """Reference: Q with Fraction payloads throughout, the field's former
+    payload."""
+
+    name = "Q"
+    is_field = True
+    contains_rationals = True
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def from_int(self, c):
+        return Fraction(c)
+
+    def is_zero(self, a):
+        return a == 0
+
+    def is_unit(self, a):
+        return a != 0
+
+    def inv(self, a):
+        if a == 0:
+            raise NotAUnit("0 is not a unit in Q")
+        return 1 / Fraction(a)
+
+
+QQ_REF = FractionRationalField()
+
+
+def assert_rational_canonical(payload):
+    """An int iff the value is integral; never a Fraction with denominator 1."""
+    if type(payload) is int:
+        return
+    assert type(payload) is Fraction and payload.denominator > 1, repr(payload)
+
+
+def rational_payload(value: Fraction):
+    return value.numerator if value.denominator == 1 else value
+
+
+rationals = st.one_of(
+    st.integers(-40, 40).map(Fraction),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+
+
+@given(x=rationals, y=rationals, k=st.integers(-3, 4), as_fraction=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_rational_payloads_agree_with_fractions(x, y, k, as_fraction):
+    # inputs arrive canonical, or (as_fraction) still as Fractions
+    a, b = (x, y) if as_fraction else (rational_payload(x), rational_payload(y))
+    for op in ("add", "sub", "mul"):
+        out = getattr(QQ, op)(a, b)
+        assert_rational_canonical(out)
+        assert out == getattr(QQ_REF, op)(x, y), op
+    assert_rational_canonical(QQ.neg(a))
+    assert QQ.neg(a) == QQ_REF.neg(x)
+    assert QQ.is_zero(a) == QQ_REF.is_zero(x)
+    assert QQ.format(a) == QQ_REF.format(x)
+    if x == 0:
+        with pytest.raises(NotAUnit):
+            QQ.inv(a)
+        return
+    assert_rational_canonical(QQ.inv(a))
+    assert QQ.inv(a) == QQ_REF.inv(x)
+    assert_rational_canonical(QQ.pow(a, k))
+    assert QQ.pow(a, k) == QQ_REF.pow(x, k)
+
+
+def test_rational_constants_are_ints():
+    assert QQ.zero == 0 and type(QQ.zero) is int
+    assert QQ.one == 1 and type(QQ.one) is int
+    for c in (-5, 0, 1, 12):
+        assert QQ.from_int(c) is c
+    for u in (1, -1):
+        assert QQ.inv(u) is u
+    assert QQ.inv(Fraction(-1)) == -1 and type(QQ.inv(Fraction(-1))) is int
+    assert QQ.inv(-4) == Fraction(-1, 4)
+    assert QQ.mul(Fraction(2, 3), Fraction(3, 2)) == 1
+    assert type(QQ.mul(Fraction(2, 3), Fraction(3, 2))) is int
+    assert QQ.sum([Fraction(1, 2), Fraction(1, 2), 3]) == 4
+    assert hash(QQ.add(Fraction(1, 2), Fraction(1, 2))) == hash(Fraction(1))
+
+
+def test_integral_rationals_make_no_fraction(monkeypatch):
+    import hopfcycl.rings as rings
+    from hopfcycl import Quiver, truncated_algebra
+    from hopfcycl.cyclic import ClassicalCyclicModule
+
+    def refuse(*args):
+        raise AssertionError("Fraction created")
+
+    monkeypatch.setattr(rings, "Fraction", refuse)
+    module = ClassicalCyclicModule(truncated_algebra(Quiver.crown(2), 3, QQ).algebra)
+    for a, b in ((3, -7), (0, 5), (-1, -1), (12, 0)):
+        QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.neg(a), QQ.is_zero(a)
+        QQ.pow(a, 3), QQ.from_int(a)
+    QQ.inv(1), QQ.inv(-1), QQ.pow(-1, -3)
+    b3, b4 = module.boundary_b(3), module.boundary_b(4)
+    assert (b3.nrows, b3.ncols, b4.ncols) == (6**3, 6**4, 6**5)
+    assert (b3 @ b4).is_zero
+    assert all(type(v) is int for v in b4.entries.values())

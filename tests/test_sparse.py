@@ -17,6 +17,7 @@ from hopfcycl import (
     NotAComplex,
     NotAField,
     PrimeField,
+    Ring,
     RingMismatch,
     SparseMatrix,
     UnsupportedRing,
@@ -445,3 +446,63 @@ def test_from_columns_checks_every_entry():
     M = SparseMatrix.from_columns(QQ, 3, [{0: Fraction(0), 2: Fraction(5)}, {}])
     assert (M.nrows, M.ncols) == (3, 2)
     assert M.entries == {(2, 0): Fraction(5)}
+
+
+# -- rank and kernels over Q with int payloads, against Fraction payloads -----
+
+
+class FractionRationalField(Ring):
+    """Reference: Q with Fraction payloads throughout, the field's former
+    payload (the same reference as in test_rings)."""
+
+    name = "Q"
+    is_field = True
+    contains_rationals = True
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def from_int(self, c):
+        return Fraction(c)
+
+    def is_zero(self, a):
+        return a == 0
+
+    def is_unit(self, a):
+        return a != 0
+
+    def inv(self, a):
+        return 1 / Fraction(a)
+
+
+QQ_REF = FractionRationalField()
+
+
+@pytest.mark.parametrize("entries", ["integral", "fractional"])
+@given(seed=st.integers(0, 10**6), m=st.integers(1, 10), n=st.integers(1, 10),
+       density=st.sampled_from([0.2, 0.5, 0.9]))
+@settings(max_examples=40, deadline=None)
+def test_rank_and_kernel_over_q_match_fraction_payloads(entries, seed, m, n, density):
+    rng = random.Random(seed)
+    top_den = 6 if entries == "fractional" else 1
+    values = {}
+    for i in range(m):
+        for j in range(n):
+            if rng.random() < density:
+                values[(i, j)] = Fraction(rng.randint(-4, 4), rng.randint(1, top_den))
+    # the same matrix with canonical payloads (int when integral) and as Fractions
+    M = SparseMatrix(QQ, m, n, {k: QQ.add(0, v) for k, v in values.items()})
+    ref = SparseMatrix(QQ_REF, m, n, values)
+    assert rank(M) == rank(ref)
+    K, K_ref = kernel_basis(M), kernel_basis(ref)
+    assert (K.nrows, K.ncols) == (K_ref.nrows, K_ref.ncols)
+    assert K.entries == K_ref.entries
+    assert all(type(v) is int or v.denominator > 1 for v in K.entries.values())
+    if entries == "integral":
+        assert all(type(v) is int for v in M.entries.values())
