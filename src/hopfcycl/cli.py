@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .cyclic import (
     ClassicalCyclicModule,
@@ -77,26 +78,63 @@ def ensure_within_cap(base_dim: int, top_level: int) -> None:
 # -- source construction -----------------------------------------------------
 
 
+def _spec_size(spec: str) -> int:
+    """The integer after the colon of a spec such as cyclic:M or crown:N."""
+    size = spec.split(":", 1)[1]
+    try:
+        return int(size)
+    except ValueError:
+        raise ParseError(f"spec {spec!r} needs an integer size, got {size!r}") from None
+
+
+def _read_json(path: str):
+    """The JSON document of a --group-file or --quiver-file."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read a JSON spec from {path!r}: {exc}") from None
+
+
 def _load_group(args) -> FiniteGroup:
     if args.group_file:
-        with open(args.group_file) as fh:
-            return FiniteGroup.from_json(json.load(fh))
+        return FiniteGroup.from_json(_read_json(args.group_file))
     spec = args.group
     if spec.startswith("cyclic:"):
-        return FiniteGroup.cyclic(int(spec.split(":", 1)[1]))
+        return FiniteGroup.cyclic(_spec_size(spec))
     if spec.startswith("symmetric:"):
-        return FiniteGroup.symmetric(int(spec.split(":", 1)[1]))
+        return FiniteGroup.symmetric(_spec_size(spec))
     raise ParseError(f"unknown group spec {spec!r} (use cyclic:M or symmetric:N)")
 
 
 def _load_quiver(args) -> Quiver:
     if args.quiver_file:
-        with open(args.quiver_file) as fh:
-            return Quiver.from_json(json.load(fh))
+        return Quiver.from_json(_read_json(args.quiver_file))
     spec = args.quiver
     if spec.startswith("crown:"):
-        return Quiver.crown(int(spec.split(":", 1)[1]))
+        return Quiver.crown(_spec_size(spec))
     raise ParseError(f"unknown quiver spec {spec!r} (use crown:N or --quiver-file)")
+
+
+def _check_scalar_options(args) -> None:
+    """Refuse a malformed --taft, --pi, --alpha or --beta before any algebra
+    is built."""
+    if args.taft is not None and args.taft < 2:
+        raise ParseError(f"Taft algebra size must be >= 2, got {args.taft}")
+    for name in ("pi", "alpha", "beta"):
+        raw = getattr(args, name)
+        if raw is None or (raw == "eps" and name != "pi"):
+            continue
+        try:
+            int(raw)
+        except ValueError:
+            raise ParseError(f"--{name} must be an integer selector, got {raw!r}") from None
+
+
+def _taft_hopf_from_args(args):
+    """The Taft algebra of size --taft over --ring (default Q(zeta_n))."""
+    ring = parse_ring(args.ring) if args.ring else CyclotomicField(args.taft)
+    return taft_hopf(args.taft, ring)
 
 
 def _ring_for(args, default: str):
@@ -116,8 +154,7 @@ def _cm_module_from_args(args):
     """Build the twisted cyclic module selected by the source flags."""
     if args.taft is not None:
         n = args.taft
-        ring = parse_ring(args.ring) if args.ring else CyclotomicField(n)
-        hopf = taft_hopf(n, ring)
+        hopf = _taft_hopf_from_args(args)
         i = int(args.pi or 0)
         u = 0 if args.alpha in (None, "eps") else int(args.alpha)
         v = 0 if args.beta in (None, "eps") else int(args.beta)
@@ -193,15 +230,13 @@ def _cmd_verify(args) -> dict:
     passed = True
     N = args.max_degree
     if args.taft is not None:
-        n = args.taft
-        ring = parse_ring(args.ring) if args.ring else CyclotomicField(n)
-        hopf = taft_hopf(n, ring)
+        hopf = _taft_hopf_from_args(args)
         ensure_within_cap(hopf.dim, N + 1)
         axioms = hopf.verify_axioms()
         rows.append({"check": "hopf-axioms", "detail": axioms,
                      "pass": all(axioms.values())})
         passed &= all(axioms.values())
-        for (i, u, v) in taft_cm_triples(n, ring):
+        for (i, u, v) in taft_cm_triples(args.taft, hopf.ring):
             module = taft_cm_module(hopf, i, u, v)
             rep = verify_cyclic_axioms(module, N)
             ok = all(rep.values())
@@ -398,12 +433,19 @@ COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `run` of the process and kept."""
+    return build_parser()
+
+
 def run(argv=None, stream=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.max_degree < 0:
         parser.error("--max-degree must be >= 0")
     try:
+        _check_scalar_options(args)
         table = COMMANDS[args.command](args)
     except HopfCyclError as exc:
         (stream or sys.stderr).write(f"error: {type(exc).__name__}: {exc}\n")

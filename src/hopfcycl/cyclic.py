@@ -5,11 +5,14 @@ face / degeneracy / cyclic operators as exact sparse matrices.  Level m has
 faces d_0..d_m, degeneracies s_0..s_m and a cyclic operator t with
 t^(m+1) = id.  Carriers are tensor powers of a basis of size d, and the
 operators are assembled by index arithmetic on the base-d digits of the
-basis index; no basis tuple is decoded.  Two main instances live here:
+basis index; no basis tuple is decoded, and no operator stores a zero
+entry.  Two main instances live here:
 
 * the Connes-Moscovici module of a Hopf algebra with an admissible
   (grouplike, character, character) triple, whose level-m carrier is the
-  m-th tensor power of the algebra, and
+  m-th tensor power of the algebra; its cyclic operator folds all legs of
+  a column but the last, and closes the column with a per-module table of
+  the last leg with beta and S_pi applied, and
 * the classical cyclic module of an algebra, with carrier the (m+1)-st
   tensor power.
 
@@ -53,7 +56,9 @@ def index_to_tuple(idx, d, length):
 # Operators on tensor powers are assembled by index arithmetic: a basis
 # tensor of length p + 2 + s (or p + s) is the index (A * d + x) * d**s + C
 # with A the index of its first p legs and C that of its last s legs, so an
-# operator acting on the middle legs only moves the middle digit(s).
+# operator acting on the middle legs only moves the middle digit(s).  The
+# structure constants and the unit of an `AlgebraData` hold no zeros, so the
+# operators built from them skip the constructor's zero check.
 
 
 def _merge_face(ring, d, mult, p, s):
@@ -72,7 +77,7 @@ def _merge_face(ring, d, mult, p, s):
                 for k, c in terms:
                     ent[(k + C, col)] = c
                 col += 1
-    return SparseMatrix(ring, d ** (p + 1 + s), col, ent)
+    return SparseMatrix._unchecked(ring, d ** (p + 1 + s), col, ent)
 
 
 def _insert_unit(ring, d, unit, p, s):
@@ -87,7 +92,7 @@ def _insert_unit(ring, d, unit, p, s):
             col = A * D + C
             for u, c in terms:
                 ent[(base + u + C, col)] = c
-    return SparseMatrix(ring, d ** (p + 1 + s), d ** (p + s), ent)
+    return SparseMatrix._unchecked(ring, d ** (p + 1 + s), d ** (p + s), ent)
 
 
 class CyclicModule:
@@ -200,9 +205,17 @@ class CyclicModule:
 class ConnesMoscoviciModule(CyclicModule):
     """C_m = H^(tensor m), with operators twisted by (pi, alpha, beta).
 
-    Operators are materialized column by column in basis-index order; the
-    three-leg coproducts needed by the cyclic operator are pre-contracted
-    with alpha per basis element and cached.
+    d_0 applies alpha to the first leg, d_m applies beta to the last one and
+    the inner faces multiply neighbouring legs.  The cyclic operator sends
+    h_1 (x) ... (x) h_m, with three-leg coproducts x_p (x) y_p (x) z_p, to
+
+        alpha(x_1 ... x_m) beta(z_m) S_pi(y_1 ... y_m) (x) z_1 (x) ... (x) z_(m-1).
+
+    Operators are materialized column by column in basis-index order.  The
+    three-leg coproducts are pre-contracted with alpha per basis element,
+    and the last leg h_m, which enters only through beta(z_m) and the
+    closing S_pi, is pre-contracted with the second-leg product of the legs
+    before it into one table per module (`_closing`).
     """
 
     def __init__(self, hopf: HopfAlgebraData, triple: CMTriple, require_valid: bool = True):
@@ -224,11 +237,12 @@ class ConnesMoscoviciModule(CyclicModule):
 
     @cached_property
     def _s_pi_cols(self) -> list[dict]:
-        """Columns of S_pi; the cyclic operator reads one per fold-state entry."""
+        """Columns of S_pi, one per basis element."""
         return [self.s_pi.column(j) for j in range(self.hopf.dim)]
 
-    # three-leg coproduct with alpha applied to the first leg, per basis elt
-    def _cop3_alpha(self):
+    def _cop3_alpha(self) -> list[dict]:
+        """Per basis element b, the three-leg coproduct of b with alpha
+        applied to the first leg: (y, z) -> sum of c * alpha(x) (cached)."""
         if self._cop3a is None:
             R = self.ring
             tables = []
@@ -248,6 +262,49 @@ class ConnesMoscoviciModule(CyclicModule):
             self._cop3a = tables
         return self._cop3a
 
+    @cached_property
+    def _closing(self) -> list[list[dict]]:
+        """closing[Y][h] = S_pi(b_Y . sum of c * beta(z) * b_y) over the entries
+        (y, z) -> c of `_cop3_alpha()[h]`: the last leg h of a column of the
+        cyclic operator, closed against the second-leg product b_Y of the legs
+        before it, as a sparse vector.  One d x d table per module."""
+        R = self.ring
+        mul, add, is_zero = R.mul, R.add, R.is_zero
+        d = self.hopf.dim
+        mult = self.hopf.algebra.mult
+        s_pi_cols = self._s_pi_cols
+        betas = [self.beta(z) for z in range(d)]
+
+        def accumulate(out, vec, c):
+            for k, v in vec.items():
+                s = out.get(k)
+                out[k] = mul(c, v) if s is None else add(s, mul(c, v))
+
+        def nonzero(vec):
+            return {k: c for k, c in vec.items() if not is_zero(c)}
+
+        # sum of c * beta(z) * b_y over the last leg's coproduct, per h
+        legs = []
+        for table in self._cop3_alpha():
+            leg: dict = {}
+            for (y, z), c in table.items():
+                if not is_zero(betas[z]):
+                    accumulate(leg, {y: betas[z]}, c)
+            legs.append(nonzero(leg))
+        closing = []
+        for row in mult:
+            out_row = []
+            for leg in legs:
+                prod: dict = {}
+                for y, c in leg.items():
+                    accumulate(prod, row[y], c)
+                image: dict = {}
+                for k, c in nonzero(prod).items():
+                    accumulate(image, s_pi_cols[k], c)
+                out_row.append(nonzero(image))
+            closing.append(out_row)
+        return closing
+
     def _face(self, m, i):
         R = self.ring
         d = self.hopf.dim
@@ -256,26 +313,31 @@ class ConnesMoscoviciModule(CyclicModule):
         D = d ** (m - 1)
         ent = {}
         if i == 0:
-            # column a * D + c goes to row c with alpha(a)
+            # column a * D + c goes to row c with alpha(a), for alpha(a) != 0
             for a in range(d):
                 c = self.alpha(a)
-                for row in range(D):
-                    ent[(row, a * D + row)] = c
+                if not R.is_zero(c):
+                    for row in range(D):
+                        ent[(row, a * D + row)] = c
         else:
-            # column c * d + b goes to row c with beta(b)
-            betas = [self.beta(b) for b in range(d)]
+            # column c * d + b goes to row c with beta(b), for beta(b) != 0
+            betas = [(b, c) for b in range(d) if not R.is_zero(c := self.beta(b))]
             for row in range(D):
-                for b, c in enumerate(betas):
+                for b, c in betas:
                     ent[(row, row * d + b)] = c
-        return SparseMatrix(R, D, d**m, ent)
+        return SparseMatrix._unchecked(R, D, d**m, ent)
 
     def _degeneracy(self, m, i):
         return _insert_unit(self.ring, self.hopf.dim, self.hopf.algebra.unit, i, m - i)
 
     def _cyclic(self, m):
-        """Columns in index order; the fold state of each prefix of the basis
-        tuple is kept, so a column re-folds only from the first leg that
-        differs from the previous column's."""
+        """Columns in index order.  Legs 1..m-1 are folded into states keyed
+        by (product of the second legs, index of the emitted third legs); the
+        fold of each prefix is kept, so a column re-folds only from the first
+        leg that differs from the previous column's, and the d columns that
+        share legs 1..m-1 share their whole fold.  Each column then closes
+        with the table `_closing` of its last leg, one lookup per state
+        entry.  Level 1 folds from the unit, a sum of basis elements."""
         R = self.ring
         if m == 0:
             return SparseMatrix.identity(R, 1)
@@ -284,24 +346,25 @@ class ConnesMoscoviciModule(CyclicModule):
         D = d ** (m - 1)
         mult = self.hopf.algebra.mult
         cop3a = self._cop3_alpha()
-        s_pi_cols = self._s_pi_cols
-        betas = [self.beta(z) for z in range(d)]
-        # states[p]: the fold over the first p + 1 legs, keyed by (product of
-        # the second legs, index of the emitted third legs)
+        closing = self._closing
+        # states[p]: the fold over legs 1..p; states[0] is the unit
         states: list = [None] * m
+        states[0] = {(u, 0): c for u, c in self.hopf.algebra.unit.items()}
         prev = None
         ent = {}
-        for col, t in enumerate(product(range(d), repeat=m)):
-            # re-fold from the first leg that differs from the previous column's
-            p = 0 if prev is None else next(q for q in range(m) if t[q] != prev[q])
+        col = 0
+        for t in product(range(d), repeat=m - 1):
+            # re-fold from the first leg that differs from the previous prefix's
+            p = 0 if prev is None else next(q for q in range(m - 1) if t[q] != prev[q])
             prev = t
-            if p == 0:
-                states[0] = cop3a[t[0]]
+            if p == 0 and m > 1:
+                # folding the first leg into the unit leaves its table as it is
+                states[1] = cop3a[t[0]]
                 p = 1
-            for p in range(p, m):
+            for p in range(p, m - 1):
                 nxt: dict = {}
                 table = cop3a[t[p]].items()
-                for (yacc, zidx), c in states[p - 1].items():
+                for (yacc, zidx), c in states[p].items():
                     row = mult[yacc]
                     zidx *= d
                     for (y2, z2), c2 in table:
@@ -310,20 +373,20 @@ class ConnesMoscoviciModule(CyclicModule):
                             key = (k, zidx + z2)
                             s = nxt.get(key)
                             nxt[key] = mul(cc, pv) if s is None else add(s, mul(cc, pv))
-                states[p] = {key: c for key, c in nxt.items() if not is_zero(c)}
-            out: dict = {}
-            for (yacc, zidx), c in states[m - 1].items():
-                zprefix, zlast = divmod(zidx, d)
-                c = mul(c, betas[zlast])
-                if is_zero(c):
-                    continue
-                for w, sv in s_pi_cols[yacc].items():
-                    key = w * D + zprefix
-                    s = out.get(key)
-                    out[key] = mul(c, sv) if s is None else add(s, mul(c, sv))
-            for row, c in out.items():
-                ent[(row, col)] = c
-        return SparseMatrix(R, d**m, d**m, ent)
+                states[p + 1] = {key: c for key, c in nxt.items() if not is_zero(c)}
+            state = states[m - 1].items()
+            for last in range(d):
+                out: dict = {}
+                for (yacc, zidx), c in state:
+                    for w, sv in closing[yacc][last].items():
+                        key = w * D + zidx
+                        s = out.get(key)
+                        out[key] = mul(c, sv) if s is None else add(s, mul(c, sv))
+                for row, c in out.items():
+                    if not is_zero(c):
+                        ent[(row, col)] = c
+                col += 1
+        return SparseMatrix._unchecked(R, d**m, d**m, ent)
 
 
 # ---------------------------------------------------------------------------

@@ -55,14 +55,19 @@ class AlgebraData:
     """Associative unital algebra with a distinguished basis.
 
     mult[i][j] is the sparse vector of structure constants of b_i * b_j.
+    Zero constants and zero unit coefficients are dropped here, once, so
+    every operator assembled from them stores nonzero payloads only.
     """
 
     def __init__(self, ring: Ring, basis_labels, mult, unit: Vector):
         self.ring = ring
         self.dim = len(basis_labels)
         self.basis_labels = list(basis_labels)
-        self.mult = mult
-        self.unit = {i: v for i, v in unit.items() if not ring.is_zero(v)}
+        is_zero = ring.is_zero
+        self.mult = [
+            [{k: c for k, c in v.items() if not is_zero(c)} for v in row] for row in mult
+        ]
+        self.unit = {i: v for i, v in unit.items() if not is_zero(v)}
 
     def basis_vector(self, i: int) -> Vector:
         return {i: self.ring.one}

@@ -188,6 +188,8 @@ class IntegerRing(Ring):
     """Z with int payloads."""
 
     name = "Z"
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return a + b
@@ -269,6 +271,10 @@ class RationalField(Ring):
 class IntegersMod(Ring):
     """Z/m with canonical residues in [0, m)."""
 
+    # canonical residues for every modulus m >= 2
+    zero = 0
+    one = 1
+
     def __init__(self, m: int):
         if m < 2:
             raise ValueError("modulus must be >= 2")
@@ -281,6 +287,9 @@ class IntegersMod(Ring):
 
     def add(self, a, b):
         return (a + b) % self.m
+
+    def sub(self, a, b):
+        return (a - b) % self.m
 
     def neg(self, a):
         return (-a) % self.m
@@ -509,10 +518,16 @@ def parse_ring(spec: str) -> Ring:
     if not m:
         raise ParseError(f"cannot parse ring spec {spec!r}")
     if m.group(2):
+        if int(m.group(2)) < 2:
+            raise ParseError(f"ring spec {spec!r}: the modulus must be >= 2")
         return Zmod(int(m.group(2)))
     if m.group(3):
+        if not _is_prime(int(m.group(3))):
+            raise ParseError(f"ring spec {spec!r}: F_p needs a prime p")
         return GF(int(m.group(3)))
     if m.group(4):
+        if int(m.group(4)) < 1:
+            raise ParseError(f"ring spec {spec!r}: Q(zetaN) needs N >= 1")
         return Cyclotomic(int(m.group(4)))
     return QQ if spec.strip() == "Q" else ZZ
 

@@ -265,3 +265,62 @@ def test_hc_reduces_each_total_boundary_once(monkeypatch, ring, reduction):
                          "--max-degree", "4", "--compare", "closed", "--format", "json"])
     assert code == 0 and json.loads(out)["passed"]
     assert len(seen) == len(set(seen)) == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hc", "--quiver", "crown:x"],
+        ["hc", "--group", "cyclic:x"],
+        ["cm-hc", "--taft", "0"],
+        ["cm-hc", "--taft", "1"],
+        ["hc", "--group", "cyclic:2", "--ring", "Q(zeta0)"],
+        ["hc", "--group", "cyclic:2", "--ring", "F4"],
+    ],
+    ids=["crown:x", "cyclic:x", "taft 0", "taft 1", "Q(zeta0)", "F4"],
+)
+def test_malformed_inputs_are_refused_before_any_algebra(monkeypatch, argv):
+    import hopfcycl.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an algebra was built for a malformed input")
+
+    for builder in ("taft_hopf", "truncated_algebra", "cm_group_module", "group_algebra"):
+        monkeypatch.setattr(cli, builder, refuse)
+    code, out = run_cli(argv + ["--max-degree", "1"])
+    assert code == 2
+    assert out.startswith("error: ParseError: ")
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    import hopfcycl.cli as cli
+
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        argv = ["hc", "--trivial", "--max-degree", "1", "--format", "json"]
+        first = run_cli(argv)
+        second = run_cli(argv)
+    finally:
+        cli._parser.cache_clear()
+    assert first == second and first[0] == 0
+    assert len(builds) == 1
+
+
+def test_unreadable_spec_files_are_refused(tmp_path):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    missing = tmp_path / "missing.json"
+    for flag, path in (("--group-file", broken), ("--group-file", missing),
+                       ("--quiver-file", broken), ("--quiver-file", missing)):
+        command = "hc" if flag == "--group-file" else "hh"
+        code, out = run_cli([command, flag, str(path), "--max-degree", "1"])
+        assert code == 2, (flag, path)
+        assert out.startswith("error: ParseError: "), (flag, path)

@@ -489,3 +489,187 @@ def test_lambda_engine_refuses_levels_that_are_not_cyclic(monkeypatch, triple, l
     with pytest.raises(PreconditionFailed):
         connes_lambda_hc(module, level + 1)
     assert products == []
+
+
+# -- the cyclic operator with a pre-contracted closing leg ---------------------
+
+
+class PrefixFoldCM(ConnesMoscoviciModule):
+    """Reference: the cyclic operator folding all m legs with prefix sharing
+    and applying beta and S_pi per column, and the boundary faces d_0, d_m
+    writing alpha resp. beta of every basis element, zeros included, for the
+    validating constructor to drop (the assembly before the closing table)."""
+
+    def _face(self, m, i):
+        if 0 < i < m:
+            return super()._face(m, i)
+        d = self.hopf.dim
+        D = d ** (m - 1)
+        ent = {}
+        if i == 0:
+            for a in range(d):
+                c = self.alpha(a)
+                for row in range(D):
+                    ent[(row, a * D + row)] = c
+        else:
+            betas = [self.beta(b) for b in range(d)]
+            for row in range(D):
+                for b, c in enumerate(betas):
+                    ent[(row, row * d + b)] = c
+        return SparseMatrix(self.ring, D, d**m, ent)
+
+    def _cyclic(self, m):
+        from itertools import product
+
+        R = self.ring
+        if m == 0:
+            return SparseMatrix.identity(R, 1)
+        mul, add, is_zero = R.mul, R.add, R.is_zero
+        d = self.hopf.dim
+        D = d ** (m - 1)
+        mult = self.hopf.algebra.mult
+        cop3a = self._cop3_alpha()
+        s_pi_cols = [self.s_pi.column(j) for j in range(d)]
+        betas = [self.beta(z) for z in range(d)]
+        states: list = [None] * m
+        prev = None
+        ent = {}
+        for col, t in enumerate(product(range(d), repeat=m)):
+            p = 0 if prev is None else next(q for q in range(m) if t[q] != prev[q])
+            prev = t
+            if p == 0:
+                states[0] = cop3a[t[0]]
+                p = 1
+            for p in range(p, m):
+                nxt: dict = {}
+                table = cop3a[t[p]].items()
+                for (yacc, zidx), c in states[p - 1].items():
+                    row = mult[yacc]
+                    zidx *= d
+                    for (y2, z2), c2 in table:
+                        cc = mul(c, c2)
+                        for k, pv in row[y2].items():
+                            key = (k, zidx + z2)
+                            s = nxt.get(key)
+                            nxt[key] = mul(cc, pv) if s is None else add(s, mul(cc, pv))
+                states[p] = {key: c for key, c in nxt.items() if not is_zero(c)}
+            out: dict = {}
+            for (yacc, zidx), c in states[m - 1].items():
+                zprefix, zlast = divmod(zidx, d)
+                c = mul(c, betas[zlast])
+                if is_zero(c):
+                    continue
+                for w, sv in s_pi_cols[yacc].items():
+                    key = w * D + zprefix
+                    s = out.get(key)
+                    out[key] = mul(c, sv) if s is None else add(s, mul(c, sv))
+            for row, c in out.items():
+                ent[(row, col)] = c
+        return SparseMatrix(R, d**m, d**m, ent)
+
+
+def prefix_fold_reference(module):
+    return PrefixFoldCM(module.hopf, module.triple, require_valid=False)
+
+
+def assert_same_cyclic_and_boundary_faces(module, top):
+    reference = prefix_fold_reference(module)
+    for m in range(top + 1):
+        assert module.cyclic(m) == reference.cyclic(m), ("t", m)
+        if m >= 1:
+            for i in (0, m):
+                assert module.face(m, i) == reference.face(m, i), ("d", m, i)
+
+
+@pytest.mark.parametrize("n,top", [(2, 4), (3, 3)])
+def test_closing_table_operators_match_prefix_fold_on_taft(n, top):
+    hopf = taft_hopf(n)
+    for triple in taft_cm_triples(n):
+        assert_same_cyclic_and_boundary_faces(taft_cm_module(hopf, *triple), top)
+
+
+CLOSING_TABLE_MODULES = {
+    "Taft-2 (1,1,1)": lambda: taft_cm_module(taft_hopf(2), 1, 1, 1, require_valid=False),
+    "Q[Z3] pi=g": lambda: cm_group_module(FiniteGroup.cyclic(3), 1, QQ),
+    "Q[S3]": lambda: cm_group_module(FiniteGroup.symmetric(3), 0, QQ),
+    "Z[Z4] pi=2": lambda: cm_group_module(FiniteGroup.cyclic(4), 2, ZZ),
+    "F3[Z3]": lambda: cm_group_module(FiniteGroup.cyclic(3), 1, PrimeField(3)),
+}
+
+
+@pytest.mark.parametrize("name", list(CLOSING_TABLE_MODULES))
+def test_closing_table_operators_match_prefix_fold_beyond_taft(name):
+    assert_same_cyclic_and_boundary_faces(CLOSING_TABLE_MODULES[name](), 3)
+
+
+def algebra_with_zero_constants(ring):
+    """Q[Z/3] with a zero structure constant added to every product and a
+    zero coefficient added to the unit: the same algebra, written badly."""
+    from hopfcycl import AlgebraData, HopfAlgebraData
+
+    hopf = group_algebra(FiniteGroup.cyclic(3), ring)
+    A = hopf.algebra
+    mult = [
+        [{**{(k + 1) % A.dim: ring.zero for k in v}, **v} for v in row] for row in A.mult
+    ]
+    unit = {**{(u + 1) % A.dim: ring.zero for u in A.unit}, **A.unit}
+    algebra = AlgebraData(ring, A.basis_labels, mult, unit)
+    return HopfAlgebraData(algebra, hopf.coproduct, hopf.counit, hopf.antipode)
+
+
+def test_algebra_data_drops_zero_structure_constants():
+    from hopfcycl import GroupLike, check_cm_triple, trivial_character
+
+    hopf = algebra_with_zero_constants(QQ)
+    assert all(c != 0 for row in hopf.algebra.mult for v in row for c in v.values())
+    assert all(c != 0 for c in hopf.algebra.unit.values())
+    eps = trivial_character(FiniteGroup.cyclic(3), QQ)
+    triple = check_cm_triple(hopf, GroupLike.from_vector({1: QQ.one}), eps, eps)
+    module = ConnesMoscoviciModule(hopf, triple)
+    assert_same_operators(module, cm_reference(module), 3)
+
+
+def test_no_operator_stores_a_zero_payload():
+    from hopfcycl import GroupLike, check_cm_triple, trivial_character
+
+    modules = [build() for build in CLOSING_TABLE_MODULES.values()]
+    modules += [taft_cm_module(taft_hopf(3), *triple) for triple in taft_cm_triples(3)]
+    hopf = algebra_with_zero_constants(QQ)
+    eps = trivial_character(FiniteGroup.cyclic(3), QQ)
+    triple = check_cm_triple(hopf, GroupLike.from_vector({1: QQ.one}), eps, eps)
+    modules.append(ConnesMoscoviciModule(hopf, triple))
+    modules.append(ClassicalCyclicModule(hopf.algebra))
+    modules.append(ClassicalCyclicModule(truncated_algebra(Quiver.crown(2), 2, QQ).algebra))
+    for module in modules:
+        is_zero = module.ring.is_zero
+        for m in range(4):
+            operators = [module.cyclic(m)]
+            operators += [module.degeneracy(m, i) for i in range(m + 1)]
+            if m >= 1:
+                operators += [module.face(m, i) for i in range(m + 1)]
+            for op in operators:
+                assert not any(is_zero(v) for v in op.entries.values()), (module, m)
+
+
+def test_closing_table_cuts_cyclotomic_products(monkeypatch):
+    """t_3 of a Taft-3 triple, from a fresh module: at most a fifth of the
+    products the fold over every leg makes (closing table included)."""
+    module = taft_cm_module(taft_hopf(3), *taft_cm_triples(3)[0])
+    reference = prefix_fold_reference(module)
+    real = CyclotomicField.mul
+
+    def products_for_t3(mod):
+        calls = []
+
+        def counting(self, a, b):
+            calls.append(1)
+            return real(self, a, b)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CyclotomicField, "mul", counting)
+            t3 = mod.cyclic(3)
+        return len(calls), t3
+
+    (new, t3), (old, reference_t3) = products_for_t3(module), products_for_t3(reference)
+    assert t3 == reference_t3
+    assert 5 * new <= old, (new, old)

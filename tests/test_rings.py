@@ -540,3 +540,35 @@ def test_integral_rationals_make_no_fraction(monkeypatch):
     assert (b3.nrows, b3.ncols, b4.ncols) == (6**3, 6**4, 6**5)
     assert (b3 @ b4).is_zero
     assert all(type(v) is int for v in b4.entries.values())
+
+
+# -- class-constant units and a direct sub for int-payload rings ---------------
+
+
+@pytest.mark.parametrize("ring", [ZZ, IntegersMod(2), IntegersMod(6), PrimeField(7)], ids=str)
+def test_int_payload_constants_equal_from_int(ring):
+    # the constants are class attributes, not properties calling from_int
+    for name in ("zero", "one"):
+        assert not isinstance(getattr(type(ring), name), property)
+    assert ring.zero == Ring.zero.fget(ring) == ring.from_int(0)
+    assert ring.one == Ring.one.fget(ring) == ring.from_int(1)
+    assert type(ring.zero) is int and type(ring.one) is int
+
+
+@given(m=st.integers(2, 60), a=st.integers(-200, 200), b=st.integers(-200, 200))
+@settings(max_examples=200, deadline=None)
+def test_integers_mod_sub_matches_add_of_neg(m, a, b):
+    from hopfcycl.rings import _is_prime
+
+    for ring in (IntegersMod(m),) + ((PrimeField(m),) if _is_prime(m) else ()):
+        x, y = ring.from_int(a), ring.from_int(b)
+        assert ring.sub(x, y) == Ring.sub(ring, x, y) == ring.add(x, ring.neg(y))
+        assert 0 <= ring.sub(x, y) < m
+        assert ring.is_zero(ring.sub(x, x))
+        assert ring.add(ring.sub(x, y), y) == x
+
+
+@pytest.mark.parametrize("spec", ["F4", "F1", "Z/1", "Z/0", "Q(zeta0)"])
+def test_parse_ring_refuses_rings_that_do_not_exist(spec):
+    with pytest.raises(ParseError):
+        parse_ring(spec)
