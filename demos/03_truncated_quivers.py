@@ -60,8 +60,3 @@ for quiver, n, name in ((Quiver.crown(1), 2, "k[X]/(X^2)"),
     sbi = graded_sbi_hc(A_, 4)
     closed = [hc_closed_form_truncated(quiver, n, p, QQ) for p in range(5)]
     print(f"  {name:<18} HC {sbi}  closed {closed}  agree: {sbi == closed}")
-
-print()
-print("note: on the two-loop the two candidate readings of the even-degree")
-print("correction term differ; the graded SBI table picks out the one used")
-print("as the default (see hc_closed_form_truncated(..., reading=...)).")

@@ -48,7 +48,6 @@ from .sparse import (
     kernel_basis,
     nullity,
     rank,
-    rank_over_rationals,
     smith_normal_form,
 )
 from .hopf import (

@@ -36,9 +36,11 @@ from .groups import (
 from .hopf import GroupLike, check_cm_triple
 from .quivers import (
     Quiver,
+    _graded_hh,
+    _small_complex_dims,
     graded_sbi_hc,
     hc_closed_form_truncated,
-    hh_via_skoldberg,
+    skoldberg_resolution,
     taft_cm_closed_form,
     taft_cm_module,
     taft_cm_triples,
@@ -114,6 +116,15 @@ def _load_quiver(args) -> Quiver:
     if spec.startswith("crown:"):
         return Quiver.crown(_spec_size(spec))
     raise ParseError(f"unknown quiver spec {spec!r} (use crown:N or --quiver-file)")
+
+
+def _quiver_algebra(args, N: int):
+    """The truncated algebra of --quiver or --quiver-file over --ring
+    (default Q), refused when its small complex through degree N + 1 has a
+    carrier above the cap."""
+    A = truncated_algebra(_load_quiver(args), args.truncation, _ring_for(args, "Q"))
+    ensure_within_cap(max(_small_complex_dims(A, N + 1)), 1)
+    return A
 
 
 def _check_scalar_options(args) -> None:
@@ -229,7 +240,17 @@ def _cmd_verify(args) -> dict:
     rows = []
     passed = True
     N = args.max_degree
-    if args.taft is not None:
+    if args.quiver or args.quiver_file:
+        A = _quiver_algebra(args, N)
+        axioms = {"associativity": A.algebra.verify_associativity(),
+                  "unit": A.algebra.verify_unit()}
+        resolution = skoldberg_resolution(A, N + 1)
+        checks = {k: resolution[k] for k in ("d_squared_zero", "grade_preserving", "exact")
+                  if k in resolution}
+        for name, detail in (("algebra-axioms", axioms), ("small-resolution", checks)):
+            rows.append({"check": name, "detail": detail, "pass": all(detail.values())})
+            passed &= all(detail.values())
+    elif args.taft is not None:
         hopf = _taft_hopf_from_args(args)
         ensure_within_cap(hopf.dim, N + 1)
         axioms = hopf.verify_axioms()
@@ -267,12 +288,7 @@ def _cmd_hh(args) -> dict:
     N = args.max_degree
     rows = []
     if args.quiver or args.quiver_file:
-        quiver = _load_quiver(args)
-        ring = _ring_for(args, "Q")
-        A = truncated_algebra(quiver, args.truncation, ring)
-        ensure_within_cap(1, 1)
-        for p in range(N + 1):
-            total, per = hh_via_skoldberg(A, p)
+        for p, (total, per) in enumerate(_graded_hh(_quiver_algebra(args, N), N)):
             rows.append({
                 "degree": p, **_describe(total), "provenance": "resolution",
                 "graded": {str(q): _describe(mod) for q, mod in sorted(per.items())},
@@ -308,15 +324,13 @@ def _cmd_hc(args) -> dict:
     comparisons = []
     passed = True
     if args.quiver or args.quiver_file:
-        quiver = _load_quiver(args)
-        ring = _ring_for(args, "Q")
-        A = truncated_algebra(quiver, args.truncation, ring)
+        A = _quiver_algebra(args, N)
         dims = graded_sbi_hc(A, N)
         for p in range(N + 1):
-            rows.append({"degree": p, **_describe(HomologyModule(ring, dims[p])),
+            rows.append({"degree": p, **_describe(HomologyModule(A.ring, dims[p])),
                          "provenance": "graded-sbi"})
             if args.compare == "closed":
-                closed = hc_closed_form_truncated(quiver, args.truncation, p, ring)
+                closed = hc_closed_form_truncated(A.quiver, A.n, p, A.ring)
                 ok = closed == dims[p]
                 comparisons.append({"degree": p, "left": dims[p], "right": closed,
                                     "pass": ok})

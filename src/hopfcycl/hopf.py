@@ -208,19 +208,9 @@ class HopfAlgebraData:
         self._iterated[key] = out
         return out
 
-    def iterated_coproduct(self, x: Vector, r: int) -> Tensor:
-        R = self.ring
-        out: Tensor = {}
-        for b, v in x.items():
-            tensor_add_scaled(R, out, v, self.iterated_coproduct_basis(b, r))
-        return out
-
     def counit_value(self, x: Vector):
         R = self.ring
         return R.sum(R.mul(v, self.counit[i]) for i, v in x.items())
-
-    def antipode_vector(self, x: Vector) -> Vector:
-        return self.antipode.apply(x)
 
     # -- axiom verification --------------------------------------------------
     def verify_axioms(self) -> dict[str, bool]:

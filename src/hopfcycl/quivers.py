@@ -32,7 +32,7 @@ from .rings import (
     primitive_root_of_unity,
     zero_module,
 )
-from .sparse import SparseMatrix, homology_at, rank
+from .sparse import SparseMatrix, homology_sequence, rank
 
 
 class Quiver:
@@ -167,6 +167,10 @@ class TruncatedPathAlgebra:
         self.basis_paths = basis
         self.grades = [quiver.path_len(p) for p in basis]
         self.path_index = {p: i for i, p in enumerate(basis)}
+        # the basis paths from s to t, by (s, t), in basis order
+        self.paths_between: dict[tuple[int, int], list[tuple]] = {}
+        for p in basis:
+            self.paths_between.setdefault((quiver.path_src(p), quiver.path_tgt(p)), []).append(p)
         mult = []
         for p in basis:
             row = []
@@ -215,74 +219,86 @@ def _generator_paths(quiver: Quiver, n: int, i: int) -> list[tuple]:
     return quiver.paths_of_length(c * n + (i % 2))
 
 
+def _generator_boundary(quiver: Quiver, n: int, i: int, g: tuple) -> list[tuple]:
+    """d(1 (x) gamma (x) 1) for a degree-i generator gamma, i >= 1, as terms
+    (left, gamma', right, sign) standing for sign * left (x) gamma' (x) right.
+
+    An odd degree peels one arrow off each end of gamma; an even degree sums
+    the n splittings of gamma into a head, a middle of degree i - 1 and a
+    tail.  The pieces left and right are paths, trivial ones included.
+    """
+    e_src, e_tgt = ("e", quiver.path_src(g)), ("e", quiver.path_tgt(g))
+    if i % 2 == 1:
+        return [((g[0],), g[1:] or e_tgt, e_tgt, 1), (e_src, g[:-1] or e_src, (g[-1],), -1)]
+    mid_len = (i // 2 - 1) * n + 1
+    return [
+        (g[:j] or e_src, g[j : j + mid_len], g[j + mid_len :] or e_tgt, 1) for j in range(n)
+    ]
+
+
+def _boundaries(quiver: Quiver, n: int, ring: Ring, bases, carry) -> dict[int, SparseMatrix]:
+    """The boundaries D_1..D_top of a complex spanned in degree i by the pairs
+    (x, gamma) of bases[i]: x is a coefficient part and gamma a degree-i
+    generator of the small resolution.
+
+    D_i sends (x, gamma) to the sum of sign * (carry(x, left, right), gamma')
+    over the terms of d(gamma).  A term dies when its carried pair is no basis
+    pair of degree i - 1: when a carried path reaches the truncation, or when
+    carry returns None.
+    """
+    boundaries = {}
+    for i in range(1, len(bases)):
+        index = {b: k for k, b in enumerate(bases[i - 1])}
+        terms = {g: _generator_boundary(quiver, n, i, g) for g in {g for _, g in bases[i]}}
+        ent: dict = {}
+        for j, (x, g) in enumerate(bases[i]):
+            for left, g2, right, sign in terms[g]:
+                k = index.get((carry(x, left, right), g2))
+                if k is not None:
+                    ent[k, j] = ent.get((k, j), 0) + sign
+        boundaries[i] = SparseMatrix(
+            ring, len(bases[i - 1]), len(bases[i]),
+            {key: ring.from_int(c) for key, c in ent.items()},
+        )
+    return boundaries
+
+
+def _hochschild_carry(quiver: Quiver):
+    """The carrier rule of A (x)_{A^e} P: a (x) gamma goes across the term
+    left (x) gamma' (x) right to right.a.left (x) gamma'."""
+    return lambda a, left, right: quiver.compose(quiver.compose(right, a), left)
+
+
 def skoldberg_resolution(A: TruncatedPathAlgebra, i_max: int) -> dict:
     """The bimodule complex P_i = A (x) k[generators] (x) A, with exactness report.
 
     Basis of P_i: triples (u, gamma, v) of truncated paths with u composable
-    into gamma and gamma into v.  The odd differential peels one arrow off
-    each end of gamma; the even one sums the n ways of splitting gamma into
-    (head, middle, tail) with the middle of the right length.  The report
+    into gamma and gamma into v; the differential carries u (x) gamma (x) v
+    across a term of d(gamma) to u.left (x) gamma' (x) right.v.  The report
     verifies d.d = 0, grade preservation, and exactness of the augmented
     complex in degrees < i_max via rank counts over the coefficient field.
     """
     quiver, n, R = A.quiver, A.n, A.ring
     bases = []
-    indices = []
     for i in range(i_max + 1):
-        gens = _generator_paths(quiver, n, i)
         basis = []
-        for g in gens:
+        for g in _generator_paths(quiver, n, i):
             for u in A.basis_paths:
                 if quiver.path_tgt(u) != quiver.path_src(g):
                     continue
                 for v in A.basis_paths:
                     if quiver.path_src(v) == quiver.path_tgt(g):
-                        basis.append((u, g, v))
+                        basis.append(((u, v), g))
         bases.append(basis)
-        indices.append({b: k for k, b in enumerate(basis)})
 
-    def emit(col, index, u, g, v, sign):
-        # u or v may have grown past the truncation, in which case the term dies
-        if quiver.path_len(u) >= n or quiver.path_len(v) >= n:
-            return
-        k = index[(u, g, v)]
-        cur = R.add(col.get(k, R.zero), R.one if sign > 0 else R.neg(R.one))
-        if R.is_zero(cur):
-            col.pop(k, None)
-        else:
-            col[k] = cur
+    def carry(uv, left, right):
+        return quiver.compose(uv[0], left), quiver.compose(right, uv[1])
 
-    diffs = {}
-    for i in range(1, i_max + 1):
-        cols = []
-        index = indices[i - 1]
-        for (u, g, v) in bases[i]:
-            col: dict = {}
-            if i % 2 == 1:
-                # peel the first arrow into u, or the last arrow into v
-                head, tail = (g[0],), g[1:] if len(g) > 1 else ("e", quiver.tgt[g[0]])
-                emit(col, index, quiver.compose(u, head), tail, v, +1)
-                init = g[:-1] if len(g) > 1 else ("e", quiver.src[g[-1]])
-                last = (g[-1],)
-                emit(col, index, u, init, quiver.compose(last, v), -1)
-            else:
-                c = i // 2
-                mid_len = (c - 1) * n + 1
-                for j in range(n):
-                    head = g[:j] if j else ("e", quiver.path_src(g))
-                    middle = g[j : j + mid_len]
-                    tail_arrows = g[j + mid_len :]
-                    tail = tail_arrows if tail_arrows else ("e", quiver.path_tgt(g))
-                    emit(
-                        col, index,
-                        quiver.compose(u, head), middle, quiver.compose(tail, v), +1,
-                    )
-            cols.append(col)
-        diffs[i] = SparseMatrix.from_columns(R, len(bases[i - 1]), cols)
+    diffs = _boundaries(quiver, n, R, bases, carry)
 
     # the augmentation P_0 -> A is multiplication u (x) v -> uv
     aug_cols = []
-    for (u, g, v) in bases[0]:
+    for (u, v), g in bases[0]:
         prod = quiver.compose(quiver.compose(u, g), v)
         if prod is not None and quiver.path_len(prod) < n:
             aug_cols.append({A.path_index[prod]: R.one})
@@ -291,13 +307,14 @@ def skoldberg_resolution(A: TruncatedPathAlgebra, i_max: int) -> dict:
     augmentation = SparseMatrix.from_columns(R, A.dim, aug_cols)
 
     report = {"dims": [len(b) for b in bases], "boundaries": diffs,
-              "augmentation": augmentation, "bases": bases}
+              "augmentation": augmentation,
+              "bases": [[(u, g, v) for (u, v), g in basis] for basis in bases]}
     squares = all((diffs[i] @ diffs[i + 1]).is_zero for i in range(1, i_max))
     squares = squares and (augmentation @ diffs[1]).is_zero
     report["d_squared_zero"] = squares
 
     def grade(b):
-        u, g, v = b
+        (u, v), g = b
         return quiver.path_len(u) + quiver.path_len(g) + quiver.path_len(v)
 
     graded = True
@@ -320,68 +337,34 @@ def skoldberg_resolution(A: TruncatedPathAlgebra, i_max: int) -> dict:
 def _closed_pairs(A: TruncatedPathAlgebra, i: int) -> list[tuple]:
     """Basis of the induced Hochschild carrier in degree i: pairs (a, gamma)
     with a a truncated path, gamma a degree-i generator, and a.gamma closed."""
-    quiver, n = A.quiver, A.n
-    out = []
-    for g in _generator_paths(quiver, n, i):
-        for a in A.basis_paths:
-            if (
-                quiver.path_tgt(a) == quiver.path_src(g)
-                and quiver.path_tgt(g) == quiver.path_src(a)
-            ):
-                out.append((a, g))
-    return out
+    quiver = A.quiver
+    return [
+        (a, g)
+        for g in _generator_paths(quiver, A.n, i)
+        for a in A.paths_between.get((quiver.path_tgt(g), quiver.path_src(g)), ())
+    ]
+
+
+def _small_complex_dims(A: TruncatedPathAlgebra, p_max: int) -> list[int]:
+    """The carrier dimensions of `_hh_window(A, p_max)`, counted without
+    building its pairs."""
+    quiver = A.quiver
+    return [
+        sum(
+            len(A.paths_between.get((quiver.path_tgt(g), quiver.path_src(g)), ()))
+            for g in _generator_paths(quiver, A.n, i)
+        )
+        for i in range(p_max + 1)
+    ]
 
 
 def _hh_window(A: TruncatedPathAlgebra, p_max: int) -> ChainComplexWindow:
     """The complex A (x)_{bimodule} P_* computed on closed (a, gamma) pairs."""
-    quiver, n, R = A.quiver, A.n, A.ring
     bases = [_closed_pairs(A, i) for i in range(p_max + 1)]
-    indices = [{b: k for k, b in enumerate(basis)} for basis in bases]
-
-    def emit(col, index, a, g, sign):
-        if a is None or quiver.path_len(a) >= n:
-            return
-        k = index[(a, g)]
-        cur = R.add(col.get(k, R.zero), R.one if sign > 0 else R.neg(R.one))
-        if R.is_zero(cur):
-            col.pop(k, None)
-        else:
-            col[k] = cur
-
-    boundaries = {}
-    for i in range(1, p_max + 1):
-        cols = []
-        index = indices[i - 1]
-        for (a, g) in bases[i]:
-            col: dict = {}
-            if i % 2 == 1:
-                head = (g[0],)
-                tail = g[1:] if len(g) > 1 else ("e", quiver.tgt[g[0]])
-                emit(col, index, quiver.compose(a, head), tail, +1)
-                init = g[:-1] if len(g) > 1 else ("e", quiver.src[g[-1]])
-                last = (g[-1],)
-                emit(col, index, quiver.compose(last, a), init, -1)
-            else:
-                c = i // 2
-                mid_len = (c - 1) * n + 1
-                for j in range(n):
-                    head = g[:j] if j else ("e", quiver.path_src(g))
-                    middle = g[j : j + mid_len]
-                    tail_arrows = g[j + mid_len :]
-                    tail = tail_arrows if tail_arrows else ("e", quiver.path_tgt(g))
-                    new_a = quiver.compose(quiver.compose(tail, a), head)
-                    emit(col, index, new_a, middle, +1)
-            cols.append(col)
-        boundaries[i] = SparseMatrix.from_columns(R, len(bases[i - 1]), cols)
-    window = ChainComplexWindow(R, [len(b) for b in bases], boundaries)
+    boundaries = _boundaries(A.quiver, A.n, A.ring, bases, _hochschild_carry(A.quiver))
+    window = ChainComplexWindow(A.ring, [len(b) for b in bases], boundaries)
     window.pair_bases = bases
     return window
-
-
-def _pair_grades(A: TruncatedPathAlgebra, window: ChainComplexWindow) -> list[list[int]]:
-    """The path-length grade len(a) + len(gamma) of every pair, per degree."""
-    path_len = A.quiver.path_len
-    return [[path_len(a) + path_len(g) for a, g in basis] for basis in window.pair_bases]
 
 
 def _grade_positions(grades) -> tuple[list[int], dict[int, int]]:
@@ -411,27 +394,55 @@ def _graded_blocks(M: SparseMatrix, row_grades, col_grades) -> dict[int, SparseM
     }
 
 
-def hh_via_skoldberg(A: TruncatedPathAlgebra, p: int):
-    """HH_p(A, A) from the small complex: (total, {grade q: HomologyModule}).
+def _graded_hh(A: TruncatedPathAlgebra, N: int, first: int = 0) -> list[tuple]:
+    """HH_first..HH_N of A from one small complex, each as
+    (total, {grade q: HomologyModule}) over the grades of its degree.
 
-    The complex splits along the path-length grading of the pairs (a, gamma),
-    so each graded piece is computed on its own subcomplex.
+    The complex splits along the path-length grade len(a) + len(gamma) of the
+    pairs.  The blocks of grade q, from the first to one past the last degree
+    in which q occurs, go through `homology_sequence` once, so every block is
+    reduced at most once.
     """
     if A.n < 2:
         raise PreconditionFailed("the small complex needs truncation exponent >= 2")
-    window = _hh_window(A, p + 1)
-    grades = _pair_grades(A, window)
-    d_in = _graded_blocks(window.boundaries[p + 1], grades[p], grades[p + 1])
-    d_out = _graded_blocks(window.boundaries[p], grades[p - 1], grades[p]) if p else None
-    per_grade = {}
-    total = zero_module(A.ring)
-    for q in sorted(set(grades[p])):
-        out = d_out[q] if p else SparseMatrix.zero(A.ring, 0, d_in[q].nrows)
-        # the window checked D_p . D_(p+1) = 0, so each graded block squares to zero
-        piece = homology_at(d_in[q], out, check_square=False)
-        per_grade[q] = piece
-        total = total + piece
-    return total, per_grade
+    window = _hh_window(A, N + 1)
+    path_len = A.quiver.path_len
+    grades = [[path_len(a) + path_len(g) for a, g in basis] for basis in window.pair_bases]
+    blocks = {
+        i: _graded_blocks(window.boundaries[i], grades[i - 1], grades[i])
+        for i in range(max(first, 1), N + 2)
+    }
+    degrees: dict[int, list[int]] = {}
+    for p in range(first, N + 1):
+        for q in set(grades[p]):
+            degrees.setdefault(q, []).append(p)
+    # a grade missing from both ends of a boundary has an empty block
+    empty = SparseMatrix.zero(A.ring, 0, 0)
+    homology = {}
+    for q, ps in degrees.items():
+        # D_lo..D_(last+1) of grade q give H_(lo-1)..H_last; as D_0 = 0,
+        # H_(lo-1) is right only for lo = 1.  The window checked every
+        # square, so each graded block squares to zero.
+        lo = max(ps[0], 1)
+        sequence = homology_sequence(
+            (blocks[i].get(q, empty) for i in range(lo, ps[-1] + 2)), check_squares=False
+        )
+        for p in ps:
+            homology[p, q] = sequence[p - lo + 1]
+    table = []
+    for p in range(first, N + 1):
+        per_grade = {q: homology[p, q] for q in sorted(set(grades[p]))}
+        table.append((sum(per_grade.values(), zero_module(A.ring)), per_grade))
+    return table
+
+
+def hh_via_skoldberg(A: TruncatedPathAlgebra, p: int):
+    """HH_p(A, A) from the small complex: (total, {grade q: HomologyModule}).
+
+    The one-degree view of `_graded_hh`: only the graded blocks of D_p and
+    D_(p+1) are reduced.
+    """
+    return _graded_hh(A, p, first=p)[0]
 
 
 def hh_closed_form(quiver: Quiver, n: int, p: int, q: int, ring: Ring) -> HomologyModule:
@@ -471,32 +482,35 @@ def coefficient_homology_skoldberg(
 ) -> HomologyModule:
     """H_p(A, k twisted by two vertex characters), via the small complex.
 
-    The degree-i carrier is spanned by the generators gamma running from the
-    beta vertex to the alpha vertex; because vertex characters kill every
-    arrow, all differentials vanish, so homology = carrier.  Both the closed
-    description and the actually-built complex are computed; they must agree.
+    The coefficient module k has a.x = alpha(a) x and x.a = beta(a) x, so
+    the degree-i carrier is spanned by the generators gamma running from the
+    beta vertex to the alpha vertex, and x (x) gamma goes across the term
+    left (x) gamma' (x) right to alpha(right) beta(left) x (x) gamma'.  The
+    closed description (homology = carrier, since vertex characters kill
+    every arrow) and the built complex are both computed; they must agree.
     """
     if A.n < 2:
         raise PreconditionFailed("the small complex needs truncation exponent >= 2")
     quiver, R = A.quiver, A.ring
-
-    def carrier(i):
-        return [
-            g
+    alpha = vertex_character(A, alpha_vertex).values
+    beta = vertex_character(A, beta_vertex).values
+    bases = [
+        [
+            ((), g)
             for g in _generator_paths(quiver, A.n, i)
             if quiver.path_src(g) == beta_vertex and quiver.path_tgt(g) == alpha_vertex
         ]
+        for i in range(p + 2)
+    ]
 
-    closed_dim = len(carrier(p))
-    # built path: the differentials apply characters to the path pieces moved
-    # out of gamma; a vertex character vanishes on every positive path, and
-    # every moved piece has length >= 1, so the matrices are zero by inspection
-    dims = [len(carrier(i)) for i in range(p + 2)]
-    boundaries = {
-        i: SparseMatrix.zero(R, dims[i - 1], dims[i]) for i in range(1, p + 2)
-    }
-    built = ChainComplexWindow(R, dims, boundaries).homology(p)
-    if built.free_rank != closed_dim:
+    def carry(x, left, right):
+        # vertex characters take the values 0 and 1 only
+        weight = R.mul(alpha[A.path_index[right]], beta[A.path_index[left]])
+        return None if R.is_zero(weight) else x
+
+    boundaries = _boundaries(quiver, A.n, R, bases, carry)
+    built = ChainComplexWindow(R, [len(b) for b in bases], boundaries).homology(p)
+    if built.free_rank != len(bases[p]):
         raise HopfCyclError("closed and built coefficient homology disagree")
     return built
 
@@ -509,48 +523,31 @@ def coefficient_homology_skoldberg(
 def path_algebra_hh(quiver: Quiver, grade_cap: int, ring: Ring) -> dict:
     """Per-grade HH_0 and HH_1 of the full path algebra (zero above degree 1).
 
-    Uses the length-1 bimodule resolution: in grade q the complex is
-    k[pairs (nu, arrow) closing up] -> k[cycles of length q], with
-    (nu, a) -> nu.a - a.nu, both read as closed paths.
+    Uses the length-1 bimodule resolution, the degree <= 1 part of the small
+    one: in grade q the complex is k[pairs (nu, arrow) closing up] ->
+    k[cycles of length q], with (nu, a) -> nu.a - a.nu.
     """
     out = {"hh0": {}, "hh1": {}}
     for q in range(grade_cap + 1):
         cycles = [
-            p
+            (p, ("e", quiver.path_src(p)))
             for p in quiver.paths_of_length(q)
             if quiver.path_src(p) == quiver.path_tgt(p)
         ]
-        index = {p: k for k, p in enumerate(cycles)}
         if q == 0:
             out["hh0"][q] = HomologyModule(ring, len(cycles))
             out["hh1"][q] = HomologyModule(ring, 0)
             continue
-        pairs = []
-        for nu in quiver.paths_of_length(q - 1):
-            for a in range(quiver.num_arrows):
-                if (
-                    quiver.path_tgt(nu) == quiver.src[a]
-                    and quiver.tgt[a] == quiver.path_src(nu)
-                ):
-                    pairs.append((nu, a))
-        cols = []
-        for (nu, a) in pairs:
-            col: dict = {}
-            right = quiver.compose(nu, (a,))
-            left = quiver.compose((a,), nu)
-            for path, sign in ((right, +1), (left, -1)):
-                k = index[path]
-                cur = ring.add(col.get(k, ring.zero), ring.one if sign > 0 else ring.neg(ring.one))
-                if ring.is_zero(cur):
-                    col.pop(k, None)
-                else:
-                    col[k] = cur
-            cols.append(col)
-        delta = SparseMatrix.from_columns(ring, len(cycles), cols)
+        pairs = [
+            (nu, (a,))
+            for nu in quiver.paths_of_length(q - 1)
+            for a in range(quiver.num_arrows)
+            if quiver.path_tgt(nu) == quiver.src[a] and quiver.tgt[a] == quiver.path_src(nu)
+        ]
+        # n = 0 marks no truncation; degree 1 does not depend on n
+        delta = _boundaries(quiver, 0, ring, [cycles, pairs], _hochschild_carry(quiver))[1]
         zero_in = SparseMatrix.zero(ring, len(pairs), 0)
-        zero_out0 = SparseMatrix.zero(ring, 0, len(cycles))
-        out["hh0"][q] = homology_at(delta, zero_out0)
-        out["hh1"][q] = homology_at(zero_in, delta)
+        out["hh0"][q], out["hh1"][q] = homology_sequence([delta, zero_in])
     return out
 
 
@@ -589,31 +586,13 @@ def graded_sbi_hc(A: TruncatedPathAlgebra, N: int) -> list[int]:
     back the vertex-algebra cyclic homology (vertex count in even degrees).
     Negative partial sums signal an inconsistent Hochschild table.
     """
-    R = A.ring
-    if not R.contains_rationals:
+    if not A.ring.contains_rationals:
         raise RingWithoutRationals("the graded splitting argument needs Q in the ring")
-    if A.n < 2:
-        raise PreconditionFailed("the small complex needs truncation exponent >= 2")
     v = A.quiver.num_vertices
-    # one small complex for all degrees; dim HH_j = dim C_j - rank D_j - rank D_(j+1),
-    # each rank the sum over the graded blocks, each block ranked once
-    window = _hh_window(A, N + 1)
-    grades = _pair_grades(A, window)
-    ranks = [0] + [
-        sum(
-            rank(block)
-            for block in _graded_blocks(window.boundaries[i], grades[i - 1], grades[i]).values()
-            if block.entries
-        )
-        for i in range(1, N + 2)
-    ]
-    reduced_hh = [
-        window.dims[j] - ranks[j] - ranks[j + 1] - (v if j == 0 else 0) for j in range(N + 1)
-    ]
     out = []
     acc = 0
-    for nn in range(N + 1):
-        acc = reduced_hh[nn] - acc
+    for nn, (total, _) in enumerate(_graded_hh(A, N)):
+        acc = total.free_rank - (v if nn == 0 else 0) - acc
         if acc < 0:
             raise NegativePartialSum(
                 f"reduced cyclic dimension would be {acc} in degree {nn}"
@@ -622,48 +601,26 @@ def graded_sbi_hc(A: TruncatedPathAlgebra, N: int) -> list[int]:
     return out
 
 
-def hc_closed_form_truncated(
-    quiver: Quiver, n: int, p: int, ring: Ring, reading: str = "default"
-) -> int:
+def hc_closed_form_truncated(quiver: Quiver, n: int, p: int, ring: Ring) -> int:
     """dim HC_p of the truncation from the necklace-count formulas.
 
-    Even degrees 2c: #vertices + sum of a_{cn+e} over 0 < e < n, minus the
-    correction sum over cycle lengths r dividing (c+1)n that are not
-    multiples of n (the `alternative` reading replaces that side condition
-    by r not dividing n), each contributing (gcd(r, n) - 1) b_r.  Odd
-    degrees: sum over r | n of (r - 1) b_r.
-
-    The two readings agree on crowns and loops; on quivers where they
-    differ (e.g. the two-loop), the default is the one confirmed by the
-    graded SBI, lambda-quotient and bicomplex engines.
+    HC_2c = #vertices + sum of a_(cn+e) over 0 < e < n, and HC_(2c-1) = sum
+    over the cycle lengths r dividing cn of (gcd(n, r) - 1) b_r.  These follow
+    from `hh_closed_form` by the weight-wise SBI argument (Goodwillie,
+    Topology 1985): over Q the positive weights q carry no periodic part, so
+    HC_(p,q) = HH_(p,q) - HC_(p-1,q), and weight 0 is the vertex algebra.
     """
     if n < 2:
         raise PreconditionFailed("closed formula needs truncation exponent >= 2")
     if not ring.contains_rationals:
         raise RingWithoutRationals("the dimension formulas hold over rings containing Q")
+    c = (p + 1) // 2
     if p % 2 == 1:
-        _, b = cycle_orbit_counts(quiver, n)
-        return sum((r - 1) * b.get(r, 0) for r in range(1, n + 1) if n % r == 0)
-    c = p // 2
-    total = quiver.num_vertices
-    for e in range(1, n):
-        a_q, _ = cycle_orbit_counts(quiver, c * n + e)
-        total += a_q
-    top = (c + 1) * n
-    _, b = cycle_orbit_counts(quiver, top)
-    for r in range(1, top + 1):
-        if top % r != 0:
-            continue
-        if reading == "default":
-            excluded = r % n == 0
-        elif reading == "alternative":
-            excluded = n % r == 0
-        else:
-            raise ValueError("reading must be 'default' or 'alternative'")
-        if excluded:
-            continue
-        total -= (gcd(r, n) - 1) * b.get(r, 0)
-    return total
+        _, b = cycle_orbit_counts(quiver, c * n)
+        return sum((gcd(n, r) - 1) * b[r] for r in b if (c * n) % r == 0)
+    return quiver.num_vertices + sum(
+        cycle_orbit_counts(quiver, c * n + e)[0] for e in range(1, n)
+    )
 
 
 # ---------------------------------------------------------------------------

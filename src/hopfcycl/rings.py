@@ -147,9 +147,6 @@ class Ring:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, k: int):
         if k < 0:
             return self.pow(self.inv(a), -k)
@@ -542,6 +539,12 @@ def primitive_root_of_unity(ring: Ring, m: int):
         return ring.zeta_pow(ring.n // m)
     if m == 2 and ring.characteristic == 0:
         return ring.neg(ring.one)
+    if isinstance(ring, PrimeField) and (ring.m - 1) % m == 0:
+        # x^((p-1)/m) has order dividing m; the first one of order exactly m
+        for x in range(2, ring.m):
+            z = pow(x, (ring.m - 1) // m, ring.m)
+            if all(pow(z, d, ring.m) != 1 for d in range(1, m) if m % d == 0):
+                return z
     raise MissingRootOfUnity(f"{ring} has no primitive {m}-th root of unity")
 
 

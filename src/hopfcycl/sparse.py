@@ -28,7 +28,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .errors import NotAComplex, NotAField, RingMismatch, UnsupportedRing
-from .rings import QQ, ZZ, HomologyModule, IntegersMod, Ring
+from .rings import ZZ, HomologyModule, IntegersMod, Ring
 
 
 class SparseMatrix:
@@ -224,15 +224,6 @@ class SparseMatrix:
             and self.entries == other.entries
         )
 
-    def cast(self, ring: Ring, convert=None):
-        conv = convert or ring.from_int
-        return SparseMatrix(
-            ring,
-            self.nrows,
-            self.ncols,
-            {k: conv(v) for k, v in self.entries.items()},
-        )
-
     def __repr__(self):
         return f"SparseMatrix({self.ring}, {self.nrows}x{self.ncols}, nnz={len(self.entries)})"
 
@@ -344,15 +335,6 @@ def kernel_basis(M: SparseMatrix) -> SparseMatrix:
                 vec[c] = R.neg(R.mul(coeff, R.inv(rows[r][c])))
         columns.append(vec)
     return SparseMatrix.from_columns(R, M.ncols, columns)
-
-
-def rank_over_rationals(M: SparseMatrix) -> int:
-    """Rank of an integer matrix, computed over Q (a Z payload is a Q payload)."""
-    if M.ring == QQ:
-        return rank(M)
-    if M.ring != ZZ:
-        raise UnsupportedRing("rank_over_rationals expects a matrix over Z or Q")
-    return rank(M.cast(QQ))
 
 
 # ---------------------------------------------------------------------------

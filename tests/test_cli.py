@@ -100,6 +100,76 @@ def test_hh_quiver_graded_rows():
     assert doc["rows"][0]["graded"]["0"]["free_rank"] == 2
 
 
+def test_verify_and_report_quiver():
+    code, out = run_cli(["verify", "--quiver", "crown:2", "--max-degree", "2",
+                         "--format", "json"])
+    assert code == 0
+    rows = {row["check"]: row for row in json.loads(out)["rows"]}
+    assert rows["algebra-axioms"]["detail"] == {"associativity": True, "unit": True}
+    assert rows["small-resolution"]["detail"] == {
+        "d_squared_zero": True, "grade_preserving": True, "exact": True,
+    }
+    assert all(row["pass"] for row in rows.values())
+    code, out = run_cli(["report", "--quiver", "crown:2", "--max-degree", "2"])
+    assert code == 0 and out.strip().endswith("PASSED")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hc", "--quiver", "crown:2", "--truncation", "4", "--max-degree", "3",
+         "--compare", "closed"],
+        ["verify", "--taft", "2", "--ring", "F3"],
+        ["verify", "--taft", "2", "--ring", "F5"],
+        ["verify", "--taft", "2", "--ring", "F7"],
+        ["verify", "--taft", "3", "--ring", "F7"],
+        ["cm-hc", "--taft", "3", "--ring", "F7", "--pi", "0", "--alpha", "1",
+         "--beta", "0", "--max-degree", "3", "--compare", "closed"],
+    ],
+    ids=["quiver closed HC", "taft2 F3", "taft2 F5", "taft2 F7", "taft3 F7", "taft3 F7 HC"],
+)
+def test_invocations_that_pass(argv):
+    code, out = run_cli(argv)
+    assert code == 0, out
+    assert out.strip().endswith("PASSED")
+
+
+def count_windows(monkeypatch):
+    import hopfcycl.quivers as quivers
+
+    windows = []
+    build = quivers._hh_window
+
+    def counting(A, p_max):
+        windows.append(p_max)
+        return build(A, p_max)
+
+    monkeypatch.setattr(quivers, "_hh_window", counting)
+    return windows
+
+
+def test_hh_quiver_builds_one_window(monkeypatch):
+    windows = count_windows(monkeypatch)
+    code, _ = run_cli(["hh", "--quiver", "crown:3", "--truncation", "3", "--max-degree", "4"])
+    assert code == 0
+    assert windows == [5]
+
+
+@pytest.mark.parametrize("command", ["hh", "hc"])
+def test_resource_cap_bounds_the_small_complex(monkeypatch, command):
+    # the small complex of crown(3) mod paths of length 3 has 3 pairs in
+    # every degree
+    windows = count_windows(monkeypatch)
+    argv = [command, "--quiver", "crown:3", "--truncation", "3", "--max-degree", "4"]
+    monkeypatch.setenv("HOPFCYCL_MAX_CARRIER", "2")
+    code, out = run_cli(argv)
+    assert code == 2 and "ResourceCap" in out
+    assert windows == []
+    monkeypatch.setenv("HOPFCYCL_MAX_CARRIER", "3")
+    code, _ = run_cli(argv)
+    assert code == 0 and windows == [5]
+
+
 def test_text_rows_name_the_theory():
     code, out = run_cli(["hh", "--quiver", "crown:3", "--truncation", "3"])
     assert code == 0

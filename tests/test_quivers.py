@@ -17,6 +17,7 @@ from hopfcycl import (
     RingWithoutRationals,
     check_cm_triple,
     coefficient_homology_skoldberg,
+    connes_lambda_hc,
     cycle_orbit_counts,
     graded_sbi_hc,
     hc_closed_form_truncated,
@@ -42,6 +43,7 @@ from hopfcycl.errors import MissingRootOfUnity
 from hopfcycl.rings import euler_phi
 
 TWO_LOOP = Quiver(["v"], [("a", 0, 0), ("b", 0, 0)])
+LOOP_AND_ARROW = Quiver(["v", "w"], [("l", 0, 0), ("a", 0, 1)])
 
 
 def moebius(n):
@@ -243,18 +245,12 @@ def test_graded_sbi_matches_closed_form(quiver, n):
     dims = graded_sbi_hc(A, 4)
     closed = [hc_closed_form_truncated(quiver, n, p, QQ) for p in range(5)]
     assert dims == closed
-    # on crowns and loops the alternative reading coincides
-    alt = [hc_closed_form_truncated(quiver, n, p, QQ, reading="alternative") for p in range(5)]
-    assert closed == alt
 
 
 def test_two_loop_arbitrates_the_correction_reading():
-    # the two candidate readings of the even-degree correction differ on the
-    # two-loop quiver; the graded SBI computation picks out the default
     A = truncated_algebra(TWO_LOOP, 2, QQ)
     assert graded_sbi_hc(A, 2) == [3, 1, 5]
     assert [hc_closed_form_truncated(TWO_LOOP, 2, p, QQ) for p in range(3)] == [3, 1, 5]
-    assert hc_closed_form_truncated(TWO_LOOP, 2, 2, QQ, reading="alternative") == 2
 
 
 def test_hc_closed_form_guards():
@@ -262,10 +258,50 @@ def test_hc_closed_form_guards():
         hc_closed_form_truncated(Quiver.crown(2), 1, 0, QQ)
     with pytest.raises(RingWithoutRationals):
         hc_closed_form_truncated(Quiver.crown(2), 2, 0, ZZ)
-    with pytest.raises(ValueError):
-        hc_closed_form_truncated(Quiver.crown(2), 2, 0, QQ, reading="bogus")
     with pytest.raises(RingWithoutRationals):
         graded_sbi_hc(truncated_algebra(Quiver.crown(2), 2, ZZ), 1)
+
+
+# every crown c = 1..6 with n = 2..6, the two-loop and a loop with an
+# outgoing arrow, up to HC_top
+HC_SWEEP = [
+    pytest.param(Quiver.crown(c), n, 5, id=f"crown{c}-n{n}")
+    for c in range(1, 7)
+    for n in range(2, 7)
+] + [
+    pytest.param(TWO_LOOP, 2, 5, id="twoloop-n2"),
+    pytest.param(TWO_LOOP, 3, 5, id="twoloop-n3"),
+    pytest.param(TWO_LOOP, 4, 4, id="twoloop-n4"),
+    pytest.param(LOOP_AND_ARROW, 2, 5, id="looparrow-n2"),
+    pytest.param(LOOP_AND_ARROW, 3, 5, id="looparrow-n3"),
+]
+
+
+@pytest.mark.parametrize("quiver,n,top", HC_SWEEP)
+def test_hc_closed_form_equals_graded_sbi(quiver, n, top):
+    A = truncated_algebra(quiver, n, QQ)
+    assert [hc_closed_form_truncated(quiver, n, p, QQ) for p in range(top + 1)] == (
+        graded_sbi_hc(A, top)
+    )
+
+
+@pytest.mark.parametrize(
+    "quiver,n,top",
+    [
+        pytest.param(Quiver.crown(2), 4, 3, id="crown2-n4"),
+        pytest.param(Quiver.crown(4), 2, 3, id="crown4-n2"),
+        pytest.param(Quiver.crown(2), 6, 2, id="crown2-n6"),
+        pytest.param(Quiver.crown(3), 6, 2, id="crown3-n6"),
+        pytest.param(Quiver.crown(6), 3, 2, id="crown6-n3"),
+        pytest.param(TWO_LOOP, 2, 4, id="twoloop-n2"),
+    ],
+)
+def test_hc_closed_form_equals_the_bar_module(quiver, n, top):
+    # cases where an earlier closed formula failed, against the Connes
+    # quotient complex of the full bar module
+    bar = ClassicalCyclicModule(truncated_algebra(quiver, n, QQ).algebra)
+    for p in range(top + 1):
+        assert connes_lambda_hc(bar, p).free_rank == hc_closed_form_truncated(quiver, n, p, QQ)
 
 
 # -- Taft algebras -----------------------------------------------------------

@@ -119,6 +119,19 @@ def test_primitive_root_of_unity(ring, m):
             assert ring.pow(zeta, d) != ring.one
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_primitive_root_of_unity_over_prime_fields(p):
+    # F_p has a primitive m-th root of unity exactly when m divides p - 1
+    F = PrimeField(p)
+    for m in range(1, p + 2):
+        if (p - 1) % m == 0:
+            zeta = primitive_root_of_unity(F, m)
+            assert [d for d in range(1, m + 1) if F.pow(zeta, d) == F.one] == [m]
+        else:
+            with pytest.raises(MissingRootOfUnity):
+                primitive_root_of_unity(F, m)
+
+
 def test_primitive_root_missing():
     with pytest.raises(MissingRootOfUnity):
         primitive_root_of_unity(QQ, 3)

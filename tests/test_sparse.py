@@ -25,7 +25,6 @@ from hopfcycl import (
     kernel_basis,
     nullity,
     rank,
-    rank_over_rationals,
     smith_normal_form,
 )
 import hopfcycl.sparse as sparse
@@ -33,6 +32,16 @@ from hopfcycl.sparse import _eliminate, _rows_and_colindex, _snf_invariants
 
 F7 = PrimeField(7)
 QZETA3 = CyclotomicField(3)
+
+
+def rank_over_rationals(M):
+    """Rank of an integer matrix, computed over Q (a Z payload is a Q payload)."""
+    if M.ring == QQ:
+        return rank(M)
+    if M.ring != ZZ:
+        raise UnsupportedRing("rank_over_rationals expects a matrix over Z or Q")
+    entries = {k: QQ.from_int(v) for k, v in M.entries.items()}
+    return rank(SparseMatrix(QQ, M.nrows, M.ncols, entries))
 
 
 def dense_rank_oracle(ring, rows):
