@@ -1,11 +1,12 @@
 """Command-line driver.
 
 Subcommands: verify (Hopf + cyclic-module axiom suites), hh (Hochschild
-table), hc / cm-hc (cyclic homology of a twisted module, optionally compared
-against the closed formulas), compare (dual-path comparison for the chosen
-algebra family) and report (everything at once).  Output is a deterministic
-JSON document or an aligned text table; the exit status is 0 exactly when
-every requested comparison passes.
+table), hc (cyclic homology, optionally compared against the closed
+formulas; cm-hc is the same command and compare is hc with --compare closed)
+and report (everything at once).  Each source is sized from its spec and
+checked against the carrier cap before any algebra is built.  Output is a
+deterministic JSON document or an aligned text table; the exit status is 0
+exactly when every requested comparison passes.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import json
 import os
 import sys
 from functools import lru_cache
+from math import factorial
+from operator import attrgetter
 
 from .cyclic import (
-    ClassicalCyclicModule,
     ConnesMoscoviciModule,
     connes_lambda_hc,
     cyclic_bicomplex_hc_upto,
@@ -25,18 +27,12 @@ from .cyclic import (
     verify_cyclic_axioms,
 )
 from .errors import HopfCyclError, ParseError, ResourceCap, UnsupportedCombination
-from .groups import (
-    FiniteGroup,
-    character_from_zeta,
-    closed_hc_cyclic_group,
-    cm_group_module,
-    group_algebra,
-    trivial_character,
-)
+from .groups import FiniteGroup, character_from_zeta, closed_hc_cyclic_group, group_algebra
 from .hopf import GroupLike, check_cm_triple
 from .quivers import (
     Quiver,
     _graded_hh,
+    _resolution_dims,
     _small_complex_dims,
     graded_sbi_hc,
     hc_closed_form_truncated,
@@ -45,8 +41,6 @@ from .quivers import (
     taft_cm_module,
     taft_cm_triples,
     taft_hopf,
-    taft_grouplike,
-    taft_vertex_character,
     truncated_algebra,
 )
 from .rings import CyclotomicField, HomologyModule, parse_ring, primitive_root_of_unity
@@ -98,14 +92,20 @@ def _read_json(path: str):
         raise ParseError(f"cannot read a JSON spec from {path!r}: {exc}") from None
 
 
-def _load_group(args) -> FiniteGroup:
+def _group_spec(args):
+    """(order, build) for --group-file, --group or --trivial (the group
+    cyclic:1): the order the spec declares, and a builder of the group."""
     if args.group_file:
-        return FiniteGroup.from_json(_read_json(args.group_file))
-    spec = args.group
+        obj = _read_json(args.group_file)
+        order = obj.get("cyclic", obj.get("order")) if isinstance(obj, dict) else None
+        return (order if isinstance(order, int) else 1), lambda: FiniteGroup.from_json(obj)
+    spec = args.group or "cyclic:1"
     if spec.startswith("cyclic:"):
-        return FiniteGroup.cyclic(_spec_size(spec))
+        m = _spec_size(spec)
+        return m, lambda: FiniteGroup.cyclic(m)
     if spec.startswith("symmetric:"):
-        return FiniteGroup.symmetric(_spec_size(spec))
+        n = _spec_size(spec)
+        return factorial(max(n, 0)), lambda: FiniteGroup.symmetric(n)
     raise ParseError(f"unknown group spec {spec!r} (use cyclic:M or symmetric:N)")
 
 
@@ -118,13 +118,13 @@ def _load_quiver(args) -> Quiver:
     raise ParseError(f"unknown quiver spec {spec!r} (use crown:N or --quiver-file)")
 
 
-def _quiver_algebra(args, N: int):
+def _quiver_algebra(args, carrier_dims, top: int):
     """The truncated algebra of --quiver or --quiver-file over --ring
-    (default Q), refused when its small complex through degree N + 1 has a
-    carrier above the cap."""
-    A = truncated_algebra(_load_quiver(args), args.truncation, _ring_for(args, "Q"))
-    ensure_within_cap(max(_small_complex_dims(A, N + 1)), 1)
-    return A
+    (default Q), refused before it is built when carrier_dims(quiver,
+    truncation, top) has a carrier above the cap."""
+    quiver, ring = _load_quiver(args), _ring_for(args, "Q")
+    ensure_within_cap(max(carrier_dims(quiver, args.truncation, top)), 1)
+    return truncated_algebra(quiver, args.truncation, ring)
 
 
 def _check_scalar_options(args) -> None:
@@ -142,9 +142,11 @@ def _check_scalar_options(args) -> None:
             raise ParseError(f"--{name} must be an integer selector, got {raw!r}") from None
 
 
-def _taft_hopf_from_args(args):
-    """The Taft algebra of size --taft over --ring (default Q(zeta_n))."""
+def _taft_hopf(args, top: int):
+    """The Taft algebra of size --taft over --ring (default Q(zeta_n)),
+    refused before it is built when its carrier (n^2)^top is above the cap."""
     ring = parse_ring(args.ring) if args.ring else CyclotomicField(args.taft)
+    ensure_within_cap(args.taft**2, top)
     return taft_hopf(args.taft, ring)
 
 
@@ -161,43 +163,31 @@ def _group_character(ring, m, selector):
     return character_from_zeta(ring, m, zeta_pow)
 
 
-def _cm_module_from_args(args):
-    """Build the twisted cyclic module selected by the source flags."""
+def _cm_module(args, top: int):
+    """The twisted cyclic module selected by the source flags and its source
+    for `_closed_hc`, refused before anything is built when its carrier at
+    level top is above the cap."""
+    pi_exp = int(args.pi or 0)
     if args.taft is not None:
-        n = args.taft
-        hopf = _taft_hopf_from_args(args)
-        i = int(args.pi or 0)
-        u = 0 if args.alpha in (None, "eps") else int(args.alpha)
-        v = 0 if args.beta in (None, "eps") else int(args.beta)
-        module = taft_cm_module(hopf, i, u, v, require_valid=not args.allow_invalid)
-        return module, ("taft", n, i, u, v)
-    if args.group or args.group_file:
-        G = _load_group(args)
-        ring = _ring_for(args, "Q")
-        pi_exp = int(args.pi or 0)
-        if args.alpha in (None, "eps") and args.beta in (None, "eps"):
-            module = cm_group_module(G, _pi_element(G, pi_exp), ring)
-        else:
-            if not G.is_cyclic():
-                raise UnsupportedCombination(
-                    "nontrivial characters are only supported for cyclic groups"
-                )
-            alpha = _group_character(ring, G.order, args.alpha)
-            beta = _group_character(ring, G.order, args.beta)
-            hopf = group_algebra(G, ring)
-            triple = check_cm_triple(
-                hopf, GroupLike.from_vector({_pi_element(G, pi_exp): ring.one}),
-                alpha, beta,
-            )
-            module = ConnesMoscoviciModule(
-                hopf, triple, require_valid=not args.allow_invalid
-            )
-        return module, ("group", G, pi_exp)
-    if args.trivial:
-        ring = _ring_for(args, "Q")
-        G = FiniteGroup.cyclic(1)
-        return cm_group_module(G, 0, ring), ("trivial",)
-    raise ParseError("no algebra source given (use --group, --quiver, --taft or --trivial)")
+        hopf = _taft_hopf(args, top)
+        u, v = (0 if s in (None, "eps") else int(s) for s in (args.alpha, args.beta))
+        module = taft_cm_module(hopf, pi_exp, u, v, require_valid=not args.allow_invalid)
+        return module, ("taft", args.taft, pi_exp, u, v)
+    if not (args.group or args.group_file or args.trivial):
+        raise ParseError("no algebra source given (use --group, --quiver, --taft or --trivial)")
+    order, build = _group_spec(args)
+    ring = _ring_for(args, "Q")
+    ensure_within_cap(order, top)
+    G = build()
+    if not G.is_cyclic() and {args.alpha, args.beta} - {None, "eps"}:
+        raise UnsupportedCombination("nontrivial characters are only supported for cyclic groups")
+    pi = GroupLike.from_vector({_pi_element(G, pi_exp): ring.one})
+    alpha, beta = (_group_character(ring, G.order, s) for s in (args.alpha, args.beta))
+    hopf = group_algebra(G, ring)
+    module = ConnesMoscoviciModule(
+        hopf, check_cm_triple(hopf, pi, alpha, beta), require_valid=not args.allow_invalid
+    )
+    return module, ("group", G, pi_exp)
 
 
 def _pi_element(G: FiniteGroup, exponent: int) -> int:
@@ -212,10 +202,6 @@ def _pi_element(G: FiniteGroup, exponent: int) -> int:
     if not 0 <= exponent < G.order:
         raise ParseError(f"grouplike index {exponent} out of range")
     return exponent
-
-
-def _module_dim(module) -> int:
-    return module.level_dim(1)
 
 
 def _hc_table(module, N):
@@ -237,139 +223,97 @@ def _describe(mod: HomologyModule) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    rows = []
-    passed = True
     N = args.max_degree
     if args.quiver or args.quiver_file:
-        A = _quiver_algebra(args, N)
-        axioms = {"associativity": A.algebra.verify_associativity(),
-                  "unit": A.algebra.verify_unit()}
+        A = _quiver_algebra(args, _resolution_dims, N + 1)
+        details = {"algebra-axioms": {"associativity": A.algebra.verify_associativity(),
+                                      "unit": A.algebra.verify_unit()}}
         resolution = skoldberg_resolution(A, N + 1)
-        checks = {k: resolution[k] for k in ("d_squared_zero", "grade_preserving", "exact")
-                  if k in resolution}
-        for name, detail in (("algebra-axioms", axioms), ("small-resolution", checks)):
-            rows.append({"check": name, "detail": detail, "pass": all(detail.values())})
-            passed &= all(detail.values())
+        details["small-resolution"] = {
+            k: resolution[k] for k in ("d_squared_zero", "grade_preserving", "exact")
+            if k in resolution
+        }
+        reports = {}
     elif args.taft is not None:
-        hopf = _taft_hopf_from_args(args)
-        ensure_within_cap(hopf.dim, N + 1)
-        axioms = hopf.verify_axioms()
-        rows.append({"check": "hopf-axioms", "detail": axioms,
-                     "pass": all(axioms.values())})
-        passed &= all(axioms.values())
-        for (i, u, v) in taft_cm_triples(args.taft, hopf.ring):
-            module = taft_cm_module(hopf, i, u, v)
-            rep = verify_cyclic_axioms(module, N)
-            ok = all(rep.values())
-            rows.append({
-                "check": f"cyclic-axioms (pi_{i}, alpha_{u}, alpha_{v})",
-                "failures": sorted(k for k, good in rep.items() if not good),
-                "pass": ok,
-            })
-            passed &= ok
+        hopf = _taft_hopf(args, N + 1)
+        details = {"hopf-axioms": hopf.verify_axioms()}
+        reports = {
+            f"cyclic-axioms (pi_{i}, alpha_{u}, alpha_{v})":
+                verify_cyclic_axioms(taft_cm_module(hopf, i, u, v), N)
+            for i, u, v in taft_cm_triples(args.taft, hopf.ring)
+        }
     else:
-        module, _ = _cm_module_from_args(args)
-        ensure_within_cap(_module_dim(module), N + 1)
-        axioms = module.hopf.verify_axioms()
-        rows.append({"check": "hopf-axioms", "detail": axioms,
-                     "pass": all(axioms.values())})
-        rep = verify_cyclic_axioms(module, N)
-        ok = all(rep.values())
-        rows.append({
-            "check": "cyclic-axioms",
-            "failures": sorted(k for k, good in rep.items() if not good),
-            "pass": ok,
-        })
-        passed &= all(axioms.values()) and ok
-    return {"rows": rows, "passed": passed}
+        module, _ = _cm_module(args, N + 1)
+        details = {"hopf-axioms": module.hopf.verify_axioms()}
+        reports = {"cyclic-axioms": verify_cyclic_axioms(module, N)}
+    rows = [{"check": name, "detail": detail, "pass": all(detail.values())}
+            for name, detail in details.items()]
+    rows += [{"check": name, "failures": sorted(k for k, good in rep.items() if not good),
+              "pass": all(rep.values())} for name, rep in reports.items()]
+    return {"rows": rows, "passed": all(row["pass"] for row in rows)}
 
 
 def _cmd_hh(args) -> dict:
     N = args.max_degree
-    rows = []
     if args.quiver or args.quiver_file:
-        for p, (total, per) in enumerate(_graded_hh(_quiver_algebra(args, N), N)):
-            rows.append({
-                "degree": p, **_describe(total), "provenance": "resolution",
-                "graded": {str(q): _describe(mod) for q, mod in sorted(per.items())},
-            })
+        A = _quiver_algebra(args, _small_complex_dims, N + 1)
+        rows = [{"degree": p, **_describe(total), "provenance": "resolution",
+                 "graded": {str(q): _describe(mod) for q, mod in sorted(per.items())}}
+                for p, (total, per) in enumerate(_graded_hh(A, N))]
     else:
-        module, _ = _cm_module_from_args(args)
-        ensure_within_cap(_module_dim(module), N + 1)
-        for p, h in enumerate(hochschild_homology_upto(module, N)):
-            rows.append({"degree": p, **_describe(h), "provenance": "computed-b-complex"})
+        module, _ = _cm_module(args, N + 1)
+        rows = [{"degree": p, **_describe(h), "provenance": "computed-b-complex"}
+                for p, h in enumerate(hochschild_homology_upto(module, N))]
     return {"rows": rows, "passed": True}
 
 
 def _closed_hc(source, ring, n):
-    kind = source[0]
-    if kind == "taft":
+    """The closed HC_n of a module source, or None where no formula is known."""
+    if source[0] == "taft":
         _, size, i, u, v = source
         return HomologyModule(ring, taft_cm_closed_form(size, i, u, v, n))
-    if kind in ("group", "trivial"):
-        if kind == "trivial":
-            return closed_hc_cyclic_group(ring, 1, n)
-        _, G, pi_exp = source
-        if not G.is_cyclic():
-            return None
-        pi = _pi_element(G, pi_exp)
-        m_pi = G.order // G.element_order(pi)
-        return closed_hc_cyclic_group(ring, m_pi, n)
-    return None
+    _, G, pi_exp = source
+    if not G.is_cyclic():
+        return None
+    m_pi = G.order // G.element_order(_pi_element(G, pi_exp))
+    return closed_hc_cyclic_group(ring, m_pi, n)
 
 
 def _cmd_hc(args) -> dict:
+    """HC_0..N, and with --compare closed one comparison per degree: the
+    dimensions for a quiver, the described modules for a module source."""
     N = args.max_degree
-    rows = []
-    comparisons = []
-    passed = True
+    compare = args.compare == "closed"
     if args.quiver or args.quiver_file:
-        A = _quiver_algebra(args, N)
-        dims = graded_sbi_hc(A, N)
-        for p in range(N + 1):
-            rows.append({"degree": p, **_describe(HomologyModule(A.ring, dims[p])),
-                         "provenance": "graded-sbi"})
-            if args.compare == "closed":
-                closed = hc_closed_form_truncated(A.quiver, A.n, p, A.ring)
-                ok = closed == dims[p]
-                comparisons.append({"degree": p, "left": dims[p], "right": closed,
-                                    "pass": ok})
-                passed &= ok
+        A = _quiver_algebra(args, _small_complex_dims, N + 1)
+        table = [(HomologyModule(A.ring, d), "graded-sbi") for d in graded_sbi_hc(A, N)]
+        closed = [HomologyModule(A.ring, hc_closed_form_truncated(A.quiver, A.n, p, A.ring))
+                  for p in range(N + 1)] if compare else []
+        side = attrgetter("free_rank")
     else:
-        module, source = _cm_module_from_args(args)
-        ensure_within_cap(_module_dim(module), N + 2)
-        if args.compare == "closed":
-            closed_rows = [_closed_hc(source, module.ring, n) for n in range(N + 1)]
-            if any(closed is None for closed in closed_rows):
-                raise UnsupportedCombination("no closed formula available for this source")
-        for n, (computed, provenance) in enumerate(_hc_table(module, N)):
-            rows.append({"degree": n, **_describe(computed), "provenance": provenance})
-            if args.compare == "closed":
-                closed = closed_rows[n]
-                ok = (computed.free_rank, computed.torsion) == (
-                    closed.free_rank, closed.torsion,
-                )
-                comparisons.append({
-                    "degree": n, "left": _describe(computed),
-                    "right": _describe(closed), "pass": ok,
-                })
-                passed &= ok
-    return {"rows": rows, "comparisons": comparisons, "passed": passed}
-
-
-def _cmd_compare(args) -> dict:
-    args.compare = "closed"
-    return _cmd_hc(args)
+        module, source = _cm_module(args, N + 2)
+        closed = [_closed_hc(source, module.ring, n) for n in range(N + 1)] if compare else []
+        if any(c is None for c in closed):
+            raise UnsupportedCombination("no closed formula available for this source")
+        table = _hc_table(module, N)
+        side = _describe
+    rows, comparisons = [], []
+    for n, (computed, provenance) in enumerate(table):
+        rows.append({"degree": n, **_describe(computed), "provenance": provenance})
+        if compare:
+            left, right = side(computed), side(closed[n])
+            comparisons.append({"degree": n, "left": left, "right": right,
+                                "pass": left == right})
+    return {"rows": rows, "comparisons": comparisons,
+            "passed": all(c["pass"] for c in comparisons)}
 
 
 def _cmd_report(args) -> dict:
     verify = _cmd_verify(args)
-    args.compare = args.compare or "closed"
     try:
         hc = _cmd_hc(args)
     except UnsupportedCombination:
-        args.compare = None
-        hc = _cmd_hc(args)
+        hc = _cmd_hc(argparse.Namespace(**{**vars(args), "compare": None}))
     hh = _cmd_hh(args)
     return {
         "verify": verify["rows"],
@@ -390,10 +334,13 @@ def emit_report(table: dict, fmt: str, stream=None) -> None:
         stream.write("\n")
         return
     rows = table.get("rows", [])
-    if rows and "degree" in rows[0]:
-        theory = "HH" if table.get("command") == "hh" else "HC"
-        width = max(len(str(r.get("value", r))) for r in rows)
-        for r in rows:
+    tables = [("HH", table.get("hh")), ("HC", table.get("hc")),
+              ("HH" if table.get("command") == "hh" else "HC", rows)]
+    for theory, degree_rows in tables:
+        if not degree_rows or "degree" not in degree_rows[0]:
+            continue
+        width = max(len(str(r.get("value", r))) for r in degree_rows)
+        for r in degree_rows:
             stream.write(
                 f"  {theory}_{r['degree']:<3} {str(r.get('value', '')):<{width}}"
                 f"  [{r.get('provenance', '')}]\n"
@@ -430,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", help="character selector: eps or an index")
         p.add_argument("--beta", help="character selector: eps or an index")
         p.add_argument("--max-degree", type=int, default=3)
-        p.add_argument("--compare", choices=["closed"], default=None)
+        p.add_argument("--compare", choices=["closed"],
+                       default="closed" if name in ("compare", "report") else None)
         p.add_argument("--allow-invalid", action="store_true",
                        help="build the module even for an inadmissible triple")
         p.add_argument("--format", choices=["json", "text"], default="text")
@@ -442,7 +390,7 @@ COMMANDS = {
     "hh": _cmd_hh,
     "hc": _cmd_hc,
     "cm-hc": _cmd_hc,
-    "compare": _cmd_compare,
+    "compare": _cmd_hc,
     "report": _cmd_report,
 }
 

@@ -34,7 +34,7 @@ from .errors import (
     PreconditionFailed,
     RingWithoutRationals,
 )
-from .hopf import CMTriple, Character, HopfAlgebraData, twisted_antipode
+from .hopf import CMTriple, HopfAlgebraData, twisted_antipode
 from .rings import HomologyModule, Ring
 from .sparse import SparseMatrix, homology_at, homology_sequence, rank
 

@@ -10,15 +10,12 @@ conjugation chi.
 
 from __future__ import annotations
 
-from math import gcd
-
 from .cyclic import (
     ClassicalCyclicModule,
     ConnesMoscoviciModule,
     CyclicModule,
     connes_lambda_hc,
     cyclic_bicomplex_hc,
-    tuple_to_index,
 )
 from .errors import InvalidCharacter, ParseError, PreconditionFailed
 from .hopf import AlgebraData, Character, GroupLike, HopfAlgebraData, check_cm_triple
@@ -27,7 +24,6 @@ from .rings import (
     Ring,
     annihilator_and_quotient,
     free_module,
-    primitive_root_of_unity,
     zero_module,
 )
 from .sparse import SparseMatrix

@@ -12,6 +12,7 @@ evaluated from necklace counts (rotation orbits of cycles).
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd
 
 from .cyclic import ChainComplexWindow
@@ -93,13 +94,18 @@ class Quiver:
     def trivial_path(self, v: int) -> tuple:
         return ("e", v)
 
+    def out_arrows(self) -> list[list[int]]:
+        """The arrows leaving each vertex, by vertex."""
+        out = [[] for _ in range(self.num_vertices)]
+        for a in range(self.num_arrows):
+            out[self.src[a]].append(a)
+        return out
+
     def paths_of_length(self, q: int) -> list[tuple]:
         """All paths with exactly q arrows, in deterministic order."""
         if q == 0:
             return [("e", v) for v in range(self.num_vertices)]
-        out_arrows = [[] for _ in range(self.num_vertices)]
-        for a in range(self.num_arrows):
-            out_arrows[self.src[a]].append(a)
+        out_arrows = self.out_arrows()
         paths = [(a,) for a in range(self.num_arrows)]
         for _ in range(q - 1):
             paths = [p + (a,) for p in paths for a in out_arrows[self.tgt[p[-1]]]]
@@ -213,10 +219,35 @@ def vertex_character(A: TruncatedPathAlgebra, v: int) -> Character:
 # ---------------------------------------------------------------------------
 
 
+def _generator_length(n: int, i: int) -> int:
+    """The length of the degree-i generators: (i//2)*n, plus one when i is odd."""
+    return i // 2 * n + i % 2
+
+
 def _generator_paths(quiver: Quiver, n: int, i: int) -> list[tuple]:
-    """Degree-i generators: paths of length (i//2)*n, plus one when i is odd."""
-    c = i // 2
-    return quiver.paths_of_length(c * n + (i % 2))
+    """Degree-i generators: the paths of length `_generator_length(n, i)`."""
+    return quiver.paths_of_length(_generator_length(n, i))
+
+
+def _path_counts(quiver: Quiver, n: int, i_max: int) -> tuple[list[Counter], Counter]:
+    """(generators, short): generators[i][(s, t)] is the number of degree-i
+    generators from s to t for i = 0..i_max, and short[(s, t)] the number of
+    paths from s to t shorter than n.  Paths are counted, not listed."""
+    # a truncation n < 1 (refused when the algebra is built) has no short
+    # paths, so its lengths only need to be valid indices
+    lengths = [max(_generator_length(n, i), 0) for i in range(i_max + 1)]
+    counts = [Counter({(v, v): 1 for v in range(quiver.num_vertices)})]
+    out_arrows = quiver.out_arrows()
+    for _ in range(max(lengths + [n - 1])):
+        step = Counter()
+        for (s, t), c in counts[-1].items():
+            for a in out_arrows[t]:
+                step[s, quiver.tgt[a]] += c
+        counts.append(step)
+    short = Counter()
+    for q in range(n):
+        short.update(counts[q])
+    return [counts[q] for q in lengths], short
 
 
 def _generator_boundary(quiver: Quiver, n: int, i: int, g: tuple) -> list[tuple]:
@@ -345,17 +376,22 @@ def _closed_pairs(A: TruncatedPathAlgebra, i: int) -> list[tuple]:
     ]
 
 
-def _small_complex_dims(A: TruncatedPathAlgebra, p_max: int) -> list[int]:
-    """The carrier dimensions of `_hh_window(A, p_max)`, counted without
-    building its pairs."""
-    quiver = A.quiver
-    return [
-        sum(
-            len(A.paths_between.get((quiver.path_tgt(g), quiver.path_src(g)), ()))
-            for g in _generator_paths(quiver, A.n, i)
-        )
-        for i in range(p_max + 1)
-    ]
+def _small_complex_dims(quiver: Quiver, n: int, p_max: int) -> list[int]:
+    """The carrier dimensions of `_hh_window` in degrees 0..p_max for the
+    truncation of quiver at n, counted without building the algebra."""
+    generators, short = _path_counts(quiver, n, p_max)
+    return [sum(c * short[t, s] for (s, t), c in gens.items()) for gens in generators]
+
+
+def _resolution_dims(quiver: Quiver, n: int, i_max: int) -> list[int]:
+    """The carrier dimensions of `skoldberg_resolution` in degrees 0..i_max
+    for the truncation of quiver at n, counted without building the algebra."""
+    generators, short = _path_counts(quiver, n, i_max)
+    into, out_of = Counter(), Counter()
+    for (s, t), c in short.items():
+        out_of[s] += c
+        into[t] += c
+    return [sum(c * into[s] * out_of[t] for (s, t), c in gens.items()) for gens in generators]
 
 
 def _hh_window(A: TruncatedPathAlgebra, p_max: int) -> ChainComplexWindow:

@@ -355,7 +355,7 @@ def test_malformed_inputs_are_refused_before_any_algebra(monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("an algebra was built for a malformed input")
 
-    for builder in ("taft_hopf", "truncated_algebra", "cm_group_module", "group_algebra"):
+    for builder in ("taft_hopf", "truncated_algebra", "group_algebra"):
         monkeypatch.setattr(cli, builder, refuse)
     code, out = run_cli(argv + ["--max-degree", "1"])
     assert code == 2
@@ -394,3 +394,80 @@ def test_unreadable_spec_files_are_refused(tmp_path):
         code, out = run_cli([command, flag, str(path), "--max-degree", "1"])
         assert code == 2, (flag, path)
         assert out.startswith("error: ParseError: "), (flag, path)
+
+
+def test_report_text_shows_its_tables():
+    for source in (["--group", "cyclic:2", "--pi", "1"], ["--quiver", "crown:2"]):
+        code, out = run_cli(["report", *source, "--max-degree", "2"])
+        assert code == 0
+        # the tables come first, then the check lines
+        labels = [line.split()[0] for line in out.splitlines()]
+        assert labels[:6] == ["HH_0", "HH_1", "HH_2", "HC_0", "HC_1", "HC_2"], source
+        assert not any(label.startswith(("HH_", "HC_")) for label in labels[6:])
+
+
+def test_allow_invalid_holds_for_every_group_source():
+    argv = ["verify", "--group", "symmetric:3", "--pi", "1", "--max-degree", "2"]
+    code, out = run_cli(argv)
+    assert code == 2 and "triple fails the admissibility condition" in out
+    code, out = run_cli(argv + ["--allow-invalid", "--format", "json"])
+    assert code == 1
+    failures = json.loads(out)["rows"][1]["failures"]
+    assert {"t_1^2 = id", "t_2^3 = id"} <= set(failures)
+    code, out = run_cli(["hc", "--group", "symmetric:3", "--pi", "1", "--allow-invalid",
+                         "--max-degree", "0", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["rows"][0]["value"] == "Q"
+
+
+def test_verify_quiver_bounds_the_resolution(monkeypatch):
+    """The bimodule resolution of crown(3) mod paths of length 3 has 27
+    triples (u, gamma, v) in every degree, its small complex 3 pairs."""
+    import hopfcycl.cli as cli
+
+    argv = ["--quiver", "crown:3", "--truncation", "3", "--max-degree", "4"]
+    monkeypatch.setenv("HOPFCYCL_MAX_CARRIER", "10")
+    code, _ = run_cli(["hh", *argv])
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the resolution was built above the cap")
+
+    monkeypatch.setattr(cli, "truncated_algebra", refuse)
+    code, out = run_cli(["verify", *argv])
+    assert code == 2 and "ResourceCap: carrier dimension 27^1" in out
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["hc", "--group", "cyclic:200", "--max-degree", "1"], None),
+        (["hh", "--group", "symmetric:6", "--max-degree", "1"], None),
+        (["verify", "--group-file", "GROUP", "--max-degree", "1"], "8"),
+        (["verify", "--taft", "12"], None),
+        (["hc", "--taft", "3", "--max-degree", "1"], "100"),
+        (["hh", "--quiver", "crown:200", "--truncation", "2", "--max-degree", "1"], "1"),
+        (["verify", "--quiver", "crown:200", "--max-degree", "1"], "500"),
+    ],
+    ids=["cyclic:200", "symmetric:6", "group file", "taft 12", "taft 3", "crown:200",
+         "verify crown:200"],
+)
+def test_resource_cap_comes_before_any_builder(monkeypatch, tmp_path, argv, cap):
+    import hopfcycl.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an algebra was built above the cap")
+
+    class Refused:
+        cyclic = symmetric = from_json = staticmethod(refuse)
+
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}))
+    for builder in ("taft_hopf", "truncated_algebra", "group_algebra"):
+        monkeypatch.setattr(cli, builder, refuse)
+    monkeypatch.setattr(cli, "FiniteGroup", Refused)
+    if cap is not None:
+        monkeypatch.setenv("HOPFCYCL_MAX_CARRIER", cap)
+    code, out = run_cli([str(group) if a == "GROUP" else a for a in argv])
+    assert code == 2
+    assert out.startswith("error: ResourceCap: ")

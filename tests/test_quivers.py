@@ -401,3 +401,24 @@ def test_graded_sbi_builds_the_small_complex_once(monkeypatch, crown, n):
 def test_graded_sbi_needs_truncation_two():
     with pytest.raises(PreconditionFailed):
         graded_sbi_hc(truncated_algebra(Quiver.crown(2), 1, QQ), 2)
+
+
+BRANCHING = Quiver.from_json({
+    "vertices": ["a", "b"],
+    "arrows": [{"id": "x", "src": "a", "tgt": "a"}, {"id": "y", "src": "a", "tgt": "b"},
+               {"id": "z", "src": "b", "tgt": "a"}],
+})
+
+
+@pytest.mark.parametrize("quiver", [Quiver.crown(1), Quiver.crown(3), BRANCHING],
+                         ids=["crown1", "crown3", "branching"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_counted_carriers_match_the_built_complexes(quiver, n):
+    """The cap sizes a quiver source from path counts; the counts are the
+    carrier dimensions of the complexes that are then built."""
+    from hopfcycl.quivers import _hh_window, _resolution_dims, _small_complex_dims
+
+    A = truncated_algebra(quiver, n, QQ)
+    assert _resolution_dims(quiver, n, 4) == skoldberg_resolution(A, 4)["dims"]
+    window = _hh_window(A, 4)
+    assert _small_complex_dims(quiver, n, 4) == [len(b) for b in window.pair_bases]
