@@ -1,9 +1,9 @@
 """Integer coefficients: Smith normal form and torsion in cyclic homology.
 
-Over Z the lambda-quotient engine is unavailable, but the cyclic bicomplex
-works verbatim and its homology carries torsion, read off the Smith normal
-form of the incoming boundary.  The closed formula for cyclic groups
-predicts exactly which Z/m summands appear.
+Over Z the lambda-quotient engine is unavailable, but the normalized (b, B)
+bicomplex works verbatim and its homology carries torsion, read off the
+Smith normal form of the incoming boundary.  The closed formula for cyclic
+groups predicts exactly which Z/m summands appear.
 
 Run:  python3 demos/05_integer_coefficients.py
 """

@@ -31,6 +31,7 @@ from .groups import FiniteGroup, character_from_zeta, closed_hc_cyclic_group, gr
 from .hopf import GroupLike, check_cm_triple
 from .quivers import (
     Quiver,
+    _algebra_dim,
     _graded_hh,
     _resolution_dims,
     _small_complex_dims,
@@ -118,12 +119,16 @@ def _load_quiver(args) -> Quiver:
     raise ParseError(f"unknown quiver spec {spec!r} (use crown:N or --quiver-file)")
 
 
-def _quiver_algebra(args, carrier_dims, top: int):
+def _quiver_algebra(args, carrier_dims, top: int, table: bool = False):
     """The truncated algebra of --quiver or --quiver-file over --ring
     (default Q), refused before it is built when carrier_dims(quiver,
-    truncation, top) has a carrier above the cap."""
+    truncation, top) has a carrier above the cap, or, for a caller that
+    reads its dim x dim product table (table=True), when dim^2 is."""
     quiver, ring = _load_quiver(args), _ring_for(args, "Q")
     ensure_within_cap(max(carrier_dims(quiver, args.truncation, top)), 1)
+    dim = _algebra_dim(quiver, args.truncation) if table else 0
+    if dim**2 > carrier_cap():
+        raise ResourceCap(f"product table {dim} x {dim} exceeds the cap {carrier_cap()}")
     return truncated_algebra(quiver, args.truncation, ring)
 
 
@@ -225,7 +230,7 @@ def _describe(mod: HomologyModule) -> dict:
 def _cmd_verify(args) -> dict:
     N = args.max_degree
     if args.quiver or args.quiver_file:
-        A = _quiver_algebra(args, _resolution_dims, N + 1)
+        A = _quiver_algebra(args, _resolution_dims, N + 1, table=True)
         details = {"algebra-axioms": {"associativity": A.algebra.verify_associativity(),
                                       "unit": A.algebra.verify_unit()}}
         resolution = skoldberg_resolution(A, N + 1)
@@ -348,6 +353,9 @@ def emit_report(table: dict, fmt: str, stream=None) -> None:
     for r in table.get("verify", []) + [r for r in rows if "check" in r]:
         status = "pass" if r.get("pass") else "FAIL"
         stream.write(f"  {r['check']:<50} {status}\n")
+        if not r.get("pass"):
+            for name in r.get("failures", []):
+                stream.write(f"      {name}\n")
     for c in table.get("comparisons", []):
         status = "pass" if c["pass"] else "FAIL"
         stream.write(f"  degree {c['degree']}: computed vs closed  {status}\n")

@@ -17,20 +17,22 @@ entry.  Two main instances live here:
   tensor power.
 
 On top of the operators sit the homology engines: the Hochschild b-complex,
-the (b, b', 1-t, N) first-quadrant bicomplex (works over Z as well), the
-Connes quotient by the cyclic action (rings containing Q), and the
-rank-bookkeeping checker for the periodicity long exact sequence.
+the total complex of the normalized (b, B) bicomplex (works over Z and F_p
+as well), the Connes quotient by the cyclic action (rings containing Q),
+and the rank-bookkeeping checker for the periodicity long exact sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
+from math import prod
 
 from .errors import (
     IndexOutOfRange,
     NotAComplex,
+    NotAUnit,
     PreconditionFailed,
     RingWithoutRationals,
 )
@@ -54,30 +56,30 @@ def index_to_tuple(idx, d, length):
 
 
 # Operators on tensor powers are assembled by index arithmetic: a basis
-# tensor of length p + 2 + s (or p + s) is the index (A * d + x) * d**s + C
-# with A the index of its first p legs and C that of its last s legs, so an
-# operator acting on the middle legs only moves the middle digit(s).  The
-# structure constants and the unit of an `AlgebraData` hold no zeros, so the
+# tensor is the index (A * dx + x) * D + C with A the index of the legs
+# before leg x and C < D that of the legs after it, so an operator acting
+# on the middle legs only moves the middle digit(s).  The structure
+# constants and the unit of an `AlgebraData` hold no zeros, so the
 # operators built from them skip the constructor's zero check.
 
 
-def _merge_face(ring, d, mult, p, s):
-    """The face multiplying legs p and p + 1 of a tensor of length p + 2 + s:
-    column ((A * d + x) * d + y) * D + C goes to rows (A * d + k) * D + C,
-    D = d**s, with the structure constants mult[x][y][k]."""
-    D = d**s
+def _merge_face(ring, mult, dk, P, D):
+    """The face multiplying two neighbouring legs: column
+    ((A * dx + x) * dy + y) * D + C, for A < P and C < D, goes to rows
+    (A * dk + k) * D + C with the structure constants mult[x][y][k].  The
+    table mult is dx x dy, and dk is the radix of the product leg."""
     # the row offsets k * D and constants of each (x, y), in column order
-    pair_terms = [[(k * D, c) for k, c in mult[x][y].items()] for x in range(d) for y in range(d)]
+    pair_terms = [[(k * D, c) for k, c in v.items()] for row in mult for v in row]
     ent = {}
     col = 0
-    for A in range(d**p):
-        base = A * d * D
+    for A in range(P):
+        base = A * dk * D
         for terms in pair_terms:
             for C in range(base, base + D):
                 for k, c in terms:
                     ent[(k + C, col)] = c
                 col += 1
-    return SparseMatrix._unchecked(ring, d ** (p + 1 + s), col, ent)
+    return SparseMatrix._unchecked(ring, P * dk * D, col, ent)
 
 
 def _insert_unit(ring, d, unit, p, s):
@@ -95,16 +97,95 @@ def _insert_unit(ring, d, unit, p, s):
     return SparseMatrix._unchecked(ring, d ** (p + 1 + s), d ** (p + s), ent)
 
 
+def _alternating_sum(ring, faces, nrows, ncols) -> SparseMatrix:
+    """sum((-1)^i faces[i]), accumulated in one entries dict; the
+    constructor drops the sums that cancelled to zero."""
+    add, sub, neg = ring.add, ring.sub, ring.neg
+    ent: dict = {}
+    get = ent.get
+    for i, face in enumerate(faces):
+        if i % 2 == 0:
+            for k, v in face.entries.items():
+                s = get(k)
+                ent[k] = v if s is None else add(s, v)
+        else:
+            for k, v in face.entries.items():
+                s = get(k)
+                ent[k] = neg(v) if s is None else sub(s, v)
+    return SparseMatrix(ring, nrows, ncols, ent)
+
+
+class _Normalization:
+    """H / k.1 for an algebra H whose unit has a coefficient c* that is a
+    ring unit, at the pivot basis element u*: then H = k.1 (+) span(b_u,
+    u != u*), and the b_u, u != u*, are a basis of the quotient.  `image[x]`
+    is the image of b_x in it: b_x itself for x != u*, and
+    -c*^-1 sum(c_u b_u, u != u*) for u*, since 1 maps to zero.  For a group
+    algebra, whose unit is e, the image of e is zero.  `legs` is the leg
+    basis (digits, mult) of the quotient: digit r stands for the basis
+    element digits[r], and mult[x][y] is the product of digits x and y
+    written in the quotient."""
+
+    def __init__(self, algebra):
+        R = algebra.ring
+        unit = algebra.unit
+        pivot = next((u for u in sorted(unit) if R.is_unit(unit[u])), None)
+        if pivot is None:
+            raise NotAUnit(
+                f"no coefficient of the unit {unit} is invertible in {R}: k.1 does not "
+                "split off, so the normalized complex is not defined"
+            )
+        scale = R.neg(R.inv(unit[pivot]))
+        kept = [u for u in range(algebra.dim) if u != pivot]
+        at = {u: r for r, u in enumerate(kept)}
+        self.image = [
+            {at[u]: R.mul(scale, c) for u, c in unit.items() if u != pivot}
+            if x == pivot else {at[x]: R.one}
+            for x in range(algebra.dim)
+        ]
+        mult = algebra.mult
+        self.legs = (kept, [[self._project(R, mult[x][y]) for y in kept] for x in kept])
+
+    def _project(self, R, vec: dict) -> dict:
+        out: dict = {}
+        for k, c in vec.items():
+            for r, p in self.image[k].items():
+                s = out.get(r)
+                out[r] = R.mul(c, p) if s is None else R.add(s, R.mul(c, p))
+        return {r: c for r, c in out.items() if not R.is_zero(c)}
+
+
 class CyclicModule:
-    """Operator-level view of a cyclic module; subclasses fill in columns."""
+    """Operator-level view of a cyclic module; subclasses fill in columns.
+
+    A module whose carriers are tensor powers of an algebra (`algebra`)
+    builds its faces from legs (`_face_on`): on the algebra's basis they are
+    the faces of C_m, on the basis of H / k.1 in the legs the degeneracies
+    fill (`normalized_legs`) those of the normalized complex.
+    """
 
     ring: Ring
+    # whether the module is cyclic by construction; the normalized complex
+    # checks the laws of t of any other module before it is built
+    cyclic_by_construction = True
 
     def level_dim(self, m: int) -> int:
         raise NotImplementedError
 
-    def _face(self, m: int, i: int) -> SparseMatrix:
+    def normalized_legs(self, m: int) -> list[bool]:
+        """Per leg of the basis tensors of C_m, whether a degeneracy into
+        level m puts the unit there.  The normalized carrier, C_m modulo the
+        degenerate tensors, has as basis the tensors with no pivot digit in
+        those legs."""
         raise NotImplementedError
+
+    def _face_on(self, legs, m: int, i: int) -> SparseMatrix:
+        """Face d_i at level m, with the legs that the degeneracies fill on
+        the leg basis `legs` = (digits, mult)."""
+        raise NotImplementedError
+
+    def _face(self, m: int, i: int) -> SparseMatrix:
+        return self._face_on(self._full_legs, m, i)
 
     def _degeneracy(self, m: int, i: int) -> SparseMatrix:
         raise NotImplementedError
@@ -147,23 +228,8 @@ class CyclicModule:
         return self._memo(("bp", m), lambda: self._alternating_faces(m, m))
 
     def _alternating_faces(self, m: int, count: int) -> SparseMatrix:
-        """sum((-1)^i d_i) over i < count, accumulated in one entries dict;
-        the constructor drops the sums that cancelled to zero."""
-        R = self.ring
-        add, sub, neg = R.add, R.sub, R.neg
-        ent: dict = {}
-        get = ent.get
-        for i in range(count):
-            face = self.face(m, i).entries
-            if i % 2 == 0:
-                for k, v in face.items():
-                    s = get(k)
-                    ent[k] = v if s is None else add(s, v)
-            else:
-                for k, v in face.items():
-                    s = get(k)
-                    ent[k] = neg(v) if s is None else sub(s, v)
-        return SparseMatrix(R, self.level_dim(m - 1), self.level_dim(m), ent)
+        faces = [self.face(m, i) for i in range(count)]
+        return _alternating_sum(self.ring, faces, self.level_dim(m - 1), self.level_dim(m))
 
     def signed_cyclic(self, m: int) -> SparseMatrix:
         t = self.cyclic(m)
@@ -196,6 +262,87 @@ class CyclicModule:
 
         return self._memo(("N", m), build)
 
+    # -- the normalized mixed complex ----------------------------------------
+    @cached_property
+    def _full_legs(self) -> tuple:
+        return range(self.algebra.dim), self.algebra.mult
+
+    @cached_property
+    def _normal(self) -> _Normalization:
+        return _Normalization(self.algebra)
+
+    def normalized_dim(self, m: int) -> int:
+        d = self.algebra.dim
+        return prod(d - 1 if normal else d for normal in self.normalized_legs(m))
+
+    def normalized_b(self, m: int) -> SparseMatrix:
+        """b-bar_m, the projection of b_m on the normalized columns: the
+        alternating face sum built on the normalized legs."""
+        legs = self._normal.legs
+
+        def build():
+            faces = [self._face_on(legs, m, i) for i in range(m + 1)]
+            return _alternating_sum(
+                self.ring, faces, self.normalized_dim(m - 1), self.normalized_dim(m)
+            )
+
+        return self._memo(("b-bar", m), build)
+
+    def normalized_B(self, m: int) -> SparseMatrix:
+        """B-bar_m: the projection of t_(m+1) s_m N_m on the normalized columns.
+
+        Connes' B is (1 - lambda) s N with the extra degeneracy
+        s = (-1)^(m+1) t_(m+1) s_m.  On normalized chains lambda s N drops
+        out, since t^2 s_m = s_0 t is degenerate; s_m is used here without
+        the sign, so that b-bar B-bar = -B-bar b-bar and b-bar + B-bar
+        squares to zero.  N_m is applied to the normalized columns only.
+        """
+
+        def build():
+            R = self.ring
+            d = self.algebra.dim
+            kept = self._normal.legs[0]
+            choices = [kept if normal else range(d) for normal in self.normalized_legs(m)]
+            columns = {(tuple_to_index(t, d), j): R.one for j, t in enumerate(product(*choices))}
+            term = total = SparseMatrix._unchecked(
+                R, self.level_dim(m), self.normalized_dim(m), columns
+            )
+            lam = self.signed_cyclic(m)
+            for _ in range(m):
+                term = lam @ term
+                total = total + term
+            image = self.cyclic(m + 1) @ (self.degeneracy(m, m) @ total)
+            return self._normalize_rows(image, m + 1)
+
+        return self._memo(("B-bar", m), build)
+
+    def _normalize_rows(self, M: SparseMatrix, m: int) -> SparseMatrix:
+        """M with its rows, basis tensors of C_m, projected to the normalized
+        carrier leg by leg."""
+        R = self.ring
+        mul, add = R.mul, R.add
+        d = self.algebra.dim
+        image = self._normal.image
+        flags = self.normalized_legs(m)
+        rows: dict = {}
+        ent: dict = {}
+        for (row, col), v in M.entries.items():
+            terms = rows.get(row)
+            if terms is None:
+                terms = [(0, R.one)]
+                for x, normal in zip(index_to_tuple(row, d, len(flags)), flags):
+                    if normal:
+                        terms = [(i * (d - 1) + r, mul(c, p))
+                                 for i, c in terms for r, p in image[x].items()]
+                    else:
+                        terms = [(i * d + x, c) for i, c in terms]
+                rows[row] = terms
+            for r, p in terms:
+                key = (r, col)
+                s = ent.get(key)
+                ent[key] = mul(v, p) if s is None else add(s, mul(v, p))
+        return SparseMatrix(R, self.normalized_dim(m), M.ncols, ent)
+
 
 # ---------------------------------------------------------------------------
 # the Connes-Moscovici cyclic module of a Hopf algebra
@@ -225,7 +372,9 @@ class ConnesMoscoviciModule(CyclicModule):
                 "triple fails the admissibility condition: " + "; ".join(triple.failures)
             )
         self.hopf = hopf
+        self.algebra = hopf.algebra
         self.triple = triple
+        self.cyclic_by_construction = triple.valid
         self.ring = hopf.ring
         self.alpha = triple.alpha
         self.beta = triple.beta
@@ -234,6 +383,10 @@ class ConnesMoscoviciModule(CyclicModule):
 
     def level_dim(self, m: int) -> int:
         return self.hopf.dim**m if m else 1
+
+    def normalized_legs(self, m: int) -> list[bool]:
+        # s_i inserts the unit after the first i legs, i = 0..m-1: every leg
+        return [True] * m
 
     @cached_property
     def _s_pi_cols(self) -> list[dict]:
@@ -305,23 +458,24 @@ class ConnesMoscoviciModule(CyclicModule):
             closing.append(out_row)
         return closing
 
-    def _face(self, m, i):
+    def _face_on(self, legs, m, i):
         R = self.ring
-        d = self.hopf.dim
+        digits, mult = legs
+        d = len(digits)
         if 0 < i < m:
-            return _merge_face(R, d, self.hopf.algebra.mult, i - 1, m - 1 - i)
+            return _merge_face(R, mult, d, d ** (i - 1), d ** (m - 1 - i))
         D = d ** (m - 1)
         ent = {}
         if i == 0:
             # column a * D + c goes to row c with alpha(a), for alpha(a) != 0
-            for a in range(d):
-                c = self.alpha(a)
+            for a, x in enumerate(digits):
+                c = self.alpha(x)
                 if not R.is_zero(c):
                     for row in range(D):
                         ent[(row, a * D + row)] = c
         else:
             # column c * d + b goes to row c with beta(b), for beta(b) != 0
-            betas = [(b, c) for b in range(d) if not R.is_zero(c := self.beta(b))]
+            betas = [(b, c) for b, x in enumerate(digits) if not R.is_zero(c := self.beta(x))]
             for row in range(D):
                 for b, c in betas:
                     ent[(row, row * d + b)] = c
@@ -405,25 +559,35 @@ class ClassicalCyclicModule(CyclicModule):
     def level_dim(self, m: int) -> int:
         return self.algebra.dim ** (m + 1)
 
-    def _face(self, m, i):
+    def normalized_legs(self, m: int) -> list[bool]:
+        # s_i inserts the unit after the first i + 1 legs: all but the first
+        return [False] + [True] * m
+
+    def _face_on(self, legs, m, i):
+        # the first leg, which no degeneracy fills, stays on the algebra's basis
         R = self.ring
         d = self.algebra.dim
         mult = self.algebra.mult
+        digits, legs_mult = legs
+        e = len(digits)
+        if i == 0:
+            first = [[mult[x][y] for y in digits] for x in range(d)]
+            return _merge_face(R, first, d, 1, e ** (m - 1))
         if i < m:
-            return _merge_face(R, d, mult, i, m - 1 - i)
-        # the last face multiplies t[m] . t[0]: column (x * E + B) * d + y
-        # goes to rows k * E + B for k in mult[y][x], E = d**(m - 1)
-        E = d ** (m - 1)
+            return _merge_face(R, legs_mult, e, d * e ** (i - 1), e ** (m - 1 - i))
+        # the last face multiplies t[m] . t[0]: column (x * E + B) * e + y
+        # goes to rows k * E + B for k in mult[y][x], E = e**(m - 1)
+        E = e ** (m - 1)
         ent = {}
         col = 0
         for x in range(d):
-            terms = [[(k * E, c) for k, c in mult[y][x].items()] for y in range(d)]
+            terms = [[(k * E, c) for k, c in mult[y][x].items()] for y in digits]
             for B in range(E):
                 for y_terms in terms:
                     for k, c in y_terms:
                         ent[(k + B, col)] = c
                     col += 1
-        return SparseMatrix(R, d**m, d ** (m + 1), ent)
+        return SparseMatrix._unchecked(R, d * E, col, ent)
 
     def _degeneracy(self, m, i):
         return _insert_unit(self.ring, self.algebra.dim, self.algebra.unit, i + 1, m - i)
@@ -500,69 +664,68 @@ def hochschild_homology_upto(module: CyclicModule, N: int) -> list[HomologyModul
     return homology_sequence(module.boundary_b(m) for m in range(1, N + 2))
 
 
-# -- cyclic bicomplex --------------------------------------------------------
+# -- normalized (b, B) bicomplex ---------------------------------------------
 
 
-def _total_dim(module, n):
-    return sum(module.level_dim(q) for q in range(n + 1))
-
-
-def _total_boundary(module: CyclicModule, n: int) -> SparseMatrix:
-    """D: Tot_n -> Tot_(n-1) of the (b, b', 1-lambda, N) bicomplex.
-
-    Column p of the bicomplex carries b (p even) or -b' (p odd); the
-    horizontal map out of an odd column is 1 - lambda and out of a positive
-    even column is the norm N.  With the signed cyclic operator the squares
-    anticommute, so the total boundary is the plain block sum.
-    """
-    R = module.ring
-    # block (p, q) with p + q = n, laid out p = 0..n; same for the target
-    src_off, off = [], 0
-    for p in range(n + 1):
-        src_off.append(off)
-        off += module.level_dim(n - p)
-    src_total = off
-    tgt_off, off = [], 0
-    for p in range(n):
-        tgt_off.append(off)
-        off += module.level_dim(n - 1 - p)
-    tgt_total = off
+def _mixed_boundary(module: CyclicModule, n: int) -> SparseMatrix:
+    """D_n = b-bar + B-bar: Tot_n -> Tot_(n-1) of the normalized (b, B)
+    bicomplex, Tot_n = C-bar_n (+) C-bar_(n-2) (+) ...  Block k of Tot_n,
+    C-bar_(n-2k), goes by b-bar to block k of Tot_(n-1) and by B-bar to
+    block k - 1; no two blocks share an entry."""
+    # the offsets of the blocks of Tot_n and Tot_(n-1), and their dimensions last
+    src, tgt = (list(accumulate((module.normalized_dim(m) for m in range(top, -1, -2)), initial=0))
+                for top in (n, n - 1))
     ent: dict = {}
+    for k, m in enumerate(range(n, -1, -2)):
+        blocks = []
+        if m >= 1:
+            blocks.append((module.normalized_b(m), tgt[k]))
+        if k >= 1:
+            blocks.append((module.normalized_B(m), tgt[k - 1]))
+        col0 = src[k]
+        for block, row0 in blocks:
+            for (i, j), v in block.entries.items():
+                ent[(row0 + i, col0 + j)] = v
+    return SparseMatrix._unchecked(module.ring, tgt[-1], src[-1], ent)
 
-    def insert(block: SparseMatrix, row0: int, col0: int):
-        for (i, j), v in block.entries.items():
-            key = (row0 + i, col0 + j)
-            s = R.add(ent.get(key, R.zero), v)
-            if R.is_zero(s):
-                ent.pop(key, None)
-            else:
-                ent[key] = s
 
-    for p in range(n + 1):
-        q = n - p
-        if q >= 1:
-            vert = module.boundary_b(q) if p % 2 == 0 else -module.boundary_bprime(q)
-            insert(vert, tgt_off[p], src_off[p])
-        if p >= 1:
-            horiz = module.one_minus_lambda(q) if p % 2 == 1 else module.norm(q)
-            insert(horiz, tgt_off[p - 1], src_off[p])
-    return SparseMatrix(R, tgt_total, src_total, ent)
+def _failing_laws(module: CyclicModule, top: int) -> list[str]:
+    """The laws of t with itself, the faces and the degeneracies through
+    level top that the module breaks."""
+    return sorted(name for name, good in _cyclic_laws(module, top).items() if not good)
+
+
+def _require_cyclic(module: CyclicModule, top: int) -> None:
+    """Refuse a module that is not cyclic through level top, where the
+    normalized complex would not compute HC.  A module built from an
+    admissible triple is cyclic, and skips the check."""
+    if module.cyclic_by_construction:
+        return
+    failures = _failing_laws(module, top)
+    if failures:
+        raise PreconditionFailed(
+            f"the module is not cyclic through level {top} ({', '.join(failures)} fail), "
+            "so the (b, B) bicomplex does not compute HC"
+        )
 
 
 def cyclic_bicomplex_hc(module: CyclicModule, n: int) -> HomologyModule:
-    """HC_n as homology of the total complex of the cyclic bicomplex."""
-    d_in = _total_boundary(module, n + 1)
+    """HC_n as homology of the total complex of the normalized (b, B)
+    bicomplex (Loday, Cyclic Homology, 2.1.8), over any ground ring."""
+    _require_cyclic(module, n + 1)
+    d_in = _mixed_boundary(module, n + 1)
     if n == 0:
-        d_out = SparseMatrix.zero(module.ring, 0, _total_dim(module, 0))
+        d_out = SparseMatrix.zero(module.ring, 0, module.normalized_dim(0))
     else:
-        d_out = _total_boundary(module, n)
+        d_out = _mixed_boundary(module, n)
     return homology_at(d_in, d_out)
 
 
 def cyclic_bicomplex_hc_upto(module: CyclicModule, N: int) -> list[HomologyModule]:
     """HC_0..HC_N from the total complex, each total boundary built and
     reduced once (`cyclic_bicomplex_hc` per degree builds D_n and D_(n+1))."""
-    return homology_sequence(_total_boundary(module, k) for k in range(1, N + 2))
+    _require_cyclic(module, N + 1)
+    return homology_sequence(_mixed_boundary(module, k) for k in range(1, N + 2))
 
 
 # -- Connes quotient complex -------------------------------------------------
@@ -580,9 +743,12 @@ def connes_lambda_hc(module: CyclicModule, n: int) -> HomologyModule:
 
     The formula needs t_m^(m+1) = id on every level m <= n; it refuses a
     module that is not cyclic there (an inadmissible triple), where it
-    would return a meaningless, possibly negative, dimension.  The ranks and
-    the level checks are cached on the module, so neighbouring degrees share
-    the augmented rank they have in common.
+    would return a meaningless, possibly negative, dimension.  A negative
+    dimension, which a module whose faces and degeneracies do not commute
+    with t can give although t^(m+1) = id holds, is refused as well, with
+    the laws it breaks.  The ranks and the level checks are cached on the
+    module, so neighbouring degrees share the augmented rank they have in
+    common.
     """
     R = module.ring
     if not R.contains_rationals:
@@ -600,7 +766,13 @@ def connes_lambda_hc(module: CyclicModule, n: int) -> HomologyModule:
     if n == 0:
         return HomologyModule(R, dim_n - r_in)
     r_w = module._memo(("rank 1-lambda", n - 1), lambda: rank(module.one_minus_lambda(n - 1)))
-    return HomologyModule(R, dim_n + r_w - _augmented_rank(module, n) - r_in)
+    dim = dim_n + r_w - _augmented_rank(module, n) - r_in
+    if dim < 0:
+        raise PreconditionFailed(
+            f"the quotient complex gives dimension {dim} for HC_{n}: the module is not "
+            f"cyclic through level {n + 1} ({', '.join(_failing_laws(module, n + 1))} fail)"
+        )
+    return HomologyModule(R, dim)
 
 
 def _augmented_rank(module: CyclicModule, m: int) -> int:
@@ -650,9 +822,6 @@ def verify_cyclic_axioms(module: CyclicModule, N: int) -> dict[str, bool]:
         report[name] = lhs == rhs
 
     for m in range(N + 1):
-        t = module.cyclic(m)
-        report[f"t_{m}^{m + 1} = id"] = _cyclic_order_holds(module, m)
-
         if m >= 2:
             for j in range(m + 1):
                 for i in range(j):
@@ -662,15 +831,6 @@ def verify_cyclic_axioms(module: CyclicModule, N: int) -> dict[str, bool]:
                         module.face(m - 1, i) @ module.face(m, j),
                         module.face(m - 1, j - 1) @ module.face(m, i),
                     )
-        if m >= 1:
-            # cyclic-face compatibility
-            check(f"d_0 t (level {m})", module.face(m, 0) @ t, module.face(m, m))
-            for i in range(1, m + 1):
-                check(
-                    f"d_{i} t (level {m})",
-                    module.face(m, i) @ t,
-                    module.cyclic(m - 1) @ module.face(m, i - 1),
-                )
         for j in range(m + 1):
             for i in range(j + 1):
                 # s_i s_j = s_(j+1) s_i for i <= j
@@ -696,18 +856,32 @@ def verify_cyclic_axioms(module: CyclicModule, N: int) -> dict[str, bool]:
                         )
                     if rhs is not None:
                         check(f"d_{i} s_{j} (level {m - 1})", lhs, rhs)
+    report.update(_cyclic_laws(module, N))
+    return report
+
+
+def _cyclic_laws(module: CyclicModule, N: int) -> dict[str, bool]:
+    """t^(m+1) = id and the compatibilities of t with the faces and the
+    degeneracies, for every level m <= N; no operator above level N is
+    built."""
+    report: dict[str, bool] = {}
+    for m in range(N + 1):
+        t = module.cyclic(m)
+        report[f"t_{m}^{m + 1} = id"] = _cyclic_order_holds(module, m)
+        if m >= 1:
+            report[f"d_0 t (level {m})"] = module.face(m, 0) @ t == module.face(m, m)
+            for i in range(1, m + 1):
+                report[f"d_{i} t (level {m})"] = (
+                    module.face(m, i) @ t == module.cyclic(m - 1) @ module.face(m, i - 1)
+                )
             # cyclic-degeneracy compatibility on level m - 1
             tm1 = module.cyclic(m - 1)
-            check(
-                f"s_0 t (level {m - 1})",
-                module.degeneracy(m - 1, 0) @ tm1,
-                t @ t @ module.degeneracy(m - 1, m - 1),
+            report[f"s_0 t (level {m - 1})"] = (
+                module.degeneracy(m - 1, 0) @ tm1 == t @ t @ module.degeneracy(m - 1, m - 1)
             )
             for i in range(1, m):
-                check(
-                    f"s_{i} t (level {m - 1})",
-                    module.degeneracy(m - 1, i) @ tm1,
-                    t @ module.degeneracy(m - 1, i - 1),
+                report[f"s_{i} t (level {m - 1})"] = (
+                    module.degeneracy(m - 1, i) @ tm1 == t @ module.degeneracy(m - 1, i - 1)
                 )
     return report
 

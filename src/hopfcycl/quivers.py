@@ -13,6 +13,7 @@ evaluated from necklace counts (rotation orbits of cycles).
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from math import gcd
 
 from .cyclic import ChainComplexWindow
@@ -177,6 +178,14 @@ class TruncatedPathAlgebra:
         self.paths_between: dict[tuple[int, int], list[tuple]] = {}
         for p in basis:
             self.paths_between.setdefault((quiver.path_src(p), quiver.path_tgt(p)), []).append(p)
+
+    @cached_property
+    def algebra(self) -> AlgebraData:
+        """The algebra on the path basis, with its dim x dim product table;
+        built on first use, since the resolution and the small complex work
+        on paths and never read the table."""
+        quiver, n, ring = self.quiver, self.n, self.ring
+        basis = self.basis_paths
         mult = []
         for p in basis:
             row = []
@@ -194,11 +203,11 @@ class TruncatedPathAlgebra:
                 labels.append(quiver.vertex_labels[p[1]])
             else:
                 labels.append("*".join(quiver.arrow_labels[a] for a in p))
-        self.algebra = AlgebraData(ring, labels, mult, unit)
+        return AlgebraData(ring, labels, mult, unit)
 
     @property
     def dim(self) -> int:
-        return self.algebra.dim
+        return len(self.basis_paths)
 
 
 def truncated_algebra(quiver: Quiver, n: int, ring: Ring) -> TruncatedPathAlgebra:
@@ -381,6 +390,12 @@ def _small_complex_dims(quiver: Quiver, n: int, p_max: int) -> list[int]:
     truncation of quiver at n, counted without building the algebra."""
     generators, short = _path_counts(quiver, n, p_max)
     return [sum(c * short[t, s] for (s, t), c in gens.items()) for gens in generators]
+
+
+def _algebra_dim(quiver: Quiver, n: int) -> int:
+    """The dimension of the truncation of quiver at n, counted without
+    building the algebra."""
+    return sum(_path_counts(quiver, n, 0)[1].values())
 
 
 def _resolution_dims(quiver: Quiver, n: int, i_max: int) -> list[int]:

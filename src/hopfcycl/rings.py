@@ -510,14 +510,16 @@ _RING_RE = re.compile(r"^(Z|Q|Z/(\d+)|F(\d+)|Q\(zeta(\d+)\))$")
 
 
 def parse_ring(spec: str) -> Ring:
-    """Parse a ring spec string: "Z", "Q", "Z/4", "F7", "Q(zeta3)"."""
+    """Parse a ring spec string: "Z", "Q", "Z/4", "F7", "Q(zeta3)".  Z/p of a
+    prime p is the field F_p."""
     m = _RING_RE.match(spec.strip())
     if not m:
         raise ParseError(f"cannot parse ring spec {spec!r}")
     if m.group(2):
-        if int(m.group(2)) < 2:
+        modulus = int(m.group(2))
+        if modulus < 2:
             raise ParseError(f"ring spec {spec!r}: the modulus must be >= 2")
-        return Zmod(int(m.group(2)))
+        return GF(modulus) if _is_prime(modulus) else Zmod(modulus)
     if m.group(3):
         if not _is_prime(int(m.group(3))):
             raise ParseError(f"ring spec {spec!r}: F_p needs a prime p")

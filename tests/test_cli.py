@@ -448,9 +448,10 @@ def test_verify_quiver_bounds_the_resolution(monkeypatch):
         (["hc", "--taft", "3", "--max-degree", "1"], "100"),
         (["hh", "--quiver", "crown:200", "--truncation", "2", "--max-degree", "1"], "1"),
         (["verify", "--quiver", "crown:200", "--max-degree", "1"], "500"),
+        (["verify", "--quiver", "crown:200", "--truncation", "2", "--max-degree", "0"], None),
     ],
     ids=["cyclic:200", "symmetric:6", "group file", "taft 12", "taft 3", "crown:200",
-         "verify crown:200"],
+         "verify crown:200", "crown:200 product table"],
 )
 def test_resource_cap_comes_before_any_builder(monkeypatch, tmp_path, argv, cap):
     import hopfcycl.cli as cli
@@ -471,3 +472,68 @@ def test_resource_cap_comes_before_any_builder(monkeypatch, tmp_path, argv, cap)
     code, out = run_cli([str(group) if a == "GROUP" else a for a in argv])
     assert code == 2
     assert out.startswith("error: ResourceCap: ")
+
+
+def test_hc_refuses_a_module_whose_laws_fail():
+    """An inadmissible triple whose t^(m+1) = id holds at level 1, but whose
+    faces and degeneracies do not commute with t: refused, not a traceback,
+    by the quotient complex over Q(zeta3) and the bicomplex over F7."""
+    argv = ["hc", "--group", "cyclic:3", "--alpha", "1", "--beta", "2", "--pi", "1",
+            "--max-degree", "1", "--allow-invalid"]
+    for ring in ("Q(zeta3)", "F7"):
+        code, out = run_cli(argv + ["--ring", ring])
+        assert code == 2, ring
+        assert out.startswith("error: PreconditionFailed: ") and "d_0 t (level 1)" in out, ring
+
+
+def test_verify_text_names_the_failing_laws():
+    code, out = run_cli(["verify", "--group", "symmetric:3", "--pi", "1", "--allow-invalid",
+                         "--max-degree", "2"])
+    assert code == 1
+    lines = out.splitlines()
+    at = next(i for i, line in enumerate(lines) if "cyclic-axioms" in line)
+    assert lines[at].split()[-1] == "FAIL"
+    assert [line.strip() for line in lines[at + 1:at + 3]] == ["t_1^2 = id", "t_2^3 = id"]
+    assert lines[at + 1].startswith("      ")
+
+
+def test_prime_modulus_is_the_prime_field():
+    code, out = run_cli(["hc", "--group", "cyclic:3", "--ring", "Z/3", "--max-degree", "2",
+                         "--compare", "closed", "--format", "json"])
+    assert code == 0
+    assert [r["value"] for r in json.loads(out)["rows"]] == ["F3", "F3", "F3^2"]
+    code, out = run_cli(["hc", "--group", "cyclic:2", "--ring", "Z/4", "--max-degree", "1"])
+    assert code == 2 and out.startswith("error: UnsupportedRing: ")
+
+
+def test_hc_over_z_reduces_the_normalized_total_complex(monkeypatch):
+    """D_5 of Z[Z/4] maps Tot_5 = C_5 + C_3 + C_1 to Tot_4 = C_4 + C_2 + C_0 of
+    the normalized complex, (4 - 1)^m per level: 91 x 273.  The
+    (b, b', 1 - lambda, N) bicomplex reduced 341 x 1365 there."""
+    shapes = []
+    reduce = sparse.smith_normal_form
+
+    def recording(M):
+        shapes.append((M.nrows, M.ncols))
+        return reduce(M)
+
+    monkeypatch.setattr(sparse, "smith_normal_form", recording)
+    code, _ = run_cli(["hc", "--group", "cyclic:4", "--ring", "Z", "--pi", "0",
+                       "--max-degree", "4", "--format", "json"])
+    assert code == 0
+    assert max(shapes, key=lambda shape: shape[0] * shape[1]) == (91, 273)
+
+
+def test_hh_on_paths_builds_no_product_table(monkeypatch):
+    """The small complex works on paths: crown(200) mod paths of length 2
+    computes HH without the 400 x 400 product table of the algebra."""
+    import hopfcycl.quivers as quivers
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the product table was built")
+
+    monkeypatch.setattr(quivers, "AlgebraData", refuse)
+    code, out = run_cli(["hh", "--quiver", "crown:200", "--truncation", "2",
+                         "--max-degree", "1", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["rows"][0]["free_rank"] == 200

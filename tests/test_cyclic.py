@@ -23,6 +23,7 @@ from hopfcycl import (
     cm_group_module,
     connes_lambda_hc,
     cyclic_bicomplex_hc,
+    cyclic_bicomplex_hc_upto,
     group_algebra,
     hochschild_homology,
     hochschild_homology_upto,
@@ -37,6 +38,7 @@ from hopfcycl import (
     verify_cyclic_axioms,
 )
 from hopfcycl.cyclic import index_to_tuple, tuple_to_index
+from hopfcycl.sparse import homology_sequence
 
 
 @given(d=st.integers(2, 5), length=st.integers(0, 5), data=st.data())
@@ -673,3 +675,145 @@ def test_closing_table_cuts_cyclotomic_products(monkeypatch):
     (new, t3), (old, reference_t3) = products_for_t3(module), products_for_t3(reference)
     assert t3 == reference_t3
     assert 5 * new <= old, (new, old)
+
+
+# -- the normalized (b, B) bicomplex against the (b, b', 1-lambda, N) one -----
+
+
+def reference_total_boundary(module, n):
+    """D: Tot_n -> Tot_(n-1) of the (b, b', 1-lambda, N) bicomplex: column p
+    carries b (p even) or -b' (p odd); the horizontal map out of an odd
+    column is 1 - lambda and out of a positive even column the norm N.  The
+    engine before the normalized complex, kept as the reference."""
+    R = module.ring
+    src_off, off = [], 0
+    for p in range(n + 1):
+        src_off.append(off)
+        off += module.level_dim(n - p)
+    src_total = off
+    tgt_off, off = [], 0
+    for p in range(n):
+        tgt_off.append(off)
+        off += module.level_dim(n - 1 - p)
+    tgt_total = off
+    ent = {}
+
+    def insert(block, row0, col0):
+        for (i, j), v in block.entries.items():
+            key = (row0 + i, col0 + j)
+            s = R.add(ent.get(key, R.zero), v)
+            if R.is_zero(s):
+                ent.pop(key, None)
+            else:
+                ent[key] = s
+
+    for p in range(n + 1):
+        q = n - p
+        if q >= 1:
+            vert = module.boundary_b(q) if p % 2 == 0 else -module.boundary_bprime(q)
+            insert(vert, tgt_off[p], src_off[p])
+        if p >= 1:
+            horiz = module.one_minus_lambda(q) if p % 2 == 1 else module.norm(q)
+            insert(horiz, tgt_off[p - 1], src_off[p])
+    return SparseMatrix(R, tgt_total, src_total, ent)
+
+
+def reference_bicomplex_hc(module, N):
+    return homology_sequence(reference_total_boundary(module, k) for k in range(1, N + 2))
+
+
+def described(mods):
+    return [(h.free_rank, h.torsion) for h in mods]
+
+
+def bicomplex_cases():
+    cases = []
+    for ring in (ZZ, PrimeField(2), PrimeField(3)):
+        for m, top in ((2, 4), (3, 4), (4, 3), (5, 2)):
+            cases += [(f"{ring.name}[Z/{m}] pi={pi}", top,
+                       lambda m=m, pi=pi, ring=ring: cm_group_module(FiniteGroup.cyclic(m), pi, ring))
+                      for pi in range(m)]
+        if ring != PrimeField(3):
+            cases.append((f"{ring.name}[S3] pi=e", 2,
+                          lambda ring=ring: cm_group_module(FiniteGroup.symmetric(3), 0, ring)))
+    for n, p, top in ((2, 3, 3), (2, 5, 3), (3, 7, 2)):
+        cases += [(f"Taft-{n} {triple} over F{p}", top,
+                   lambda n=n, p=p, triple=triple: taft_cm_module(taft_hopf(n, PrimeField(p)), *triple))
+                  for triple in taft_cm_triples(n, PrimeField(p))]
+    for c in (1, 2):
+        cases.append((f"classical crown({c}) n=2 over Z", 2,
+                      lambda c=c: ClassicalCyclicModule(truncated_algebra(Quiver.crown(c), 2, ZZ).algebra)))
+    return cases
+
+
+@pytest.mark.parametrize("case", bicomplex_cases(), ids=lambda case: case[0])
+def test_normalized_bicomplex_matches_the_reference(case):
+    _, top, build = case
+    module = build()
+    assert described(cyclic_bicomplex_hc_upto(module, top)) == described(
+        reference_bicomplex_hc(module, top)
+    )
+
+
+def projected_boundary(module, m):
+    """P b_m J: the full boundary on the normalized columns, its rows
+    projected, for comparison with the directly built b-bar."""
+    from itertools import product
+
+    d = module.algebra.dim
+    kept = module._normal.legs[0]
+    choices = [kept if normal else range(d) for normal in module.normalized_legs(m)]
+    columns = {(tuple_to_index(t, d), j): module.ring.one for j, t in enumerate(product(*choices))}
+    J = SparseMatrix(module.ring, module.level_dim(m), module.normalized_dim(m), columns)
+    return module._normalize_rows(module.boundary_b(m) @ J, m - 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cm_group_module(FiniteGroup.symmetric(3), 0, ZZ),
+    lambda: taft_cm_module(taft_hopf(3, PrimeField(7)), *taft_cm_triples(3, PrimeField(7))[1]),
+    lambda: ClassicalCyclicModule(truncated_algebra(Quiver.crown(2), 3, ZZ).algebra),
+], ids=["Z[S3]", "Taft-3 over F7", "classical crown(2) n=3"])
+def test_direct_normalized_boundary_is_the_projected_one(build):
+    module = build()
+    for m in range(1, 4):
+        assert module.normalized_b(m) == projected_boundary(module, m), m
+
+
+def test_normalized_legs_drop_the_group_identity():
+    """For a group algebra the pivot is e: its rows are dropped, and the
+    normalized carriers of Z[Z/4] are (4 - 1)^m."""
+    module = cm_group_module(FiniteGroup.cyclic(4), 0, ZZ)
+    assert [module.normalized_dim(m) for m in range(5)] == [1, 3, 9, 27, 81]
+    assert module._normal.image[0] == {}
+    classical = ClassicalCyclicModule(group_algebra(FiniteGroup.cyclic(4), ZZ).algebra)
+    assert [classical.normalized_dim(m) for m in range(3)] == [4, 12, 36]
+
+
+def test_unit_without_invertible_coefficient_is_refused():
+    from hopfcycl import NotAUnit
+    from hopfcycl.hopf import AlgebraData
+
+    # Z x Z on the basis b0 = (2, -1), b1 = (-1, 1): its unit (1, 1) is
+    # 2 b0 + 3 b1, and neither coefficient is invertible in Z
+    mult = [[{0: 5, 1: 6}, {0: -3, 1: -4}], [{0: -3, 1: -4}, {0: 2, 1: 3}]]
+    algebra = AlgebraData(ZZ, ["b0", "b1"], mult, {0: 2, 1: 3})
+    assert algebra.verify_associativity() and algebra.verify_unit()
+    module = ClassicalCyclicModule(algebra)
+    with pytest.raises(NotAUnit):
+        cyclic_bicomplex_hc_upto(module, 1)
+
+
+def test_bicomplex_refuses_a_module_that_is_not_cyclic():
+    from hopfcycl.rings import primitive_root_of_unity
+    from hopfcycl import GroupLike, character_from_zeta, check_cm_triple
+
+    R = PrimeField(7)
+    H = group_algebra(FiniteGroup.cyclic(3), R)
+    zeta = primitive_root_of_unity(R, 3)
+    alpha, beta = (character_from_zeta(R, 3, R.pow(zeta, a)) for a in (1, 2))
+    triple = check_cm_triple(H, GroupLike.from_vector({1: R.one}), alpha, beta)
+    module = ConnesMoscoviciModule(H, triple, require_valid=False)
+    with pytest.raises(PreconditionFailed, match="d_0 t \\(level 1\\)"):
+        cyclic_bicomplex_hc_upto(module, 1)
+    with pytest.raises(PreconditionFailed):
+        cyclic_bicomplex_hc(module, 0)

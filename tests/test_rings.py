@@ -585,3 +585,11 @@ def test_integers_mod_sub_matches_add_of_neg(m, a, b):
 def test_parse_ring_refuses_rings_that_do_not_exist(spec):
     with pytest.raises(ParseError):
         parse_ring(spec)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_modulus_parses_to_the_field(p):
+    ring = parse_ring(f"Z/{p}")
+    assert ring == PrimeField(p) and ring.is_field
+    assert parse_ring(f"Z/{p * p}") == IntegersMod(p * p)
+    assert not parse_ring("Z/6").is_field
