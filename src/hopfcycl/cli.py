@@ -296,7 +296,7 @@ def _cmd_hc(args) -> dict:
                   for p in range(N + 1)] if compare else []
         side = attrgetter("free_rank")
     else:
-        module, source = _cm_module(args, N + 2)
+        module, source = _cm_module(args, N + 1)
         closed = [_closed_hc(source, module.ring, n) for n in range(N + 1)] if compare else []
         if any(c is None for c in closed):
             raise UnsupportedCombination("no closed formula available for this source")

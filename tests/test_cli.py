@@ -441,11 +441,11 @@ def test_verify_quiver_bounds_the_resolution(monkeypatch):
 @pytest.mark.parametrize(
     "argv, cap",
     [
-        (["hc", "--group", "cyclic:200", "--max-degree", "1"], None),
+        (["hc", "--group", "cyclic:200", "--max-degree", "1"], "39999"),
         (["hh", "--group", "symmetric:6", "--max-degree", "1"], None),
         (["verify", "--group-file", "GROUP", "--max-degree", "1"], "8"),
         (["verify", "--taft", "12"], None),
-        (["hc", "--taft", "3", "--max-degree", "1"], "100"),
+        (["hc", "--taft", "3", "--max-degree", "1"], "80"),
         (["hh", "--quiver", "crown:200", "--truncation", "2", "--max-degree", "1"], "1"),
         (["verify", "--quiver", "crown:200", "--max-degree", "1"], "500"),
         (["verify", "--quiver", "crown:200", "--truncation", "2", "--max-degree", "0"], None),
@@ -472,6 +472,17 @@ def test_resource_cap_comes_before_any_builder(monkeypatch, tmp_path, argv, cap)
     code, out = run_cli([str(group) if a == "GROUP" else a for a in argv])
     assert code == 2
     assert out.startswith("error: ResourceCap: ")
+
+
+def test_hc_caps_the_highest_level_it_builds(monkeypatch):
+    """hc through degree N builds carriers up to level N + 1 only: Z[Z/18]
+    through degree 2 (18^3 = 5832) computes under the default cap, though
+    18^4 is above it."""
+    monkeypatch.delenv("HOPFCYCL_MAX_CARRIER", raising=False)
+    code, out = run_cli(["hc", "--group", "cyclic:18", "--ring", "Z", "--max-degree", "2",
+                         "--compare", "closed", "--format", "json"])
+    assert code == 0
+    assert [row["value"] for row in json.loads(out)["rows"]] == ["Z", "Z/18", "Z"]
 
 
 def test_hc_refuses_a_module_whose_laws_fail():

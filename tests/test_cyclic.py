@@ -371,6 +371,118 @@ def test_classical_operators_match_tuple_decoding():
     )
 
 
+# -- degeneracies applied to the rows of a matrix ----------------------------
+
+
+def z4_dual_numbers():
+    """Z/4[x]/(x^2) on the basis b0 = 1 + 2x, b1 = x: b0 b0 = 1 = b0 + 2 b1,
+    b0 b1 = b1 b0 = b1, b1 b1 = 0, and the unit b0 - 2 b1 = b0 + 2 b1 has the
+    zero divisor 2 as a coefficient."""
+    from hopfcycl.hopf import AlgebraData
+
+    R = IntegersMod(4)
+    mult = [[{0: 1, 1: 2}, {1: 1}], [{1: 1}, {}]]
+    algebra = AlgebraData(R, ["1+2x", "x"], mult, {0: 1, 1: 2})
+    assert algebra.verify_associativity() and algebra.verify_unit()
+    return algebra
+
+
+def degenerate_cases():
+    cases = []
+    for ring in (QQ, ZZ, PrimeField(3), CyclotomicField(3)):
+        cases.append((f"CM {ring.name}[Z/3] pi=g",
+                      lambda ring=ring: cm_group_module(FiniteGroup.cyclic(3), 1, ring), cm_reference))
+        cases.append((f"classical {ring.name}[Z/2]",
+                      lambda ring=ring: ClassicalCyclicModule(
+                          group_algebra(FiniteGroup.cyclic(2), ring).algebra),
+                      lambda module: TupleDecodingClassical(module.algebra)))
+        cases.append((f"classical crown(2) n=2 over {ring.name}",
+                      lambda ring=ring: ClassicalCyclicModule(
+                          truncated_algebra(Quiver.crown(2), 2, ring).algebra),
+                      lambda module: TupleDecodingClassical(module.algebra)))
+    cases.append(("CM Taft-3 over Q(zeta3)",
+                  lambda: taft_cm_module(taft_hopf(3), *taft_cm_triples(3)[1]), cm_reference))
+    cases.append(("classical Z/4[x]/(x^2)", lambda: ClassicalCyclicModule(z4_dual_numbers()),
+                  lambda module: TupleDecodingClassical(module.algebra)))
+    return cases
+
+
+def random_matrix(ring, nrows, ncols, rng):
+    """About a third of the entries set, to small multiples of 1 and zeta."""
+    zeta = getattr(ring, "zeta", ring.one)
+    ent = {}
+    for row in range(nrows):
+        for col in range(ncols):
+            if rng.random() < 0.35:
+                a, b = (ring.from_int(rng.randint(-3, 3)) for _ in range(2))
+                ent[(row, col)] = ring.add(a, ring.mul(b, zeta))
+    return SparseMatrix(ring, nrows, ncols, ent)
+
+
+@pytest.mark.parametrize("case", degenerate_cases(), ids=lambda case: case[0])
+def test_degenerate_is_the_product_with_the_degeneracy(case):
+    """s_i applied to the rows of X equals the product with the matrix of
+    s_i, and with that of the tuple-decoding reference."""
+    import random
+
+    _, build, reference = case
+    module = build()
+    ref = reference(module)
+    rng = random.Random(10)
+    for m in range(3):
+        for i in range(m + 1):
+            X = random_matrix(module.ring, module.level_dim(m), 5, rng)
+            expected = ref.degeneracy(m, i) @ X
+            assert module.degenerate(m, i, X) == expected, (m, i)
+            assert module.degeneracy(m, i) @ X == expected, (m, i)
+    with pytest.raises(IndexOutOfRange):
+        module.degenerate(1, 2, SparseMatrix.identity(module.ring, module.level_dim(1)))
+    with pytest.raises(ValueError):
+        module.degenerate(1, 0, SparseMatrix.identity(module.ring, module.level_dim(2)))
+
+
+def test_zero_divisor_unit_coefficient_drops_zero_products():
+    """Over Z/4 the unit coefficient 2 times an entry 2 is zero: s_0 of 2 b0
+    is 2 b0 (x) b0 alone, with no stored zero at 2 b0 (x) 2 b1."""
+    module = ClassicalCyclicModule(z4_dual_numbers())
+    R = module.ring
+    X = SparseMatrix(R, 2, 1, {(0, 0): R.from_int(2)})
+    assert module.degenerate(0, 0, X).entries == {(0, 0): R.from_int(2)}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cm_z3(1),
+    lambda: taft_cm_module(taft_hopf(2), *taft_cm_triples(2)[0]),
+    lambda: ClassicalCyclicModule(group_algebra(FiniteGroup.cyclic(2), QQ).algebra),
+], ids=["Q[Z/3] pi=g", "Taft-2", "classical Q[Z/2]"])
+def test_verify_builds_no_operator_above_its_level(build):
+    """verify_cyclic_axioms(module, 3) builds faces, degeneracies and cyclic
+    operators with source level at most 3: no degeneracy from level 4."""
+    module = build()
+    report = verify_cyclic_axioms(module, 3)
+    assert all(report.values())
+    assert not [key for key in module._cache if key[0] == "s" and key[1] == 4]
+    assert max(key[1] for key in module._cache if key[0] in ("d", "s", "t")) == 3
+
+
+class LateUnitCM(ConnesMoscoviciModule):
+    """`degenerate` inserts the unit one slot late (s_i acts as s_(i+1),
+    s_m as itself); the matrices `degeneracy(m, i)` stay right."""
+
+    def degenerate(self, m, i, M):
+        return super().degenerate(m, min(i + 1, m), M)
+
+
+def test_verify_names_the_laws_a_late_unit_breaks():
+    good = cm_z3(1)
+    module = LateUnitCM(good.hopf, good.triple)
+    failures = {name for name, ok in verify_cyclic_axioms(module, 3).items() if not ok}
+    assert {"s_0 s_0 (level 1)", "s_2 s_3 (level 3)", "d_0 s_1 (level 2)",
+            "d_3 s_0 (level 2)", "s_1 t (level 2)"} <= failures
+    # the laws without a degeneracy still hold
+    assert all("s_" in name for name in failures)
+
+
 @pytest.mark.parametrize("triple", [(1, 0, 0), (0, 1, 0)])
 def test_lambda_engine_ranks_each_matrix_once(monkeypatch, triple):
     """HC_n ranks [b_n | 1 - lambda_(n-1)], the matrix HC_(n-1) already ranked."""
