@@ -19,10 +19,12 @@ level above N.  Two main instances live here:
 * the classical cyclic module of an algebra, with carrier the (m+1)-st
   tensor power.
 
-On top of the operators sit the homology engines: the Hochschild b-complex,
-the total complex of the normalized (b, B) bicomplex (works over Z and F_p
-as well), the Connes quotient by the cyclic action (rings containing Q),
-and the rank-bookkeeping checker for the periodicity long exact sequence.
+On top of the operators sit the homology engines: HH from the normalized
+b-complex (the full b-complex, `hochschild_window`, is its oracle), HC from
+the total complex of the normalized (b, B) bicomplex (both work over Z and
+F_p as well), the Connes quotient by the cyclic action (rings containing
+Q), and the rank-bookkeeping checker for the periodicity long exact
+sequence.
 """
 
 from __future__ import annotations
@@ -173,15 +175,17 @@ class _Normalization:
 class CyclicModule:
     """Operator-level view of a cyclic module; subclasses fill in columns.
 
-    A module whose carriers are tensor powers of an algebra (`algebra`)
-    builds its faces from legs (`_face_on`): on the algebra's basis they are
-    the faces of C_m, on the basis of H / k.1 in the legs the degeneracies
-    fill (`normalized_legs`) those of the normalized complex.
+    `degenerate(m, i, M)` is s_i o M.  A module with tensor legs applies s_i
+    to the rows of M by index arithmetic (`_insert_unit`), and its matrix
+    `degeneracy(m, i)` is s_i applied to the identity; a module without
+    tensor legs defines `_degeneracy`, and `degenerate` multiplies by it.
 
-    `degenerate(m, i, M)` is s_i o M.  Such a module applies s_i to the rows
-    of M by index arithmetic (`_insert_unit`), and its matrix `degeneracy(m,
-    i)` is s_i applied to the identity; a module without tensor legs defines
-    `_degeneracy`, and `degenerate` multiplies by it.
+    Every module also supplies its normalized chains, C_m modulo the
+    degenerate tensors (the images of the degeneracies): their dimension
+    `normalized_dim(m)`, the boundary `normalized_b(m)` induced by b and
+    Connes' `normalized_B(m)`.  The degenerate subcomplex is acyclic over any
+    ring (Loday, Cyclic Homology, 1.1.14-1.1.15), so HH and HC are computed
+    on them.
     """
 
     ring: Ring
@@ -192,20 +196,20 @@ class CyclicModule:
     def level_dim(self, m: int) -> int:
         raise NotImplementedError
 
-    def normalized_legs(self, m: int) -> list[bool]:
-        """Per leg of the basis tensors of C_m, whether a degeneracy into
-        level m puts the unit there.  The normalized carrier, C_m modulo the
-        degenerate tensors, has as basis the tensors with no pivot digit in
-        those legs."""
+    def normalized_dim(self, m: int) -> int:
         raise NotImplementedError
 
-    def _face_on(self, legs, m: int, i: int) -> SparseMatrix:
-        """Face d_i at level m, with the legs that the degeneracies fill on
-        the leg basis `legs` = (digits, mult)."""
+    def normalized_b(self, m: int) -> SparseMatrix:
+        """b-bar_m: C-bar_m -> C-bar_(m-1), induced by the Hochschild boundary."""
+        raise NotImplementedError
+
+    def normalized_B(self, m: int) -> SparseMatrix:
+        """B-bar_m: C-bar_m -> C-bar_(m+1), the normalized Connes boundary
+        t_(m+1) s_m N_m, with b-bar B-bar = -B-bar b-bar."""
         raise NotImplementedError
 
     def _face(self, m: int, i: int) -> SparseMatrix:
-        return self._face_on(self._full_legs, m, i)
+        raise NotImplementedError
 
     def _degeneracy(self, m: int, i: int) -> SparseMatrix:
         raise NotImplementedError
@@ -291,7 +295,29 @@ class CyclicModule:
 
         return self._memo(("N", m), build)
 
-    # -- the normalized mixed complex ----------------------------------------
+
+class TensorCyclicModule(CyclicModule):
+    """A cyclic module whose carriers are tensor powers of an algebra
+    (`algebra`).  Its faces are built from legs (`_face_on`): on the
+    algebra's basis they are the faces of C_m, on the basis of H / k.1 in
+    the legs the degeneracies fill (`normalized_legs`) those of the
+    normalized complex."""
+
+    def normalized_legs(self, m: int) -> list[bool]:
+        """Per leg of the basis tensors of C_m, whether a degeneracy into
+        level m puts the unit there.  The normalized carrier, C_m modulo the
+        degenerate tensors, has as basis the tensors with no pivot digit in
+        those legs."""
+        raise NotImplementedError
+
+    def _face_on(self, legs, m: int, i: int) -> SparseMatrix:
+        """Face d_i at level m, with the legs that the degeneracies fill on
+        the leg basis `legs` = (digits, mult)."""
+        raise NotImplementedError
+
+    def _face(self, m: int, i: int) -> SparseMatrix:
+        return self._face_on(self._full_legs, m, i)
+
     @cached_property
     def _full_legs(self) -> tuple:
         return range(self.algebra.dim), self.algebra.mult
@@ -378,7 +404,7 @@ class CyclicModule:
 # ---------------------------------------------------------------------------
 
 
-class ConnesMoscoviciModule(CyclicModule):
+class ConnesMoscoviciModule(TensorCyclicModule):
     """C_m = H^(tensor m), with operators twisted by (pi, alpha, beta).
 
     d_0 applies alpha to the first leg, d_m applies beta to the last one and
@@ -580,7 +606,7 @@ class ConnesMoscoviciModule(CyclicModule):
 # ---------------------------------------------------------------------------
 
 
-class ClassicalCyclicModule(CyclicModule):
+class ClassicalCyclicModule(TensorCyclicModule):
     """C_m = A^(tensor m+1) with the standard faces, degeneracies and rotation."""
 
     def __init__(self, algebra):
@@ -677,26 +703,31 @@ class ChainComplexWindow:
 
 
 def hochschild_window(module: CyclicModule, N: int) -> ChainComplexWindow:
-    """The b-complex of the underlying simplicial module, degrees 0..N."""
+    """The full b-complex of the underlying simplicial module, degrees 0..N:
+    C_m with b, not normalized.  The HH functions below compute the same
+    homology from the normalized chains."""
     dims = [module.level_dim(m) for m in range(N + 1)]
     boundaries = {m: module.boundary_b(m) for m in range(1, N + 1)}
     return ChainComplexWindow(module.ring, dims, boundaries)
 
 
 def hochschild_homology(module: CyclicModule, n: int) -> HomologyModule:
-    """HH_n from b_(n+1) and b_n alone; their square is checked once."""
-    d_in = module.boundary_b(n + 1)
+    """HH_n from the normalized chains, C_m modulo the degenerate tensors,
+    whose inclusion into the b-complex of `hochschild_window` is a
+    quasi-isomorphism over any ring: b-bar_(n+1) and b-bar_n alone, their
+    square checked once."""
+    d_in = module.normalized_b(n + 1)
     if n == 0:
-        d_out = SparseMatrix.zero(module.ring, 0, module.level_dim(0))
+        d_out = SparseMatrix.zero(module.ring, 0, module.normalized_dim(0))
     else:
-        d_out = module.boundary_b(n)
+        d_out = module.normalized_b(n)
     return homology_at(d_in, d_out)
 
 
 def hochschild_homology_upto(module: CyclicModule, N: int) -> list[HomologyModule]:
-    """HH_0..HH_N from b_1, ..., b_(N+1), each reduced and each square
-    checked once."""
-    return homology_sequence(module.boundary_b(m) for m in range(1, N + 2))
+    """HH_0..HH_N from the normalized boundaries b-bar_1, ..., b-bar_(N+1),
+    each reduced and each square checked once."""
+    return homology_sequence(module.normalized_b(m) for m in range(1, N + 2))
 
 
 # -- normalized (b, B) bicomplex ---------------------------------------------
@@ -730,24 +761,24 @@ def _failing_laws(module: CyclicModule, top: int) -> list[str]:
     return sorted(name for name, good in _cyclic_laws(module, top).items() if not good)
 
 
-def _require_cyclic(module: CyclicModule, top: int) -> None:
+def _require_cyclic(module: CyclicModule, top: int, engine: str) -> None:
     """Refuse a module that is not cyclic through level top, where the
-    normalized complex would not compute HC.  A module built from an
-    admissible triple is cyclic, and skips the check."""
+    engine would not compute HC.  A module built from an admissible triple
+    is cyclic, and skips the check."""
     if module.cyclic_by_construction:
         return
     failures = _failing_laws(module, top)
     if failures:
         raise PreconditionFailed(
             f"the module is not cyclic through level {top} ({', '.join(failures)} fail), "
-            "so the (b, B) bicomplex does not compute HC"
+            f"so {engine} does not compute HC"
         )
 
 
 def cyclic_bicomplex_hc(module: CyclicModule, n: int) -> HomologyModule:
     """HC_n as homology of the total complex of the normalized (b, B)
     bicomplex (Loday, Cyclic Homology, 2.1.8), over any ground ring."""
-    _require_cyclic(module, n + 1)
+    _require_cyclic(module, n + 1, "the (b, B) bicomplex")
     d_in = _mixed_boundary(module, n + 1)
     if n == 0:
         d_out = SparseMatrix.zero(module.ring, 0, module.normalized_dim(0))
@@ -759,7 +790,7 @@ def cyclic_bicomplex_hc(module: CyclicModule, n: int) -> HomologyModule:
 def cyclic_bicomplex_hc_upto(module: CyclicModule, N: int) -> list[HomologyModule]:
     """HC_0..HC_N from the total complex, each total boundary built and
     reduced once (`cyclic_bicomplex_hc` per degree builds D_n and D_(n+1))."""
-    _require_cyclic(module, N + 1)
+    _require_cyclic(module, N + 1, "the (b, B) bicomplex")
     return homology_sequence(_mixed_boundary(module, k) for k in range(1, N + 2))
 
 
@@ -776,14 +807,15 @@ def connes_lambda_hc(module: CyclicModule, n: int) -> HomologyModule:
         dim H_n = dim C_n + rank(1 - lambda_{n-1})
                   - rank[b_n | 1 - lambda_{n-1}] - rank[b_{n+1} | 1 - lambda_n]
 
-    The formula needs t_m^(m+1) = id on every level m <= n; it refuses a
-    module that is not cyclic there (an inadmissible triple), where it
-    would return a meaningless, possibly negative, dimension.  A negative
-    dimension, which a module whose faces and degeneracies do not commute
-    with t can give although t^(m+1) = id holds, is refused as well, with
-    the laws it breaks.  The ranks and the level checks are cached on the
-    module, so neighbouring degrees share the augmented rank they have in
-    common.
+    The formula needs a module that is cyclic through level n + 1; where it
+    is not (an inadmissible triple) it would return a meaningless, possibly
+    negative, dimension.  So t_m^(m+1) = id is checked on every level
+    m <= n for every module, and a module that is not cyclic by
+    construction is refused, like by the bicomplex, unless all laws of t
+    hold through level n + 1.  A negative dimension is refused as well,
+    with the laws the module breaks.  The ranks and the level checks are
+    cached on the module, so neighbouring degrees share the augmented rank
+    they have in common.
     """
     R = module.ring
     if not R.contains_rationals:
@@ -796,6 +828,7 @@ def connes_lambda_hc(module: CyclicModule, n: int) -> HomologyModule:
                 f"t_{m}^{m + 1} != id: the module is not cyclic at level {m}, "
                 f"so the quotient complex does not compute HC_{n}"
             )
+    _require_cyclic(module, n + 1, "the quotient complex")
     dim_n = module.level_dim(n)
     r_in = _augmented_rank(module, n + 1)
     if n == 0:

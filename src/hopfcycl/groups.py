@@ -207,7 +207,10 @@ class GammaCyclicModule(CyclicModule):
     Faces multiply adjacent slots (the last face wraps around), degeneracies
     insert the identity, and the cyclic operator rotates the last slot to the
     front.  All operators are basis permutations up to merging, so every
-    matrix column is a single unit entry.
+    matrix column is a single unit entry.  Gamma is a cyclic set, so its
+    normalized chains need no projection: their basis is the nondegenerate
+    tuples, those with no identity in slots 1..m (Loday, Cyclic Homology,
+    6.1), and an operator drops the images that are degenerate.
     """
 
     def __init__(self, G: FiniteGroup, pi: int, ring: Ring):
@@ -219,15 +222,18 @@ class GammaCyclicModule(CyclicModule):
             if pi in cls_:
                 self.pi_class = cls_
                 break
-        self._bases: dict[int, list[tuple]] = {}
-        self._index: dict[int, dict] = {}
+        self._bases: dict[tuple, list[tuple]] = {}
+        self._index: dict[tuple, dict] = {}
 
-    def basis(self, m: int) -> list[tuple]:
-        """All (m+1)-tuples with ordered product in the class of pi, sorted."""
-        cached = self._bases.get(m)
+    def basis(self, m: int, normalized: bool = False) -> list[tuple]:
+        """All (m+1)-tuples with ordered product in the class of pi, sorted;
+        with normalized, only the nondegenerate ones."""
+        key = (m, normalized)
+        cached = self._bases.get(key)
         if cached is not None:
             return cached
         G = self.G
+        letters = [g for g in range(G.order) if not (normalized and g == G.identity)]
         tuples = []
 
         def extend(prefix, prod, remaining):
@@ -237,17 +243,20 @@ class GammaCyclicModule(CyclicModule):
                     g0 = G.op(c, G.inverse[prod])
                     tuples.append((g0,) + prefix)
                 return
-            for g in range(G.order):
+            for g in letters:
                 extend(prefix + (g,), G.op(prod, g), remaining - 1)
 
         extend((), G.identity, m)
         tuples.sort()
-        self._bases[m] = tuples
-        self._index[m] = {t: i for i, t in enumerate(tuples)}
+        self._bases[key] = tuples
+        self._index[key] = {t: i for i, t in enumerate(tuples)}
         return tuples
 
     def level_dim(self, m: int) -> int:
         return len(self.pi_class) * self.G.order**m
+
+    def normalized_dim(self, m: int) -> int:
+        return len(self.pi_class) * (self.G.order - 1) ** m
 
     def _permutation(self, m_src, m_tgt, image):
         R = self.ring
@@ -258,17 +267,21 @@ class GammaCyclicModule(CyclicModule):
             ent[(tgt_index[image(t)], j)] = R.one
         return SparseMatrix(R, self.level_dim(m_tgt), self.level_dim(m_src), ent)
 
-    def _index_for(self, m):
-        self.basis(m)
-        return self._index[m]
+    def _index_for(self, m, normalized=False):
+        self.basis(m, normalized)
+        return self._index[(m, normalized)]
+
+    def _face_image(self, t: tuple, i: int) -> tuple:
+        """d_i of the tuple t: slots i and i + 1 multiplied, and for the last
+        face the last slot multiplied onto the first."""
+        op = self.G.op
+        m = len(t) - 1
+        if i < m:
+            return t[:i] + (op(t[i], t[i + 1]),) + t[i + 2 :]
+        return (op(t[m], t[0]),) + t[1:m]
 
     def _face(self, m, i):
-        G = self.G
-        if i < m:
-            return self._permutation(
-                m, m - 1, lambda t: t[:i] + (G.op(t[i], t[i + 1]),) + t[i + 2 :]
-            )
-        return self._permutation(m, m - 1, lambda t: (G.op(t[m], t[0]),) + t[1:m])
+        return self._permutation(m, m - 1, lambda t: self._face_image(t, i))
 
     def _degeneracy(self, m, i):
         e = self.G.identity
@@ -276,6 +289,52 @@ class GammaCyclicModule(CyclicModule):
 
     def _cyclic(self, m):
         return self._permutation(m, m, lambda t: (t[m],) + t[:m])
+
+    def normalized_b(self, m):
+        """The alternating face sum on the nondegenerate tuples; a face that
+        lands on a degenerate tuple (the identity in a slot 1..m-1, where
+        two slots multiplied to it) is dropped."""
+
+        def build():
+            R = self.ring
+            signs = (R.one, R.neg(R.one))
+            index = self._index_for(m - 1, True)
+            ent: dict = {}
+            for j, t in enumerate(self.basis(m, True)):
+                for i in range(m + 1):
+                    row = index.get(self._face_image(t, i))
+                    if row is not None:
+                        s = ent.get((row, j))
+                        ent[(row, j)] = signs[i % 2] if s is None else R.add(s, signs[i % 2])
+            # the constructor drops the sums that cancelled
+            return SparseMatrix(R, self.normalized_dim(m - 1), self.normalized_dim(m), ent)
+
+        return self._memo(("b-bar", m), build)
+
+    def normalized_B(self, m):
+        """t_(m+1) s_m N_m on the nondegenerate tuples: the tuple t goes to
+        sum((-1)^(m k) (e,) + t rotated k times, k = 0..m).  Each rotation
+        holds the slots of t, so the image is degenerate, and dropped, unless
+        g_0 != e as well."""
+
+        def build():
+            R = self.ring
+            e = self.G.identity
+            signs = (R.one, R.neg(R.one))
+            index = self._index_for(m + 1, True)
+            ent: dict = {}
+            for j, t in enumerate(self.basis(m, True)):
+                if t[0] == e:
+                    continue
+                for k in range(m + 1):
+                    key = (index[(e,) + t[m + 1 - k :] + t[: m + 1 - k]], j)
+                    c = signs[m * k % 2]
+                    s = ent.get(key)
+                    ent[key] = c if s is None else R.add(s, c)
+            # the constructor drops the sums that cancelled
+            return SparseMatrix(R, self.normalized_dim(m + 1), self.normalized_dim(m), ent)
+
+        return self._memo(("B-bar", m), build)
 
 
 def theta_map(G: FiniteGroup, pi: int, n: int, ring: Ring) -> SparseMatrix:

@@ -247,26 +247,28 @@ def test_invalid_triple_exit_2_and_allow_invalid():
     argv = ["hc", "--taft", "2", "--pi", "1", "--alpha", "1", "--beta", "1",
             "--max-degree", "1"]
     code, out = run_cli(argv)
-    assert code == 2 and "PreconditionFailed" in out
+    assert code == 2 and "triple fails the admissibility condition" in out
+    # past the construction gate, the quotient complex refuses the module:
+    # d_0 t and d_1 t fail at level 1, as `verify` of the module shows
     code, out = run_cli(argv + ["--allow-invalid"])
-    assert code == 0
+    assert code == 2
+    assert "not cyclic through level 1 (d_0 t (level 1), d_1 t (level 1) fail)" in out
+    assert "PASSED" not in out
 
 
 @pytest.mark.parametrize("triple,level", [((1, 1, 0), 1), ((1, 1, 1), 2)])
 def test_inadmissible_triple_refused_where_the_module_is_not_cyclic(triple, level):
-    """HC_n by the quotient complex needs t_m^(m+1) = id for m <= n; the
-    inadmissible Taft-2 triples break it at one level, where the rank formula
-    gave negative dimensions."""
+    """HC_n by the quotient complex needs a module that is cyclic through
+    level n + 1.  The inadmissible Taft-2 triples break t_m^(m+1) = id at one
+    level, where the rank formula gave negative dimensions, and d_0 t already
+    at level 1, where it gave meaningless ones: HC_0 is refused."""
     pi, alpha, beta = triple
     argv = ["cm-hc", "--taft", "2", "--pi", str(pi), "--alpha", str(alpha),
             "--beta", str(beta), "--allow-invalid", "--format", "json"]
-    code, out = run_cli(argv + ["--max-degree", str(level - 1)])
-    assert code == 0
-    assert all(row["free_rank"] >= 0 for row in json.loads(out)["rows"])
-    for top in (level, level + 1):
+    for top in (level - 1, level, level + 1):
         code, out = run_cli(argv + ["--max-degree", str(top)])
         assert code == 2
-        assert f"PreconditionFailed: t_{level}^{level + 1} != id" in out
+        assert "PreconditionFailed: the module is not cyclic through level 1 (d_0 t (level 1)" in out
 
 
 def test_resource_cap(monkeypatch):
@@ -414,10 +416,11 @@ def test_allow_invalid_holds_for_every_group_source():
     assert code == 1
     failures = json.loads(out)["rows"][1]["failures"]
     assert {"t_1^2 = id", "t_2^3 = id"} <= set(failures)
+    # HC_0 needs the laws of t through level 1, and t_1^2 = id fails there
     code, out = run_cli(["hc", "--group", "symmetric:3", "--pi", "1", "--allow-invalid",
                          "--max-degree", "0", "--format", "json"])
-    assert code == 0
-    assert json.loads(out)["rows"][0]["value"] == "Q"
+    assert code == 2
+    assert "not cyclic through level 1 (t_1^2 = id fail)" in out
 
 
 def test_verify_quiver_bounds_the_resolution(monkeypatch):

@@ -12,6 +12,8 @@ from hopfcycl import (
     ConnesMoscoviciModule,
     CyclotomicField,
     FiniteGroup,
+    GammaCyclicModule,
+    GroupLike,
     IndexOutOfRange,
     IntegersMod,
     NotAComplex,
@@ -20,7 +22,10 @@ from hopfcycl import (
     Quiver,
     RingWithoutRationals,
     SparseMatrix,
+    character_from_zeta,
+    check_cm_triple,
     cm_group_module,
+    conjugacy_classes,
     connes_lambda_hc,
     cyclic_bicomplex_hc,
     cyclic_bicomplex_hc_upto,
@@ -38,6 +43,7 @@ from hopfcycl import (
     verify_cyclic_axioms,
 )
 from hopfcycl.cyclic import index_to_tuple, tuple_to_index
+from hopfcycl.rings import primitive_root_of_unity
 from hopfcycl.sparse import homology_sequence
 
 
@@ -558,28 +564,33 @@ def count_products(monkeypatch):
 def test_each_square_is_checked_once(monkeypatch):
     module = cm_z3(1)
     expected = [hochschild_homology(module, n) for n in range(4)]
+    # HH reads the normalized boundaries only
+    assert not any(key[0] == "b" for key in module._cache)
     window = hochschild_window(module, 4)
     products = count_products(monkeypatch)
     # the window's constructor checked its squares; homology does not again
     assert [window.homology(n) for n in range(4)] == expected
     assert products == []
-    # one sequence over b_1..b_4 checks b_1 b_2, b_2 b_3, b_3 b_4 once each
+    # one sequence over b-bar_1..b-bar_4 checks b-bar_1 b-bar_2, b-bar_2
+    # b-bar_3 and b-bar_3 b-bar_4 once each, on the normalized carriers of
+    # Q[Z/3], of dimension 2^m
     assert hochschild_homology_upto(module, 3) == expected
-    assert len(products) == len(set(products)) == 3
+    assert sorted(products) == [(1, 2, 4), (2, 4, 8), (4, 8, 16)]
     products.clear()
     hochschild_homology(module, 2)
-    assert len(products) == 1
+    assert products == [(2, 4, 8)]
     products.clear()
     assert sbi_check(module, 3).consistent
-    assert len([p for p in products if p[0] == 1]) == 1  # b_1 b_2, out of C_0 = k
+    # b-bar_1 b-bar_2, out of C_0 = k
+    assert len([p for p in products if p[0] == 1]) == 1
 
 
 def test_hochschild_homology_still_refuses_a_bad_pair():
     module = cm_z3(1)
-    b3 = module.boundary_b(3)
+    b3 = module.normalized_b(3)
     j, c = next(iter(b3.entries))
-    # (bad . b_3)[0, c] = b_3[j, c] != 0
-    module._cache[("b", 2)] = SparseMatrix(QQ, 3, 9, {(0, j): 1})
+    # (bad . b-bar_3)[0, c] = b-bar_3[j, c] != 0
+    module._cache[("b-bar", 2)] = SparseMatrix(QQ, 2, 4, {(0, j): 1})
     with pytest.raises(NotAComplex):
         hochschild_homology(module, 2)
     with pytest.raises(NotAComplex):
@@ -594,8 +605,11 @@ def test_lambda_engine_refuses_levels_that_are_not_cyclic(monkeypatch, triple, l
     module = taft_cm_module(taft_hopf(2), *triple, require_valid=False)
     report = verify_cyclic_axioms(module, 3)
     assert [m for m in range(4) if not report[f"t_{m}^{m + 1} = id"]][0] == level
+    # below that level t^(m+1) = id holds, but d_0 t fails at level 1
+    assert not report["d_0 t (level 1)"]
     for n in range(level):
-        assert connes_lambda_hc(module, n).free_rank >= 0
+        with pytest.raises(PreconditionFailed, match="d_0 t \\(level 1\\)"):
+            connes_lambda_hc(module, n)
     with pytest.raises(PreconditionFailed, match=f"t_{level}\\^{level + 1}"):
         connes_lambda_hc(module, level)
     # the level checks are kept with the module: asking again multiplies nothing
@@ -855,6 +869,10 @@ def bicomplex_cases():
     for c in (1, 2):
         cases.append((f"classical crown({c}) n=2 over Z", 2,
                       lambda c=c: ClassicalCyclicModule(truncated_algebra(Quiver.crown(c), 2, ZZ).algebra)))
+    for G, top in ((FiniteGroup.cyclic(3), 4), (FiniteGroup.symmetric(3), 3)):
+        cases += [(f"Gamma({G.order}, {cls[0]}) over Z", top,
+                   lambda G=G, pi=cls[0]: GammaCyclicModule(G, pi, ZZ))
+                  for cls in conjugacy_classes(G)]
     return cases
 
 
@@ -913,6 +931,10 @@ def test_unit_without_invertible_coefficient_is_refused():
     module = ClassicalCyclicModule(algebra)
     with pytest.raises(NotAUnit):
         cyclic_bicomplex_hc_upto(module, 1)
+    # HH reads the same normalized chains; the full b-complex still computes
+    with pytest.raises(NotAUnit):
+        hochschild_homology_upto(module, 1)
+    assert hochschild_window(module, 2).homology(0).free_rank == 2
 
 
 def test_bicomplex_refuses_a_module_that_is_not_cyclic():
@@ -929,3 +951,57 @@ def test_bicomplex_refuses_a_module_that_is_not_cyclic():
         cyclic_bicomplex_hc_upto(module, 1)
     with pytest.raises(PreconditionFailed):
         cyclic_bicomplex_hc(module, 0)
+
+
+# -- HH from the normalized chains against the full b-complex ------------------
+
+
+def zeta3_group_module(pi, a, b):
+    """Q(zeta3)[Z/3] at the grouplike pi with the characters g -> zeta^a and
+    g -> zeta^b, admissible or not."""
+    K = CyclotomicField(3)
+    H = group_algebra(FiniteGroup.cyclic(3), K)
+    zeta = primitive_root_of_unity(K, 3)
+    alpha, beta = (character_from_zeta(K, 3, K.pow(zeta, e)) for e in (a, b))
+    triple = check_cm_triple(H, GroupLike.from_vector({pi: K.one}), alpha, beta)
+    return ConnesMoscoviciModule(H, triple, require_valid=False)
+
+
+def hochschild_cases():
+    cases = []
+    for ring in (QQ, ZZ, PrimeField(2), PrimeField(3)):
+        for m in (2, 3, 4):
+            cases += [(f"{ring.name}[Z/{m}] pi={pi}", 3,
+                       lambda m=m, pi=pi, ring=ring: cm_group_module(FiniteGroup.cyclic(m), pi, ring))
+                      for pi in range(m)]
+        cases.append((f"{ring.name}[S3] pi=e", 2,
+                      lambda ring=ring: cm_group_module(FiniteGroup.symmetric(3), 0, ring)))
+    cases += [(f"Q(zeta3)[Z/3] ({pi}, {a}, {b})", 3, lambda t=(pi, a, b): zeta3_group_module(*t))
+              for pi in range(3) for a in range(3) for b in range(3)]
+    # every triple, admissible or not: the b-complex does not involve t
+    for n, top in ((2, 3), (3, 2)):
+        cases += [(f"Taft-{n} {(i, u, v)}", top,
+                   lambda n=n, t=(i, u, v): taft_cm_module(taft_hopf(n), *t, require_valid=False))
+                  for i in range(n) for u in range(n) for v in range(n)]
+    for G in (FiniteGroup.cyclic(3), FiniteGroup.symmetric(3)):
+        cases += [(f"Gamma({G.order}, {cls[0]}) over Z", 3,
+                   lambda G=G, pi=cls[0]: GammaCyclicModule(G, pi, ZZ))
+                  for cls in conjugacy_classes(G)]
+    # the classical modules of the crowns up to the bar cap of the benchmark,
+    # b_(top+1) with at most 10 000 columns
+    for c, n, top in ((1, 2, 3), (1, 3, 3), (2, 2, 3), (2, 3, 3), (3, 2, 3), (3, 3, 2)):
+        cases += [(f"classical crown({c}) n={n} over {ring.name}", top,
+                   lambda c=c, n=n, ring=ring:
+                       ClassicalCyclicModule(truncated_algebra(Quiver.crown(c), n, ring).algebra))
+                  for ring in (QQ, ZZ)]
+    return cases
+
+
+@pytest.mark.parametrize("case", hochschild_cases(), ids=lambda case: case[0])
+def test_normalized_hochschild_homology_is_that_of_the_full_complex(case):
+    _, top, build = case
+    module = build()
+    window = hochschild_window(module, top + 1)
+    expected = described(window.homology(n) for n in range(top + 1))
+    assert described(hochschild_homology_upto(module, top)) == expected
+    assert described(hochschild_homology(module, n) for n in range(top + 1)) == expected

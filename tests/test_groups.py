@@ -21,6 +21,7 @@ from hopfcycl import (
     cm_group_module,
     conjugacy_classes,
     cyclic_bicomplex_hc,
+    cyclic_bicomplex_hc_upto,
     connes_lambda_hc,
     group_algebra,
     hochschild_window,
@@ -123,6 +124,32 @@ def test_gamma_cyclic_axioms():
     gamma = GammaCyclicModule(FiniteGroup.cyclic(3), 1, QQ)
     report = verify_cyclic_axioms(gamma, 2)
     assert report == {k: True for k in report}
+
+
+def test_gamma_normalized_basis_is_the_nondegenerate_tuples():
+    S3 = FiniteGroup.symmetric(3)
+    for cls_ in conjugacy_classes(S3):
+        gamma = GammaCyclicModule(S3, cls_[0], QQ)
+        for m in range(4):
+            basis = gamma.basis(m, normalized=True)
+            assert basis == [t for t in gamma.basis(m) if S3.identity not in t[1:]]
+            assert len(basis) == gamma.normalized_dim(m) == len(cls_) * 5**m
+
+
+@pytest.mark.parametrize("G", [FiniteGroup.cyclic(4), FiniteGroup.symmetric(3)],
+                         ids=["Z4", "S3"])
+def test_gamma_hc_over_z_is_the_centralizer_hc_class_by_class(G):
+    """HC over Z of the class component of Gamma(G) from the normalized
+    (b, B) bicomplex equals the Connes-Moscovici HC of the centralizer at pi,
+    torsion included."""
+    for cls_ in conjugacy_classes(G):
+        pi = cls_[0]
+        H = centralizer(G, pi)
+        gamma = cyclic_bicomplex_hc_upto(GammaCyclicModule(G, pi, ZZ), 3)
+        cm = cyclic_bicomplex_hc_upto(cm_group_module(H, H.parent_pi, ZZ), 3)
+        assert [(h.free_rank, h.torsion) for h in gamma] == [
+            (h.free_rank, h.torsion) for h in cm
+        ], pi
 
 
 @pytest.mark.parametrize(
