@@ -45,8 +45,6 @@ from .sparse import (
     SparseMatrix,
     homology_at,
     homology_sequence,
-    kernel_basis,
-    nullity,
     rank,
     smith_normal_form,
 )
@@ -56,9 +54,7 @@ from .hopf import (
     CMTriple,
     GroupLike,
     HopfAlgebraData,
-    LinMap,
     check_cm_triple,
-    convolution,
     is_grouplike,
     twisted_antipode,
 )

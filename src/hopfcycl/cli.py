@@ -147,11 +147,12 @@ def _check_scalar_options(args) -> None:
             raise ParseError(f"--{name} must be an integer selector, got {raw!r}") from None
 
 
-def _taft_hopf(args, top: int):
+def _taft_hopf(args, top: int, normalized: bool = False):
     """The Taft algebra of size --taft over --ring (default Q(zeta_n)),
-    refused before it is built when its carrier (n^2)^top is above the cap."""
+    refused before it is built when its carrier (n^2)^top, or with
+    normalized=True its normalized carrier (n^2 - 1)^top, is above the cap."""
     ring = parse_ring(args.ring) if args.ring else CyclotomicField(args.taft)
-    ensure_within_cap(args.taft**2, top)
+    ensure_within_cap(args.taft**2 - int(normalized), top)
     return taft_hopf(args.taft, ring)
 
 
@@ -168,13 +169,15 @@ def _group_character(ring, m, selector):
     return character_from_zeta(ring, m, zeta_pow)
 
 
-def _cm_module(args, top: int):
+def _cm_module(args, top: int, normalized: bool = False):
     """The twisted cyclic module selected by the source flags and its source
     for `_closed_hc`, refused before anything is built when its carrier at
-    level top is above the cap."""
+    level top is above the cap.  With normalized=True the cap counts the
+    normalized carrier, one basis element fewer per leg (the unit is
+    dropped), which is all that HH builds."""
     pi_exp = int(args.pi or 0)
     if args.taft is not None:
-        hopf = _taft_hopf(args, top)
+        hopf = _taft_hopf(args, top, normalized)
         u, v = (0 if s in (None, "eps") else int(s) for s in (args.alpha, args.beta))
         module = taft_cm_module(hopf, pi_exp, u, v, require_valid=not args.allow_invalid)
         return module, ("taft", args.taft, pi_exp, u, v)
@@ -182,7 +185,7 @@ def _cm_module(args, top: int):
         raise ParseError("no algebra source given (use --group, --quiver, --taft or --trivial)")
     order, build = _group_spec(args)
     ring = _ring_for(args, "Q")
-    ensure_within_cap(order, top)
+    ensure_within_cap(order - int(normalized), top)
     G = build()
     if not G.is_cyclic() and {args.alpha, args.beta} - {None, "eps"}:
         raise UnsupportedCombination("nontrivial characters are only supported for cyclic groups")
@@ -266,7 +269,7 @@ def _cmd_hh(args) -> dict:
                  "graded": {str(q): _describe(mod) for q, mod in sorted(per.items())}}
                 for p, (total, per) in enumerate(_graded_hh(A, N))]
     else:
-        module, _ = _cm_module(args, N + 1)
+        module, _ = _cm_module(args, N + 1, normalized=True)
         rows = [{"degree": p, **_describe(h), "provenance": "computed-b-complex"}
                 for p, h in enumerate(hochschild_homology_upto(module, N))]
     return {"rows": rows, "passed": True}

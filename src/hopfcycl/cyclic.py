@@ -303,12 +303,27 @@ class TensorCyclicModule(CyclicModule):
     the legs the degeneracies fill (`normalized_legs`) those of the
     normalized complex."""
 
+    # the number of leading legs that no degeneracy fills: C_m has
+    # m + fixed_legs legs, and s_i inserts the unit after the first
+    # i + fixed_legs of them
+    fixed_legs: int
+
+    def level_dim(self, m: int) -> int:
+        return self.algebra.dim ** (m + self.fixed_legs)
+
     def normalized_legs(self, m: int) -> list[bool]:
         """Per leg of the basis tensors of C_m, whether a degeneracy into
         level m puts the unit there.  The normalized carrier, C_m modulo the
         degenerate tensors, has as basis the tensors with no pivot digit in
         those legs."""
-        raise NotImplementedError
+        return [False] * self.fixed_legs + [True] * m
+
+    def _degenerate(self, m, i, M):
+        algebra = self.algebra
+        return _insert_unit(self.ring, algebra.dim, algebra.unit, i + self.fixed_legs, m - i, M)
+
+    def _degeneracy(self, m, i):
+        return self._degenerate(m, i, SparseMatrix.identity(self.ring, self.level_dim(m)))
 
     def _face_on(self, legs, m: int, i: int) -> SparseMatrix:
         """Face d_i at level m, with the legs that the degeneracies fill on
@@ -420,6 +435,8 @@ class ConnesMoscoviciModule(TensorCyclicModule):
     before it into one table per module (`_closing`).
     """
 
+    fixed_legs = 0
+
     def __init__(self, hopf: HopfAlgebraData, triple: CMTriple, require_valid: bool = True):
         super().__init__()
         if require_valid and not triple.valid:
@@ -434,46 +451,37 @@ class ConnesMoscoviciModule(TensorCyclicModule):
         self.alpha = triple.alpha
         self.beta = triple.beta
         self.s_pi = twisted_antipode(hopf, triple.pi)
-        self._cop3a: list[dict] | None = None
-
-    def level_dim(self, m: int) -> int:
-        return self.hopf.dim**m if m else 1
-
-    def normalized_legs(self, m: int) -> list[bool]:
-        # s_i inserts the unit after the first i legs, i = 0..m-1: every leg
-        return [True] * m
 
     @cached_property
     def _s_pi_cols(self) -> list[dict]:
         """Columns of S_pi, one per basis element."""
         return [self.s_pi.column(j) for j in range(self.hopf.dim)]
 
+    @cached_property
     def _cop3_alpha(self) -> list[dict]:
         """Per basis element b, the three-leg coproduct of b with alpha
-        applied to the first leg: (y, z) -> sum of c * alpha(x) (cached)."""
-        if self._cop3a is None:
-            R = self.ring
-            tables = []
-            for b in range(self.hopf.dim):
-                table: dict = {}
-                for (x, y, z), c in self.hopf.iterated_coproduct_basis(b, 3).items():
-                    v = R.mul(c, self.alpha(x))
-                    if R.is_zero(v):
-                        continue
-                    key = (y, z)
-                    s = R.add(table.get(key, R.zero), v)
-                    if R.is_zero(s):
-                        table.pop(key, None)
-                    else:
-                        table[key] = s
-                tables.append(table)
-            self._cop3a = tables
-        return self._cop3a
+        applied to the first leg: (y, z) -> sum of c * alpha(x)."""
+        R = self.ring
+        tables = []
+        for b in range(self.hopf.dim):
+            table: dict = {}
+            for (x, y, z), c in self.hopf.iterated_coproduct_basis(b, 3).items():
+                v = R.mul(c, self.alpha(x))
+                if R.is_zero(v):
+                    continue
+                key = (y, z)
+                s = R.add(table.get(key, R.zero), v)
+                if R.is_zero(s):
+                    table.pop(key, None)
+                else:
+                    table[key] = s
+            tables.append(table)
+        return tables
 
     @cached_property
     def _closing(self) -> list[list[dict]]:
         """closing[Y][h] = S_pi(b_Y . sum of c * beta(z) * b_y) over the entries
-        (y, z) -> c of `_cop3_alpha()[h]`: the last leg h of a column of the
+        (y, z) -> c of `_cop3_alpha[h]`: the last leg h of a column of the
         cyclic operator, closed against the second-leg product b_Y of the legs
         before it, as a sparse vector.  One d x d table per module."""
         R = self.ring
@@ -493,7 +501,7 @@ class ConnesMoscoviciModule(TensorCyclicModule):
 
         # sum of c * beta(z) * b_y over the last leg's coproduct, per h
         legs = []
-        for table in self._cop3_alpha():
+        for table in self._cop3_alpha:
             leg: dict = {}
             for (y, z), c in table.items():
                 if not is_zero(betas[z]):
@@ -536,12 +544,6 @@ class ConnesMoscoviciModule(TensorCyclicModule):
                     ent[(row, row * d + b)] = c
         return SparseMatrix._unchecked(R, D, d**m, ent)
 
-    def _degenerate(self, m, i, M):
-        return _insert_unit(self.ring, self.hopf.dim, self.hopf.algebra.unit, i, m - i, M)
-
-    def _degeneracy(self, m, i):
-        return self._degenerate(m, i, SparseMatrix.identity(self.ring, self.level_dim(m)))
-
     def _cyclic(self, m):
         """Columns in index order.  Legs 1..m-1 are folded into states keyed
         by (product of the second legs, index of the emitted third legs); the
@@ -557,7 +559,7 @@ class ConnesMoscoviciModule(TensorCyclicModule):
         d = self.hopf.dim
         D = d ** (m - 1)
         mult = self.hopf.algebra.mult
-        cop3a = self._cop3_alpha()
+        cop3a = self._cop3_alpha
         closing = self._closing
         # states[p]: the fold over legs 1..p; states[0] is the unit
         states: list = [None] * m
@@ -609,17 +611,12 @@ class ConnesMoscoviciModule(TensorCyclicModule):
 class ClassicalCyclicModule(TensorCyclicModule):
     """C_m = A^(tensor m+1) with the standard faces, degeneracies and rotation."""
 
+    fixed_legs = 1
+
     def __init__(self, algebra):
         super().__init__()
         self.algebra = algebra
         self.ring = algebra.ring
-
-    def level_dim(self, m: int) -> int:
-        return self.algebra.dim ** (m + 1)
-
-    def normalized_legs(self, m: int) -> list[bool]:
-        # s_i inserts the unit after the first i + 1 legs: all but the first
-        return [False] + [True] * m
 
     def _face_on(self, legs, m, i):
         # the first leg, which no degeneracy fills, stays on the algebra's basis
@@ -646,12 +643,6 @@ class ClassicalCyclicModule(TensorCyclicModule):
                         ent[(k + B, col)] = c
                     col += 1
         return SparseMatrix._unchecked(R, d * E, col, ent)
-
-    def _degenerate(self, m, i, M):
-        return _insert_unit(self.ring, self.algebra.dim, self.algebra.unit, i + 1, m - i, M)
-
-    def _degeneracy(self, m, i):
-        return self._degenerate(m, i, SparseMatrix.identity(self.ring, self.level_dim(m)))
 
     def _cyclic(self, m):
         # t[0..m] goes to (t[m],) + t[0..m-1]: column B * d + y to row y * E + B
@@ -993,11 +984,13 @@ def sbi_rank_assignment(h_dims: list[int], hc_dims: list[int]) -> SBIReport:
     return SBIReport(True, ranks)
 
 
-def sbi_check(module: CyclicModule, N: int, use_bicomplex: bool = False) -> SBIReport:
-    """Compute Hochschild and cyclic dimensions up to N and run the bookkeeping."""
+def sbi_check(module: CyclicModule, N: int) -> SBIReport:
+    """Compute Hochschild and cyclic dimensions up to N and run the
+    bookkeeping; HC comes from the quotient complex over a ring containing Q
+    and from the (b, B) bicomplex otherwise."""
     h_dims = [h.free_rank for h in hochschild_homology_upto(module, N)]
-    if use_bicomplex or not module.ring.contains_rationals:
-        hc_dims = [h.free_rank for h in cyclic_bicomplex_hc_upto(module, N)]
-    else:
+    if module.ring.contains_rationals:
         hc_dims = [connes_lambda_hc(module, n).free_rank for n in range(N + 1)]
+    else:
+        hc_dims = [h.free_rank for h in cyclic_bicomplex_hc_upto(module, N)]
     return sbi_rank_assignment(h_dims, hc_dims)

@@ -6,15 +6,15 @@ basis, the counit as a functional, and the antipode as a matrix; characters
 are functionals that are multiplicative on the basis.
 
 The admissibility check for a (grouplike, character, character) triple is the
-involution condition on the convolution alpha * S_pi * beta, verified as an
-exact matrix identity.
+involution condition (alpha * S_pi * beta)^2 = id, with alpha * S_pi * beta
+built as one matrix and squared exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import HopfCyclError, InvalidCharacter, RingMismatch
+from .errors import InvalidCharacter
 from .rings import Ring
 from .sparse import SparseMatrix
 
@@ -264,105 +264,39 @@ class HopfAlgebraData:
         return report
 
 
-# ---------------------------------------------------------------------------
-# linear maps out of H and convolution
-# ---------------------------------------------------------------------------
-
-
-class LinMap:
-    """Linear map with source H and target H or the coefficient ring.
-
-    H-valued maps are matrices; k-valued maps are value lists on the basis.
-    """
-
-    def __init__(self, hopf: HopfAlgebraData, target: str, data):
-        if target not in ("H", "k"):
-            raise ValueError("target must be 'H' or 'k'")
-        self.hopf = hopf
-        self.target = target
-        self.data = data
-
-    @classmethod
-    def from_matrix(cls, hopf, matrix: SparseMatrix):
-        return cls(hopf, "H", matrix)
-
-    @classmethod
-    def from_character(cls, hopf, chi: Character):
-        return cls(hopf, "k", list(chi.values))
-
-    @classmethod
-    def identity(cls, hopf):
-        return cls(hopf, "H", SparseMatrix.identity(hopf.ring, hopf.dim))
-
-    @classmethod
-    def antipode(cls, hopf):
-        return cls(hopf, "H", hopf.antipode)
-
-    @classmethod
-    def counit(cls, hopf):
-        return cls(hopf, "k", list(hopf.counit))
-
-    @classmethod
-    def unit_counit(cls, hopf):
-        """eta . epsilon, the convolution unit, as an H-valued map."""
-        R = hopf.ring
-        cols = [vec_scale(R, hopf.counit[b], hopf.algebra.unit) for b in range(hopf.dim)]
-        return cls(hopf, "H", SparseMatrix.from_columns(R, hopf.dim, cols))
-
-    def on_basis(self, b: int):
-        if self.target == "H":
-            return self.data.column(b)
-        return self.data[b]
-
-    def as_matrix(self) -> SparseMatrix:
-        if self.target != "H":
-            raise HopfCyclError("k-valued map has no H-matrix")
-        return self.data
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinMap)
-            and self.target == other.target
-            and self.data == other.data
-        )
-
-
-def convolution(f: LinMap, g: LinMap) -> LinMap:
-    """(f * g)(a) = f(a^(1)) . g(a^(2)), for compatible targets."""
-    if f.hopf is not g.hopf:
-        raise RingMismatch("convolution of maps on different Hopf algebras")
-    H = f.hopf
-    R = H.ring
-    if f.target == "k" and g.target == "k":
-        values = []
-        for b in range(H.dim):
-            values.append(
-                R.sum(
-                    R.mul(c, R.mul(f.data[i], g.data[j]))
-                    for (i, j), c in H.coproduct[b].items()
-                )
-            )
-        return LinMap(H, "k", values)
-    cols = []
-    for b in range(H.dim):
-        acc: Vector = {}
-        for (i, j), c in H.coproduct[b].items():
-            fi = f.on_basis(i)
-            gj = g.on_basis(j)
-            if f.target == "k":
-                term = vec_scale(R, R.mul(c, fi), gj)
-            elif g.target == "k":
-                term = vec_scale(R, R.mul(c, gj), fi)
-            else:
-                term = vec_scale(R, c, H.algebra.multiply(fi, gj))
-            acc = vec_add(R, acc, term)
-        cols.append(acc)
-    return LinMap(H, "H", SparseMatrix.from_columns(R, H.dim, cols))
-
-
 def twisted_antipode(hopf: HopfAlgebraData, pi: GroupLike) -> SparseMatrix:
     """S_pi = (left multiplication by pi) . S."""
     return hopf.algebra.left_multiplication_matrix(pi.as_vector()) @ hopf.antipode
+
+
+def admissibility_matrix(
+    hopf: HopfAlgebraData, pi: GroupLike, alpha: Character, beta: Character
+) -> SparseMatrix:
+    """alpha * S_pi * beta as a matrix: column b is the sum of
+    c * alpha(x) * beta(z) * S_pi(b_y) over (Delta (x) id) Delta(b) = sum of
+    c * x (x) y (x) z, read off the two-leg coproduct table: alpha on the
+    left leg of each Delta(p), then beta on the right leg of Delta(b).  S_pi
+    is linear, so it is applied once, to the matrix of the middle legs."""
+    R = hopf.ring
+    mul, add, is_zero = R.mul, R.add, R.is_zero
+    # left[p]: the sum of c * alpha(x) * b_y over Delta(p) = sum of c * x (x) y
+    left = []
+    for terms in hopf.coproduct:
+        vec: Vector = {}
+        for (x, y), c in terms.items():
+            if not is_zero(a := alpha(x)):
+                vec[y] = add(vec.get(y, R.zero), mul(c, a))
+        left.append(vec)
+    cols = []
+    for terms in hopf.coproduct:
+        col: Vector = {}
+        for (p, z), c in terms.items():
+            if not is_zero(b := beta(z)):
+                cb = mul(c, b)
+                for y, v in left[p].items():
+                    col[y] = add(col.get(y, R.zero), mul(cb, v))
+        cols.append(col)
+    return twisted_antipode(hopf, pi) @ SparseMatrix.from_columns(R, hopf.dim, cols)
 
 
 def is_grouplike(hopf: HopfAlgebraData, x: Vector) -> bool:
@@ -399,10 +333,7 @@ def check_cm_triple(
     pv = pi.as_vector()
     if alpha(pv) != R.one or beta(pv) != R.one:
         failures.append("character value at grouplike is not 1")
-    s_pi = LinMap.from_matrix(hopf, twisted_antipode(hopf, pi))
-    conv = convolution(convolution(LinMap.from_character(hopf, alpha), s_pi),
-                       LinMap.from_character(hopf, beta))
-    square = conv.as_matrix() @ conv.as_matrix()
-    if square != SparseMatrix.identity(R, hopf.dim):
+    conv = admissibility_matrix(hopf, pi, alpha, beta)
+    if conv @ conv != SparseMatrix.identity(R, hopf.dim):
         failures.append("convolution square is not the identity")
     return CMTriple(pi, alpha, beta, not failures, tuple(failures))

@@ -608,16 +608,18 @@ def semisimple_case(
 ) -> dict:
     """Homology tables for the vertex algebra (truncation exponent 1).
 
-    HH is concentrated in degree 0 with one copy of k per vertex; coefficient
-    homology for a pair of vertex characters follows the two-case count; HC
-    alternates between the vertex count and zero.
+    HH is concentrated in degree 0 with one copy of k per vertex; HC
+    alternates between the vertex count and zero.  The coefficient homology
+    of a pair of vertex characters, Tor over the semisimple k^v, is
+    concentrated in degree 0, where it is k_alpha (x)_(k^v) k_beta: k when
+    the vertices agree and 0 otherwise.
     """
     v = quiver.num_vertices
     hh = [free_module(ring, v if p == 0 else 0) for p in range(N + 1)]
     hc = [free_module(ring, v if p % 2 == 0 else 0) for p in range(N + 1)]
     table = {"hh": hh, "hc": hc}
     if alpha_vertex is not None and beta_vertex is not None:
-        h0 = v if alpha_vertex == beta_vertex else v - 2
+        h0 = 1 if alpha_vertex == beta_vertex else 0
         table["coefficient"] = [
             free_module(ring, h0 if p == 0 else 0) for p in range(N + 1)
         ]

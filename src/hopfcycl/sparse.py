@@ -1,4 +1,4 @@
-"""Exact sparse matrices: rank and kernels over fields, Smith normal form over
+"""Exact sparse matrices: rank over fields, Smith normal form over
 Z and Z/m, and homology of a composable pair of boundary maps.
 
 Matrices are dictionaries (row, col) -> nonzero payload together with a ring.
@@ -118,12 +118,6 @@ class SparseMatrix:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c):
-        R = self.ring
-        return SparseMatrix(
-            R, self.nrows, self.ncols, {k: R.mul(c, v) for k, v in self.entries.items()}
-        )
-
     def __matmul__(self, other):
         self._check(other)
         if self.ncols != other.nrows:
@@ -173,41 +167,9 @@ class SparseMatrix:
             ent[(i, j + self.ncols)] = v
         return SparseMatrix._unchecked(self.ring, self.nrows, self.ncols + other.ncols, ent)
 
-    def vstack(self, other):
-        self._check(other)
-        if self.ncols != other.ncols:
-            raise ValueError("column mismatch in vstack")
-        ent = dict(self.entries)
-        for (i, j), v in other.entries.items():
-            ent[(i + self.nrows, j)] = v
-        return SparseMatrix._unchecked(self.ring, self.nrows + other.nrows, self.ncols, ent)
-
     # -- access --------------------------------------------------------------
     def column(self, j):
         return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
-    def apply(self, vec: dict) -> dict:
-        """Matrix times sparse column vector (dict index -> payload)."""
-        R = self.ring
-        cols = {}
-        for (i, j), v in self.entries.items():
-            cols.setdefault(j, []).append((i, v))
-        out = {}
-        for j, x in vec.items():
-            for i, v in cols.get(j, ()):
-                s = R.add(out.get(i, R.zero), R.mul(v, x))
-                if R.is_zero(s):
-                    out.pop(i, None)
-                else:
-                    out[i] = s
-        return out
-
-    def to_dense(self):
-        R = self.ring
-        rows = [[R.zero] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
 
     def nnz(self):
         return len(self.entries)
@@ -244,7 +206,7 @@ def _rows_and_colindex(M: SparseMatrix):
     return rows, col_rows
 
 
-def _eliminate(M: SparseMatrix, jordan: bool):
+def _eliminate(M: SparseMatrix):
     """Sparse elimination with a pivot queue; returns (rows, pivots).
 
     pivots is a list of (row_index, col_index).  The next pivot column is the
@@ -254,12 +216,11 @@ def _eliminate(M: SparseMatrix, jordan: bool):
     qualify: over Z a column whose live entries are all non-units is skipped
     until one of its entries changes.  A pivot changes live counts only in
     the columns of its own row, so only those are pushed back on the queue;
-    stale queue entries are dropped when popped.  With jordan=True the pivot
-    column is cleared from every other row (needed for kernel extraction).
+    stale queue entries are dropped when popped.  The pivot column is cleared
+    from the live rows only.
     """
     R = M.ring
-    rows, col_rows = _rows_and_colindex(M)  # column index over active rows only
-    retired_by_col: dict[int, set[int]] = {}  # pivot rows, tracked in jordan mode
+    rows, col_rows = _rows_and_colindex(M)  # column index over live rows only
     pivots = []
     queue = [(len(rs), j) for j, rs in col_rows.items()]
     heapify(queue)
@@ -273,23 +234,18 @@ def _eliminate(M: SparseMatrix, jordan: bool):
         r = min(units, key=lambda i: (len(rows[i]), i))
         pivots.append((r, c))
         pv_inv = R.inv(rows[r][c])
-        targets = set(col_rows[c]) - {r}
-        if jordan:
-            targets |= retired_by_col.get(c, set())
-        for r2 in targets:
+        for r2 in col_rows[c] - {r}:
             f = R.mul(rows[r2][c], pv_inv)
             row2 = rows[r2]
-            is_active = r2 in col_rows.get(c, ())
             for j, v in rows[r].items():
                 nv = R.sub(row2.get(j, R.zero), R.mul(f, v))
-                index = col_rows if is_active else retired_by_col
                 if R.is_zero(nv):
                     if j in row2:
                         del row2[j]
-                        index.get(j, set()).discard(r2)
+                        col_rows[j].discard(r2)
                 else:
                     if j not in row2:
-                        index.setdefault(j, set()).add(r2)
+                        col_rows[j].add(r2)
                     row2[j] = nv
         # retire the pivot row from further pivot selection
         for j in rows[r]:
@@ -297,8 +253,6 @@ def _eliminate(M: SparseMatrix, jordan: bool):
             rs.discard(r)
             if rs:
                 heappush(queue, (len(rs), j))
-            if jordan:
-                retired_by_col.setdefault(j, set()).add(r)
     return rows, pivots
 
 
@@ -306,35 +260,8 @@ def rank(M: SparseMatrix) -> int:
     """Rank of a matrix over a field, by exact sparse elimination."""
     if not M.ring.is_field:
         raise NotAField(f"rank needs a field, got {M.ring}")
-    _, pivots = _eliminate(M, jordan=False)
+    _, pivots = _eliminate(M)
     return len(pivots)
-
-
-def nullity(M: SparseMatrix) -> int:
-    return M.ncols - rank(M)
-
-
-def kernel_basis(M: SparseMatrix) -> SparseMatrix:
-    """Columns spanning ker M, over a field.
-
-    One basis vector per free column: the free coordinate is set to 1 and the
-    pivot coordinates are solved from the reduced rows.
-    """
-    if not M.ring.is_field:
-        raise NotAField(f"kernel_basis needs a field, got {M.ring}")
-    R = M.ring
-    rows, pivots = _eliminate(M, jordan=True)
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [j for j in range(M.ncols) if j not in pivot_cols]
-    columns = []
-    for f in free_cols:
-        vec = {f: R.one}
-        for r, c in pivots:
-            coeff = rows[r].get(f)
-            if coeff is not None:
-                vec[c] = R.neg(R.mul(coeff, R.inv(rows[r][c])))
-        columns.append(vec)
-    return SparseMatrix.from_columns(R, M.ncols, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +346,7 @@ def _integer_invariants(M: SparseMatrix, m: int = 0) -> list[int]:
     appended for the residual's columns only (the m * e_j of an eliminated
     column lies in the lattice spanned by the others).
     """
-    rows, pivots = _eliminate(M, jordan=False)
+    rows, pivots = _eliminate(M)
     pivot_rows = {r for r, _ in pivots}
     residual = [row for i, row in enumerate(rows) if row and i not in pivot_rows]
     if m:
@@ -476,7 +403,7 @@ def _rank_and_torsion(d: SparseMatrix) -> tuple[int, tuple[int, ...]]:
 def homology_at(d_in: SparseMatrix, d_out: SparseMatrix, *, check_square=True) -> HomologyModule:
     """ker(d_out) / im(d_in) for d_in: C_{p+1} -> C_p, d_out: C_p -> C_{p-1}.
 
-    Over a field the answer is the dimension nullity(d_out) - rank(d_in).
+    Over a field the answer has dimension dim ker(d_out) - rank(d_in).
     Over Z both maps go through the Smith normal form: a rank is the number of
     nonzero invariant factors, and the torsion is the list of invariant
     factors > 1 of d_in (ker d_out is a saturated subgroup, so the elementary

@@ -302,13 +302,13 @@ def test_acceptance_8_edge_truncations():
             failures,
             [h.free_rank for h in table["hh"]] == [v, 0, 0, 0, 0]
             and [h.free_rank for h in table["hc"]] == [v, 0, v, 0, v]
-            and [h.free_rank for h in table["coefficient"]] == [v - 2, 0, 0, 0, 0],
+            and [h.free_rank for h in table["coefficient"]] == [0, 0, 0, 0, 0],
             f"semisimple case on {v} vertices, distinct characters",
         )
         same = semisimple_case(quiver, QQ, N=2, alpha_vertex=0, beta_vertex=0)
         check(
             failures,
-            [h.free_rank for h in same["coefficient"]] == [v, 0, 0],
+            [h.free_rank for h in same["coefficient"]] == [1, 0, 0],
             f"semisimple case on {v} vertices, equal characters",
         )
     conclude(8, "untruncated and semisimple edge cases", failures)

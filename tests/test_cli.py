@@ -488,6 +488,29 @@ def test_hc_caps_the_highest_level_it_builds(monkeypatch):
     assert [row["value"] for row in json.loads(out)["rows"]] == ["Z", "Z/18", "Z"]
 
 
+def test_hh_caps_the_normalized_carrier(monkeypatch):
+    """hh through degree N builds only b-bar_(N+1), on (d - 1)^(N+1) columns
+    for a d-dimensional algebra: Z[Z/5] through degree 2 has 4^3 = 64 of
+    them, under a cap of 100 that the full 5^3 = 125 exceeds, and Taft-2
+    has 3^3 = 27.  hc keeps counting the full carrier."""
+    argv = ["hh", "--group", "cyclic:5", "--ring", "Z", "--max-degree", "2", "--format", "json"]
+    monkeypatch.setenv("HOPFCYCL_MAX_CARRIER", "100")
+    code, out = run_cli(argv)
+    assert code == 0
+    assert [row["value"] for row in json.loads(out)["rows"]] == ["Z", "Z/5", "0"]
+    code, out = run_cli(["hc", *argv[1:]])
+    assert code == 2 and out.startswith("error: ResourceCap: carrier dimension 5^3 = 125 ")
+    monkeypatch.setenv("HOPFCYCL_MAX_CARRIER", "63")
+    code, out = run_cli(argv)
+    assert code == 2 and out.startswith("error: ResourceCap: carrier dimension 4^3 = 64 ")
+    taft = ["hh", "--taft", "2", "--pi", "1", "--max-degree", "2"]
+    monkeypatch.setenv("HOPFCYCL_MAX_CARRIER", "27")
+    assert run_cli(taft)[0] == 0
+    monkeypatch.setenv("HOPFCYCL_MAX_CARRIER", "26")
+    code, out = run_cli(taft)
+    assert code == 2 and out.startswith("error: ResourceCap: carrier dimension 3^3 = 27 ")
+
+
 def test_hc_refuses_a_module_whose_laws_fail():
     """An inadmissible triple whose t^(m+1) = id holds at level 1, but whose
     faces and degeneracies do not commute with t: refused, not a traceback,

@@ -201,7 +201,9 @@ def test_sbi_check_group_module():
     rep = sbi_check(cm_z3(1), 3)
     assert rep.consistent
     assert rep.ranks == [(1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 0)]
-    rep2 = sbi_check(cm_z3(1), 3, use_bicomplex=True)
+    h_dims = [h.free_rank for h in hochschild_homology_upto(cm_z3(1), 3)]
+    hc_dims = [h.free_rank for h in cyclic_bicomplex_hc_upto(cm_z3(1), 3)]
+    rep2 = sbi_rank_assignment(h_dims, hc_dims)
     assert rep2.consistent and rep2.ranks == rep.ranks
 
 
@@ -255,7 +257,7 @@ class TupleDecodingCM(ConnesMoscoviciModule):
             return SparseMatrix.identity(R, 1)
         d = self.hopf.dim
         mult = self.hopf.algebra.mult
-        cop3a = self._cop3_alpha()
+        cop3a = self._cop3_alpha
         cols = []
         for idx in range(d**m):
             t = index_to_tuple(idx, d, m)
@@ -656,7 +658,7 @@ class PrefixFoldCM(ConnesMoscoviciModule):
         d = self.hopf.dim
         D = d ** (m - 1)
         mult = self.hopf.algebra.mult
-        cop3a = self._cop3_alpha()
+        cop3a = self._cop3_alpha
         s_pi_cols = [self.s_pi.column(j) for j in range(d)]
         betas = [self.beta(z) for z in range(d)]
         states: list = [None] * m

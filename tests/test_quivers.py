@@ -1,6 +1,7 @@
 """Quivers and truncated path algebras: necklace counts, the small
 resolution, closed formulas, the Taft Hopf structure."""
 
+from itertools import product
 from math import gcd
 
 import pytest
@@ -15,6 +16,7 @@ from hopfcycl import (
     PreconditionFailed,
     Quiver,
     RingWithoutRationals,
+    SparseMatrix,
     check_cm_triple,
     coefficient_homology_skoldberg,
     connes_lambda_hc,
@@ -24,6 +26,7 @@ from hopfcycl import (
     hh_closed_form,
     hh_via_skoldberg,
     hochschild_window,
+    homology_sequence,
     is_grouplike,
     path_algebra_hh,
     semisimple_case,
@@ -227,9 +230,47 @@ def test_semisimple_case_tables():
     table = semisimple_case(Quiver.crown(3), QQ, N=4, alpha_vertex=0, beta_vertex=1)
     assert [h.free_rank for h in table["hh"]] == [3, 0, 0, 0, 0]
     assert [h.free_rank for h in table["hc"]] == [3, 0, 3, 0, 3]
-    assert [h.free_rank for h in table["coefficient"]] == [1, 0, 0, 0, 0]
+    assert [h.free_rank for h in table["coefficient"]] == [0, 0, 0, 0, 0]
     same = semisimple_case(Quiver.crown(3), QQ, N=2, alpha_vertex=2, beta_vertex=2)
-    assert [h.free_rank for h in same["coefficient"]] == [3, 0, 0]
+    assert [h.free_rank for h in same["coefficient"]] == [1, 0, 0]
+
+
+def vertex_bar_homology(A, alpha, beta, N):
+    """H_0..H_N of the b-complex k (x) A^(x m) of two vertex characters,
+    built tuple by tuple: d_0 sends a_1 (x) ... (x) a_m to
+    beta(a_1) a_2 (x) ... (x) a_m, the inner faces multiply neighbouring
+    legs, and d_m sends it to alpha(a_m) a_1 (x) ... (x) a_(m-1)."""
+    R, d, mult = A.ring, A.algebra.dim, A.algebra.mult
+    chi_alpha, chi_beta = vertex_character(A, alpha), vertex_character(A, beta)
+    boundaries = []
+    for m in range(1, N + 2):
+        index = {t: k for k, t in enumerate(product(range(d), repeat=m - 1))}
+        cols = []
+        for t in product(range(d), repeat=m):
+            terms = [(t[1:], chi_beta(t[0]))]
+            for i in range(1, m):
+                terms += [(t[: i - 1] + (k,) + t[i + 1 :], R.mul(R.from_int((-1) ** i), c))
+                          for k, c in mult[t[i - 1]][t[i]].items()]
+            terms.append((t[:-1], R.mul(R.from_int((-1) ** m), chi_alpha(t[-1]))))
+            col = {}
+            for key, c in terms:
+                col[index[key]] = R.add(col.get(index[key], R.zero), c)
+            cols.append(col)
+        boundaries.append(SparseMatrix.from_columns(R, len(index), cols))
+    return homology_sequence(boundaries)
+
+
+@pytest.mark.parametrize("v", [1, 2, 3])
+def test_semisimple_coefficient_row_matches_the_b_complex(v):
+    """The coefficient row of `semisimple_case` is the homology of the
+    b-complex of k^v (truncation 1) with every pair of vertex characters."""
+    A = truncated_algebra(Quiver.crown(v), 1, QQ)
+    for alpha in range(v):
+        for beta in range(v):
+            computed = vertex_bar_homology(A, alpha, beta, 3)
+            table = semisimple_case(A.quiver, QQ, N=3, alpha_vertex=alpha, beta_vertex=beta)
+            assert computed == table["coefficient"], (alpha, beta)
+            assert computed[0].free_rank == (alpha == beta)
 
 
 # -- cyclic homology of the truncation ---------------------------------------
@@ -328,6 +369,8 @@ def test_taft_over_explicit_ring():
 def test_taft_valid_triples():
     assert taft_cm_triples(2) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert taft_cm_triples(3) == [(0, 0, 2), (0, 1, 0), (0, 2, 1), (2, 0, 0)]
+    assert taft_cm_triples(4) == [(0, 0, 3), (0, 1, 0), (0, 2, 1), (0, 3, 2), (3, 0, 0)]
+    assert taft_cm_triples(5) == [(0, 0, 4), (0, 1, 0), (0, 2, 1), (0, 3, 2), (0, 4, 3), (4, 0, 0)]
     for n in (2, 3, 4):
         for (i, u, v) in taft_cm_congruences(n):
             assert (u * i) % n == 0 and (v * i) % n == 0

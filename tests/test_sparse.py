@@ -1,4 +1,4 @@
-"""Sparse exact linear algebra: rank, kernels, Smith normal form, homology."""
+"""Sparse exact linear algebra: rank, Smith normal form, homology."""
 
 import random
 from fractions import Fraction
@@ -22,8 +22,6 @@ from hopfcycl import (
     SparseMatrix,
     UnsupportedRing,
     homology_at,
-    kernel_basis,
-    nullity,
     rank,
     smith_normal_form,
 )
@@ -82,19 +80,6 @@ def test_rank_matches_dense_oracle(ring, seed, m, n):
     r = rank(M)
     assert r == dense_rank_oracle(ring, rows)
     assert r == rank(M.transpose())
-    assert nullity(M) == n - r
-
-
-@given(seed=st.integers(0, 10**6), m=st.integers(1, 6), n=st.integers(1, 6))
-@settings(max_examples=40, deadline=None)
-def test_kernel_basis_spans_the_kernel(seed, m, n):
-    rng = random.Random(seed)
-    M = SparseMatrix.from_rows(QQ, random_int_rows(rng, m, n))
-    K = kernel_basis(M)
-    assert K.ncols == nullity(M)
-    assert (M @ K).is_zero
-    if K.ncols:
-        assert rank(K) == K.ncols
 
 
 def test_rank_requires_field():
@@ -112,10 +97,8 @@ def test_matrix_algebra_basics():
     assert (A @ B) == SparseMatrix.from_rows(QQ, [[2, 1], [4, 3]])
     assert (A + (-A)).is_zero
     assert (A - A).is_zero
-    assert A.scale(Fraction(2)).entries[(1, 1)] == Fraction(8)
-    assert A.hstack(B).ncols == 4 and A.vstack(B).nrows == 4
+    assert A.hstack(B).ncols == 4
     assert A.column(0) == {0: Fraction(1), 1: Fraction(3)}
-    assert A.apply({0: Fraction(1), 1: Fraction(1)}) == {0: Fraction(3), 1: Fraction(7)}
     assert A.transpose().transpose() == A
     with pytest.raises(RingMismatch):
         A @ SparseMatrix.identity(ZZ, 2)
@@ -217,13 +200,12 @@ def test_homology_at_guards():
 # -- the pivot-queue elimination kernel ---------------------------------------
 
 
-def eliminate_by_column_scan(M, jordan):
+def eliminate_by_column_scan(M):
     """Reference pivot order: rescan every column for the fewest live rows
     (ties to the lowest column), then take the live row with the fewest
     entries (ties to the lowest row)."""
     R = M.ring
     rows, col_rows = _rows_and_colindex(M)
-    retired_by_col = {}
     pivots = []
     while True:
         best = None
@@ -239,28 +221,21 @@ def eliminate_by_column_scan(M, jordan):
         r = min(col_rows[c], key=lambda i: (len(rows[i]), i))
         pivots.append((r, c))
         pv_inv = R.inv(rows[r][c])
-        targets = set(col_rows[c]) - {r}
-        if jordan:
-            targets |= retired_by_col.get(c, set())
-        for r2 in targets:
+        for r2 in set(col_rows[c]) - {r}:
             f = R.mul(rows[r2][c], pv_inv)
             row2 = rows[r2]
-            is_active = r2 in col_rows.get(c, ())
             for j, v in rows[r].items():
                 nv = R.sub(row2.get(j, R.zero), R.mul(f, v))
-                index = col_rows if is_active else retired_by_col
                 if R.is_zero(nv):
                     if j in row2:
                         del row2[j]
-                        index.get(j, set()).discard(r2)
+                        col_rows[j].discard(r2)
                 else:
                     if j not in row2:
-                        index.setdefault(j, set()).add(r2)
+                        col_rows[j].add(r2)
                     row2[j] = nv
         for j in rows[r]:
             col_rows[j].discard(r)
-            if jordan:
-                retired_by_col.setdefault(j, set()).add(r)
     return rows, pivots
 
 
@@ -276,14 +251,13 @@ def random_field_matrix(ring, rng, m, n, density):
     return SparseMatrix(ring, m, n, ent)
 
 
-@pytest.mark.parametrize("jordan", [False, True])
 @pytest.mark.parametrize("ring", [F7, QQ, QZETA3], ids=lambda r: r.name)
 @given(seed=st.integers(0, 10**6), m=st.integers(1, 12), n=st.integers(1, 12),
        density=st.sampled_from([0.15, 0.4, 0.8]))
 @settings(max_examples=30, deadline=None)
-def test_pivot_queue_matches_column_scan(jordan, ring, seed, m, n, density):
+def test_pivot_queue_matches_column_scan(ring, seed, m, n, density):
     M = random_field_matrix(ring, random.Random(seed), m, n, density)
-    assert _eliminate(M, jordan) == eliminate_by_column_scan(M, jordan)
+    assert _eliminate(M) == eliminate_by_column_scan(M)
 
 
 def random_integer_matrix(rng, m, n, values, per_column):
@@ -320,7 +294,10 @@ def test_snf_matches_dense_snf_of_the_full_matrix(regime, seed, zero_lines):
             (i, j): v for (i, j), v in M.entries.items()
             if i not in dead_rows and j not in dead_cols
         })
-    assert smith_normal_form(M) == _snf_invariants(M.to_dense())
+    dense = [[0] * n for _ in range(m)]
+    for (i, j), v in M.entries.items():
+        dense[i][j] = v
+    assert smith_normal_form(M) == _snf_invariants(dense)
 
 
 @pytest.mark.parametrize("modulus", [4, 6, 9])
@@ -348,7 +325,7 @@ def test_snf_over_zmod_sends_only_the_residual_to_the_dense_stage(monkeypatch):
     }
     M = SparseMatrix(IntegersMod(modulus), m, n, entries)
     lifted = {k: v - modulus if 2 * v > modulus else v for k, v in entries.items()}
-    rows, pivots = _eliminate(SparseMatrix(ZZ, m, n, lifted), jordan=False)
+    rows, pivots = _eliminate(SparseMatrix(ZZ, m, n, lifted))
     pivot_rows = {r for r, _ in pivots}
     residual_rows = sum(1 for i, row in enumerate(rows) if row and i not in pivot_rows)
 
@@ -444,7 +421,8 @@ def test_product_either_operand_larger_with_cancellation(ring):
             assert (len(A.entries) > len(B.entries)) == dense_left
             assert A @ B == matmul_by_indexing_the_left(A, B)
             # [A | -A] @ [B ; B] = AB - AB cancels everywhere
-            assert (A.hstack(-A) @ B.vstack(B)).is_zero
+            stacked = B.transpose().hstack(B.transpose()).transpose()
+            assert (A.hstack(-A) @ stacked).is_zero
 
 
 def test_from_columns_checks_every_entry():
@@ -457,7 +435,7 @@ def test_from_columns_checks_every_entry():
     assert M.entries == {(2, 0): Fraction(5)}
 
 
-# -- rank and kernels over Q with int payloads, against Fraction payloads -----
+# -- elimination over Q with int payloads, against Fraction payloads ---------
 
 
 class FractionRationalField(Ring):
@@ -497,7 +475,7 @@ QQ_REF = FractionRationalField()
 @given(seed=st.integers(0, 10**6), m=st.integers(1, 10), n=st.integers(1, 10),
        density=st.sampled_from([0.2, 0.5, 0.9]))
 @settings(max_examples=40, deadline=None)
-def test_rank_and_kernel_over_q_match_fraction_payloads(entries, seed, m, n, density):
+def test_elimination_over_q_matches_fraction_payloads(entries, seed, m, n, density):
     rng = random.Random(seed)
     top_den = 6 if entries == "fractional" else 1
     values = {}
@@ -509,9 +487,8 @@ def test_rank_and_kernel_over_q_match_fraction_payloads(entries, seed, m, n, den
     M = SparseMatrix(QQ, m, n, {k: QQ.add(0, v) for k, v in values.items()})
     ref = SparseMatrix(QQ_REF, m, n, values)
     assert rank(M) == rank(ref)
-    K, K_ref = kernel_basis(M), kernel_basis(ref)
-    assert (K.nrows, K.ncols) == (K_ref.nrows, K_ref.ncols)
-    assert K.entries == K_ref.entries
-    assert all(type(v) is int or v.denominator > 1 for v in K.entries.values())
+    rows, pivots = _eliminate(M)
+    assert (rows, pivots) == _eliminate(ref)
+    assert all(type(v) is int or v.denominator > 1 for row in rows for v in row.values())
     if entries == "integral":
         assert all(type(v) is int for v in M.entries.values())
