@@ -20,15 +20,13 @@ from math import factorial
 from operator import attrgetter
 
 from .cyclic import (
-    ConnesMoscoviciModule,
     connes_lambda_hc,
     cyclic_bicomplex_hc_upto,
     hochschild_homology_upto,
     verify_cyclic_axioms,
 )
 from .errors import HopfCyclError, ParseError, ResourceCap, UnsupportedCombination
-from .groups import FiniteGroup, character_from_zeta, closed_hc_cyclic_group, group_algebra
-from .hopf import GroupLike, check_cm_triple
+from .groups import FiniteGroup, character_from_zeta, closed_hc_cyclic_group, cm_group_module
 from .quivers import (
     Quiver,
     _algebra_dim,
@@ -189,13 +187,10 @@ def _cm_module(args, top: int, normalized: bool = False):
     G = build()
     if not G.is_cyclic() and {args.alpha, args.beta} - {None, "eps"}:
         raise UnsupportedCombination("nontrivial characters are only supported for cyclic groups")
-    pi = GroupLike.from_vector({_pi_element(G, pi_exp): ring.one})
     alpha, beta = (_group_character(ring, G.order, s) for s in (args.alpha, args.beta))
-    hopf = group_algebra(G, ring)
-    module = ConnesMoscoviciModule(
-        hopf, check_cm_triple(hopf, pi, alpha, beta), require_valid=not args.allow_invalid
-    )
-    return module, ("group", G, pi_exp)
+    module = cm_group_module(G, _pi_element(G, pi_exp), ring, alpha, beta,
+                             require_valid=not args.allow_invalid)
+    return module, ("group", G, pi_exp, alpha == beta)
 
 
 def _pi_element(G: FiniteGroup, exponent: int) -> int:
@@ -276,12 +271,15 @@ def _cmd_hh(args) -> dict:
 
 
 def _closed_hc(source, ring, n):
-    """The closed HC_n of a module source, or None where no formula is known."""
+    """The closed HC_n of a module source, or None where no formula is known.
+    The formula of a cyclic group is that of (pi, eps, eps), which holds for
+    a pair alpha = beta as well (the chi conjugation), but not for alpha !=
+    beta."""
     if source[0] == "taft":
         _, size, i, u, v = source
         return HomologyModule(ring, taft_cm_closed_form(size, i, u, v, n))
-    _, G, pi_exp = source
-    if not G.is_cyclic():
+    _, G, pi_exp, equal_characters = source
+    if not (G.is_cyclic() and equal_characters):
         return None
     m_pi = G.order // G.element_order(_pi_element(G, pi_exp))
     return closed_hc_cyclic_group(ring, m_pi, n)

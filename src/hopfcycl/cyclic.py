@@ -21,10 +21,11 @@ level above N.  Two main instances live here:
 
 On top of the operators sit the homology engines: HH from the normalized
 b-complex (the full b-complex, `hochschild_window`, is its oracle), HC from
-the total complex of the normalized (b, B) bicomplex (both work over Z and
-F_p as well), the Connes quotient by the cyclic action (rings containing
-Q), and the rank-bookkeeping checker for the periodicity long exact
-sequence.
+the total complex of the normalized (b, B) bicomplex over every ring (Z,
+F_p, Q and Q(zeta_n) alike), the Connes quotient by the cyclic action
+(rings containing Q; the CLI and `burghelea_check` read HC from it there,
+and the tests hold the bicomplex to it), and the rank-bookkeeping checker
+for the periodicity long exact sequence.
 """
 
 from __future__ import annotations
@@ -749,21 +750,26 @@ def _mixed_boundary(module: CyclicModule, n: int) -> SparseMatrix:
 def _failing_laws(module: CyclicModule, top: int) -> list[str]:
     """The laws of t with itself, the faces and the degeneracies through
     level top that the module breaks."""
-    return sorted(name for name, good in _cyclic_laws(module, top).items() if not good)
+    return sorted(name for _, laws in _cyclic_laws(module, top)
+                  for name, good in laws.items() if not good)
 
 
 def _require_cyclic(module: CyclicModule, top: int, engine: str) -> None:
     """Refuse a module that is not cyclic through level top, where the
-    engine would not compute HC.  A module built from an admissible triple
-    is cyclic, and skips the check."""
+    engine would not compute HC.  The refusal names the lowest level, at
+    least 1, through which a law of t fails, and the laws that fail through
+    it; the laws are checked level by level and no level above it is built.
+    A module built from an admissible triple is cyclic, and skips the check."""
     if module.cyclic_by_construction:
         return
-    failures = _failing_laws(module, top)
-    if failures:
-        raise PreconditionFailed(
-            f"the module is not cyclic through level {top} ({', '.join(failures)} fail), "
-            f"so {engine} does not compute HC"
-        )
+    failures: list[str] = []
+    for m, laws in _cyclic_laws(module, top):
+        failures += [name for name, good in laws.items() if not good]
+        if failures and m >= 1:
+            raise PreconditionFailed(
+                f"the module is not cyclic through level {m} "
+                f"({', '.join(sorted(failures))} fail), so {engine} does not compute HC"
+            )
 
 
 def cyclic_bicomplex_hc(module: CyclicModule, n: int) -> HomologyModule:
@@ -789,7 +795,9 @@ def cyclic_bicomplex_hc_upto(module: CyclicModule, N: int) -> list[HomologyModul
 
 
 def connes_lambda_hc(module: CyclicModule, n: int) -> HomologyModule:
-    """HC_n from the quotient of the b-complex by the cyclic action.
+    """HC_n from the quotient of the b-complex by the cyclic action.  The
+    tests and demos 01 and 04 hold the (b, B) bicomplex to it, and the
+    benchmark times it directly.
 
     Only valid when the coefficient ring contains Q.  Dimensions of the
     quotient homology are recovered from ranks of the boundary matrices
@@ -913,34 +921,36 @@ def verify_cyclic_axioms(module: CyclicModule, N: int) -> dict[str, bool]:
                     else:
                         rhs = module.degenerate(m - 2, j, module.face(m - 1, i - 1))
                     check(f"d_{i} s_{j} (level {m - 1})", lhs, rhs)
-    report.update(_cyclic_laws(module, N))
+    for _, laws in _cyclic_laws(module, N):
+        report.update(laws)
     return report
 
 
-def _cyclic_laws(module: CyclicModule, N: int) -> dict[str, bool]:
-    """t^(m+1) = id and the compatibilities of t with the faces and the
-    degeneracies, for every level m <= N; no operator above level N is
-    built."""
-    report: dict[str, bool] = {}
+def _cyclic_laws(module: CyclicModule, N: int):
+    """Per level m <= N, in order, (m, laws): t_m^(m+1) = id and the
+    compatibilities of t_m with the faces of level m and the degeneracies
+    into it.  A level is built only when the caller asks for it, and no
+    operator above level N is built."""
     for m in range(N + 1):
+        laws: dict[str, bool] = {}
         t = module.cyclic(m)
-        report[f"t_{m}^{m + 1} = id"] = _cyclic_order_holds(module, m)
+        laws[f"t_{m}^{m + 1} = id"] = _cyclic_order_holds(module, m)
         if m >= 1:
-            report[f"d_0 t (level {m})"] = module.face(m, 0) @ t == module.face(m, m)
+            laws[f"d_0 t (level {m})"] = module.face(m, 0) @ t == module.face(m, m)
             for i in range(1, m + 1):
-                report[f"d_{i} t (level {m})"] = (
+                laws[f"d_{i} t (level {m})"] = (
                     module.face(m, i) @ t == module.cyclic(m - 1) @ module.face(m, i - 1)
                 )
             # cyclic-degeneracy compatibility on level m - 1
             tm1 = module.cyclic(m - 1)
-            report[f"s_0 t (level {m - 1})"] = (
+            laws[f"s_0 t (level {m - 1})"] = (
                 module.degenerate(m - 1, 0, tm1) == t @ (t @ module.degeneracy(m - 1, m - 1))
             )
             for i in range(1, m):
-                report[f"s_{i} t (level {m - 1})"] = (
+                laws[f"s_{i} t (level {m - 1})"] = (
                     module.degenerate(m - 1, i, tm1) == t @ module.degeneracy(m - 1, i - 1)
                 )
-    return report
+        yield m, laws
 
 
 # -- SBI rank bookkeeping ----------------------------------------------------
@@ -986,11 +996,8 @@ def sbi_rank_assignment(h_dims: list[int], hc_dims: list[int]) -> SBIReport:
 
 def sbi_check(module: CyclicModule, N: int) -> SBIReport:
     """Compute Hochschild and cyclic dimensions up to N and run the
-    bookkeeping; HC comes from the quotient complex over a ring containing Q
-    and from the (b, B) bicomplex otherwise."""
+    bookkeeping; HH comes from the normalized b-complex and HC from the
+    normalized (b, B) bicomplex, over every ring."""
     h_dims = [h.free_rank for h in hochschild_homology_upto(module, N)]
-    if module.ring.contains_rationals:
-        hc_dims = [connes_lambda_hc(module, n).free_rank for n in range(N + 1)]
-    else:
-        hc_dims = [h.free_rank for h in cyclic_bicomplex_hc_upto(module, N)]
+    hc_dims = [h.free_rank for h in cyclic_bicomplex_hc_upto(module, N)]
     return sbi_rank_assignment(h_dims, hc_dims)

@@ -15,7 +15,7 @@ from .cyclic import (
     ConnesMoscoviciModule,
     CyclicModule,
     connes_lambda_hc,
-    cyclic_bicomplex_hc,
+    cyclic_bicomplex_hc_upto,
 )
 from .errors import InvalidCharacter, ParseError, PreconditionFailed
 from .hopf import AlgebraData, Character, GroupLike, HopfAlgebraData, check_cm_triple
@@ -185,15 +185,17 @@ def character_from_zeta(ring: Ring, m: int, zeta) -> Character:
 
 def cm_group_module(
     G: FiniteGroup, pi: int, ring: Ring, alpha: Character | None = None,
-    beta: Character | None = None,
+    beta: Character | None = None, require_valid: bool = True,
 ) -> ConnesMoscoviciModule:
-    """The twisted cyclic module of kG at a group element pi (default eps, eps)."""
+    """The twisted cyclic module of kG at a group element pi (default eps,
+    eps); with require_valid=False it is built for an inadmissible triple
+    too."""
     H = group_algebra(G, ring)
     eps = trivial_character(G, ring)
     triple = check_cm_triple(
         H, GroupLike.from_vector({pi: ring.one}), alpha or eps, beta or eps
     )
-    return ConnesMoscoviciModule(H, triple)
+    return ConnesMoscoviciModule(H, triple, require_valid=require_valid)
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +390,10 @@ def theta_chain_map_check(G: FiniteGroup, pi: int, n: int, ring: Ring) -> dict[s
 # ---------------------------------------------------------------------------
 
 
-def _hc(module: CyclicModule, n: int) -> HomologyModule:
+def _hc_upto(module: CyclicModule, N: int) -> list[HomologyModule]:
     if module.ring.contains_rationals:
-        return connes_lambda_hc(module, n)
-    return cyclic_bicomplex_hc(module, n)
+        return [connes_lambda_hc(module, n) for n in range(N + 1)]
+    return cyclic_bicomplex_hc_upto(module, N)
 
 
 def burghelea_check(G: FiniteGroup, ring: Ring, N: int) -> dict:
@@ -404,13 +406,13 @@ def burghelea_check(G: FiniteGroup, ring: Ring, N: int) -> dict:
     """
     algebra = group_algebra(G, ring).algebra
     classical = ClassicalCyclicModule(algebra)
-    lhs = [_hc(classical, n).free_rank for n in range(N + 1)]
+    lhs = [h.free_rank for h in _hc_upto(classical, N)]
     reps = [cls_[0] for cls_ in conjugacy_classes(G)]
     per_class = {}
     for pi in reps:
         H = centralizer(G, pi)
         module = cm_group_module(H, H.parent_pi, ring)
-        per_class[pi] = [_hc(module, n).free_rank for n in range(N + 1)]
+        per_class[pi] = [h.free_rank for h in _hc_upto(module, N)]
     rhs = [sum(dims[n] for dims in per_class.values()) for n in range(N + 1)]
     return {
         "classical": lhs,

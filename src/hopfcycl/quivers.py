@@ -841,8 +841,7 @@ def taft_cm_closed_form(n: int, i: int, u: int, v: int, p: int) -> int:
 
 
 def taft_cm_homology(hopf: HopfAlgebraData, i: int, u: int, v: int, p: int) -> HomologyModule:
-    """Twisted cyclic homology of the Taft algebra via the quotient complex."""
-    from .cyclic import connes_lambda_hc
+    """Twisted cyclic homology of the Taft algebra via the (b, B) bicomplex."""
+    from .cyclic import cyclic_bicomplex_hc
 
-    module = taft_cm_module(hopf, i, u, v)
-    return connes_lambda_hc(module, p)
+    return cyclic_bicomplex_hc(taft_cm_module(hopf, i, u, v), p)

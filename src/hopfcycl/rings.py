@@ -494,18 +494,6 @@ ZZ = IntegerRing()
 QQ = RationalField()
 
 
-def Zmod(m: int) -> IntegersMod:
-    return IntegersMod(m)
-
-
-def GF(p: int) -> PrimeField:
-    return PrimeField(p)
-
-
-def Cyclotomic(n: int) -> CyclotomicField:
-    return CyclotomicField(n)
-
-
 _RING_RE = re.compile(r"^(Z|Q|Z/(\d+)|F(\d+)|Q\(zeta(\d+)\))$")
 
 
@@ -519,15 +507,15 @@ def parse_ring(spec: str) -> Ring:
         modulus = int(m.group(2))
         if modulus < 2:
             raise ParseError(f"ring spec {spec!r}: the modulus must be >= 2")
-        return GF(modulus) if _is_prime(modulus) else Zmod(modulus)
+        return PrimeField(modulus) if _is_prime(modulus) else IntegersMod(modulus)
     if m.group(3):
         if not _is_prime(int(m.group(3))):
             raise ParseError(f"ring spec {spec!r}: F_p needs a prime p")
-        return GF(int(m.group(3)))
+        return PrimeField(int(m.group(3)))
     if m.group(4):
         if int(m.group(4)) < 1:
             raise ParseError(f"ring spec {spec!r}: Q(zetaN) needs N >= 1")
-        return Cyclotomic(int(m.group(4)))
+        return CyclotomicField(int(m.group(4)))
     return QQ if spec.strip() == "Q" else ZZ
 
 
@@ -650,12 +638,11 @@ def free_module(ring: Ring, rank: int) -> HomologyModule:
 def annihilator_and_quotient(m: int, ring: Ring) -> tuple[HomologyModule, HomologyModule]:
     """Descriptors of Ann(m) = {x : m x = 0} and k/mk over the ring.
 
-    Supported over Z, Q, Z/M and F_p; cyclotomic fields are out of scope.
+    Supported over Z, Z/M and every field: over a field both are k when m
+    is zero in it and 0 otherwise.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if isinstance(ring, CyclotomicField):
-        raise UnsupportedRing("Ann/quotient not provided over cyclotomic fields")
     if ring == ZZ:
         if m == 0:
             return free_module(ring, 1), free_module(ring, 1)

@@ -45,6 +45,34 @@ def test_cm_hc_taft_compare_closed():
     assert all(c["pass"] for c in doc["comparisons"])
 
 
+def test_closed_hc_of_a_group_needs_equal_characters():
+    """The closed HC of a cyclic group is that of (pi, eps, eps), and holds
+    for alpha = beta by the chi conjugation; a pair alpha != beta has no
+    closed formula, so it is not compared."""
+    for extra in (["--ring", "Q"], ["--ring", "Z"]):
+        code, out = run_cli(["hc", "--group", "cyclic:2", "--alpha", "1", "--beta", "0",
+                             "--compare", "closed", *extra])
+        assert code == 2, extra
+        assert out.startswith("error: UnsupportedCombination: "), extra
+    code, out = run_cli(["hc", "--group", "cyclic:3", "--alpha", "1", "--beta", "2",
+                         "--ring", "F7", "--compare", "closed"])
+    assert code == 2 and out.startswith("error: UnsupportedCombination: ")
+    # report prints its tables without the comparison
+    code, out = run_cli(["report", "--group", "cyclic:2", "--alpha", "1", "--beta", "0",
+                         "--max-degree", "2", "--format", "json"])
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"]
+    assert doc["comparisons"] == [] and len(doc["hc"]) == 3
+    # alpha = beta stays compared, over Q(zeta_n) as well
+    for argv in (["--group", "cyclic:3", "--alpha", "1", "--beta", "1", "--ring", "Q(zeta3)"],
+                 ["--group", "cyclic:4", "--pi", "2", "--alpha", "2", "--beta", "2",
+                  "--ring", "Q(zeta4)"]):
+        code, out = run_cli(["hc", *argv, "--max-degree", "4", "--compare", "closed",
+                             "--format", "json"])
+        doc = json.loads(out)
+        assert code == 0 and len(doc["comparisons"]) == 5, argv
+
+
 @pytest.mark.parametrize("m, pi", [(4, 0), (4, 1), (4, 2), (4, 3), (5, 0)])
 def test_hc_over_z_at_scale_matches_closed_form(monkeypatch, m, pi):
     """HC_0..4(Z[Z/m]): degree 4 needs the Smith normal form of a 341x1365
@@ -357,7 +385,7 @@ def test_malformed_inputs_are_refused_before_any_algebra(monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("an algebra was built for a malformed input")
 
-    for builder in ("taft_hopf", "truncated_algebra", "group_algebra"):
+    for builder in ("taft_hopf", "truncated_algebra", "cm_group_module"):
         monkeypatch.setattr(cli, builder, refuse)
     code, out = run_cli(argv + ["--max-degree", "1"])
     assert code == 2
@@ -467,7 +495,7 @@ def test_resource_cap_comes_before_any_builder(monkeypatch, tmp_path, argv, cap)
 
     group = tmp_path / "group.json"
     group.write_text(json.dumps({"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}))
-    for builder in ("taft_hopf", "truncated_algebra", "group_algebra"):
+    for builder in ("taft_hopf", "truncated_algebra", "cm_group_module"):
         monkeypatch.setattr(cli, builder, refuse)
     monkeypatch.setattr(cli, "FiniteGroup", Refused)
     if cap is not None:

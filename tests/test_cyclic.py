@@ -36,6 +36,7 @@ from hopfcycl import (
     sbi_check,
     sbi_rank_assignment,
     taft_cm_closed_form,
+    taft_cm_congruences,
     taft_cm_module,
     taft_cm_triples,
     taft_hopf,
@@ -139,16 +140,37 @@ def test_hochschild_dimensions():
     assert [hochschild_homology(classical, n).free_rank for n in range(3)] == [3, 0, 0]
 
 
-def test_hc_dual_path_agreement():
-    for module in (cm_z3(1), cm_z3(0)):
-        for n in range(4):
-            lam = connes_lambda_hc(module, n)
-            bic = cyclic_bicomplex_hc(module, n)
-            assert lam.free_rank == bic.free_rank
-    assert [connes_lambda_hc(cm_z3(1), n).free_rank for n in range(4)] == [1, 0, 1, 0]
-    classical = ClassicalCyclicModule(group_algebra(FiniteGroup.cyclic(3), QQ).algebra)
-    assert [connes_lambda_hc(classical, n).free_rank for n in range(3)] == [3, 0, 3]
-    assert [cyclic_bicomplex_hc(classical, n).free_rank for n in range(3)] == [3, 0, 3]
+def dual_path_module(source, args):
+    if source == "taft":
+        n, *triple = args
+        return taft_cm_module(taft_hopf(n), *triple)
+    if source == "group":
+        m, pi = args
+        return cm_group_module(FiniteGroup.cyclic(m), pi, QQ)
+    group = FiniteGroup.cyclic(3) if args == "cyclic:3" else FiniteGroup.symmetric(3)
+    return ClassicalCyclicModule(group_algebra(group, QQ).algebra)
+
+
+DUAL_PATH_CASES = (
+    [("taft", (n, *triple), top) for n, top in ((2, 4), (3, 3))
+     for triple in taft_cm_congruences(n)]
+    + [("group", (m, pi), 3) for m in range(2, 6) for pi in range(m)]
+    + [("classical", "cyclic:3", 3), ("classical", "symmetric:3", 3)]
+)
+
+
+@pytest.mark.parametrize(
+    "source,args,top", DUAL_PATH_CASES, ids=[f"{s} {a}" for s, a, _ in DUAL_PATH_CASES]
+)
+def test_hc_dual_path_agreement(source, args, top):
+    """HC_0..top of the production engine, the normalized (b, B) bicomplex,
+    equals the Connes quotient complex degree by degree over Q and Q(zeta_n)."""
+    module = dual_path_module(source, args)
+    bicomplex = cyclic_bicomplex_hc_upto(module, top)
+    assert bicomplex == [connes_lambda_hc(module, n) for n in range(top + 1)]
+    expected = {("group", (3, 1)): [1, 0, 1, 0], ("classical", "cyclic:3"): [3, 0, 3, 0]}
+    if (source, args) in expected:
+        assert [h.free_rank for h in bicomplex] == expected[source, args]
 
 
 def test_lambda_engine_needs_rationals():
@@ -583,8 +605,9 @@ def test_each_square_is_checked_once(monkeypatch):
     assert products == [(2, 4, 8)]
     products.clear()
     assert sbi_check(module, 3).consistent
-    # b-bar_1 b-bar_2, out of C_0 = k
-    assert len([p for p in products if p[0] == 1]) == 1
+    # out of the 1-dimensional degree 0, once each: b-bar_1 b-bar_2 of HH and
+    # D_1 D_2 of the (b, B) bicomplex of HC, Tot_2 = C-bar_2 (+) C-bar_0
+    assert sorted(p for p in products if p[0] == 1) == [(1, 2, 4), (1, 2, 5)]
 
 
 def test_hochschild_homology_still_refuses_a_bad_pair():
@@ -619,6 +642,15 @@ def test_lambda_engine_refuses_levels_that_are_not_cyclic(monkeypatch, triple, l
     with pytest.raises(PreconditionFailed):
         connes_lambda_hc(module, level + 1)
     assert products == []
+
+
+@pytest.mark.parametrize("triple", [(1, 1, 0), (1, 1, 1)])
+def test_bicomplex_refuses_at_the_lowest_level_a_law_fails(triple):
+    module = taft_cm_module(taft_hopf(2), *triple, require_valid=False)
+    with pytest.raises(PreconditionFailed, match=r"through level 1 \(d_0 t \(level 1\)"):
+        cyclic_bicomplex_hc_upto(module, 3)
+    # the laws are checked level by level: no operator above level 1 is built
+    assert max(key[1] for key in module._cache if key[0] in ("d", "t")) == 1
 
 
 # -- the cyclic operator with a pre-contracted closing leg ---------------------

@@ -21,6 +21,7 @@ from hopfcycl import (
     coefficient_homology_skoldberg,
     connes_lambda_hc,
     cycle_orbit_counts,
+    cyclic_bicomplex_hc_upto,
     graded_sbi_hc,
     hc_closed_form_truncated,
     hh_closed_form,
@@ -402,6 +403,18 @@ def test_taft_closed_form_values():
     assert [taft_cm_closed_form(3, 2, 0, 0, p) for p in range(4)] == [1, 0, 2, 0]
     with pytest.raises(PreconditionFailed):
         taft_cm_closed_form(2, 1, 1, 1, 0)
+
+
+def test_taft4_bicomplex_matches_the_closed_form():
+    """HC_0..3 of all five Taft-4 triples over Q(zeta4), from the normalized
+    (b, B) bicomplex: the closed form holds beyond n = 3."""
+    hopf = taft_hopf(4)
+    for triple in taft_cm_congruences(4):
+        computed = cyclic_bicomplex_hc_upto(taft_cm_module(hopf, *triple), 3)
+        assert [h.free_rank for h in computed] == [
+            taft_cm_closed_form(4, *triple, p) for p in range(4)
+        ], triple
+        assert not any(h.torsion for h in computed)
 
 
 def test_taft_homology_small_degrees():

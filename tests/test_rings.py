@@ -219,8 +219,13 @@ def test_annihilator_and_quotient_other_rings():
     assert ann.is_zero and quot.is_zero
     ann, quot = annihilator_and_quotient(10, PrimeField(5))
     assert ann.free_rank == 1 and quot.free_rank == 1
-    with pytest.raises(UnsupportedRing):
-        annihilator_and_quotient(2, CyclotomicField(3))
+    # over Q(zeta3), as over every field of characteristic 0
+    K = CyclotomicField(3)
+    for m in (1, 2, 3):
+        ann, quot = annihilator_and_quotient(m, K)
+        assert ann.is_zero and quot.is_zero
+    ann, quot = annihilator_and_quotient(0, K)
+    assert ann == quot == HomologyModule(K, 1)
 
 
 # -- integer-numerator cyclotomic payloads against the Fraction-tuple field ----
