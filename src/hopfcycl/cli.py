@@ -20,17 +20,33 @@ from math import factorial
 from operator import attrgetter
 
 from .cyclic import (
+    ClassicalCyclicModule,
     connes_lambda_hc,
     cyclic_bicomplex_hc_upto,
     hochschild_homology_upto,
+    total_offsets,
     verify_cyclic_axioms,
 )
-from .errors import HopfCyclError, ParseError, ResourceCap, UnsupportedCombination
-from .groups import FiniteGroup, character_from_zeta, closed_hc_cyclic_group, cm_group_module
+from .errors import (
+    HopfCyclError,
+    InvalidCharacter,
+    ParseError,
+    ResourceCap,
+    UnsupportedCombination,
+)
+from .groups import (
+    FiniteGroup,
+    character_from_zeta,
+    closed_hc_cyclic_group,
+    cm_group_module,
+    trivial_character,
+)
+from .hopf import Character
 from .quivers import (
     Quiver,
     _algebra_dim,
     _graded_hh,
+    _relative_chain_dims,
     _resolution_dims,
     _small_complex_dims,
     graded_sbi_hc,
@@ -130,6 +146,15 @@ def _quiver_algebra(args, carrier_dims, top: int, table: bool = False):
     return truncated_algebra(quiver, args.truncation, ring)
 
 
+def _bicomplex_dims(quiver: Quiver, n: int, top: int) -> list[int]:
+    """dim Tot_0..Tot_top of the normalized (b, B) bicomplex of the
+    classical module of the truncation of quiver at n, on the chains
+    relative to the vertex idempotents, counted without building the
+    algebra."""
+    chains = _relative_chain_dims(quiver, n, top)
+    return [total_offsets(chains.__getitem__, k)[-1] for k in range(top + 1)]
+
+
 def _check_scalar_options(args) -> None:
     """Refuse a malformed --taft, --pi, --alpha or --beta before any algebra
     is built."""
@@ -158,13 +183,23 @@ def _ring_for(args, default: str):
     return parse_ring(args.ring if args.ring else default)
 
 
-def _group_character(ring, m, selector):
+def _group_character(ring, G: FiniteGroup, selector):
+    """The character at a selector: eps (or none) is trivial on any group;
+    an integer s on a cyclic group sends gen^k to zeta^(s k), with gen the
+    generator that `_pi_element` picks, whatever the order of the elements.
+    A non-cyclic group has no such character."""
     if selector in (None, "eps"):
-        zeta_pow = ring.one
-    else:
-        zeta = primitive_root_of_unity(ring, m)
-        zeta_pow = ring.pow(zeta, int(selector) % m)
-    return character_from_zeta(ring, m, zeta_pow)
+        return trivial_character(G, ring)
+    if not G.is_cyclic():
+        raise InvalidCharacter(
+            f"character selector {selector} needs a cyclic group; this group of order "
+            f"{G.order} is not cyclic"
+        )
+    zeta = ring.pow(primitive_root_of_unity(ring, G.order), int(selector) % G.order)
+    gen, values, element = _generator(G), [None] * G.order, G.identity
+    for value in character_from_zeta(ring, G.order, zeta).values:
+        values[element], element = value, G.op(element, gen)
+    return Character(ring, values)
 
 
 def _cm_module(args, top: int, normalized: bool = False):
@@ -185,20 +220,23 @@ def _cm_module(args, top: int, normalized: bool = False):
     ring = _ring_for(args, "Q")
     ensure_within_cap(order - int(normalized), top)
     G = build()
-    if not G.is_cyclic() and {args.alpha, args.beta} - {None, "eps"}:
-        raise UnsupportedCombination("nontrivial characters are only supported for cyclic groups")
-    alpha, beta = (_group_character(ring, G.order, s) for s in (args.alpha, args.beta))
+    alpha, beta = (_group_character(ring, G, s) for s in (args.alpha, args.beta))
     module = cm_group_module(G, _pi_element(G, pi_exp), ring, alpha, beta,
                              require_valid=not args.allow_invalid)
     return module, ("group", G, pi_exp, alpha == beta)
+
+
+def _generator(G: FiniteGroup) -> int:
+    """The generator of a cyclic group that the selectors count powers of:
+    its first element of full order."""
+    return next(a for a in range(G.order) if G.element_order(a) == G.order)
 
 
 def _pi_element(G: FiniteGroup, exponent: int) -> int:
     """Grouplike selector: the exponent of a fixed generator for cyclic groups,
     otherwise a raw element index."""
     if G.is_cyclic():
-        gen = next(a for a in range(G.order) if G.element_order(a) == G.order)
-        out = G.identity
+        gen, out = _generator(G), G.identity
         for _ in range(exponent % G.order):
             out = G.op(out, gen)
         return out
@@ -291,8 +329,21 @@ def _cmd_hc(args) -> dict:
     N = args.max_degree
     compare = args.compare == "closed"
     if args.quiver or args.quiver_file:
-        A = _quiver_algebra(args, _small_complex_dims, N + 1)
-        table = [(HomologyModule(A.ring, d), "graded-sbi") for d in graded_sbi_hc(A, N)]
+        # over Q the small complex of the graded S, B, I sequence; over a
+        # ring without Q the (b, B) bicomplex of the classical module, on
+        # chains relative to the vertex idempotents
+        ring = _ring_for(args, "Q")
+        if ring.contains_rationals:
+            A = _quiver_algebra(args, _small_complex_dims, N + 1)
+            table = [(HomologyModule(A.ring, d), "graded-sbi") for d in graded_sbi_hc(A, N)]
+        elif compare:
+            raise UnsupportedCombination(
+                f"the closed HC formula of a truncation gives dimensions over Q, not over {ring}"
+            )
+        else:
+            A = _quiver_algebra(args, _bicomplex_dims, N + 1, table=True)
+            module = ClassicalCyclicModule(A.algebra)
+            table = [(h, "computed-bicomplex") for h in cyclic_bicomplex_hc_upto(module, N)]
         closed = [HomologyModule(A.ring, hc_closed_form_truncated(A.quiver, A.n, p, A.ring))
                   for p in range(N + 1)] if compare else []
         side = attrgetter("free_rank")

@@ -17,15 +17,18 @@ level above N.  Two main instances live here:
   a column but the last, and closes the column with a per-module table of
   the last leg with beta and S_pi applied, and
 * the classical cyclic module of an algebra, with carrier the (m+1)-st
-  tensor power.
+  tensor power; its normalized chains are taken relative to the vertex
+  idempotents when the unit is a sum of basis idempotents that split the
+  basis (truncated quiver, Taft and group algebras).
 
 On top of the operators sit the homology engines: HH from the normalized
 b-complex (the full b-complex, `hochschild_window`, is its oracle), HC from
 the total complex of the normalized (b, B) bicomplex over every ring (Z,
 F_p, Q and Q(zeta_n) alike), the Connes quotient by the cyclic action
-(rings containing Q; the CLI and `burghelea_check` read HC from it there,
-and the tests hold the bicomplex to it), and the rank-bookkeeping checker
-for the periodicity long exact sequence.
+(rings containing Q; the CLI's group and Taft sources and
+`burghelea_check` read HC from it there, and the tests hold the bicomplex
+to it), and the rank-bookkeeping checker for the periodicity long exact
+sequence.
 """
 
 from __future__ import annotations
@@ -173,6 +176,127 @@ class _Normalization:
         return {r: c for r, c in out.items() if not R.is_zero(c)}
 
 
+class _RelativeChains:
+    """The normalized chains of the classical module of an algebra A taken
+    relative to E, the span of the summands of the unit, when these are
+    orthogonal basis idempotents e_v that split the basis: each basis
+    element b is e_s b e_t for exactly one pair (s, t), its colours
+    `left[b]` = s and `right[b]` = t (basis indices of the idempotents).
+
+    E is separable, so HH and HC may be computed on the chains
+    A (x)_E A/E (x)_E ... (x)_E A/E closed into a cycle (Loday, Cyclic
+    Homology, 1.2.13).  Level m has as basis the tuples (a0, r1, ..., rm),
+    a0 any basis element and r_i a basis element outside E, with
+    right(a0) = left(r1), ..., right(rm) = left(a0), in lexicographic order.
+    The quotient map from C_m keeps a basis tensor that is such a tuple and
+    sends every other one to zero.  A group algebra has E = k.e, whose
+    chains are those of the k.1 normalization."""
+
+    def __init__(self, algebra, left, right):
+        self.ring = algebra.ring
+        self.mult = algebra.mult
+        self.idempotents = set(algebra.unit)
+        self.left, self.right = left, right
+        # the basis elements outside E by left colour, in basis order
+        self.out_of = {s: [] for s in self.idempotents}
+        for b in range(algebra.dim):
+            if b not in self.idempotents:
+                self.out_of[left[b]].append(b)
+        self._walks: dict = {}
+        self._levels: dict = {}
+
+    @classmethod
+    def of(cls, algebra) -> "_RelativeChains | None":
+        """The relative chains of the algebra, or None when its unit is not
+        a sum of orthogonal basis idempotents that split the basis."""
+        R = algebra.ring
+        unit, mult = algebra.unit, algebra.mult
+        if any(c != R.one for c in unit.values()):
+            return None
+        for u in unit:
+            for w in unit:
+                if mult[u][w] != ({u: R.one} if u == w else {}):
+                    return None
+        left, right = [], []
+        for b in range(algebra.dim):
+            s = [u for u in unit if mult[u][b]]
+            t = [u for u in unit if mult[b][u]]
+            if len(s) != 1 or len(t) != 1 or not mult[s[0]][b] == mult[b][t[0]] == {b: R.one}:
+                return None
+            left.append(s[0])
+            right.append(t[0])
+        return cls(algebra, left, right)
+
+    def _walk(self, m: int, s, t) -> list[tuple]:
+        """The tuples (r1, ..., rm) outside E with left(r1) = s,
+        right(r_i) = left(r_(i+1)) and right(rm) = t, in lexicographic order."""
+        key = (m, s, t)
+        out = self._walks.get(key)
+        if out is None:
+            if m == 0:
+                out = [()] if s == t else []
+            else:
+                walk, right = self._walk, self.right
+                out = [(r,) + w for r in self.out_of[s] for w in walk(m - 1, right[r], t)]
+            self._walks[key] = out
+        return out
+
+    def basis(self, m: int) -> tuple[list[tuple], dict]:
+        """The basis tuples of level m and the position of each."""
+        level = self._levels.get(m)
+        if level is None:
+            left, right = self.left, self.right
+            tuples = [(a,) + w for a in range(len(left)) for w in self._walk(m, right[a], left[a])]
+            level = self._levels[m] = (tuples, {t: j for j, t in enumerate(tuples)})
+        return level
+
+    def boundary(self, m: int) -> SparseMatrix:
+        """b-bar_m, tuple by tuple: d_i for i < m multiplies slots i and
+        i + 1 (the product projected to A/E when i >= 1), and d_m puts
+        rm . a0 in slot 0."""
+        R = self.ring
+        add, neg = R.add, R.neg
+        mult, idempotents = self.mult, self.idempotents
+        columns = self.basis(m)[0]
+        rows = self.basis(m - 1)[1]
+        ent: dict = {}
+        for col, x in enumerate(columns):
+            faces = [(x[:i] + (k,) + x[i + 2:], c, i % 2)
+                     for i in range(m) for k, c in mult[x[i]][x[i + 1]].items()
+                     if not (i and k in idempotents)]
+            faces += [((k,) + x[1:m], c, m % 2) for k, c in mult[x[m]][x[0]].items()]
+            for face, c, odd in faces:
+                key = (rows[face], col)
+                c = neg(c) if odd else c
+                s = ent.get(key)
+                ent[key] = c if s is None else add(s, c)
+        # the constructor drops the sums that cancelled
+        return SparseMatrix(R, len(rows), len(columns), ent)
+
+    def connes(self, m: int) -> SparseMatrix:
+        """B-bar_m: a tuple x goes to the sum over k of (-1)^(mk)
+        (e_left ; t^k x), where t^k moves the last k slots to the front and
+        e_left is the idempotent that closes the cycle; zero when a0 is in E,
+        as t^k x then has a0 in a slot of A/E."""
+        R = self.ring
+        add = R.add
+        one, minus_one = R.one, R.neg(R.one)
+        columns = self.basis(m)[0]
+        rows = self.basis(m + 1)[1]
+        left = self.left
+        ent: dict = {}
+        for col, x in enumerate(columns):
+            if x[0] in self.idempotents:
+                continue
+            for k in range(m + 1):
+                turned = x[m + 1 - k:] + x[:m + 1 - k]
+                key = (rows[(left[turned[0]],) + turned], col)
+                c = minus_one if m * k % 2 else one
+                s = ent.get(key)
+                ent[key] = c if s is None else add(s, c)
+        return SparseMatrix(R, len(rows), len(columns), ent)
+
+
 class CyclicModule:
     """Operator-level view of a cyclic module; subclasses fill in columns.
 
@@ -186,7 +310,8 @@ class CyclicModule:
     `normalized_dim(m)`, the boundary `normalized_b(m)` induced by b and
     Connes' `normalized_B(m)`.  The degenerate subcomplex is acyclic over any
     ring (Loday, Cyclic Homology, 1.1.14-1.1.15), so HH and HC are computed
-    on them.
+    on them.  The classical module of an algebra split by basis idempotents
+    goes further, to the chains relative to their span (`_RelativeChains`).
     """
 
     ring: Ring
@@ -610,7 +735,16 @@ class ConnesMoscoviciModule(TensorCyclicModule):
 
 
 class ClassicalCyclicModule(TensorCyclicModule):
-    """C_m = A^(tensor m+1) with the standard faces, degeneracies and rotation."""
+    """C_m = A^(tensor m+1) with the standard faces, degeneracies and rotation.
+
+    Its normalized chains are taken relative to E, the span of the summands
+    of the unit, when these are orthogonal basis idempotents that split the
+    basis (`_RelativeChains`; Loday, Cyclic Homology, 1.2.13): the
+    cyclically composable tuples a0 (x)_E r1 (x)_E ... (x)_E rm with r_i
+    outside E.  That covers truncated quiver algebras and Taft algebras
+    (E = k^V, the vertex idempotents) and group algebras (E = k.e).  Any
+    other unit keeps the k.1 normalization of `TensorCyclicModule`.
+    """
 
     fixed_legs = 1
 
@@ -618,6 +752,26 @@ class ClassicalCyclicModule(TensorCyclicModule):
         super().__init__()
         self.algebra = algebra
         self.ring = algebra.ring
+
+    @cached_property
+    def _relative(self) -> _RelativeChains | None:
+        return _RelativeChains.of(self.algebra)
+
+    def normalized_dim(self, m):
+        chains = self._relative
+        return super().normalized_dim(m) if chains is None else len(chains.basis(m)[0])
+
+    def normalized_b(self, m):
+        chains = self._relative
+        if chains is None:
+            return super().normalized_b(m)
+        return self._memo(("b-bar", m), lambda: chains.boundary(m))
+
+    def normalized_B(self, m):
+        chains = self._relative
+        if chains is None:
+            return super().normalized_B(m)
+        return self._memo(("B-bar", m), lambda: chains.connes(m))
 
     def _face_on(self, legs, m, i):
         # the first leg, which no degeneracy fills, stays on the algebra's basis
@@ -725,14 +879,18 @@ def hochschild_homology_upto(module: CyclicModule, N: int) -> list[HomologyModul
 # -- normalized (b, B) bicomplex ---------------------------------------------
 
 
+def total_offsets(chain_dim, n: int) -> list[int]:
+    """The offsets of the blocks of Tot_n = C-bar_n (+) C-bar_(n-2) (+) ...
+    of the normalized (b, B) bicomplex, block k being C-bar_(n-2k), and
+    dim Tot_n last, from chain_dim(m) = dim C-bar_m."""
+    return list(accumulate((chain_dim(m) for m in range(n, -1, -2)), initial=0))
+
+
 def _mixed_boundary(module: CyclicModule, n: int) -> SparseMatrix:
     """D_n = b-bar + B-bar: Tot_n -> Tot_(n-1) of the normalized (b, B)
-    bicomplex, Tot_n = C-bar_n (+) C-bar_(n-2) (+) ...  Block k of Tot_n,
-    C-bar_(n-2k), goes by b-bar to block k of Tot_(n-1) and by B-bar to
-    block k - 1; no two blocks share an entry."""
-    # the offsets of the blocks of Tot_n and Tot_(n-1), and their dimensions last
-    src, tgt = (list(accumulate((module.normalized_dim(m) for m in range(top, -1, -2)), initial=0))
-                for top in (n, n - 1))
+    bicomplex.  Block k of Tot_n, C-bar_(n-2k), goes by b-bar to block k of
+    Tot_(n-1) and by B-bar to block k - 1; no two blocks share an entry."""
+    src, tgt = (total_offsets(module.normalized_dim, top) for top in (n, n - 1))
     ent: dict = {}
     for k, m in enumerate(range(n, -1, -2)):
         blocks = []

@@ -392,6 +392,31 @@ def _small_complex_dims(quiver: Quiver, n: int, p_max: int) -> list[int]:
     return [sum(c * short[t, s] for (s, t), c in gens.items()) for gens in generators]
 
 
+def _relative_chain_dims(quiver: Quiver, n: int, m_max: int) -> list[int]:
+    """The dimensions of the normalized chains C-bar_0..C-bar_m_max of the
+    classical cyclic module of the truncation of quiver at n, relative to
+    the vertex idempotents: the closed walks a0, r1, ..., rm with a0 a path
+    shorter than n and each r_i one of positive length, counted from path
+    counts without building the algebra."""
+    _, short = _path_counts(quiver, n, 0)
+    # the number of paths of positive length from s to t, by s
+    steps: dict[int, list] = {}
+    for (s, t), c in short.items():
+        c -= s == t
+        if c:
+            steps.setdefault(s, []).append((t, c))
+    # walks[(s, t)]: the tuples (a0, r1, ..., rm) from s that end at t
+    walks, dims = short, []
+    for m in range(m_max + 1):
+        dims.append(sum(c for (s, t), c in walks.items() if s == t))
+        longer = Counter()
+        for (s, t), c in walks.items():
+            for u, k in steps.get(t, ()):
+                longer[s, u] += c * k
+        walks = longer
+    return dims
+
+
 def _algebra_dim(quiver: Quiver, n: int) -> int:
     """The dimension of the truncation of quiver at n, counted without
     building the algebra."""

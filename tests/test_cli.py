@@ -198,6 +198,75 @@ def test_resource_cap_bounds_the_small_complex(monkeypatch, command):
     assert code == 0 and windows == [5]
 
 
+def test_hc_quiver_caps_the_relative_bicomplex(monkeypatch):
+    """hc --quiver over Z through degree 4 reduces the (b, B) bicomplex of
+    the classical module up to Tot_5, on chains relative to the vertex
+    idempotents: for crown(3) mod paths of length 3, C-bar_m has 3 * 2^m
+    chains for m >= 1, so Tot_5 = 96 + 24 + 6 = 126, and the product table
+    is 9 x 9.  Both are counted before the algebra is built."""
+    import hopfcycl.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the algebra was built above the cap")
+
+    argv = ["hc", "--quiver", "crown:3", "--truncation", "3", "--ring", "Z",
+            "--max-degree", "4", "--format", "json"]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "truncated_algebra", refuse)
+        patch.setenv("HOPFCYCL_MAX_CARRIER", "125")
+        code, out = run_cli(argv)
+        assert code == 2 and "ResourceCap: carrier dimension 126^1" in out
+        patch.setenv("HOPFCYCL_MAX_CARRIER", "80")
+        code, out = run_cli(argv[:-4] + ["--max-degree", "0"])
+        assert code == 2 and "ResourceCap: product table 9 x 9" in out
+    monkeypatch.setenv("HOPFCYCL_MAX_CARRIER", "126")
+    code, out = run_cli(argv)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["free_rank"] for row in rows] == [3, 2, 3, 2, 3]
+    assert {row["provenance"] for row in rows} == {"computed-bicomplex"}
+
+
+def test_hc_quiver_over_q_keeps_the_small_complex(monkeypatch):
+    """Over Q, hc --quiver reads HC off the small complex of the graded S,
+    B, I sequence and builds no classical cyclic module."""
+    import hopfcycl.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the classical cyclic module was built")
+
+    monkeypatch.setattr(cli, "ClassicalCyclicModule", refuse)
+    code, out = run_cli(["hc", "--quiver", "crown:3", "--truncation", "3", "--max-degree", "4",
+                         "--compare", "closed", "--format", "json"])
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"]
+    assert [row["value"] for row in doc["rows"]] == ["Q^3", "Q^2", "Q^3", "Q^2", "Q^3"]
+    assert {row["provenance"] for row in doc["rows"]} == {"graded-sbi"}
+
+
+def test_hc_quiver_over_z_and_large_crowns():
+    """Integral HC of a truncated crown computes, torsion included, in hc
+    and in report, and crown(6) mod paths of length 6 through degree 6,
+    with 6 * 5^7 chains in degree 7 alone, is refused by the default cap."""
+    code, out = run_cli(["hc", "--quiver", "crown:3", "--truncation", "3", "--ring", "Z",
+                         "--max-degree", "4", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["rows"][4]["value"] == "Z^3 + Z/2 + Z/2"
+    # the closed formula counts dimensions over Q: hc refuses to compare
+    # over Z, and report prints the integral table uncompared
+    code, out = run_cli(["hc", "--quiver", "crown:3", "--truncation", "3", "--ring", "Z",
+                         "--compare", "closed"])
+    assert code == 2 and out.startswith("error: UnsupportedCombination: ")
+    code, out = run_cli(["report", "--quiver", "crown:3", "--truncation", "3", "--ring", "Z",
+                         "--max-degree", "4", "--format", "json"])
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] and doc["comparisons"] == []
+    assert doc["hc"][4]["value"] == "Z^3 + Z/2 + Z/2"
+    code, out = run_cli(["hc", "--quiver", "crown:6", "--truncation", "6", "--ring", "Z",
+                         "--max-degree", "6"])
+    assert code == 2 and out.startswith("error: ResourceCap: ")
+
+
 def test_text_rows_name_the_theory():
     code, out = run_cli(["hh", "--quiver", "crown:3", "--truncation", "3"])
     assert code == 0
@@ -449,6 +518,33 @@ def test_allow_invalid_holds_for_every_group_source():
                          "--max-degree", "0", "--format", "json"])
     assert code == 2
     assert "not cyclic through level 1 (t_1^2 = id fail)" in out
+
+
+def test_group_characters_follow_the_generator(tmp_path):
+    """A group file that lists Z/4 as [e, g^2, g, g^3] gets the characters
+    g^k -> zeta^(s k) of the generator the selectors count powers of, so it
+    computes what cyclic:4 computes."""
+    table = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]]
+    gf = tmp_path / "z4.json"
+    gf.write_text(json.dumps({"order": 4, "table": table}))
+    for selectors in (["--alpha", "1", "--beta", "1"], ["--alpha", "3", "--beta", "3"],
+                      ["--pi", "2", "--alpha", "2", "--beta", "2"]):
+        tail = [*selectors, "--ring", "Q(zeta4)", "--max-degree", "3", "--format", "json"]
+        code, out = run_cli(["hc", "--group-file", str(gf), *tail])
+        assert code == 0, out
+        assert out == run_cli(["hc", "--group", "cyclic:4", *tail])[1], selectors
+
+
+def test_characters_of_a_non_cyclic_group_are_refused(monkeypatch):
+    import hopfcycl.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a module was built")
+
+    monkeypatch.setattr(cli, "cm_group_module", refuse)
+    for selector in (["--alpha", "1"], ["--beta", "2"]):
+        code, out = run_cli(["hc", "--group", "symmetric:3", *selector, "--max-degree", "1"])
+        assert code == 2 and out.startswith("error: InvalidCharacter: "), selector
 
 
 def test_verify_quiver_bounds_the_resolution(monkeypatch):

@@ -404,15 +404,16 @@ def test_classical_operators_match_tuple_decoding():
 # -- degeneracies applied to the rows of a matrix ----------------------------
 
 
-def z4_dual_numbers():
-    """Z/4[x]/(x^2) on the basis b0 = 1 + 2x, b1 = x: b0 b0 = 1 = b0 + 2 b1,
-    b0 b1 = b1 b0 = b1, b1 b1 = 0, and the unit b0 - 2 b1 = b0 + 2 b1 has the
-    zero divisor 2 as a coefficient."""
+def dual_numbers(ring):
+    """ring[x]/(x^2) on the basis b0 = 1 + 2x, b1 = x: b0 b0 = 1 + 4x =
+    b0 + 2 b1, b0 b1 = b1 b0 = b1, b1 b1 = 0.  The unit b0 - 2 b1 is no sum
+    of basis idempotents; over Z/4 it is b0 + 2 b1, with the zero divisor 2
+    as a coefficient."""
     from hopfcycl.hopf import AlgebraData
 
-    R = IntegersMod(4)
-    mult = [[{0: 1, 1: 2}, {1: 1}], [{1: 1}, {}]]
-    algebra = AlgebraData(R, ["1+2x", "x"], mult, {0: 1, 1: 2})
+    two = ring.from_int(2)
+    mult = [[{0: ring.one, 1: two}, {1: ring.one}], [{1: ring.one}, {}]]
+    algebra = AlgebraData(ring, ["1+2x", "x"], mult, {0: ring.one, 1: ring.neg(two)})
     assert algebra.verify_associativity() and algebra.verify_unit()
     return algebra
 
@@ -432,7 +433,7 @@ def degenerate_cases():
                       lambda module: TupleDecodingClassical(module.algebra)))
     cases.append(("CM Taft-3 over Q(zeta3)",
                   lambda: taft_cm_module(taft_hopf(3), *taft_cm_triples(3)[1]), cm_reference))
-    cases.append(("classical Z/4[x]/(x^2)", lambda: ClassicalCyclicModule(z4_dual_numbers()),
+    cases.append(("classical Z/4[x]/(x^2)", lambda: ClassicalCyclicModule(dual_numbers(IntegersMod(4))),
                   lambda module: TupleDecodingClassical(module.algebra)))
     return cases
 
@@ -474,7 +475,7 @@ def test_degenerate_is_the_product_with_the_degeneracy(case):
 def test_zero_divisor_unit_coefficient_drops_zero_products():
     """Over Z/4 the unit coefficient 2 times an entry 2 is zero: s_0 of 2 b0
     is 2 b0 (x) b0 alone, with no stored zero at 2 b0 (x) 2 b1."""
-    module = ClassicalCyclicModule(z4_dual_numbers())
+    module = ClassicalCyclicModule(dual_numbers(IntegersMod(4)))
     R = module.ring
     X = SparseMatrix(R, 2, 1, {(0, 0): R.from_int(2)})
     assert module.degenerate(0, 0, X).entries == {(0, 0): R.from_int(2)}
@@ -886,6 +887,17 @@ def described(mods):
     return [(h.free_rank, h.torsion) for h in mods]
 
 
+# (name, top, build over a ring): algebras whose unit is a sum of orthogonal
+# basis idempotents splitting the basis, off the crowns
+KRONECKER = Quiver(["u", "v"], [("a", 0, 1), ("b", 0, 1)])
+LOOP_AND_CYCLE = Quiver(["u", "v"], [("a", 0, 1), ("b", 1, 0), ("c", 0, 0)])
+RELATIVE_ALGEBRAS = [
+    ("Kronecker n=2", 3, lambda ring: truncated_algebra(KRONECKER, 2, ring).algebra),
+    ("loop and 2-cycle n=2", 3, lambda ring: truncated_algebra(LOOP_AND_CYCLE, 2, ring).algebra),
+    ("Taft-2 algebra", 3, lambda ring: taft_hopf(2, ring).algebra),
+]
+
+
 def bicomplex_cases():
     cases = []
     for ring in (ZZ, PrimeField(2), PrimeField(3)):
@@ -903,6 +915,14 @@ def bicomplex_cases():
     for c in (1, 2):
         cases.append((f"classical crown({c}) n=2 over Z", 2,
                       lambda c=c: ClassicalCyclicModule(truncated_algebra(Quiver.crown(c), 2, ZZ).algebra)))
+    # chains relative to the vertex idempotents off the crowns, and the
+    # k.1 chains of a unit that is no sum of basis idempotents
+    for ring in (QQ, ZZ):
+        cases += [(f"classical {name} over {ring.name}", top,
+                   lambda build=build, ring=ring: ClassicalCyclicModule(build(ring)))
+                  for name, top, build in RELATIVE_ALGEBRAS]
+        cases.append((f"classical {ring.name}[x]/(x^2) on 1 + 2x, x", 3,
+                      lambda ring=ring: ClassicalCyclicModule(dual_numbers(ring))))
     for G, top in ((FiniteGroup.cyclic(3), 4), (FiniteGroup.symmetric(3), 3)):
         cases += [(f"Gamma({G.order}, {cls[0]}) over Z", top,
                    lambda G=G, pi=cls[0]: GammaCyclicModule(G, pi, ZZ))
@@ -932,15 +952,70 @@ def projected_boundary(module, m):
     return module._normalize_rows(module.boundary_b(m) @ J, m - 1)
 
 
+def relative_quotient(module, m):
+    """q: C_m -> C-bar_m for the chains relative to the vertex idempotents:
+    a basis tensor that is a cyclically composable tuple with no idempotent
+    in slots 1..m goes to that tuple, every other one to zero."""
+    d = module.algebra.dim
+    at = module._relative.basis(m)[1]
+    ent = {}
+    for idx in range(module.level_dim(m)):
+        j = at.get(index_to_tuple(idx, d, m + 1))
+        if j is not None:
+            ent[(j, idx)] = module.ring.one
+    return SparseMatrix(module.ring, module.normalized_dim(m), module.level_dim(m), ent)
+
+
+def b_bar_is_induced(module, m):
+    """q b_m = b-bar_m q, with q the quotient map onto the relative chains."""
+    q = relative_quotient
+    return q(module, m - 1) @ module.boundary_b(m) == module.normalized_b(m) @ q(module, m)
+
+
 @pytest.mark.parametrize("build", [
     lambda: cm_group_module(FiniteGroup.symmetric(3), 0, ZZ),
     lambda: taft_cm_module(taft_hopf(3, PrimeField(7)), *taft_cm_triples(3, PrimeField(7))[1]),
     lambda: ClassicalCyclicModule(truncated_algebra(Quiver.crown(2), 3, ZZ).algebra),
 ], ids=["Z[S3]", "Taft-3 over F7", "classical crown(2) n=3"])
 def test_direct_normalized_boundary_is_the_projected_one(build):
+    """b-bar is induced by b: on the k.1 chains it is P b J, and on the
+    chains relative to the vertex idempotents q b = b-bar q on every basis
+    tensor."""
     module = build()
     for m in range(1, 4):
-        assert module.normalized_b(m) == projected_boundary(module, m), m
+        if isinstance(module, ClassicalCyclicModule):
+            assert b_bar_is_induced(module, m), m
+        else:
+            assert module.normalized_b(m) == projected_boundary(module, m), m
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ], ids=lambda r: r.name)
+@pytest.mark.parametrize("case", [
+    ("classical crown(3) n=2", lambda ring: truncated_algebra(Quiver.crown(3), 2, ring).algebra),
+    *[(name, build) for name, _, build in RELATIVE_ALGEBRAS],
+    ("classical Z/3", lambda ring: group_algebra(FiniteGroup.cyclic(3), ring).algebra),
+], ids=lambda case: case[0])
+def test_relative_chains_are_a_quotient_of_the_full_ones(case, ring):
+    """q b = b-bar q and q t_(m+1) s_m N_m = B-bar q on every basis tensor,
+    with the full operators of the classical module."""
+    module = ClassicalCyclicModule(case[1](ring))
+    q = relative_quotient
+    for m in range(3):
+        assert m == 0 or b_bar_is_induced(module, m), m
+        full_B = module.cyclic(m + 1) @ module.degenerate(m, m, module.norm(m))
+        assert q(module, m + 1) @ full_B == module.normalized_B(m) @ q(module, m), m
+
+
+def test_dual_numbers_keep_the_k1_chains():
+    """A unit that is no sum of basis idempotents keeps the k.1
+    normalization: over Z/4 (the unit b0 + 2 b1) and over Z (b0 - 2 b1),
+    C-bar_m = A (x) (A / k.1)^(x m) has dimension 2, and b-bar is P b J."""
+    for ring in (IntegersMod(4), ZZ):
+        module = ClassicalCyclicModule(dual_numbers(ring))
+        assert module._relative is None
+        assert [module.normalized_dim(m) for m in range(4)] == [2, 2, 2, 2]
+        for m in range(1, 4):
+            assert module.normalized_b(m) == projected_boundary(module, m), m
 
 
 def test_normalized_legs_drop_the_group_identity():
@@ -1028,6 +1103,12 @@ def hochschild_cases():
                    lambda c=c, n=n, ring=ring:
                        ClassicalCyclicModule(truncated_algebra(Quiver.crown(c), n, ring).algebra))
                   for ring in (QQ, ZZ)]
+    for ring in (QQ, ZZ):
+        cases += [(f"classical {name} over {ring.name}", top,
+                   lambda build=build, ring=ring: ClassicalCyclicModule(build(ring)))
+                  for name, top, build in RELATIVE_ALGEBRAS]
+        cases.append((f"classical {ring.name}[x]/(x^2) on 1 + 2x, x", 3,
+                      lambda ring=ring: ClassicalCyclicModule(dual_numbers(ring))))
     return cases
 
 

@@ -26,6 +26,7 @@ from hopfcycl import (
     hc_closed_form_truncated,
     hh_closed_form,
     hh_via_skoldberg,
+    hochschild_homology,
     hochschild_window,
     homology_sequence,
     is_grouplike,
@@ -42,6 +43,7 @@ from hopfcycl import (
     taft_vertex_character,
     truncated_algebra,
     vertex_character,
+    zero_module,
 )
 from hopfcycl.errors import MissingRootOfUnity
 from hopfcycl.rings import euler_phi
@@ -346,6 +348,31 @@ def test_hc_closed_form_equals_the_bar_module(quiver, n, top):
         assert connes_lambda_hc(bar, p).free_rank == hc_closed_form_truncated(quiver, n, p, QQ)
 
 
+def test_bar_hh_of_the_3_crown_at_3_relative_to_the_vertices():
+    """HH_3 of crown(3) mod paths of length 3 from the classical module,
+    whose chains relative to the vertex idempotents are 24 and 48 in
+    degrees 3 and 4 (b_4 of the full b-complex is 6561 x 59049), equals the
+    closed form summed over the grades, over Q and Z."""
+    quiver = Quiver.crown(3)
+    for ring in (QQ, ZZ):
+        bar = ClassicalCyclicModule(truncated_algebra(quiver, 3, ring).algebra)
+        assert [bar.normalized_dim(m) for m in (3, 4)] == [24, 48]
+        closed = sum((hh_closed_form(quiver, 3, 3, q, ring) for q in range(13)), zero_module(ring))
+        got = hochschild_homology(bar, 3)
+        assert (got.free_rank, got.torsion) == (closed.free_rank, closed.torsion), ring
+
+
+@pytest.mark.parametrize("c, expected", [
+    (2, ["Z^3", "0", "Z^3", "Z/6", "Z^3"]),
+    (3, ["Z^3", "Z^2", "Z^3", "Z^2", "Z^3 + Z/2 + Z/2"]),
+], ids=["crown2", "crown3"])
+def test_integral_hc_of_the_truncated_crowns(c, expected):
+    """HC_0..4 over Z of crown(c) mod paths of length 3, from the normalized
+    (b, B) bicomplex of the classical module."""
+    bar = ClassicalCyclicModule(truncated_algebra(Quiver.crown(c), 3, ZZ).algebra)
+    assert [str(h) for h in cyclic_bicomplex_hc_upto(bar, 4)] == expected
+
+
 # -- Taft algebras -----------------------------------------------------------
 
 
@@ -472,9 +499,16 @@ BRANCHING = Quiver.from_json({
 def test_counted_carriers_match_the_built_complexes(quiver, n):
     """The cap sizes a quiver source from path counts; the counts are the
     carrier dimensions of the complexes that are then built."""
-    from hopfcycl.quivers import _hh_window, _resolution_dims, _small_complex_dims
+    from hopfcycl.quivers import (
+        _hh_window,
+        _relative_chain_dims,
+        _resolution_dims,
+        _small_complex_dims,
+    )
 
     A = truncated_algebra(quiver, n, QQ)
     assert _resolution_dims(quiver, n, 4) == skoldberg_resolution(A, 4)["dims"]
     window = _hh_window(A, 4)
     assert _small_complex_dims(quiver, n, 4) == [len(b) for b in window.pair_bases]
+    bar = ClassicalCyclicModule(A.algebra)
+    assert _relative_chain_dims(quiver, n, 5) == [bar.normalized_dim(m) for m in range(6)]
