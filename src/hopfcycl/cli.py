@@ -58,7 +58,7 @@ from .quivers import (
     taft_hopf,
     truncated_algebra,
 )
-from .rings import CyclotomicField, HomologyModule, parse_ring, primitive_root_of_unity
+from .rings import QQ, ZZ, CyclotomicField, HomologyModule, parse_ring, primitive_root_of_unity
 
 DEFAULT_CARRIER_CAP = 100_000
 
@@ -336,15 +336,17 @@ def _cmd_hc(args) -> dict:
         if ring.contains_rationals:
             A = _quiver_algebra(args, _small_complex_dims, N + 1)
             table = [(HomologyModule(A.ring, d), "graded-sbi") for d in graded_sbi_hc(A, N)]
-        elif compare:
+        elif compare and ring != ZZ:
             raise UnsupportedCombination(
-                f"the closed HC formula of a truncation gives dimensions over Q, not over {ring}"
+                "the closed HC formula of a truncation gives dimensions over Q and free "
+                f"ranks over Z, not modules over {ring}"
             )
         else:
             A = _quiver_algebra(args, _bicomplex_dims, N + 1, table=True)
             module = ClassicalCyclicModule(A.algebra)
             table = [(h, "computed-bicomplex") for h in cyclic_bicomplex_hc_upto(module, N)]
-        closed = [HomologyModule(A.ring, hc_closed_form_truncated(A.quiver, A.n, p, A.ring))
+        # Q is flat over Z, so the free rank of HC over Z is the dimension over Q
+        closed = [HomologyModule(A.ring, hc_closed_form_truncated(A.quiver, A.n, p, QQ))
                   for p in range(N + 1)] if compare else []
         side = attrgetter("free_rank")
     else:

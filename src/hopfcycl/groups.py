@@ -1,8 +1,9 @@
 """Finite groups, group algebras and their cyclic homology.
 
 Covers the group-algebra side of the theory: the Hopf structure on kG, the
-cyclic set Gamma(G, pi) of tuples whose ordered product is conjugate to pi,
-the comparison map theta from the twisted cyclic module of the centralizer,
+cyclic set Gamma(G, pi) of tuples whose ordered product is conjugate to pi
+(the class summand of the classical cyclic module of kG, whose operators it
+restricts), the comparison map theta from the twisted cyclic module of the centralizer,
 the conjugacy-class decomposition of HC(kG), closed formulas for cyclic
 groups, the 2-periodic character resolution and the diagonal character
 conjugation chi.
@@ -10,12 +11,16 @@ conjugation chi.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .cyclic import (
     ClassicalCyclicModule,
     ConnesMoscoviciModule,
     CyclicModule,
     connes_lambda_hc,
     cyclic_bicomplex_hc_upto,
+    index_to_tuple,
+    tuple_to_index,
 )
 from .errors import InvalidCharacter, ParseError, PreconditionFailed
 from .hopf import AlgebraData, Character, GroupLike, HopfAlgebraData, check_cm_triple
@@ -33,13 +38,11 @@ class FiniteGroup:
     """Group given by its multiplication table; axioms checked on construction."""
 
     def __init__(self, table, labels=None):
-        m = len(table)
-        if m == 0 or any(len(row) != m for row in table):
-            raise ParseError("multiplication table must be square and nonempty")
-        for row in table:
-            for x in row:
-                if not isinstance(x, int) or not 0 <= x < m:
-                    raise ParseError("table entries must be element indices")
+        m = len(table) if isinstance(table, (list, tuple)) else 0
+        if m == 0 or any(not isinstance(row, (list, tuple)) or len(row) != m for row in table):
+            raise ParseError("multiplication table must be a square, nonempty list of rows")
+        if any(type(x) is not int or not 0 <= x < m for row in table for x in row):
+            raise ParseError("table entries must be element indices")
         self.order = m
         self.table = [list(row) for row in table]
         self.labels = list(labels) if labels is not None else [str(i) for i in range(m)]
@@ -111,13 +114,14 @@ class FiniteGroup:
             raise ParseError("group spec must be a JSON object")
         if "cyclic" in obj:
             m = obj["cyclic"]
-            if not isinstance(m, int) or m < 1:
+            if type(m) is not int or m < 1:
                 raise ParseError("cyclic order must be a positive integer")
             return cls.cyclic(m)
         if "order" in obj and "table" in obj:
-            if len(obj["table"]) != obj["order"]:
+            order, table = obj["order"], obj["table"]
+            if type(order) is not int or not isinstance(table, list) or len(table) != order:
                 raise ParseError("declared order does not match the table")
-            return cls(obj["table"])
+            return cls(table)
         raise ParseError("group spec needs either 'cyclic' or 'order'+'table'")
 
 
@@ -204,15 +208,15 @@ def cm_group_module(
 
 
 class GammaCyclicModule(CyclicModule):
-    """Linearization of Gamma_n(G, pi) = tuples (g_0..g_n), product in class(pi).
+    """Linearization of Gamma_m(G, pi) = tuples (g_0..g_m), product in class(pi).
 
-    Faces multiply adjacent slots (the last face wraps around), degeneracies
-    insert the identity, and the cyclic operator rotates the last slot to the
-    front.  All operators are basis permutations up to merging, so every
-    matrix column is a single unit entry.  Gamma is a cyclic set, so its
-    normalized chains need no projection: their basis is the nondegenerate
-    tuples, those with no identity in slots 1..m (Loday, Cyclic Homology,
-    6.1), and an operator drops the images that are degenerate.
+    No face, degeneracy or rotation changes the class of the ordered
+    product, so Gamma(G, pi) is the class summand of the classical cyclic
+    module of kG (Loday, Cyclic Homology, 7.4).  Every operator is the kG
+    operator restricted to the tuples in the class, in lexicographic order,
+    so all conventions are those of `ClassicalCyclicModule`; the normalized
+    chains are its chains relative to E = k.e, the tuples with no identity
+    in slots 1..m (Loday 6.1).
     """
 
     def __init__(self, G: FiniteGroup, pi: int, ring: Ring):
@@ -220,123 +224,76 @@ class GammaCyclicModule(CyclicModule):
         self.G = G
         self.pi = pi
         self.ring = ring
-        for cls_ in conjugacy_classes(G):
-            if pi in cls_:
-                self.pi_class = cls_
-                break
-        self._bases: dict[tuple, list[tuple]] = {}
-        self._index: dict[tuple, dict] = {}
+        self.pi_class = next(cls_ for cls_ in conjugacy_classes(G) if pi in cls_)
+        self.classical = ClassicalCyclicModule(group_algebra(G, ring).algebra)
 
-    def basis(self, m: int, normalized: bool = False) -> list[tuple]:
-        """All (m+1)-tuples with ordered product in the class of pi, sorted;
-        with normalized, only the nondegenerate ones."""
-        key = (m, normalized)
-        cached = self._bases.get(key)
-        if cached is not None:
-            return cached
-        G = self.G
-        letters = [g for g in range(G.order) if not (normalized and g == G.identity)]
-        tuples = []
+    def _level(self, m: int) -> tuple[list[tuple], dict]:
+        """The class tuples of C_m(kG), sorted, and the position of each by
+        its index in C_m(kG)."""
 
-        def extend(prefix, prod, remaining):
-            if remaining == 0:
-                # choose g_0 with g_0 . prod in the class
-                for c in self.pi_class:
-                    g0 = G.op(c, G.inverse[prod])
-                    tuples.append((g0,) + prefix)
-                return
-            for g in letters:
-                extend(prefix + (g,), G.op(prod, g), remaining - 1)
+        def build():
+            G = self.G
+            # one g_0 per c in the class: the one with g_0 . g_1 ... g_m = c
+            tuples = sorted((G.op(c, G.inverse[G.product(rest)]),) + rest
+                            for rest in product(range(G.order), repeat=m) for c in self.pi_class)
+            return tuples, {tuple_to_index(t, G.order): j for j, t in enumerate(tuples)}
 
-        extend((), G.identity, m)
-        tuples.sort()
-        self._bases[key] = tuples
-        self._index[key] = {t: i for i, t in enumerate(tuples)}
-        return tuples
+        return self._memo(("level", m), build)
+
+    def _normalized_level(self, m: int) -> tuple[list[tuple], dict]:
+        """The class tuples of the relative chains of kG at level m, and the
+        position of each by its position in all of them."""
+
+        def build():
+            tuples, at = self.classical._relative.basis(m)
+            kept = [t for t in tuples if self.G.product(t) in self.pi_class]
+            return kept, {at[t]: j for j, t in enumerate(kept)}
+
+        return self._memo(("normalized level", m), build)
+
+    def basis(self, m: int) -> list[tuple]:
+        """All (m+1)-tuples with ordered product in the class of pi, sorted."""
+        return self._level(m)[0]
+
+    def _index_for(self, m: int) -> dict:
+        return {t: j for j, t in enumerate(self.basis(m))}
+
+    def normalized_basis(self, m: int) -> list[tuple]:
+        """The nondegenerate tuples of `basis(m)`, sorted."""
+        return self._normalized_level(m)[0]
 
     def level_dim(self, m: int) -> int:
-        return len(self.pi_class) * self.G.order**m
+        return len(self.basis(m))
 
     def normalized_dim(self, m: int) -> int:
-        return len(self.pi_class) * (self.G.order - 1) ** m
+        return len(self.normalized_basis(m))
 
-    def _permutation(self, m_src, m_tgt, image):
-        R = self.ring
-        src = self.basis(m_src)
-        tgt_index = self._index_for(m_tgt)
-        ent = {}
-        for j, t in enumerate(src):
-            ent[(tgt_index[image(t)], j)] = R.one
-        return SparseMatrix(R, self.level_dim(m_tgt), self.level_dim(m_src), ent)
-
-    def _index_for(self, m, normalized=False):
-        self.basis(m, normalized)
-        return self._index[(m, normalized)]
-
-    def _face_image(self, t: tuple, i: int) -> tuple:
-        """d_i of the tuple t: slots i and i + 1 multiplied, and for the last
-        face the last slot multiplied onto the first."""
-        op = self.G.op
-        m = len(t) - 1
-        if i < m:
-            return t[:i] + (op(t[i], t[i + 1]),) + t[i + 2 :]
-        return (op(t[m], t[0]),) + t[1:m]
+    def _restrict(self, M: SparseMatrix, rows: tuple, cols: tuple) -> SparseMatrix:
+        """The kG operator M between the class tuples of two levels.  The
+        image of a class tuple lies in the class, so each kept column keeps
+        all its rows."""
+        rows, cols = rows[1], cols[1]
+        ent = {(rows[r], j): v for (r, c), v in M.entries.items() if (j := cols.get(c)) is not None}
+        return SparseMatrix._unchecked(self.ring, len(rows), len(cols), ent)
 
     def _face(self, m, i):
-        return self._permutation(m, m - 1, lambda t: self._face_image(t, i))
+        return self._restrict(self.classical.face(m, i), self._level(m - 1), self._level(m))
 
     def _degeneracy(self, m, i):
-        e = self.G.identity
-        return self._permutation(m, m + 1, lambda t: t[: i + 1] + (e,) + t[i + 1 :])
+        return self._restrict(self.classical.degeneracy(m, i), self._level(m + 1), self._level(m))
 
     def _cyclic(self, m):
-        return self._permutation(m, m, lambda t: (t[m],) + t[:m])
+        return self._restrict(self.classical.cyclic(m), self._level(m), self._level(m))
 
     def normalized_b(self, m):
-        """The alternating face sum on the nondegenerate tuples; a face that
-        lands on a degenerate tuple (the identity in a slot 1..m-1, where
-        two slots multiplied to it) is dropped."""
-
-        def build():
-            R = self.ring
-            signs = (R.one, R.neg(R.one))
-            index = self._index_for(m - 1, True)
-            ent: dict = {}
-            for j, t in enumerate(self.basis(m, True)):
-                for i in range(m + 1):
-                    row = index.get(self._face_image(t, i))
-                    if row is not None:
-                        s = ent.get((row, j))
-                        ent[(row, j)] = signs[i % 2] if s is None else R.add(s, signs[i % 2])
-            # the constructor drops the sums that cancelled
-            return SparseMatrix(R, self.normalized_dim(m - 1), self.normalized_dim(m), ent)
-
-        return self._memo(("b-bar", m), build)
+        level = self._normalized_level
+        return self._memo(("b-bar", m), lambda: self._restrict(
+            self.classical.normalized_b(m), level(m - 1), level(m)))
 
     def normalized_B(self, m):
-        """t_(m+1) s_m N_m on the nondegenerate tuples: the tuple t goes to
-        sum((-1)^(m k) (e,) + t rotated k times, k = 0..m).  Each rotation
-        holds the slots of t, so the image is degenerate, and dropped, unless
-        g_0 != e as well."""
-
-        def build():
-            R = self.ring
-            e = self.G.identity
-            signs = (R.one, R.neg(R.one))
-            index = self._index_for(m + 1, True)
-            ent: dict = {}
-            for j, t in enumerate(self.basis(m, True)):
-                if t[0] == e:
-                    continue
-                for k in range(m + 1):
-                    key = (index[(e,) + t[m + 1 - k :] + t[: m + 1 - k]], j)
-                    c = signs[m * k % 2]
-                    s = ent.get(key)
-                    ent[key] = c if s is None else R.add(s, c)
-            # the constructor drops the sums that cancelled
-            return SparseMatrix(R, self.normalized_dim(m + 1), self.normalized_dim(m), ent)
-
-        return self._memo(("B-bar", m), build)
+        level = self._normalized_level
+        return self._memo(("B-bar", m), lambda: self._restrict(
+            self.classical.normalized_B(m), level(m + 1), level(m)))
 
 
 def theta_map(G: FiniteGroup, pi: int, n: int, ring: Ring) -> SparseMatrix:
@@ -351,11 +308,7 @@ def theta_map(G: FiniteGroup, pi: int, n: int, ring: Ring) -> SparseMatrix:
     d = H.order
     ent = {}
     for col in range(d**n):
-        idx = col
-        t = [0] * n
-        for pos in range(n - 1, -1, -1):
-            idx, t[pos] = divmod(idx, d)
-        gs = tuple(H.parent_elements[x] for x in t)
+        gs = tuple(H.parent_elements[x] for x in index_to_tuple(col, d, n))
         g0 = G.op(pi, G.inverse[G.product(gs)])
         ent[(index[(g0,) + gs], col)] = ring.one
     return SparseMatrix(ring, gamma.level_dim(n), d**n, ent)
@@ -497,11 +450,5 @@ def chi_isomorphism(m: int, s: int, zeta, n: int, ring: Ring) -> SparseMatrix:
     if ring.pow(zeta, s % m) != ring.one:
         raise PreconditionFailed("alpha(pi) must equal 1: zeta^s is not 1")
     dim = m**n
-    ent = {}
-    for idx in range(dim):
-        rest, total = idx, 0
-        for _ in range(n):
-            rest, digit = divmod(rest, m)
-            total += digit
-        ent[(idx, idx)] = ring.pow(zeta, total % m)
+    ent = {(idx, idx): ring.pow(zeta, sum(index_to_tuple(idx, m, n)) % m) for idx in range(dim)}
     return SparseMatrix(ring, dim, dim, ent)

@@ -315,7 +315,13 @@ def is_grouplike(hopf: HopfAlgebraData, x: Vector) -> bool:
 
 @dataclass(frozen=True)
 class CMTriple:
-    """A grouplike with two characters, flagged by the admissibility check."""
+    """A grouplike with two characters, flagged by the admissibility check.
+
+    In the cyclic module of the triple, alpha acts at the face d_0 and beta
+    at d_m, so its Hochschild homology is Tor^H(k_alpha, k_beta) whatever pi
+    is; for a Taft algebra that is the homology of the truncated crown with
+    alpha at vertex u and beta at vertex v (`coefficient_homology_skoldberg`).
+    """
 
     pi: GroupLike
     alpha: Character

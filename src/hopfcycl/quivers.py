@@ -57,8 +57,8 @@ class Quiver:
     @classmethod
     def crown(cls, n: int) -> "Quiver":
         """The cyclic quiver: n vertices, arrow a_i from vertex i to i+1 mod n."""
-        if n < 1:
-            raise ParseError("crown size must be >= 1")
+        if type(n) is not int or n < 1:
+            raise ParseError(f"crown size must be an integer >= 1, got {n!r}")
         return cls(
             [f"v{i}" for i in range(n)],
             [(f"a{i}", i, (i + 1) % n) for i in range(n)],
@@ -71,12 +71,23 @@ class Quiver:
         if "crown" in obj:
             return cls.crown(obj["crown"])
         if "vertices" in obj and "arrows" in obj:
-            labels = list(obj["vertices"])
+            labels, specs = obj["vertices"], obj["arrows"]
+            if not isinstance(labels, list) or not all(isinstance(v, (str, int)) for v in labels):
+                raise ParseError("'vertices' must be a list of vertex names")
+            if len(set(labels)) != len(labels):
+                raise ParseError("vertex names must be distinct")
+            if not isinstance(specs, list):
+                raise ParseError("'arrows' must be a list")
             pos = {v: i for i, v in enumerate(labels)}
             arrows = []
-            for a in obj["arrows"]:
-                if a["src"] not in pos or a["tgt"] not in pos:
-                    raise ParseError(f"arrow {a.get('id')} references unknown vertices")
+            for a in specs:
+                if not (isinstance(a, dict) and {"id", "src", "tgt"} <= a.keys()
+                        and isinstance(a["id"], str)):
+                    raise ParseError(f"arrow {a!r} must be an object with a string 'id', "
+                                     "'src' and 'tgt'")
+                # list membership, since an unhashable endpoint is no key of pos
+                if a["src"] not in labels or a["tgt"] not in labels:
+                    raise ParseError(f"arrow {a['id']} references unknown vertices")
                 arrows.append((a["id"], pos[a["src"]], pos[a["tgt"]]))
             return cls(labels, arrows)
         raise ParseError("quiver spec needs either 'crown' or 'vertices'+'arrows'")

@@ -252,16 +252,25 @@ def test_hc_quiver_over_z_and_large_crowns():
                          "--max-degree", "4", "--format", "json"])
     assert code == 0
     assert json.loads(out)["rows"][4]["value"] == "Z^3 + Z/2 + Z/2"
-    # the closed formula counts dimensions over Q: hc refuses to compare
-    # over Z, and report prints the integral table uncompared
+    # Q is flat over Z, so the free ranks are the dimensions the closed
+    # formula counts: hc and report compare them over Z
     code, out = run_cli(["hc", "--quiver", "crown:3", "--truncation", "3", "--ring", "Z",
-                         "--compare", "closed"])
-    assert code == 2 and out.startswith("error: UnsupportedCombination: ")
+                         "--max-degree", "4", "--compare", "closed", "--format", "json"])
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"]
+    assert [(c["left"], c["right"]) for c in doc["comparisons"]] == [
+        (3, 3), (2, 2), (3, 3), (2, 2), (3, 3)]
     code, out = run_cli(["report", "--quiver", "crown:3", "--truncation", "3", "--ring", "Z",
                          "--max-degree", "4", "--format", "json"])
     doc = json.loads(out)
-    assert code == 0 and doc["passed"] and doc["comparisons"] == []
+    assert code == 0 and doc["passed"] and len(doc["comparisons"]) == 5
+    assert all(c["pass"] for c in doc["comparisons"])
     assert doc["hc"][4]["value"] == "Z^3 + Z/2 + Z/2"
+    # over F_p and Z/m the formula says nothing of the torsion
+    for ring in ("F2", "Z/4"):
+        code, out = run_cli(["hc", "--quiver", "crown:3", "--truncation", "3", "--ring", ring,
+                             "--max-degree", "2", "--compare", "closed"])
+        assert code == 2 and out.startswith("error: UnsupportedCombination: "), ring
     code, out = run_cli(["hc", "--quiver", "crown:6", "--truncation", "6", "--ring", "Z",
                          "--max-degree", "6"])
     assert code == 2 and out.startswith("error: ResourceCap: ")
@@ -487,8 +496,24 @@ def test_unreadable_spec_files_are_refused(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     missing = tmp_path / "missing.json"
-    for flag, path in (("--group-file", broken), ("--group-file", missing),
-                       ("--quiver-file", broken), ("--quiver-file", missing)):
+    cases = [("--group-file", broken), ("--group-file", missing),
+             ("--quiver-file", broken), ("--quiver-file", missing)]
+    # well-formed JSON that describes no group or quiver
+    malformed = [
+        ("--quiver-file", {"vertices": ["a"], "arrows": [{"id": "x", "tgt": "a"}]}),
+        ("--quiver-file", {"vertices": ["a"], "arrows": ["x"]}),
+        ("--quiver-file", {"vertices": ["a"], "arrows": [{"id": 5, "src": "a", "tgt": "a"}]}),
+        ("--quiver-file", {"crown": "3"}),
+        ("--quiver-file", {"crown": 2.5}),
+        ("--group-file", {"order": 2, "table": 5}),
+        ("--group-file", {"order": 2, "table": [1, 2]}),
+        ("--group-file", {"cyclic": True}),
+    ]
+    for n, (flag, spec) in enumerate(malformed):
+        path = tmp_path / f"malformed{n}.json"
+        path.write_text(json.dumps(spec))
+        cases.append((flag, path))
+    for flag, path in cases:
         command = "hc" if flag == "--group-file" else "hh"
         code, out = run_cli([command, flag, str(path), "--max-degree", "1"])
         assert code == 2, (flag, path)

@@ -1,5 +1,7 @@
 """Group algebras: Gamma modules, theta, Burghelea, closed formulas, chi."""
 
+from itertools import product
+
 import pytest
 
 from hopfcycl import (
@@ -32,7 +34,7 @@ from hopfcycl import (
 )
 from hopfcycl.hopf import Character, GroupLike, check_cm_triple
 from hopfcycl.cyclic import ConnesMoscoviciModule
-from hopfcycl.sparse import rank
+from hopfcycl.sparse import SparseMatrix, rank
 
 
 # -- group plumbing ----------------------------------------------------------
@@ -73,6 +75,21 @@ def test_group_from_json():
         FiniteGroup.from_json([1, 2])
     with pytest.raises(ParseError):
         FiniteGroup.from_json({})
+    for malformed in MALFORMED_GROUPS:
+        with pytest.raises(ParseError):
+            FiniteGroup.from_json(malformed)
+
+
+# group specs that parse as JSON but describe no group; a bool is no integer
+MALFORMED_GROUPS = [
+    {"order": 2, "table": 5},
+    {"order": 2, "table": [1, 2]},
+    {"order": True, "table": [[0]]},
+    {"order": 1, "table": [[False]]},
+    {"order": 1, "table": "x"},
+    {"cyclic": True},
+    {"cyclic": 2.0},
+]
 
 
 def test_conjugacy_classes_and_centralizers_s3():
@@ -131,9 +148,78 @@ def test_gamma_normalized_basis_is_the_nondegenerate_tuples():
     for cls_ in conjugacy_classes(S3):
         gamma = GammaCyclicModule(S3, cls_[0], QQ)
         for m in range(4):
-            basis = gamma.basis(m, normalized=True)
+            basis = gamma.normalized_basis(m)
             assert basis == [t for t in gamma.basis(m) if S3.identity not in t[1:]]
+            assert basis == sorted(basis)
             assert len(basis) == gamma.normalized_dim(m) == len(cls_) * 5**m
+
+
+# -- a tuple-level reference for Gamma ---------------------------------------
+
+
+def class_tuples(G, cls_, m, normalized=False):
+    """The (m+1)-tuples with ordered product in cls_, sorted; normalized,
+    only those with no identity in slots 1..m."""
+    letters = [g for g in range(G.order) if not (normalized and g == G.identity)]
+    return [t for t in product(range(G.order), *[letters] * m) if G.product(t) in cls_]
+
+
+def tuple_face(G, t, i):
+    """d_i multiplies slots i and i + 1; the last face puts t[m] . t[0] in slot 0."""
+    m = len(t) - 1
+    if i < m:
+        return t[:i] + (G.op(t[i], t[i + 1]),) + t[i + 2:]
+    return (G.op(t[m], t[0]),) + t[1:m]
+
+
+def tuple_matrix(ring, sources, targets, images):
+    """Column j is the sum of c * targets[r] over the pairs (targets[r], c)
+    of images(sources[j]); an image that is no target tuple is dropped."""
+    at = {t: r for r, t in enumerate(targets)}
+    ent = {}
+    for j, t in enumerate(sources):
+        for image, c in images(t):
+            if image in at:
+                key = (at[image], j)
+                ent[key] = ring.add(ent.get(key, ring.zero), c)
+    return SparseMatrix(ring, len(targets), len(sources), ent)
+
+
+@pytest.mark.parametrize("G", [FiniteGroup.cyclic(4), FiniteGroup.symmetric(3)],
+                         ids=["Z4", "S3"])
+def test_gamma_operators_are_the_tuple_rules(G):
+    """Every operator of Gamma(G, pi) through level 3, the kG operator
+    restricted to the class, equals the rule on tuples entry for entry: s_i
+    inserts e after slot i, t moves the last slot to the front, b-bar is the
+    alternating face sum and B-bar sends t to the sum of (-1)^(mk) (e,) + t
+    rotated k times, on the nondegenerate tuples."""
+    R, e = ZZ, G.identity
+
+    def sign(k):
+        return R.one if k % 2 == 0 else R.neg(R.one)
+
+    for cls_ in conjugacy_classes(G):
+        gamma = GammaCyclicModule(G, cls_[0], R)
+        full = [class_tuples(G, cls_, m) for m in range(5)]
+        normal = [class_tuples(G, cls_, m, normalized=True) for m in range(5)]
+        for m in range(4):
+            assert gamma.basis(m) == full[m] and gamma.normalized_basis(m) == normal[m]
+            assert gamma.cyclic(m) == tuple_matrix(
+                R, full[m], full[m], lambda t: [((t[-1],) + t[:-1], R.one)])
+            for i in range(m + 1):
+                assert gamma.degeneracy(m, i) == tuple_matrix(
+                    R, full[m], full[m + 1], lambda t: [(t[:i + 1] + (e,) + t[i + 1:], R.one)])
+                if m:
+                    assert gamma.face(m, i) == tuple_matrix(
+                        R, full[m], full[m - 1], lambda t: [(tuple_face(G, t, i), R.one)])
+            if m:
+                assert gamma.normalized_b(m) == tuple_matrix(
+                    R, normal[m], normal[m - 1],
+                    lambda t: [(tuple_face(G, t, i), sign(i)) for i in range(m + 1)])
+            assert gamma.normalized_B(m) == tuple_matrix(
+                R, normal[m], normal[m + 1],
+                lambda t: [((e,) + t[m + 1 - k:] + t[:m + 1 - k], sign(m * k))
+                           for k in range(m + 1)])
 
 
 @pytest.mark.parametrize("G", [FiniteGroup.cyclic(4), FiniteGroup.symmetric(3)],

@@ -27,6 +27,7 @@ from hopfcycl import (
     hh_closed_form,
     hh_via_skoldberg,
     hochschild_homology,
+    hochschild_homology_upto,
     hochschild_window,
     homology_sequence,
     is_grouplike,
@@ -100,6 +101,25 @@ def test_quiver_from_json():
         Quiver.from_json({})
     with pytest.raises(ParseError):
         Quiver(["v"], [("a", 0, 1)])
+    for malformed in MALFORMED_QUIVERS:
+        with pytest.raises(ParseError):
+            Quiver.from_json(malformed)
+
+
+# quiver specs that parse as JSON but describe no quiver
+MALFORMED_QUIVERS = [
+    {"vertices": ["a"], "arrows": [{"id": "x", "tgt": "a"}]},
+    {"vertices": ["a"], "arrows": ["x"]},
+    {"vertices": ["a"], "arrows": [{"id": 5, "src": "a", "tgt": "a"}]},
+    {"vertices": ["a"], "arrows": [{"id": "x", "src": ["a"], "tgt": "a"}]},
+    {"vertices": "a", "arrows": []},
+    {"vertices": [["a"]], "arrows": []},
+    {"vertices": ["a", "a"], "arrows": [{"id": "x", "src": "a", "tgt": "a"}]},
+    {"vertices": ["a"], "arrows": {"id": "x"}},
+    {"crown": "3"},
+    {"crown": 2.5},
+    {"crown": True},
+]
 
 
 # -- necklace counts ---------------------------------------------------------
@@ -442,6 +462,24 @@ def test_taft4_bicomplex_matches_the_closed_form():
             taft_cm_closed_form(4, *triple, p) for p in range(4)
         ], triple
         assert not any(h.torsion for h in computed)
+
+
+def test_taft_hh_is_tor_over_the_small_complex():
+    """HH of the Connes-Moscovici module of a Taft triple (i, u, v) is
+    Tor^H(k_alpha, k_beta), whatever pi is: it equals the homology of the
+    truncated crown with alpha at vertex u and beta at vertex v.  With the
+    vertices swapped, three Taft-3 triples differ, which pins alpha at d_0."""
+    swapped_differs = []
+    for n, top in ((2, 4), (3, 3)):
+        hopf = taft_hopf(n)
+        for i, u, v in taft_cm_triples(n):
+            hh = hochschild_homology_upto(taft_cm_module(hopf, i, u, v), top)
+            small = [coefficient_homology_skoldberg(hopf.truncated, u, v, p) for p in range(top + 1)]
+            assert hh == small, (n, i, u, v)
+            if small != [coefficient_homology_skoldberg(hopf.truncated, v, u, p)
+                         for p in range(top + 1)]:
+                swapped_differs.append((n, i, u, v))
+    assert swapped_differs == [(3, 0, 0, 2), (3, 0, 1, 0), (3, 0, 2, 1)]
 
 
 def test_taft_homology_small_degrees():
