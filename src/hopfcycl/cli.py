@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from functools import lru_cache
-from math import factorial
+from math import prod
 from operator import attrgetter
 
 from .cyclic import (
@@ -120,7 +120,8 @@ def _group_spec(args):
         return m, lambda: FiniteGroup.cyclic(m)
     if spec.startswith("symmetric:"):
         n = _spec_size(spec)
-        return factorial(max(n, 0)), lambda: FiniteGroup.symmetric(n)
+        # n! for n >= 1; the builder refuses a smaller n
+        return prod(range(1, n + 1)), lambda: FiniteGroup.symmetric(n)
     raise ParseError(f"unknown group spec {spec!r} (use cyclic:M or symmetric:N)")
 
 

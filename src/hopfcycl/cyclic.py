@@ -17,9 +17,10 @@ level above N.  Two main instances live here:
   a column but the last, and closes the column with a per-module table of
   the last leg with beta and S_pi applied, and
 * the classical cyclic module of an algebra, with carrier the (m+1)-st
-  tensor power; its normalized chains are taken relative to the vertex
-  idempotents when the unit is a sum of basis idempotents that split the
-  basis (truncated quiver, Taft and group algebras).
+  tensor power; its normalized chains are always taken relative to a
+  separable E (`_RelativeChains`): the span of the vertex idempotents when
+  the unit is a sum of basis idempotents that split the basis (truncated
+  quiver, Taft and group algebras), and k.1 otherwise.
 
 On top of the operators sit the homology engines: HH from the normalized
 b-complex (the full b-complex, `hochschild_window`, is its oracle), HC from
@@ -36,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, product
-from math import prod
 
 from .errors import (
     IndexOutOfRange,
@@ -165,70 +165,80 @@ class _Normalization:
             for x in range(algebra.dim)
         ]
         mult = algebra.mult
-        self.legs = (kept, [[self._project(R, mult[x][y]) for y in kept] for x in kept])
+        self.legs = (kept, [[_project(R, self.image, mult[x][y]) for y in kept] for x in kept])
 
-    def _project(self, R, vec: dict) -> dict:
-        out: dict = {}
-        for k, c in vec.items():
-            for r, p in self.image[k].items():
-                s = out.get(r)
-                out[r] = R.mul(c, p) if s is None else R.add(s, R.mul(c, p))
-        return {r: c for r, c in out.items() if not R.is_zero(c)}
+
+def _project(R, image, vec: dict) -> dict:
+    """The vector vec taken to a quotient in which basis element k has the
+    image image[k]; a coefficient one skips the multiply."""
+    one = R.one
+    out: dict = {}
+    for k, c in vec.items():
+        for r, p in image[k].items():
+            v = c if p == one else R.mul(c, p)
+            s = out.get(r)
+            out[r] = v if s is None else R.add(s, v)
+    return {r: c for r, c in out.items() if not R.is_zero(c)}
 
 
 class _RelativeChains:
     """The normalized chains of the classical module of an algebra A taken
-    relative to E, the span of the summands of the unit, when these are
-    orthogonal basis idempotents e_v that split the basis: each basis
-    element b is e_s b e_t for exactly one pair (s, t), its colours
-    `left[b]` = s and `right[b]` = t (basis indices of the idempotents).
+    relative to a separable E that holds the unit, A (x)_E A/E (x)_E ...
+    (x)_E A/E closed into a cycle, which carry HH and HC (Loday, Cyclic
+    Homology, 1.2.13).  When the summands of the unit are orthogonal basis
+    idempotents e_v that split the basis, E is their span: each basis
+    element b is e_s b e_t for exactly one pair, its colours `left[b]` = s
+    and `right[b]` = t, and the basis elements outside E are a basis of A/E
+    (truncated quiver, Taft and group algebras).  For any other unit
+    E = k.1, A/E is that of `_Normalization`, and every basis element has
+    the colour 0.  `image[b]` is the image of b in A/E, in basis indices, and
+    `closing[s]` holds the terms of the unit that close a cycle at colour s.
 
-    E is separable, so HH and HC may be computed on the chains
-    A (x)_E A/E (x)_E ... (x)_E A/E closed into a cycle (Loday, Cyclic
-    Homology, 1.2.13).  Level m has as basis the tuples (a0, r1, ..., rm),
-    a0 any basis element and r_i a basis element outside E, with
-    right(a0) = left(r1), ..., right(rm) = left(a0), in lexicographic order.
-    The quotient map from C_m keeps a basis tensor that is such a tuple and
-    sends every other one to zero.  A group algebra has E = k.e, whose
-    chains are those of the k.1 normalization."""
+    Level m has as basis the tuples (a0, r1, ..., rm), a0 any basis element
+    and r_i a basis element of A/E, with right(a0) = left(r1), ...,
+    right(rm) = left(a0), in lexicographic order.  The operators are built
+    on given column tuples, so a summand closed under them (a conjugacy
+    class of a group algebra) is built on its own tuples."""
 
-    def __init__(self, algebra, left, right):
-        self.ring = algebra.ring
-        self.mult = algebra.mult
-        self.idempotents = set(algebra.unit)
+    def __init__(self, algebra, left, right, image, closing):
+        self.ring, self.mult = algebra.ring, algebra.mult
         self.left, self.right = left, right
-        # the basis elements outside E by left colour, in basis order
-        self.out_of = {s: [] for s in self.idempotents}
+        self.image, self.closing = image, closing
+        # the basis elements of A/E, those in their own image, by left colour
+        self.out_of = {s: [] for s in closing}
         for b in range(algebra.dim):
-            if b not in self.idempotents:
+            if b in image[b]:
                 self.out_of[left[b]].append(b)
         self._walks: dict = {}
         self._levels: dict = {}
 
+    @cached_property
+    def _products(self) -> list[list[dict]]:
+        """products[x][y]: b_x . b_y taken to A/E, for the inner faces."""
+        return [[_project(self.ring, self.image, vec) if vec else vec for vec in row]
+                for row in self.mult]
+
     @classmethod
-    def of(cls, algebra) -> "_RelativeChains | None":
-        """The relative chains of the algebra, or None when its unit is not
-        a sum of orthogonal basis idempotents that split the basis."""
-        R = algebra.ring
-        unit, mult = algebra.unit, algebra.mult
-        if any(c != R.one for c in unit.values()):
-            return None
-        for u in unit:
-            for w in unit:
-                if mult[u][w] != ({u: R.one} if u == w else {}):
-                    return None
-        left, right = [], []
-        for b in range(algebra.dim):
-            s = [u for u in unit if mult[u][b]]
-            t = [u for u in unit if mult[b][u]]
-            if len(s) != 1 or len(t) != 1 or not mult[s[0]][b] == mult[b][t[0]] == {b: R.one}:
-                return None
-            left.append(s[0])
-            right.append(t[0])
-        return cls(algebra, left, right)
+    def of(cls, algebra) -> "_RelativeChains":
+        """The chains relative to E = span(e_v) when the unit splits the
+        basis as above, and relative to E = k.1 otherwise."""
+        R, unit, mult, dim = algebra.ring, algebra.unit, algebra.mult, algebra.dim
+        sides = [([u for u in unit if mult[u][b]], [u for u in unit if mult[b][u]])
+                 for b in range(dim)]
+        if (all(c == R.one for c in unit.values())
+                and all(mult[u][w] == ({u: R.one} if u == w else {}) for u in unit for w in unit)
+                and all(len(s) == len(t) == 1 and mult[s[0]][b] == mult[b][t[0]] == {b: R.one}
+                        for b, (s, t) in enumerate(sides))):
+            image = [{} if b in unit else {b: R.one} for b in range(dim)]
+            return cls(algebra, [s[0] for s, _ in sides], [t[0] for _, t in sides], image,
+                       {v: [(v, R.one)] for v in unit})
+        normal = _Normalization(algebra)
+        kept = normal.legs[0]
+        image = [{kept[r]: p for r, p in vec.items()} for vec in normal.image]
+        return cls(algebra, [0] * dim, [0] * dim, image, {0: list(unit.items())})
 
     def _walk(self, m: int, s, t) -> list[tuple]:
-        """The tuples (r1, ..., rm) outside E with left(r1) = s,
+        """The tuples (r1, ..., rm) in A/E with left(r1) = s,
         right(r_i) = left(r_(i+1)) and right(rm) = t, in lexicographic order."""
         key = (m, s, t)
         out = self._walks.get(key)
@@ -250,20 +260,18 @@ class _RelativeChains:
             level = self._levels[m] = (tuples, {t: j for j, t in enumerate(tuples)})
         return level
 
-    def boundary(self, m: int) -> SparseMatrix:
-        """b-bar_m, tuple by tuple: d_i for i < m multiplies slots i and
-        i + 1 (the product projected to A/E when i >= 1), and d_m puts
-        rm . a0 in slot 0."""
+    def boundary(self, columns: list[tuple], rows: dict) -> SparseMatrix:
+        """b-bar_m on the tuples `columns` of a level m >= 1, with `rows` the
+        positions of level m - 1: d_i for i < m multiplies slots i and i + 1
+        (taken to A/E when i >= 1), and d_m puts rm . a0 in slot 0."""
         R = self.ring
         add, neg = R.add, R.neg
-        mult, idempotents = self.mult, self.idempotents
-        columns = self.basis(m)[0]
-        rows = self.basis(m - 1)[1]
+        mult, products = self.mult, self._products
         ent: dict = {}
         for col, x in enumerate(columns):
-            faces = [(x[:i] + (k,) + x[i + 2:], c, i % 2)
-                     for i in range(m) for k, c in mult[x[i]][x[i + 1]].items()
-                     if not (i and k in idempotents)]
+            m = len(x) - 1
+            faces = [(x[:i] + (k,) + x[i + 2:], c, i % 2) for i in range(m)
+                     for k, c in (products if i else mult)[x[i]][x[i + 1]].items()]
             faces += [((k,) + x[1:m], c, m % 2) for k, c in mult[x[m]][x[0]].items()]
             for face, c, odd in faces:
                 key = (rows[face], col)
@@ -273,27 +281,29 @@ class _RelativeChains:
         # the constructor drops the sums that cancelled
         return SparseMatrix(R, len(rows), len(columns), ent)
 
-    def connes(self, m: int) -> SparseMatrix:
-        """B-bar_m: a tuple x goes to the sum over k of (-1)^(mk)
-        (e_left ; t^k x), where t^k moves the last k slots to the front and
-        e_left is the idempotent that closes the cycle; zero when a0 is in E,
-        as t^k x then has a0 in a slot of A/E."""
+    def connes(self, columns: list[tuple], rows: dict) -> SparseMatrix:
+        """B-bar_m on the tuples `columns` of a level m, with `rows` the
+        positions of level m + 1: x = (a0, r1, ..., rm) goes to the sum over
+        k of (-1)^(mk) (1, t^k x'), x' with a0 taken to A/E, t^k moving the
+        last k slots to the front and 1 written with `closing`."""
         R = self.ring
-        add = R.add
-        one, minus_one = R.one, R.neg(R.one)
-        columns = self.basis(m)[0]
-        rows = self.basis(m + 1)[1]
-        left = self.left
+        add, neg, mul, one = R.add, R.neg, R.mul, R.one
+        minus_one = neg(one)
+        left, image, closing = self.left, self.image, self.closing
         ent: dict = {}
         for col, x in enumerate(columns):
-            if x[0] in self.idempotents:
-                continue
-            for k in range(m + 1):
-                turned = x[m + 1 - k:] + x[:m + 1 - k]
-                key = (rows[(left[turned[0]],) + turned], col)
-                c = minus_one if m * k % 2 else one
-                s = ent.get(key)
-                ent[key] = c if s is None else add(s, c)
+            m = len(x) - 1
+            for r, p in image[x[0]].items():
+                y = x if r == x[0] else (r,) + x[1:]
+                signs = (one, minus_one) if p == one else (p, neg(p))
+                for k in range(m + 1):
+                    turned = y[m + 1 - k:] + y[:m + 1 - k]
+                    c = signs[m * k % 2]
+                    for u, cu in closing[left[turned[0]]]:
+                        key = (rows[(u,) + turned], col)
+                        v = c if cu == one else mul(cu, c)
+                        s = ent.get(key)
+                        ent[key] = v if s is None else add(s, v)
         return SparseMatrix(R, len(rows), len(columns), ent)
 
 
@@ -310,8 +320,9 @@ class CyclicModule:
     `normalized_dim(m)`, the boundary `normalized_b(m)` induced by b and
     Connes' `normalized_B(m)`.  The degenerate subcomplex is acyclic over any
     ring (Loday, Cyclic Homology, 1.1.14-1.1.15), so HH and HC are computed
-    on them.  The classical module of an algebra split by basis idempotents
-    goes further, to the chains relative to their span (`_RelativeChains`).
+    on them.  A Connes-Moscovici module projects every leg to H / k.1; the
+    classical module takes the chains relative to a separable E that holds
+    the unit (`_RelativeChains`).
     """
 
     ring: Ring
@@ -424,10 +435,7 @@ class CyclicModule:
 
 class TensorCyclicModule(CyclicModule):
     """A cyclic module whose carriers are tensor powers of an algebra
-    (`algebra`).  Its faces are built from legs (`_face_on`): on the
-    algebra's basis they are the faces of C_m, on the basis of H / k.1 in
-    the legs the degeneracies fill (`normalized_legs`) those of the
-    normalized complex."""
+    (`algebra`), and whose degeneracies insert its unit."""
 
     # the number of leading legs that no degeneracy fills: C_m has
     # m + fixed_legs legs, and s_i inserts the unit after the first
@@ -437,107 +445,12 @@ class TensorCyclicModule(CyclicModule):
     def level_dim(self, m: int) -> int:
         return self.algebra.dim ** (m + self.fixed_legs)
 
-    def normalized_legs(self, m: int) -> list[bool]:
-        """Per leg of the basis tensors of C_m, whether a degeneracy into
-        level m puts the unit there.  The normalized carrier, C_m modulo the
-        degenerate tensors, has as basis the tensors with no pivot digit in
-        those legs."""
-        return [False] * self.fixed_legs + [True] * m
-
     def _degenerate(self, m, i, M):
         algebra = self.algebra
         return _insert_unit(self.ring, algebra.dim, algebra.unit, i + self.fixed_legs, m - i, M)
 
     def _degeneracy(self, m, i):
         return self._degenerate(m, i, SparseMatrix.identity(self.ring, self.level_dim(m)))
-
-    def _face_on(self, legs, m: int, i: int) -> SparseMatrix:
-        """Face d_i at level m, with the legs that the degeneracies fill on
-        the leg basis `legs` = (digits, mult)."""
-        raise NotImplementedError
-
-    def _face(self, m: int, i: int) -> SparseMatrix:
-        return self._face_on(self._full_legs, m, i)
-
-    @cached_property
-    def _full_legs(self) -> tuple:
-        return range(self.algebra.dim), self.algebra.mult
-
-    @cached_property
-    def _normal(self) -> _Normalization:
-        return _Normalization(self.algebra)
-
-    def normalized_dim(self, m: int) -> int:
-        d = self.algebra.dim
-        return prod(d - 1 if normal else d for normal in self.normalized_legs(m))
-
-    def normalized_b(self, m: int) -> SparseMatrix:
-        """b-bar_m, the projection of b_m on the normalized columns: the
-        alternating face sum built on the normalized legs."""
-        legs = self._normal.legs
-
-        def build():
-            faces = [self._face_on(legs, m, i) for i in range(m + 1)]
-            return _alternating_sum(
-                self.ring, faces, self.normalized_dim(m - 1), self.normalized_dim(m)
-            )
-
-        return self._memo(("b-bar", m), build)
-
-    def normalized_B(self, m: int) -> SparseMatrix:
-        """B-bar_m: the projection of t_(m+1) s_m N_m on the normalized columns.
-
-        Connes' B is (1 - lambda) s N with the extra degeneracy
-        s = (-1)^(m+1) t_(m+1) s_m.  On normalized chains lambda s N drops
-        out, since t^2 s_m = s_0 t is degenerate; s_m is used here without
-        the sign, so that b-bar B-bar = -B-bar b-bar and b-bar + B-bar
-        squares to zero.  N_m is applied to the normalized columns only.
-        """
-
-        def build():
-            R = self.ring
-            d = self.algebra.dim
-            kept = self._normal.legs[0]
-            choices = [kept if normal else range(d) for normal in self.normalized_legs(m)]
-            columns = {(tuple_to_index(t, d), j): R.one for j, t in enumerate(product(*choices))}
-            term = total = SparseMatrix._unchecked(
-                R, self.level_dim(m), self.normalized_dim(m), columns
-            )
-            lam = self.signed_cyclic(m)
-            for _ in range(m):
-                term = lam @ term
-                total = total + term
-            image = self.cyclic(m + 1) @ self.degenerate(m, m, total)
-            return self._normalize_rows(image, m + 1)
-
-        return self._memo(("B-bar", m), build)
-
-    def _normalize_rows(self, M: SparseMatrix, m: int) -> SparseMatrix:
-        """M with its rows, basis tensors of C_m, projected to the normalized
-        carrier leg by leg."""
-        R = self.ring
-        mul, add = R.mul, R.add
-        d = self.algebra.dim
-        image = self._normal.image
-        flags = self.normalized_legs(m)
-        rows: dict = {}
-        ent: dict = {}
-        for (row, col), v in M.entries.items():
-            terms = rows.get(row)
-            if terms is None:
-                terms = [(0, R.one)]
-                for x, normal in zip(index_to_tuple(row, d, len(flags)), flags):
-                    if normal:
-                        terms = [(i * (d - 1) + r, mul(c, p))
-                                 for i, c in terms for r, p in image[x].items()]
-                    else:
-                        terms = [(i * d + x, c) for i, c in terms]
-                rows[row] = terms
-            for r, p in terms:
-                key = (r, col)
-                s = ent.get(key)
-                ent[key] = mul(v, p) if s is None else add(s, mul(v, p))
-        return SparseMatrix(R, self.normalized_dim(m), M.ncols, ent)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +560,84 @@ class ConnesMoscoviciModule(TensorCyclicModule):
             closing.append(out_row)
         return closing
 
+    # -- the normalized chains: every leg is projected to H / k.1 -----------
+    @cached_property
+    def _normal(self) -> _Normalization:
+        return _Normalization(self.hopf.algebra)
+
+    def _face(self, m, i):
+        return self._face_on((range(self.hopf.dim), self.hopf.algebra.mult), m, i)
+
+    def normalized_dim(self, m):
+        return (self.hopf.dim - 1) ** m
+
+    def normalized_b(self, m):
+        """b-bar_m, the projection of b_m on the normalized columns: the
+        alternating face sum built on the legs of H / k.1."""
+        legs = self._normal.legs
+
+        def build():
+            faces = [self._face_on(legs, m, i) for i in range(m + 1)]
+            return _alternating_sum(
+                self.ring, faces, self.normalized_dim(m - 1), self.normalized_dim(m)
+            )
+
+        return self._memo(("b-bar", m), build)
+
+    def normalized_B(self, m):
+        """B-bar_m: the projection of t_(m+1) s_m N_m on the normalized columns.
+
+        Connes' B is (1 - lambda) s N with the extra degeneracy
+        s = (-1)^(m+1) t_(m+1) s_m.  On normalized chains lambda s N drops
+        out, since t^2 s_m = s_0 t is degenerate; s_m is used here without
+        the sign, so that b-bar B-bar = -B-bar b-bar and b-bar + B-bar
+        squares to zero.  N_m is applied to the normalized columns only.
+        """
+
+        def build():
+            R = self.ring
+            d = self.hopf.dim
+            kept = self._normal.legs[0]
+            columns = {(tuple_to_index(t, d), j): R.one
+                       for j, t in enumerate(product(kept, repeat=m))}
+            term = total = SparseMatrix._unchecked(
+                R, self.level_dim(m), self.normalized_dim(m), columns
+            )
+            lam = self.signed_cyclic(m)
+            for _ in range(m):
+                term = lam @ term
+                total = total + term
+            image = self.cyclic(m + 1) @ self.degenerate(m, m, total)
+            return self._normalize_rows(image, m + 1)
+
+        return self._memo(("B-bar", m), build)
+
+    def _normalize_rows(self, M: SparseMatrix, m: int) -> SparseMatrix:
+        """M with its rows, basis tensors of C_m, projected to the normalized
+        carrier leg by leg."""
+        R = self.ring
+        mul, add = R.mul, R.add
+        d = self.hopf.dim
+        image = self._normal.image
+        rows: dict = {}
+        ent: dict = {}
+        for (row, col), v in M.entries.items():
+            terms = rows.get(row)
+            if terms is None:
+                terms = [(0, R.one)]
+                for x in index_to_tuple(row, d, m):
+                    terms = [(i * (d - 1) + r, mul(c, p))
+                             for i, c in terms for r, p in image[x].items()]
+                rows[row] = terms
+            for r, p in terms:
+                key = (r, col)
+                s = ent.get(key)
+                ent[key] = mul(v, p) if s is None else add(s, mul(v, p))
+        return SparseMatrix(R, self.normalized_dim(m), M.ncols, ent)
+
     def _face_on(self, legs, m, i):
+        """Face d_i at level m on the leg basis `legs` = (digits, mult): the
+        algebra's basis for C_m, that of H / k.1 for the normalized chains."""
         R = self.ring
         digits, mult = legs
         d = len(digits)
@@ -737,13 +727,13 @@ class ConnesMoscoviciModule(TensorCyclicModule):
 class ClassicalCyclicModule(TensorCyclicModule):
     """C_m = A^(tensor m+1) with the standard faces, degeneracies and rotation.
 
-    Its normalized chains are taken relative to E, the span of the summands
-    of the unit, when these are orthogonal basis idempotents that split the
-    basis (`_RelativeChains`; Loday, Cyclic Homology, 1.2.13): the
-    cyclically composable tuples a0 (x)_E r1 (x)_E ... (x)_E rm with r_i
-    outside E.  That covers truncated quiver algebras and Taft algebras
-    (E = k^V, the vertex idempotents) and group algebras (E = k.e).  Any
-    other unit keeps the k.1 normalization of `TensorCyclicModule`.
+    Its normalized chains are always those relative to a separable E that
+    holds the unit (`_RelativeChains`; Loday, Cyclic Homology, 1.2.13): the
+    cyclically composable tuples a0 (x)_E r1 (x)_E ... (x)_E rm with r_i in
+    A/E.  E is the span of the summands of the unit when these are
+    orthogonal basis idempotents that split the basis: truncated quiver
+    algebras and Taft algebras (E = k^V, the vertex idempotents) and group
+    algebras (E = k.e).  Any other unit has E = k.1.
     """
 
     fixed_legs = 1
@@ -754,44 +744,33 @@ class ClassicalCyclicModule(TensorCyclicModule):
         self.ring = algebra.ring
 
     @cached_property
-    def _relative(self) -> _RelativeChains | None:
+    def _relative(self) -> _RelativeChains:
         return _RelativeChains.of(self.algebra)
 
     def normalized_dim(self, m):
-        chains = self._relative
-        return super().normalized_dim(m) if chains is None else len(chains.basis(m)[0])
+        return len(self._relative.basis(m)[0])
 
     def normalized_b(self, m):
         chains = self._relative
-        if chains is None:
-            return super().normalized_b(m)
-        return self._memo(("b-bar", m), lambda: chains.boundary(m))
+        return self._memo(("b-bar", m), lambda: chains.boundary(
+            chains.basis(m)[0], chains.basis(m - 1)[1]))
 
     def normalized_B(self, m):
         chains = self._relative
-        if chains is None:
-            return super().normalized_B(m)
-        return self._memo(("B-bar", m), lambda: chains.connes(m))
+        return self._memo(("B-bar", m), lambda: chains.connes(
+            chains.basis(m)[0], chains.basis(m + 1)[1]))
 
-    def _face_on(self, legs, m, i):
-        # the first leg, which no degeneracy fills, stays on the algebra's basis
-        R = self.ring
-        d = self.algebra.dim
-        mult = self.algebra.mult
-        digits, legs_mult = legs
-        e = len(digits)
-        if i == 0:
-            first = [[mult[x][y] for y in digits] for x in range(d)]
-            return _merge_face(R, first, d, 1, e ** (m - 1))
+    def _face(self, m, i):
+        R, d, mult = self.ring, self.algebra.dim, self.algebra.mult
         if i < m:
-            return _merge_face(R, legs_mult, e, d * e ** (i - 1), e ** (m - 1 - i))
-        # the last face multiplies t[m] . t[0]: column (x * E + B) * e + y
-        # goes to rows k * E + B for k in mult[y][x], E = e**(m - 1)
-        E = e ** (m - 1)
+            return _merge_face(R, mult, d, d**i, d ** (m - 1 - i))
+        # the last face multiplies t[m] . t[0]: column (x * E + B) * d + y
+        # goes to rows k * E + B for k in mult[y][x], E = d**(m - 1)
+        E = d ** (m - 1)
         ent = {}
         col = 0
         for x in range(d):
-            terms = [[(k * E, c) for k, c in mult[y][x].items()] for y in digits]
+            terms = [[(k * E, c) for k, c in mult[y][x].items()] for y in range(d)]
             for B in range(E):
                 for y_terms in terms:
                     for k, c in y_terms:

@@ -100,6 +100,8 @@ class FiniteGroup:
     def symmetric(cls, n: int) -> "FiniteGroup":
         from itertools import permutations
 
+        if type(n) is not int or n < 1:
+            raise ParseError(f"symmetric degree must be an integer >= 1, got {n!r}")
         perms = sorted(permutations(range(n)))
         index = {p: i for i, p in enumerate(perms)}
         # composition (p.q)(x) = p(q(x))
@@ -213,10 +215,11 @@ class GammaCyclicModule(CyclicModule):
     No face, degeneracy or rotation changes the class of the ordered
     product, so Gamma(G, pi) is the class summand of the classical cyclic
     module of kG (Loday, Cyclic Homology, 7.4).  Every operator is the kG
-    operator restricted to the tuples in the class, in lexicographic order,
-    so all conventions are those of `ClassicalCyclicModule`; the normalized
-    chains are its chains relative to E = k.e, the tuples with no identity
-    in slots 1..m (Loday 6.1).
+    operator on the tuples in the class, in lexicographic order, so all
+    conventions are those of `ClassicalCyclicModule`; the normalized chains
+    are its chains relative to E = k.e, the tuples with no identity in
+    slots 1..m (Loday 6.1).  Faces, degeneracies and t are restricted from
+    the kG operators; b-bar and B-bar are built on the class tuples alone.
     """
 
     def __init__(self, G: FiniteGroup, pi: int, ring: Ring):
@@ -242,12 +245,12 @@ class GammaCyclicModule(CyclicModule):
 
     def _normalized_level(self, m: int) -> tuple[list[tuple], dict]:
         """The class tuples of the relative chains of kG at level m, and the
-        position of each by its position in all of them."""
+        position of each."""
 
         def build():
-            tuples, at = self.classical._relative.basis(m)
+            tuples = self.classical._relative.basis(m)[0]
             kept = [t for t in tuples if self.G.product(t) in self.pi_class]
-            return kept, {at[t]: j for j, t in enumerate(kept)}
+            return kept, {t: j for j, t in enumerate(kept)}
 
         return self._memo(("normalized level", m), build)
 
@@ -286,14 +289,12 @@ class GammaCyclicModule(CyclicModule):
         return self._restrict(self.classical.cyclic(m), self._level(m), self._level(m))
 
     def normalized_b(self, m):
-        level = self._normalized_level
-        return self._memo(("b-bar", m), lambda: self._restrict(
-            self.classical.normalized_b(m), level(m - 1), level(m)))
+        chains, level = self.classical._relative, self._normalized_level
+        return self._memo(("b-bar", m), lambda: chains.boundary(level(m)[0], level(m - 1)[1]))
 
     def normalized_B(self, m):
-        level = self._normalized_level
-        return self._memo(("B-bar", m), lambda: self._restrict(
-            self.classical.normalized_B(m), level(m + 1), level(m)))
+        chains, level = self.classical._relative, self._normalized_level
+        return self._memo(("B-bar", m), lambda: chains.connes(level(m)[0], level(m + 1)[1]))
 
 
 def theta_map(G: FiniteGroup, pi: int, n: int, ring: Ring) -> SparseMatrix:

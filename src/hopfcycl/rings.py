@@ -191,6 +191,9 @@ class IntegerRing(Ring):
     def add(self, a, b):
         return a + b
 
+    def sub(self, a, b):
+        return a - b
+
     def neg(self, a):
         return -a
 

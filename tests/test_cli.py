@@ -454,8 +454,11 @@ def test_hc_reduces_each_total_boundary_once(monkeypatch, ring, reduction):
         ["cm-hc", "--taft", "1"],
         ["hc", "--group", "cyclic:2", "--ring", "Q(zeta0)"],
         ["hc", "--group", "cyclic:2", "--ring", "F4"],
+        ["hc", "--group", "symmetric:-1", "--ring", "Z"],
+        ["hc", "--group", "symmetric:0"],
     ],
-    ids=["crown:x", "cyclic:x", "taft 0", "taft 1", "Q(zeta0)", "F4"],
+    ids=["crown:x", "cyclic:x", "taft 0", "taft 1", "Q(zeta0)", "F4", "symmetric:-1",
+         "symmetric:0"],
 )
 def test_malformed_inputs_are_refused_before_any_algebra(monkeypatch, argv):
     import hopfcycl.cli as cli

@@ -35,6 +35,7 @@ from hopfcycl import (
     hochschild_window,
     sbi_check,
     sbi_rank_assignment,
+    semisimple_case,
     taft_cm_closed_form,
     taft_cm_congruences,
     taft_cm_module,
@@ -898,6 +899,20 @@ RELATIVE_ALGEBRAS = [
 ]
 
 
+@pytest.mark.parametrize("ring", [QQ, ZZ], ids=lambda r: r.name)
+@pytest.mark.parametrize("quiver", [Quiver.crown(1), Quiver.crown(2), Quiver.crown(3),
+                                    KRONECKER, LOOP_AND_CYCLE],
+                         ids=["crown(1)", "crown(2)", "crown(3)", "Kronecker", "loop and 2-cycle"])
+def test_semisimple_tables_are_the_relative_chains(quiver, ring):
+    """The hh and hc rows of `semisimple_case` are HH and HC of the vertex
+    algebra k^v (truncation 1), computed on its chains relative to E = k^v,
+    where no basis element lies outside E."""
+    module = ClassicalCyclicModule(truncated_algebra(quiver, 1, ring).algebra)
+    table = semisimple_case(quiver, ring, N=4)
+    assert hochschild_homology_upto(module, 4) == table["hh"]
+    assert cyclic_bicomplex_hc_upto(module, 4) == table["hc"]
+
+
 def bicomplex_cases():
     cases = []
     for ring in (ZZ, PrimeField(2), PrimeField(3)):
@@ -939,17 +954,43 @@ def test_normalized_bicomplex_matches_the_reference(case):
     )
 
 
+def k1_projection(module, m):
+    """(P, J) at level m for the k.1 normalization of a tensor module: J
+    includes the basis tensors with no pivot digit in the legs that the
+    degeneracies fill (all but the first `fixed_legs`), and P projects each
+    of those legs of a basis tensor to A / k.1, leaving the fixed legs."""
+    from itertools import product
+
+    from hopfcycl.cyclic import _Normalization
+
+    R, d, fixed = module.ring, module.algebra.dim, module.fixed_legs
+    normal = _Normalization(module.algebra)
+    kept = normal.legs[0]
+    tuples = list(product(*[range(d)] * fixed, *[kept] * m))
+    at = {t: j for j, t in enumerate(tuples)}
+    J = SparseMatrix(R, module.level_dim(m), len(tuples),
+                     {(tuple_to_index(t, d), j): R.one for j, t in enumerate(tuples)})
+    ent = {}
+    for idx in range(module.level_dim(m)):
+        terms = [((), R.one)]
+        for leg, x in enumerate(index_to_tuple(idx, d, m + fixed)):
+            image = {x: R.one} if leg < fixed else {kept[r]: p for r, p in normal.image[x].items()}
+            terms = [(t + (y,), R.mul(c, p)) for t, c in terms for y, p in image.items()]
+        for t, c in terms:
+            ent[(at[t], idx)] = R.add(ent.get((at[t], idx), R.zero), c)
+    return SparseMatrix(R, len(tuples), module.level_dim(m), ent), J
+
+
 def projected_boundary(module, m):
     """P b_m J: the full boundary on the normalized columns, its rows
     projected, for comparison with the directly built b-bar."""
-    from itertools import product
+    return k1_projection(module, m - 1)[0] @ module.boundary_b(m) @ k1_projection(module, m)[1]
 
-    d = module.algebra.dim
-    kept = module._normal.legs[0]
-    choices = [kept if normal else range(d) for normal in module.normalized_legs(m)]
-    columns = {(tuple_to_index(t, d), j): module.ring.one for j, t in enumerate(product(*choices))}
-    J = SparseMatrix(module.ring, module.level_dim(m), module.normalized_dim(m), columns)
-    return module._normalize_rows(module.boundary_b(m) @ J, m - 1)
+
+def projected_connes(module, m):
+    """P t_(m+1) s_m N_m J, for comparison with the directly built B-bar."""
+    full = module.cyclic(m + 1) @ module.degenerate(m, m, module.norm(m))
+    return k1_projection(module, m + 1)[0] @ full @ k1_projection(module, m)[1]
 
 
 def relative_quotient(module, m):
@@ -1006,19 +1047,22 @@ def test_relative_chains_are_a_quotient_of_the_full_ones(case, ring):
         assert q(module, m + 1) @ full_B == module.normalized_B(m) @ q(module, m), m
 
 
-def test_dual_numbers_keep_the_k1_chains():
-    """A unit that is no sum of basis idempotents keeps the k.1
-    normalization: over Z/4 (the unit b0 + 2 b1) and over Z (b0 - 2 b1),
-    C-bar_m = A (x) (A / k.1)^(x m) has dimension 2, and b-bar is P b J."""
-    for ring in (IntegersMod(4), ZZ):
-        module = ClassicalCyclicModule(dual_numbers(ring))
-        assert module._relative is None
-        assert [module.normalized_dim(m) for m in range(4)] == [2, 2, 2, 2]
-        for m in range(1, 4):
-            assert module.normalized_b(m) == projected_boundary(module, m), m
+@pytest.mark.parametrize("ring", [IntegersMod(4), ZZ, QQ], ids=lambda r: r.name)
+def test_dual_numbers_keep_the_k1_chains(ring):
+    """A unit that is no sum of basis idempotents gives the chains relative
+    to E = k.1: over Z/4 (the unit b0 + 2 b1), Z and Q (b0 - 2 b1) every
+    basis element has one colour, C-bar_m = A (x) (A / k.1)^(x m) has
+    dimension 2, b-bar is P b J and B-bar is P t s N J."""
+    module = ClassicalCyclicModule(dual_numbers(ring))
+    chains = module._relative
+    assert len(set(chains.left + chains.right)) == len(chains.closing) == 1
+    assert [module.normalized_dim(m) for m in range(4)] == [2, 2, 2, 2]
+    for m in range(4):
+        assert m == 0 or module.normalized_b(m) == projected_boundary(module, m), m
+        assert module.normalized_B(m) == projected_connes(module, m), m
 
 
-def test_normalized_legs_drop_the_group_identity():
+def test_k1_normalization_drops_the_group_identity():
     """For a group algebra the pivot is e: its rows are dropped, and the
     normalized carriers of Z[Z/4] are (4 - 1)^m."""
     module = cm_group_module(FiniteGroup.cyclic(4), 0, ZZ)

@@ -50,6 +50,13 @@ def test_group_construction_and_validation():
     assert sorted(S3.element_order(a) for a in range(6)) == [1, 2, 2, 2, 3, 3]
     assert G.product([1, 1, 1]) == 3
     assert G.op(G.inverse[5], 5) == 0
+    assert FiniteGroup.symmetric(1).order == 1
+
+
+@pytest.mark.parametrize("n", [-1, 0, 2.0, True])
+def test_symmetric_degree_below_one_is_refused(n):
+    with pytest.raises(ParseError, match="integer >= 1"):
+        FiniteGroup.symmetric(n)
 
 
 def test_group_table_validation_errors():
@@ -220,6 +227,19 @@ def test_gamma_operators_are_the_tuple_rules(G):
                 R, normal[m], normal[m + 1],
                 lambda t: [((e,) + t[m + 1 - k:] + t[:m + 1 - k], sign(m * k))
                            for k in range(m + 1)])
+
+
+def test_gamma_builds_b_bar_and_B_bar_on_its_class_tuples():
+    """Gamma's b-bar and B-bar are built on the class tuples only: no kG
+    operator of the normalized chains is built or kept."""
+    G = FiniteGroup.symmetric(3)
+    for cls_ in conjugacy_classes(G):
+        gamma = GammaCyclicModule(G, cls_[0], ZZ)
+        for m in range(1, 4):
+            gamma.normalized_b(m)
+            gamma.normalized_B(m)
+            assert ("b-bar", m) not in gamma.classical._cache
+            assert ("B-bar", m) not in gamma.classical._cache
 
 
 @pytest.mark.parametrize("G", [FiniteGroup.cyclic(4), FiniteGroup.symmetric(3)],
