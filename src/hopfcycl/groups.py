@@ -230,27 +230,32 @@ class GammaCyclicModule(CyclicModule):
         self.pi_class = next(cls_ for cls_ in conjugacy_classes(G) if pi in cls_)
         self.classical = ClassicalCyclicModule(group_algebra(G, ring).algebra)
 
+    def _class_tuples(self, m: int, slots) -> list[tuple]:
+        """The (m+1)-tuples with slots 1..m in `slots` and ordered product in
+        the class, sorted: one g_0 per c in the class, the one with
+        g_0 . g_1 ... g_m = c."""
+        G = self.G
+        return sorted((G.op(c, G.inverse[G.product(rest)]),) + rest
+                      for rest in product(slots, repeat=m) for c in self.pi_class)
+
     def _level(self, m: int) -> tuple[list[tuple], dict]:
         """The class tuples of C_m(kG), sorted, and the position of each by
         its index in C_m(kG)."""
 
         def build():
-            G = self.G
-            # one g_0 per c in the class: the one with g_0 . g_1 ... g_m = c
-            tuples = sorted((G.op(c, G.inverse[G.product(rest)]),) + rest
-                            for rest in product(range(G.order), repeat=m) for c in self.pi_class)
-            return tuples, {tuple_to_index(t, G.order): j for j, t in enumerate(tuples)}
+            tuples = self._class_tuples(m, range(self.G.order))
+            return tuples, {tuple_to_index(t, self.G.order): j for j, t in enumerate(tuples)}
 
         return self._memo(("level", m), build)
 
     def _normalized_level(self, m: int) -> tuple[list[tuple], dict]:
-        """The class tuples of the relative chains of kG at level m, and the
-        position of each."""
+        """The class tuples of the relative chains of kG at level m, those
+        with no identity in slots 1..m, and the position of each."""
 
         def build():
-            tuples = self.classical._relative.basis(m)[0]
-            kept = [t for t in tuples if self.G.product(t) in self.pi_class]
-            return kept, {t: j for j, t in enumerate(kept)}
+            G = self.G
+            tuples = self._class_tuples(m, [g for g in range(G.order) if g != G.identity])
+            return tuples, {t: j for j, t in enumerate(tuples)}
 
         return self._memo(("normalized level", m), build)
 

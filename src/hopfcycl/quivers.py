@@ -16,7 +16,6 @@ from collections import Counter
 from functools import cached_property
 from math import gcd
 
-from .cyclic import ChainComplexWindow
 from .errors import (
     HopfCyclError,
     NegativePartialSum,
@@ -300,9 +299,11 @@ def _boundaries(quiver: Quiver, n: int, ring: Ring, bases, carry) -> dict[int, S
     boundaries = {}
     for i in range(1, len(bases)):
         index = {b: k for k, b in enumerate(bases[i - 1])}
-        terms = {g: _generator_boundary(quiver, n, i, g) for g in {g for _, g in bases[i]}}
+        # no term of d lands in an empty degree i - 1
+        columns = bases[i] if index else []
+        terms = {g: _generator_boundary(quiver, n, i, g) for g in {g for _, g in columns}}
         ent: dict = {}
-        for j, (x, g) in enumerate(bases[i]):
+        for j, (x, g) in enumerate(columns):
             for left, g2, right, sign in terms[g]:
                 k = index.get((carry(x, left, right), g2))
                 if k is not None:
@@ -397,8 +398,9 @@ def _closed_pairs(A: TruncatedPathAlgebra, i: int) -> list[tuple]:
 
 
 def _small_complex_dims(quiver: Quiver, n: int, p_max: int) -> list[int]:
-    """The carrier dimensions of `_hh_window` in degrees 0..p_max for the
-    truncation of quiver at n, counted without building the algebra."""
+    """The carrier dimensions of the small complex of `_graded_hh`, the
+    numbers of `_closed_pairs`, in degrees 0..p_max for the truncation of
+    quiver at n, counted without building the algebra."""
     generators, short = _path_counts(quiver, n, p_max)
     return [sum(c * short[t, s] for (s, t), c in gens.items()) for gens in generators]
 
@@ -445,80 +447,43 @@ def _resolution_dims(quiver: Quiver, n: int, i_max: int) -> list[int]:
     return [sum(c * into[s] * out_of[t] for (s, t), c in gens.items()) for gens in generators]
 
 
-def _hh_window(A: TruncatedPathAlgebra, p_max: int) -> ChainComplexWindow:
-    """The complex A (x)_{bimodule} P_* computed on closed (a, gamma) pairs."""
-    bases = [_closed_pairs(A, i) for i in range(p_max + 1)]
-    boundaries = _boundaries(A.quiver, A.n, A.ring, bases, _hochschild_carry(A.quiver))
-    window = ChainComplexWindow(A.ring, [len(b) for b in bases], boundaries)
-    window.pair_bases = bases
-    return window
-
-
-def _grade_positions(grades) -> tuple[list[int], dict[int, int]]:
-    """Each index's position among the indices of its grade, and the number
-    of indices of each grade."""
-    at, count = [], {}
-    for q in grades:
-        at.append(count.get(q, 0))
-        count[q] = at[-1] + 1
-    return at, count
-
-
-def _graded_blocks(M: SparseMatrix, row_grades, col_grades) -> dict[int, SparseMatrix]:
-    """The diagonal blocks of a grade-preserving matrix: block q keeps the
-    rows and columns of grade q in their order.  Every grade of a row or a
-    column has a block, empty blocks included."""
-    rows_at, nrows = _grade_positions(row_grades)
-    cols_at, ncols = _grade_positions(col_grades)
-    ent: dict = {}
-    for (r, c), v in M.entries.items():
-        q = col_grades[c]
-        if row_grades[r] == q:
-            ent.setdefault(q, {})[(rows_at[r], cols_at[c])] = v
-    return {
-        q: SparseMatrix(M.ring, nrows.get(q, 0), ncols.get(q, 0), ent.get(q))
-        for q in sorted(nrows.keys() | ncols.keys())
-    }
-
-
 def _graded_hh(A: TruncatedPathAlgebra, N: int, first: int = 0) -> list[tuple]:
-    """HH_first..HH_N of A from one small complex, each as
-    (total, {grade q: HomologyModule}) over the grades of its degree.
+    """HH_first..HH_N of A from the small complex A (x)_{A^e} P on closed
+    (a, gamma) pairs, each as (total, {grade q: HomologyModule}) over the
+    grades of its degree.
 
-    The complex splits along the path-length grade len(a) + len(gamma) of the
-    pairs.  The blocks of grade q, from the first to one past the last degree
-    in which q occurs, go through `homology_sequence` once, so every block is
-    reduced at most once.
+    The boundaries keep the path-length grade len(a) + len(gamma), so the
+    complex is built grade by grade: the pairs of grade q, from one below
+    the first to one past the last degree of first..N in which q occurs,
+    go through `_boundaries` and one `homology_sequence`, squares checked.
+    Only degrees first - 1..N + 1 are enumerated.
     """
     if A.n < 2:
         raise PreconditionFailed("the small complex needs truncation exponent >= 2")
-    window = _hh_window(A, N + 1)
     path_len = A.quiver.path_len
-    grades = [[path_len(a) + path_len(g) for a, g in basis] for basis in window.pair_bases]
-    blocks = {
-        i: _graded_blocks(window.boundaries[i], grades[i - 1], grades[i])
-        for i in range(max(first, 1), N + 2)
-    }
-    degrees: dict[int, list[int]] = {}
-    for p in range(first, N + 1):
-        for q in set(grades[p]):
-            degrees.setdefault(q, []).append(p)
-    # a grade missing from both ends of a boundary has an empty block
-    empty = SparseMatrix.zero(A.ring, 0, 0)
+    # pairs[q][i]: the pairs of grade q in degree i, in `_closed_pairs` order
+    pairs: dict[int, dict[int, list]] = {}
+    for i in range(max(first - 1, 0), N + 2):
+        for a, g in _closed_pairs(A, i):
+            pairs.setdefault(path_len(a) + path_len(g), {}).setdefault(i, []).append((a, g))
+    carry = _hochschild_carry(A.quiver)
     homology = {}
-    for q, ps in degrees.items():
-        # D_lo..D_(last+1) of grade q give H_(lo-1)..H_last; as D_0 = 0,
-        # H_(lo-1) is right only for lo = 1.  The window checked every
-        # square, so each graded block squares to zero.
-        lo = max(ps[0], 1)
-        sequence = homology_sequence(
-            (blocks[i].get(q, empty) for i in range(lo, ps[-1] + 2)), check_squares=False
-        )
+    for q, by_degree in pairs.items():
+        ps = [p for p in range(first, N + 1) if p in by_degree]
+        if not ps:
+            continue
+        # `_boundaries` reads each degree from its position in bases, and
+        # degrees below first - 1 stay empty.  D_lo..D_top give
+        # H_(lo-1)..H_(top-1); as D_0 = 0, H_(lo-1) is right only for lo = 1.
+        lo, top = max(ps[0], 1), ps[-1] + 1
+        bases = [by_degree.get(i, []) for i in range(top + 1)]
+        boundaries = _boundaries(A.quiver, A.n, A.ring, bases, carry)
+        sequence = homology_sequence(boundaries[i] for i in range(lo, top + 1))
         for p in ps:
             homology[p, q] = sequence[p - lo + 1]
     table = []
     for p in range(first, N + 1):
-        per_grade = {q: homology[p, q] for q in sorted(set(grades[p]))}
+        per_grade = {q: homology[p, q] for q in sorted(pairs) if p in pairs[q]}
         table.append((sum(per_grade.values(), zero_module(A.ring)), per_grade))
     return table
 
@@ -526,8 +491,8 @@ def _graded_hh(A: TruncatedPathAlgebra, N: int, first: int = 0) -> list[tuple]:
 def hh_via_skoldberg(A: TruncatedPathAlgebra, p: int):
     """HH_p(A, A) from the small complex: (total, {grade q: HomologyModule}).
 
-    The one-degree view of `_graded_hh`: only the graded blocks of D_p and
-    D_(p+1) are reduced.
+    The one-degree view of `_graded_hh`: only the pairs of degrees p - 1..p + 1
+    are enumerated, and only the graded blocks of D_p and D_(p+1) reduced.
     """
     return _graded_hh(A, p, first=p)[0]
 
@@ -596,7 +561,7 @@ def coefficient_homology_skoldberg(
         return None if R.is_zero(weight) else x
 
     boundaries = _boundaries(quiver, A.n, R, bases, carry)
-    built = ChainComplexWindow(R, [len(b) for b in bases], boundaries).homology(p)
+    built = homology_sequence(boundaries[i] for i in range(max(p, 1), p + 2))[-1]
     if built.free_rank != len(bases[p]):
         raise HopfCyclError("closed and built coefficient homology disagree")
     return built

@@ -162,40 +162,42 @@ def test_invocations_that_pass(argv):
     assert out.strip().endswith("PASSED")
 
 
-def count_windows(monkeypatch):
+def enumerated_degrees(monkeypatch) -> list[int]:
+    """The degrees of the small complex whose closed pairs are enumerated
+    from now on, in call order."""
     import hopfcycl.quivers as quivers
 
-    windows = []
-    build = quivers._hh_window
+    degrees = []
+    enumerate_pairs = quivers._closed_pairs
 
-    def counting(A, p_max):
-        windows.append(p_max)
-        return build(A, p_max)
+    def counting(A, i):
+        degrees.append(i)
+        return enumerate_pairs(A, i)
 
-    monkeypatch.setattr(quivers, "_hh_window", counting)
-    return windows
+    monkeypatch.setattr(quivers, "_closed_pairs", counting)
+    return degrees
 
 
-def test_hh_quiver_builds_one_window(monkeypatch):
-    windows = count_windows(monkeypatch)
+def test_hh_quiver_enumerates_each_degree_once(monkeypatch):
+    degrees = enumerated_degrees(monkeypatch)
     code, _ = run_cli(["hh", "--quiver", "crown:3", "--truncation", "3", "--max-degree", "4"])
     assert code == 0
-    assert windows == [5]
+    assert degrees == [0, 1, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("command", ["hh", "hc"])
 def test_resource_cap_bounds_the_small_complex(monkeypatch, command):
     # the small complex of crown(3) mod paths of length 3 has 3 pairs in
     # every degree
-    windows = count_windows(monkeypatch)
+    degrees = enumerated_degrees(monkeypatch)
     argv = [command, "--quiver", "crown:3", "--truncation", "3", "--max-degree", "4"]
     monkeypatch.setenv("HOPFCYCL_MAX_CARRIER", "2")
     code, out = run_cli(argv)
     assert code == 2 and "ResourceCap" in out
-    assert windows == []
+    assert degrees == []
     monkeypatch.setenv("HOPFCYCL_MAX_CARRIER", "3")
     code, _ = run_cli(argv)
-    assert code == 0 and windows == [5]
+    assert code == 0 and degrees == [0, 1, 2, 3, 4, 5]
 
 
 def test_hc_quiver_caps_the_relative_bicomplex(monkeypatch):

@@ -14,6 +14,7 @@ from hopfcycl import (
     InvalidCharacter,
     ParseError,
     PreconditionFailed,
+    PrimeField,
     burghelea_check,
     centralizer,
     character_from_zeta,
@@ -267,15 +268,17 @@ def test_gamma_hc_over_z_is_the_centralizer_hc_class_by_class(G):
     ],
     ids=["Z2/1", "Z2/g", "Z4/g2"],
 )
-def test_theta_chain_map_cyclic_groups(G, pi):
-    report = theta_chain_map_check(G, pi, 2, QQ)
+@pytest.mark.parametrize("ring", [QQ, ZZ, PrimeField(2)], ids=["Q", "Z", "F2"])
+def test_theta_chain_map_cyclic_groups(G, pi, ring):
+    report = theta_chain_map_check(G, pi, 2, ring)
     assert report == {k: True for k in report}
 
 
-def test_theta_chain_map_s3_all_classes():
+@pytest.mark.parametrize("ring", [QQ, ZZ, PrimeField(2)], ids=["Q", "Z", "F2"])
+def test_theta_chain_map_s3_all_classes(ring):
     S3 = FiniteGroup.symmetric(3)
     for cls_ in conjugacy_classes(S3):
-        report = theta_chain_map_check(S3, cls_[0], 2, QQ)
+        report = theta_chain_map_check(S3, cls_[0], 2, ring)
         assert report == {k: True for k in report}
 
 

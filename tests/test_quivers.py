@@ -12,8 +12,10 @@ from hopfcycl import (
     ClassicalCyclicModule,
     CyclotomicField,
     NegativePartialSum,
+    NotAComplex,
     ParseError,
     PreconditionFailed,
+    PrimeField,
     Quiver,
     RingWithoutRationals,
     SparseMatrix,
@@ -499,24 +501,42 @@ GRADED_SBI_HC_5 = {
 }
 
 
-@pytest.mark.parametrize("crown,n", sorted(GRADED_SBI_HC_5))
-def test_graded_sbi_builds_the_small_complex_once(monkeypatch, crown, n):
+def enumerated_degrees(monkeypatch) -> list[int]:
+    """The degrees whose `_closed_pairs` are enumerated from now on, in
+    call order."""
     import hopfcycl.quivers as quivers
 
-    windows = []
-    build = quivers._hh_window
+    degrees = []
+    enumerate_pairs = quivers._closed_pairs
 
-    def counting(A, p_max):
-        windows.append(p_max)
-        return build(A, p_max)
+    def counting(A, i):
+        degrees.append(i)
+        return enumerate_pairs(A, i)
 
-    monkeypatch.setattr(quivers, "_hh_window", counting)
+    monkeypatch.setattr(quivers, "_closed_pairs", counting)
+    return degrees
+
+
+@pytest.mark.parametrize("crown,n", sorted(GRADED_SBI_HC_5))
+def test_graded_sbi_builds_the_small_complex_once(monkeypatch, crown, n):
+    degrees = enumerated_degrees(monkeypatch)
     A = truncated_algebra(Quiver.crown(crown), n, QQ)
     assert graded_sbi_hc(A, 5) == GRADED_SBI_HC_5[crown, n]
-    assert windows == [6]
+    assert degrees == list(range(7))
     assert GRADED_SBI_HC_5[crown, n] == [
         hc_closed_form_truncated(Quiver.crown(crown), n, p, QQ) for p in range(6)
     ]
+
+
+@pytest.mark.parametrize("p", range(6))
+def test_hh_via_skoldberg_enumerates_degrees_p_minus_one_to_p_plus_one(monkeypatch, p):
+    degrees = enumerated_degrees(monkeypatch)
+    quiver = Quiver.crown(2)
+    A = truncated_algebra(quiver, 3, ZZ)
+    total, per_grade = hh_via_skoldberg(A, p)
+    assert degrees == list(range(max(p - 1, 0), p + 2))
+    assert per_grade == {q: hh_closed_form(quiver, 3, p, q, ZZ) for q in per_grade}
+    assert total == sum(per_grade.values(), zero_module(ZZ))
 
 
 def test_graded_sbi_needs_truncation_two():
@@ -538,7 +558,7 @@ def test_counted_carriers_match_the_built_complexes(quiver, n):
     """The cap sizes a quiver source from path counts; the counts are the
     carrier dimensions of the complexes that are then built."""
     from hopfcycl.quivers import (
-        _hh_window,
+        _closed_pairs,
         _relative_chain_dims,
         _resolution_dims,
         _small_complex_dims,
@@ -546,7 +566,94 @@ def test_counted_carriers_match_the_built_complexes(quiver, n):
 
     A = truncated_algebra(quiver, n, QQ)
     assert _resolution_dims(quiver, n, 4) == skoldberg_resolution(A, 4)["dims"]
-    window = _hh_window(A, 4)
-    assert _small_complex_dims(quiver, n, 4) == [len(b) for b in window.pair_bases]
+    assert _small_complex_dims(quiver, n, 4) == [len(_closed_pairs(A, i)) for i in range(5)]
     bar = ClassicalCyclicModule(A.algebra)
     assert _relative_chain_dims(quiver, n, 5) == [bar.normalized_dim(m) for m in range(6)]
+
+
+def pair_grade(quiver, pair) -> int:
+    a, g = pair
+    return quiver.path_len(a) + quiver.path_len(g)
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, PrimeField(2)], ids=["Q", "Z", "F2"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize(
+    "quiver", [Quiver.crown(1), Quiver.crown(2), Quiver.crown(3), BRANCHING],
+    ids=["crown1", "crown2", "crown3", "branching"],
+)
+def test_graded_hh_is_the_grade_split_of_the_full_small_complex(monkeypatch, quiver, n, ring):
+    """The full small complex on `_closed_pairs`, its squares checked and
+    split by grade here: `_graded_hh` builds each grade block entry for
+    entry, and its homology is that of the blocks."""
+    import hopfcycl.quivers as quivers
+    from hopfcycl.quivers import _boundaries, _closed_pairs, _hochschild_carry
+
+    N = 5
+    A = truncated_algebra(quiver, n, ring)
+    bases = [_closed_pairs(A, i) for i in range(N + 2)]
+    full = _boundaries(quiver, n, ring, bases, _hochschild_carry(quiver))
+    assert all((full[i] @ full[i + 1]).is_zero for i in range(1, N + 1))
+    # at[i][q]: the positions of the pairs of grade q in degree i
+    at = [{} for _ in bases]
+    for i, basis in enumerate(bases):
+        for k, pair in enumerate(basis):
+            at[i].setdefault(pair_grade(quiver, pair), []).append(k)
+
+    def grade_basis(i, q):
+        return [bases[i][k] for k in at[i].get(q, [])]
+
+    def block(i, q):
+        rows = {k: r for r, k in enumerate(at[i - 1].get(q, []))}
+        cols = {k: c for c, k in enumerate(at[i].get(q, []))}
+        return SparseMatrix(ring, len(rows), len(cols), {
+            (rows[r], cols[c]): v for (r, c), v in full[i].entries.items()
+            if r in rows and c in cols
+        })
+
+    built = []
+    build = quivers._boundaries
+
+    def recording(quiver_, n_, ring_, grade_bases, carry):
+        out = build(quiver_, n_, ring_, grade_bases, carry)
+        built.append((grade_bases, out))
+        return out
+
+    monkeypatch.setattr(quivers, "_boundaries", recording)
+    table = quivers._graded_hh(A, N)
+
+    # one build per grade of degrees 0..N, each on complete grade-q bases
+    # up to one past its last degree <= N
+    present = sorted({q for level in at[: N + 1] for q in level})
+    assert sorted(pair_grade(quiver, next(p for b in gb for p in b)) for gb, _ in built) == present
+    for grade_bases, out in built:
+        q = pair_grade(quiver, next(p for b in grade_bases for p in b))
+        assert len(grade_bases) == max(p for p in range(N + 1) if q in at[p]) + 2
+        assert grade_bases == [grade_basis(i, q) for i in range(len(grade_bases))]
+        assert all(D == block(i, q) for i, D in out.items())
+
+    for q in present:
+        reference = homology_sequence(block(i, q) for i in range(1, N + 2))
+        for p in range(N + 1):
+            assert table[p][1].get(q) == (reference[p] if q in at[p] else None)
+    for total, per_grade in table:
+        assert total == sum(per_grade.values(), zero_module(ring))
+
+
+def test_graded_hh_refuses_a_boundary_whose_square_is_nonzero(monkeypatch):
+    """Each grade of the small complex spans at most two adjacent degrees
+    (the generator lengths of degrees i and i + 2 differ by n), so its
+    squares vanish for any carry rule.  With every pair in one grade, the
+    carry a -> right.a, which drops the left factor, gives
+    D_1 . D_2 (1 (x) gamma) = 1 - x^n = 1 on one loop, and the per-grade
+    homology refuses it."""
+    import hopfcycl.quivers as quivers
+
+    A = truncated_algebra(Quiver.crown(1), 3, QQ)
+    graded = [total for total, _ in quivers._graded_hh(A, 3)]
+    monkeypatch.setattr(A.quiver, "path_len", lambda path: 0)
+    assert [total for total, _ in quivers._graded_hh(A, 3)] == graded
+    monkeypatch.setattr(quivers, "_hochschild_carry",
+                        lambda quiver: lambda a, left, right: quiver.compose(right, a))
+    with pytest.raises(NotAComplex):
+        quivers._graded_hh(A, 3)
