@@ -100,7 +100,6 @@ from .quivers import (
     hh_closed_form,
     hh_via_skoldberg,
     path_algebra_hh,
-    semisimple_case,
     skoldberg_resolution,
     taft_cm_closed_form,
     taft_cm_congruences,

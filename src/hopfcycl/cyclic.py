@@ -40,12 +40,11 @@ from itertools import accumulate, product
 
 from .errors import (
     IndexOutOfRange,
-    NotAComplex,
     NotAUnit,
     PreconditionFailed,
     RingWithoutRationals,
 )
-from .hopf import CMTriple, HopfAlgebraData, twisted_antipode
+from .hopf import CMTriple, HopfAlgebraData, twisted_antipode, twisted_middle
 from .rings import HomologyModule, Ring
 from .sparse import SparseMatrix, homology_at, homology_sequence, rank
 
@@ -468,10 +467,13 @@ class ConnesMoscoviciModule(TensorCyclicModule):
         alpha(x_1 ... x_m) beta(z_m) S_pi(y_1 ... y_m) (x) z_1 (x) ... (x) z_(m-1).
 
     Operators are materialized column by column in basis-index order.  The
-    three-leg coproducts are pre-contracted with alpha per basis element,
-    and the last leg h_m, which enters only through beta(z_m) and the
-    closing S_pi, is pre-contracted with the second-leg product of the legs
-    before it into one table per module (`_closing`).
+    three-leg coproducts are pre-contracted with alpha per basis element
+    (`_cop3_alpha`).  The last leg h_m enters only through beta(z_m) and the
+    closing S_pi: with b_Y the second-leg product of the legs before it, it
+    contributes column h_m of S_pi . L_Y . M, where L_Y is the left
+    multiplication by b_Y and M = (alpha (x) id (x) beta) Delta^2 is
+    `twisted_middle`, the matrix the admissibility check reads too.  These
+    columns form one table per module (`_closing`).
     """
 
     fixed_legs = 0
@@ -490,11 +492,6 @@ class ConnesMoscoviciModule(TensorCyclicModule):
         self.alpha = triple.alpha
         self.beta = triple.beta
         self.s_pi = twisted_antipode(hopf, triple.pi)
-
-    @cached_property
-    def _s_pi_cols(self) -> list[dict]:
-        """Columns of S_pi, one per basis element."""
-        return [self.s_pi.column(j) for j in range(self.hopf.dim)]
 
     @cached_property
     def _cop3_alpha(self) -> list[dict]:
@@ -519,45 +516,20 @@ class ConnesMoscoviciModule(TensorCyclicModule):
 
     @cached_property
     def _closing(self) -> list[list[dict]]:
-        """closing[Y][h] = S_pi(b_Y . sum of c * beta(z) * b_y) over the entries
-        (y, z) -> c of `_cop3_alpha[h]`: the last leg h of a column of the
-        cyclic operator, closed against the second-leg product b_Y of the legs
-        before it, as a sparse vector.  One d x d table per module."""
-        R = self.ring
-        mul, add, is_zero = R.mul, R.add, R.is_zero
-        d = self.hopf.dim
-        mult = self.hopf.algebra.mult
-        s_pi_cols = self._s_pi_cols
-        betas = [self.beta(z) for z in range(d)]
-
-        def accumulate(out, vec, c):
-            for k, v in vec.items():
-                s = out.get(k)
-                out[k] = mul(c, v) if s is None else add(s, mul(c, v))
-
-        def nonzero(vec):
-            return {k: c for k, c in vec.items() if not is_zero(c)}
-
-        # sum of c * beta(z) * b_y over the last leg's coproduct, per h
-        legs = []
-        for table in self._cop3_alpha:
-            leg: dict = {}
-            for (y, z), c in table.items():
-                if not is_zero(betas[z]):
-                    accumulate(leg, {y: betas[z]}, c)
-            legs.append(nonzero(leg))
+        """closing[Y][h]: column h of S_pi . L_Y . M, with L_Y the left
+        multiplication by b_Y and M = (alpha (x) id (x) beta) Delta^2 of
+        `twisted_middle`: the last leg h of a column of the cyclic operator,
+        closed against the second-leg product b_Y of the legs before it, as a
+        sparse vector.  One d x d table per module."""
+        algebra, d = self.hopf.algebra, self.hopf.dim
+        middle = twisted_middle(self.hopf, self.alpha, self.beta)
         closing = []
-        for row in mult:
-            out_row = []
-            for leg in legs:
-                prod: dict = {}
-                for y, c in leg.items():
-                    accumulate(prod, row[y], c)
-                image: dict = {}
-                for k, c in nonzero(prod).items():
-                    accumulate(image, s_pi_cols[k], c)
-                out_row.append(nonzero(image))
-            closing.append(out_row)
+        for Y in range(d):
+            table = self.s_pi @ algebra.left_multiplication_matrix({Y: self.ring.one}) @ middle
+            cols: list[dict] = [{} for _ in range(d)]
+            for (w, h), v in table.entries.items():
+                cols[h][w] = v
+            closing.append(cols)
         return closing
 
     # -- the normalized chains: every leg is projected to H / k.1 -----------
@@ -804,19 +776,13 @@ class ChainComplexWindow:
     dims: list[int]
     boundaries: dict[int, SparseMatrix] = field(default_factory=dict)
 
-    def __post_init__(self):
-        for m, bm in self.boundaries.items():
-            if m >= 2 and (m - 1) in self.boundaries:
-                if not (self.boundaries[m - 1] @ bm).is_zero:
-                    raise NotAComplex(f"boundary square nonzero at degree {m}")
-
     @property
     def top(self) -> int:
         return len(self.dims) - 1
 
     def homology(self, n: int) -> HomologyModule:
-        """Homology at degree n; needs boundaries n and n+1 inside the window.
-        The constructor has checked the pair's square already."""
+        """Homology at degree n; needs boundaries n and n+1 inside the window,
+        whose square `homology_at` checks."""
         if n + 1 > self.top:
             raise IndexOutOfRange(f"degree {n} needs boundary {n + 1} in the window")
         d_in = self.boundaries[n + 1]
@@ -824,7 +790,7 @@ class ChainComplexWindow:
             d_out = SparseMatrix.zero(self.ring, 0, self.dims[0])
         else:
             d_out = self.boundaries[n]
-        return homology_at(d_in, d_out, check_square=False)
+        return homology_at(d_in, d_out)
 
 
 def hochschild_window(module: CyclicModule, N: int) -> ChainComplexWindow:

@@ -269,14 +269,12 @@ def twisted_antipode(hopf: HopfAlgebraData, pi: GroupLike) -> SparseMatrix:
     return hopf.algebra.left_multiplication_matrix(pi.as_vector()) @ hopf.antipode
 
 
-def admissibility_matrix(
-    hopf: HopfAlgebraData, pi: GroupLike, alpha: Character, beta: Character
-) -> SparseMatrix:
-    """alpha * S_pi * beta as a matrix: column b is the sum of
-    c * alpha(x) * beta(z) * S_pi(b_y) over (Delta (x) id) Delta(b) = sum of
+def twisted_middle(hopf: HopfAlgebraData, alpha: Character, beta: Character) -> SparseMatrix:
+    """M = (alpha (x) id (x) beta) Delta^2 as a matrix: column b is the sum of
+    c * alpha(x) * beta(z) * b_y over (Delta (x) id) Delta(b) = sum of
     c * x (x) y (x) z, read off the two-leg coproduct table: alpha on the
-    left leg of each Delta(p), then beta on the right leg of Delta(b).  S_pi
-    is linear, so it is applied once, to the matrix of the middle legs."""
+    left leg of each Delta(p), then beta on the right leg of Delta(b).  The
+    admissibility check and the last leg of the cyclic operator both read it."""
     R = hopf.ring
     mul, add, is_zero = R.mul, R.add, R.is_zero
     # left[p]: the sum of c * alpha(x) * b_y over Delta(p) = sum of c * x (x) y
@@ -296,7 +294,15 @@ def admissibility_matrix(
                 for y, v in left[p].items():
                     col[y] = add(col.get(y, R.zero), mul(cb, v))
         cols.append(col)
-    return twisted_antipode(hopf, pi) @ SparseMatrix.from_columns(R, hopf.dim, cols)
+    return SparseMatrix.from_columns(R, hopf.dim, cols)
+
+
+def admissibility_matrix(
+    hopf: HopfAlgebraData, pi: GroupLike, alpha: Character, beta: Character
+) -> SparseMatrix:
+    """alpha * S_pi * beta = S_pi . M with M = `twisted_middle`: S_pi is
+    linear, so it is applied once, to the matrix of the middle legs."""
+    return twisted_antipode(hopf, pi) @ twisted_middle(hopf, alpha, beta)
 
 
 def is_grouplike(hopf: HopfAlgebraData, x: Vector) -> bool:

@@ -457,6 +457,13 @@ def _graded_hh(A: TruncatedPathAlgebra, N: int, first: int = 0) -> list[tuple]:
     the first to one past the last degree of first..N in which q occurs,
     go through `_boundaries` and one `homology_sequence`, squares checked.
     Only degrees first - 1..N + 1 are enumerated.
+
+    A grade spans at most two adjacent degrees, since the generator lengths
+    of degrees i and i + 2 differ by n, so those squares cannot fail here
+    (`test_each_grade_of_the_small_complex_spans_two_adjacent_degrees`).
+    d^2 = 0 and grade preservation are checked on the resolution by
+    `skoldberg_resolution` (`verify --quiver`) and on the full small complex
+    by `test_graded_hh_is_the_grade_split_of_the_full_small_complex`.
     """
     if A.n < 2:
         raise PreconditionFailed("the small complex needs truncation exponent >= 2")
@@ -568,7 +575,7 @@ def coefficient_homology_skoldberg(
 
 
 # ---------------------------------------------------------------------------
-# the untruncated (n = 0) and radical-square-zero-free (n = 1) edge cases
+# the untruncated (n = 0) edge case
 # ---------------------------------------------------------------------------
 
 
@@ -601,30 +608,6 @@ def path_algebra_hh(quiver: Quiver, grade_cap: int, ring: Ring) -> dict:
         zero_in = SparseMatrix.zero(ring, len(pairs), 0)
         out["hh0"][q], out["hh1"][q] = homology_sequence([delta, zero_in])
     return out
-
-
-def semisimple_case(
-    quiver: Quiver, ring: Ring, N: int = 4,
-    alpha_vertex: int | None = None, beta_vertex: int | None = None,
-) -> dict:
-    """Homology tables for the vertex algebra (truncation exponent 1).
-
-    HH is concentrated in degree 0 with one copy of k per vertex; HC
-    alternates between the vertex count and zero.  The coefficient homology
-    of a pair of vertex characters, Tor over the semisimple k^v, is
-    concentrated in degree 0, where it is k_alpha (x)_(k^v) k_beta: k when
-    the vertices agree and 0 otherwise.
-    """
-    v = quiver.num_vertices
-    hh = [free_module(ring, v if p == 0 else 0) for p in range(N + 1)]
-    hc = [free_module(ring, v if p % 2 == 0 else 0) for p in range(N + 1)]
-    table = {"hh": hh, "hc": hc}
-    if alpha_vertex is not None and beta_vertex is not None:
-        h0 = 1 if alpha_vertex == beta_vertex else 0
-        table["coefficient"] = [
-            free_module(ring, h0 if p == 0 else 0) for p in range(N + 1)
-        ]
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -400,27 +400,27 @@ def _rank_and_torsion(d: SparseMatrix) -> tuple[int, tuple[int, ...]]:
     raise UnsupportedRing(f"homology over {R} is not supported")
 
 
-def homology_at(d_in: SparseMatrix, d_out: SparseMatrix, *, check_square=True) -> HomologyModule:
-    """ker(d_out) / im(d_in) for d_in: C_{p+1} -> C_p, d_out: C_p -> C_{p-1}.
+def homology_at(d_in: SparseMatrix, d_out: SparseMatrix) -> HomologyModule:
+    """ker(d_out) / im(d_in) for d_in: C_{p+1} -> C_p, d_out: C_p -> C_{p-1},
+    after checking d_out . d_in = 0.
 
     Over a field the answer has dimension dim ker(d_out) - rank(d_in).
     Over Z both maps go through the Smith normal form: a rank is the number of
     nonzero invariant factors, and the torsion is the list of invariant
     factors > 1 of d_in (ker d_out is a saturated subgroup, so the elementary
     divisors of im(d_in) inside it agree with those inside the ambient
-    lattice).  check_square=False skips the d_out . d_in = 0 check, for a
-    caller that has made it already.
+    lattice).
     """
-    return homology_sequence([d_out, d_in], check_squares=check_square)[1]
+    return homology_sequence([d_out, d_in])[1]
 
 
-def homology_sequence(boundaries, *, check_squares=True) -> list[HomologyModule]:
+def homology_sequence(boundaries) -> list[HomologyModule]:
     """H_0..H_N of a complex given by its boundaries D_1, ..., D_(N+1) in order.
 
     Every boundary is reduced (rank or Smith normal form) once, and only the
-    previous boundary is kept for the d^2 = 0 check, which
-    check_squares=False skips.  The boundaries may be a generator, so each is
-    built only when it is needed.
+    previous boundary is kept, for the d^2 = 0 check of each adjacent pair.
+    The boundaries may be a generator, so each is built only when it is
+    needed.
     """
     out = []
     prev, prev_rank = None, 0
@@ -430,7 +430,7 @@ def homology_sequence(boundaries, *, check_squares=True) -> list[HomologyModule]
                 raise RingMismatch("boundary maps over different rings")
             if d.nrows != prev.ncols:
                 raise ValueError("boundary maps are not composable")
-            if check_squares and not (prev @ d).is_zero:
+            if not (prev @ d).is_zero:
                 raise NotAComplex("d_out . d_in != 0")
         r, torsion = _rank_and_torsion(d)
         out.append(HomologyModule(d.ring, d.nrows - prev_rank - r, torsion))

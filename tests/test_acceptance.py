@@ -25,16 +25,17 @@ from hopfcycl import (
     cm_group_module,
     connes_lambda_hc,
     cyclic_bicomplex_hc,
+    cyclic_bicomplex_hc_upto,
     graded_sbi_hc,
     group_algebra,
     hc_closed_form_truncated,
     hh_closed_form,
     hh_via_skoldberg,
+    hochschild_homology_upto,
     hochschild_window,
     path_algebra_hh,
     primitive_root_of_unity,
     sbi_check,
-    semisimple_case,
     skoldberg_resolution,
     taft_cm_closed_form,
     taft_cm_module,
@@ -45,6 +46,7 @@ from hopfcycl import (
     truncated_algebra,
     verify_cyclic_axioms,
 )
+from test_quivers import vertex_bar_homology
 
 
 def conclude(num, desc, failures):
@@ -296,19 +298,24 @@ def test_acceptance_8_edge_truncations():
         "path algebra of the 2-crown",
     )
     for v in (2, 3):
-        quiver = Quiver.crown(v)
-        table = semisimple_case(quiver, QQ, N=4, alpha_vertex=0, beta_vertex=v - 1)
+        # k^v, the truncation at 1: HH and HC on its chains relative to
+        # E = k^v, and Tor over k^v from the b-complex of two vertex characters
+        A = truncated_algebra(Quiver.crown(v), 1, QQ)
+        module = ClassicalCyclicModule(A.algebra)
         check(
             failures,
-            [h.free_rank for h in table["hh"]] == [v, 0, 0, 0, 0]
-            and [h.free_rank for h in table["hc"]] == [v, 0, v, 0, v]
-            and [h.free_rank for h in table["coefficient"]] == [0, 0, 0, 0, 0],
+            [h.free_rank for h in hochschild_homology_upto(module, 4)] == [v, 0, 0, 0, 0]
+            and [h.free_rank for h in cyclic_bicomplex_hc_upto(module, 4)] == [v, 0, v, 0, v],
+            f"semisimple case on {v} vertices, HH and HC",
+        )
+        check(
+            failures,
+            [h.free_rank for h in vertex_bar_homology(A, 0, v - 1, 4)] == [0, 0, 0, 0, 0],
             f"semisimple case on {v} vertices, distinct characters",
         )
-        same = semisimple_case(quiver, QQ, N=2, alpha_vertex=0, beta_vertex=0)
         check(
             failures,
-            [h.free_rank for h in same["coefficient"]] == [1, 0, 0],
+            [h.free_rank for h in vertex_bar_homology(A, 0, 0, 2)] == [1, 0, 0],
             f"semisimple case on {v} vertices, equal characters",
         )
     conclude(8, "untruncated and semisimple edge cases", failures)

@@ -21,7 +21,7 @@ from hopfcycl import (
     trivial_character,
     twisted_antipode,
 )
-from hopfcycl.hopf import admissibility_matrix
+from hopfcycl.hopf import admissibility_matrix, twisted_middle
 
 
 @pytest.mark.parametrize(
@@ -108,18 +108,28 @@ def test_grouplike_round_trip():
     assert GroupLike.from_vector(vec).as_vector() == vec
 
 
-def three_leg_reference(hopf, pi, alpha, beta):
-    """alpha * S_pi * beta from the three-leg coproduct (id (x) Delta) Delta
-    of `iterated_coproduct_basis`: column b is the sum of
-    c * alpha(x) * beta(z) * S_pi(b_y), as a dict (row, col) -> payload."""
+def three_leg_middle(hopf, alpha, beta):
+    """(alpha (x) id (x) beta) Delta^2 from the three-leg coproduct
+    (id (x) Delta) Delta of `iterated_coproduct_basis`: column b is the sum
+    of c * alpha(x) * beta(z) * b_y, as a dict (row, col) -> payload."""
     R = hopf.ring
-    S_pi = twisted_antipode(hopf, pi)
     out = {}
     for b in range(hopf.dim):
         for (x, y, z), c in hopf.iterated_coproduct_basis(b, 3).items():
             scale = R.mul(c, R.mul(alpha(x), beta(z)))
-            for row, s in S_pi.column(y).items():
-                out[(row, b)] = R.add(out.get((row, b), R.zero), R.mul(scale, s))
+            out[(y, b)] = R.add(out.get((y, b), R.zero), scale)
+    return {k: v for k, v in out.items() if not R.is_zero(v)}
+
+
+def three_leg_reference(hopf, pi, alpha, beta):
+    """alpha * S_pi * beta: S_pi applied to the middle legs of
+    `three_leg_middle`, as a dict (row, col) -> payload."""
+    R = hopf.ring
+    S_pi = twisted_antipode(hopf, pi)
+    out = {}
+    for (y, b), scale in three_leg_middle(hopf, alpha, beta).items():
+        for row, s in S_pi.column(y).items():
+            out[(row, b)] = R.add(out.get((row, b), R.zero), R.mul(scale, s))
     return {k: v for k, v in out.items() if not R.is_zero(v)}
 
 
@@ -146,10 +156,12 @@ RINGS = (QQ, ZZ, PrimeField(3))
     ids=[f"Taft-{n}" for n in (2, 3, 4)] + [f"{g}/{r.name}" for g in GROUPS for r in RINGS],
 )
 def test_admissibility_matrix_matches_the_three_leg_formula(candidates):
-    """Every candidate triple: the matrix is read off the two-leg table with
-    the (Delta (x) id) Delta bracketing, the reference brackets the other way."""
+    """Every candidate triple: the matrix and its middle legs
+    `twisted_middle`, before S_pi, are read off the two-leg table with the
+    (Delta (x) id) Delta bracketing, the reference brackets the other way."""
     hopf, triples = candidates()
-    for triple in triples:
-        M = admissibility_matrix(hopf, *triple)
+    for pi, alpha, beta in triples:
+        M = admissibility_matrix(hopf, pi, alpha, beta)
         assert (M.nrows, M.ncols) == (hopf.dim, hopf.dim)
-        assert M.entries == three_leg_reference(hopf, *triple)
+        assert M.entries == three_leg_reference(hopf, pi, alpha, beta)
+        assert twisted_middle(hopf, alpha, beta).entries == three_leg_middle(hopf, alpha, beta)

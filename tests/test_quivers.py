@@ -34,7 +34,6 @@ from hopfcycl import (
     homology_sequence,
     is_grouplike,
     path_algebra_hh,
-    semisimple_case,
     skoldberg_resolution,
     taft_cm_closed_form,
     taft_cm_congruences,
@@ -251,15 +250,6 @@ def test_path_algebra_hh_loop_and_crown():
     assert [out["hh1"][q].free_rank for q in range(5)] == [0, 0, 1, 0, 1]
 
 
-def test_semisimple_case_tables():
-    table = semisimple_case(Quiver.crown(3), QQ, N=4, alpha_vertex=0, beta_vertex=1)
-    assert [h.free_rank for h in table["hh"]] == [3, 0, 0, 0, 0]
-    assert [h.free_rank for h in table["hc"]] == [3, 0, 3, 0, 3]
-    assert [h.free_rank for h in table["coefficient"]] == [0, 0, 0, 0, 0]
-    same = semisimple_case(Quiver.crown(3), QQ, N=2, alpha_vertex=2, beta_vertex=2)
-    assert [h.free_rank for h in same["coefficient"]] == [1, 0, 0]
-
-
 def vertex_bar_homology(A, alpha, beta, N):
     """H_0..H_N of the b-complex k (x) A^(x m) of two vertex characters,
     built tuple by tuple: d_0 sends a_1 (x) ... (x) a_m to
@@ -287,15 +277,15 @@ def vertex_bar_homology(A, alpha, beta, N):
 
 @pytest.mark.parametrize("v", [1, 2, 3])
 def test_semisimple_coefficient_row_matches_the_b_complex(v):
-    """The coefficient row of `semisimple_case` is the homology of the
-    b-complex of k^v (truncation 1) with every pair of vertex characters."""
+    """The homology of the b-complex of k^v (truncation 1) with a pair of
+    vertex characters, Tor over the semisimple k^v, is k_alpha (x)_(k^v)
+    k_beta in degree 0: k when the vertices agree and 0 otherwise."""
     A = truncated_algebra(Quiver.crown(v), 1, QQ)
     for alpha in range(v):
         for beta in range(v):
             computed = vertex_bar_homology(A, alpha, beta, 3)
-            table = semisimple_case(A.quiver, QQ, N=3, alpha_vertex=alpha, beta_vertex=beta)
-            assert computed == table["coefficient"], (alpha, beta)
-            assert computed[0].free_rank == (alpha == beta)
+            assert [(h.free_rank, h.torsion) for h in computed] == [
+                (int(alpha == beta), ()), (0, ()), (0, ()), (0, ())], (alpha, beta)
 
 
 # -- cyclic homology of the truncation ---------------------------------------
@@ -638,6 +628,28 @@ def test_graded_hh_is_the_grade_split_of_the_full_small_complex(monkeypatch, qui
             assert table[p][1].get(q) == (reference[p] if q in at[p] else None)
     for total, per_grade in table:
         assert total == sum(per_grade.values(), zero_module(ring))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize(
+    "quiver", [Quiver.crown(1), Quiver.crown(2), Quiver.crown(3), BRANCHING],
+    ids=["crown1", "crown2", "crown3", "branching"],
+)
+def test_each_grade_of_the_small_complex_spans_two_adjacent_degrees(quiver, n):
+    """The `_closed_pairs` of one grade lie in at most two adjacent degrees,
+    since the generator lengths of degrees i and i + 2 differ by n, so each
+    grade block of `_graded_hh` has at most one nonzero boundary and its
+    squares vanish whatever the carry rule."""
+    from hopfcycl.quivers import _closed_pairs
+
+    A = truncated_algebra(quiver, n, QQ)
+    degrees: dict[int, set] = {}
+    for i in range(9):
+        for pair in _closed_pairs(A, i):
+            degrees.setdefault(pair_grade(quiver, pair), set()).add(i)
+    assert degrees
+    for q, ds in degrees.items():
+        assert max(ds) - min(ds) <= 1, (q, sorted(ds))
 
 
 def test_graded_hh_refuses_a_boundary_whose_square_is_nonzero(monkeypatch):
