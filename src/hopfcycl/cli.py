@@ -86,6 +86,12 @@ def ensure_within_cap(base_dim: int, top_level: int) -> None:
         )
 
 
+def ensure_table_within_cap(dim: int) -> None:
+    """Refuse before building the dim x dim product table of an algebra."""
+    if dim**2 > carrier_cap():
+        raise ResourceCap(f"product table {dim} x {dim} exceeds the cap {carrier_cap()}")
+
+
 # -- source construction -----------------------------------------------------
 
 
@@ -141,9 +147,7 @@ def _quiver_algebra(args, carrier_dims, top: int, table: bool = False):
     reads its dim x dim product table (table=True), when dim^2 is."""
     quiver, ring = _load_quiver(args), _ring_for(args, "Q")
     ensure_within_cap(max(carrier_dims(quiver, args.truncation, top)), 1)
-    dim = _algebra_dim(quiver, args.truncation) if table else 0
-    if dim**2 > carrier_cap():
-        raise ResourceCap(f"product table {dim} x {dim} exceeds the cap {carrier_cap()}")
+    ensure_table_within_cap(_algebra_dim(quiver, args.truncation) if table else 0)
     return truncated_algebra(quiver, args.truncation, ring)
 
 
@@ -174,9 +178,11 @@ def _check_scalar_options(args) -> None:
 def _taft_hopf(args, top: int, normalized: bool = False):
     """The Taft algebra of size --taft over --ring (default Q(zeta_n)),
     refused before it is built when its carrier (n^2)^top, or with
-    normalized=True its normalized carrier (n^2 - 1)^top, is above the cap."""
+    normalized=True its normalized carrier (n^2 - 1)^top, or its product
+    table (n^2)^2 is above the cap."""
     ring = parse_ring(args.ring) if args.ring else CyclotomicField(args.taft)
     ensure_within_cap(args.taft**2 - int(normalized), top)
+    ensure_table_within_cap(args.taft**2)
     return taft_hopf(args.taft, ring)
 
 
@@ -206,9 +212,9 @@ def _group_character(ring, G: FiniteGroup, selector):
 def _cm_module(args, top: int, normalized: bool = False):
     """The twisted cyclic module selected by the source flags and its source
     for `_closed_hc`, refused before anything is built when its carrier at
-    level top is above the cap.  With normalized=True the cap counts the
-    normalized carrier, one basis element fewer per leg (the unit is
-    dropped), which is all that HH builds."""
+    level top or its product table is above the cap.  With normalized=True
+    the cap counts the normalized carrier, one basis element fewer per leg
+    (the unit is dropped), which is all that HH builds."""
     pi_exp = int(args.pi or 0)
     if args.taft is not None:
         hopf = _taft_hopf(args, top, normalized)
@@ -220,6 +226,7 @@ def _cm_module(args, top: int, normalized: bool = False):
     order, build = _group_spec(args)
     ring = _ring_for(args, "Q")
     ensure_within_cap(order - int(normalized), top)
+    ensure_table_within_cap(order)
     G = build()
     alpha, beta = (_group_character(ring, G, s) for s in (args.alpha, args.beta))
     module = cm_group_module(G, _pi_element(G, pi_exp), ring, alpha, beta,

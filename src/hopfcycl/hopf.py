@@ -3,7 +3,10 @@
 Elements are sparse coefficient vectors (dict basis_index -> payload).  A
 Hopf algebra stores its coproduct as an explicit sparse tensor table on the
 basis, the counit as a functional, and the antipode as a matrix; characters
-are functionals that are multiplicative on the basis.
+are functionals that are multiplicative on the basis.  Contracting a
+character against one leg of the coproduct (`contract`) is written once: the
+counit axiom is that contraction with eps, and the middle legs of the
+admissibility check are (alpha (x) id)Delta . (id (x) beta)Delta.
 
 The admissibility check for a (grouplike, character, character) triple is the
 involution condition (alpha * S_pi * beta)^2 = id, with alpha * S_pi * beta
@@ -20,23 +23,6 @@ from .sparse import SparseMatrix
 
 Vector = dict  # basis index -> payload
 Tensor = dict  # tuple of basis indices -> payload
-
-
-def vec_add(ring: Ring, x: Vector, y: Vector) -> Vector:
-    out = dict(x)
-    for i, v in y.items():
-        s = ring.add(out.get(i, ring.zero), v)
-        if ring.is_zero(s):
-            out.pop(i, None)
-        else:
-            out[i] = s
-    return out
-
-
-def vec_scale(ring: Ring, c, x: Vector) -> Vector:
-    if ring.is_zero(c):
-        return {}
-    return {i: ring.mul(c, v) for i, v in x.items()}
 
 
 def tensor_add_scaled(ring: Ring, acc: Tensor, c, t: Tensor) -> None:
@@ -175,13 +161,6 @@ class HopfAlgebraData:
         self._iterated: dict[tuple[int, int], Tensor] = {}
 
     # -- coproduct machinery -------------------------------------------------
-    def coproduct_vector(self, x: Vector) -> Tensor:
-        R = self.ring
-        out: Tensor = {}
-        for i, v in x.items():
-            tensor_add_scaled(R, out, v, self.coproduct[i])
-        return out
-
     def iterated_coproduct_basis(self, b: int, r: int) -> Tensor:
         """Delta^(r-1) of a basis element, as an r-leg tensor (cached)."""
         if r < 1:
@@ -208,14 +187,11 @@ class HopfAlgebraData:
         self._iterated[key] = out
         return out
 
-    def counit_value(self, x: Vector):
-        R = self.ring
-        return R.sum(R.mul(v, self.counit[i]) for i, v in x.items())
-
     # -- axiom verification --------------------------------------------------
     def verify_axioms(self) -> dict[str, bool]:
-        """Check all Hopf axioms as exact identities on the basis."""
-        A, R = self.algebra, self.ring
+        """Check all Hopf axioms as exact identities on the basis; the counit
+        axiom is (eps (x) id)Delta = id = (id (x) eps)Delta, read off `contract`."""
+        A, R, cop = self.algebra, self.ring, self.coproduct
         report = {
             "associativity": A.verify_associativity(),
             "unit": A.verify_unit(),
@@ -224,44 +200,46 @@ class HopfAlgebraData:
         for b in range(self.dim):
             left: Tensor = {}
             right: Tensor = {}
-            for (i, j), c in self.coproduct[b].items():
-                for (p, q), d in self.coproduct[i].items():
-                    tensor_add_scaled(R, left, R.mul(c, d), {(p, q, j): R.one})
-                for (p, q), d in self.coproduct[j].items():
-                    tensor_add_scaled(R, right, R.mul(c, d), {(i, p, q): R.one})
+            for (i, j), c in cop[b].items():
+                tensor_add_scaled(R, left, c, {(p, q, j): d for (p, q), d in cop[i].items()})
+                tensor_add_scaled(R, right, c, {(i, p, q): d for (p, q), d in cop[j].items()})
             if left != right:
                 coassoc = False
                 break
         report["coassociativity"] = coassoc
 
-        counit_ok = True
-        for b in range(self.dim):
-            left_v: Vector = {}
-            right_v: Vector = {}
-            for (i, j), c in self.coproduct[b].items():
-                left_v = vec_add(R, left_v, {j: R.mul(c, self.counit[i])})
-                right_v = vec_add(R, right_v, {i: R.mul(c, self.counit[j])})
-            if left_v != A.basis_vector(b) or right_v != A.basis_vector(b):
-                counit_ok = False
-                break
-        report["counit"] = counit_ok
+        eps, one = Character(R, self.counit), SparseMatrix.identity(R, self.dim)
+        report["counit"] = contract(self, eps, 0) == one == contract(self, eps, 1)
 
         antipode_ok = True
         for b in range(self.dim):
-            left_v, right_v = {}, {}
-            for (i, j), c in self.coproduct[b].items():
-                left_v = vec_add(
-                    R, left_v, vec_scale(R, c, A.multiply(self.antipode.column(i), {j: R.one}))
-                )
-                right_v = vec_add(
-                    R, right_v, vec_scale(R, c, A.multiply({i: R.one}, self.antipode.column(j)))
-                )
-            target = vec_scale(R, self.counit[b], A.unit)
-            if left_v != target or right_v != target:
+            left, right, target = {}, {}, {}
+            for (i, j), c in cop[b].items():
+                tensor_add_scaled(R, left, c, A.multiply(self.antipode.column(i), {j: R.one}))
+                tensor_add_scaled(R, right, c, A.multiply({i: R.one}, self.antipode.column(j)))
+            tensor_add_scaled(R, target, self.counit[b], A.unit)
+            if left != target or right != target:
                 antipode_ok = False
                 break
         report["antipode"] = antipode_ok
         return report
+
+
+def contract(hopf: HopfAlgebraData, chi: Character, leg: int) -> SparseMatrix:
+    """(chi (x) id)Delta for leg 0 and (id (x) chi)Delta for leg 1, as a
+    matrix: column b is the sum of c * chi(x) * b_y over the terms c * x (x) y
+    of Delta(b), with x on the contracted leg and y on the other."""
+    R, values = hopf.ring, chi.values
+    mul, add, is_zero = R.mul, R.add, R.is_zero
+    entries: dict = {}
+    for b, terms in enumerate(hopf.coproduct):
+        for pair, c in terms.items():
+            if not is_zero(v := values[pair[leg]]):
+                key = (pair[1 - leg], b)
+                s = entries.get(key)
+                entries[key] = mul(c, v) if s is None else add(s, mul(c, v))
+    entries = {k: v for k, v in entries.items() if not is_zero(v)}
+    return SparseMatrix._unchecked(R, hopf.dim, hopf.dim, entries)
 
 
 def twisted_antipode(hopf: HopfAlgebraData, pi: GroupLike) -> SparseMatrix:
@@ -270,31 +248,11 @@ def twisted_antipode(hopf: HopfAlgebraData, pi: GroupLike) -> SparseMatrix:
 
 
 def twisted_middle(hopf: HopfAlgebraData, alpha: Character, beta: Character) -> SparseMatrix:
-    """M = (alpha (x) id (x) beta) Delta^2 as a matrix: column b is the sum of
-    c * alpha(x) * beta(z) * b_y over (Delta (x) id) Delta(b) = sum of
-    c * x (x) y (x) z, read off the two-leg coproduct table: alpha on the
-    left leg of each Delta(p), then beta on the right leg of Delta(b).  The
-    admissibility check and the last leg of the cyclic operator both read it."""
-    R = hopf.ring
-    mul, add, is_zero = R.mul, R.add, R.is_zero
-    # left[p]: the sum of c * alpha(x) * b_y over Delta(p) = sum of c * x (x) y
-    left = []
-    for terms in hopf.coproduct:
-        vec: Vector = {}
-        for (x, y), c in terms.items():
-            if not is_zero(a := alpha(x)):
-                vec[y] = add(vec.get(y, R.zero), mul(c, a))
-        left.append(vec)
-    cols = []
-    for terms in hopf.coproduct:
-        col: Vector = {}
-        for (p, z), c in terms.items():
-            if not is_zero(b := beta(z)):
-                cb = mul(c, b)
-                for y, v in left[p].items():
-                    col[y] = add(col.get(y, R.zero), mul(cb, v))
-        cols.append(col)
-    return SparseMatrix.from_columns(R, hopf.dim, cols)
+    """M = (alpha (x) id (x) beta) Delta^2 = (alpha (x) id)Delta . (id (x) beta)Delta
+    as a matrix: beta on the right leg of Delta(b), then alpha on the left leg
+    of each Delta(p).  The admissibility check and the last leg of the cyclic
+    operator both read it."""
+    return contract(hopf, alpha, 0) @ contract(hopf, beta, 1)
 
 
 def admissibility_matrix(
@@ -308,15 +266,14 @@ def admissibility_matrix(
 def is_grouplike(hopf: HopfAlgebraData, x: Vector) -> bool:
     """Delta(x) = x (x) x and eps(x) = 1."""
     R = hopf.ring
-    if hopf.counit_value(x) != R.one:
+    if Character(R, hopf.counit)(x) != R.one:
         return False
-    expected: Tensor = {}
+    delta: Tensor = {}
+    square: Tensor = {}
     for i, v in x.items():
-        for j, w in x.items():
-            c = R.mul(v, w)
-            if not R.is_zero(c):
-                expected[(i, j)] = c
-    return hopf.coproduct_vector(x) == expected
+        tensor_add_scaled(R, delta, v, hopf.coproduct[i])
+        tensor_add_scaled(R, square, v, {(i, j): w for j, w in x.items()})
+    return delta == square
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ length zero.  The homology machinery follows the small resolution whose
 degree-i generators are the paths of length floor(i/2)*n (+1 when i is odd),
 with closed-path pairs as the induced Hochschild carrier.  Closed formulas
 for the graded pieces and for the cyclic homology of the truncation are
-evaluated from necklace counts (rotation orbits of cycles).
+evaluated from necklace counts (rotation orbits of cycles), which are
+derived from the numbers of closed paths and never listed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,14 @@ from .errors import (
     PreconditionFailed,
     RingWithoutRationals,
 )
-from .hopf import AlgebraData, Character, GroupLike, HopfAlgebraData, check_cm_triple
+from .hopf import (
+    AlgebraData,
+    Character,
+    GroupLike,
+    HopfAlgebraData,
+    check_cm_triple,
+    tensor_add_scaled,
+)
 from .rings import (
     CyclotomicField,
     HomologyModule,
@@ -133,34 +141,46 @@ class Quiver:
         return p + q
 
 
+def _times(x: Counter, y: Counter) -> Counter:
+    """The product of two count matrices keyed by (source, target)."""
+    rows: dict[int, list] = {}
+    for (s, t), c in y.items():
+        rows.setdefault(s, []).append((t, c))
+    out = Counter()
+    for (s, t), c in x.items():
+        for u, d in rows.get(t, ()):
+            out[s, u] += c * d
+    return out
+
+
+def _trace(x: Counter) -> int:
+    return sum(c for (s, t), c in x.items() if s == t)
+
+
+def _walk_counts(quiver: Quiver, L: int) -> list[Counter]:
+    """W_0..W_L: W_q[(s, t)] is the number of paths of length q from s to t."""
+    arrows = Counter(zip(quiver.src, quiver.tgt))
+    walks = [Counter({(v, v): 1 for v in range(quiver.num_vertices)})]
+    for _ in range(L):
+        walks.append(_times(walks[-1], arrows))
+    return walks
+
+
 def cycle_orbit_counts(quiver: Quiver, q: int) -> tuple[int, dict[int, int]]:
     """(a_q, {b_r: r <= q}): rotation orbits of length-q cycles, and the
     orbits in each length r <= q that are not proper powers of shorter cycles.
 
     A cycle is a closed path up to rotation of its arrow sequence; it is a
-    proper power when its arrow sequence has rotation period < r.
+    proper power when its arrow sequence has rotation period < r.  Orbits are
+    counted, not listed: a closed path of length r is the (r/d)-th power of
+    one of the d rotations of a primitive cycle of length d | r, so tr W_r is
+    the sum of d * b_d over d | r, and a_q is the sum of b_d over d | q.
     """
-    b = {}
-    a_q = 0
+    walks = _walk_counts(quiver, q)
+    b: dict[int, int] = {}
     for r in range(1, q + 1):
-        seen = set()
-        orbits = primitive = 0
-        for p in quiver.paths_of_length(r):
-            if p[0] == "e" or quiver.path_tgt(p) != quiver.path_src(p) or p in seen:
-                continue
-            rotations = {p[i:] + p[:i] for i in range(r)}
-            seen |= rotations
-            orbits += 1
-            period = min(
-                d for d in range(1, r + 1) if r % d == 0 and p[d:] + p[:d] == p
-            )
-            if period == r:
-                primitive += 1
-        b[r] = primitive
-        if r == q:
-            a_q = orbits
-    if q == 0:
-        a_q = quiver.num_vertices
+        b[r] = (_trace(walks[r]) - sum(d * b[d] for d in range(1, r) if r % d == 0)) // r
+    a_q = sum(b[d] for d in b if q % d == 0) if q else quiver.num_vertices
     return a_q, b
 
 
@@ -255,18 +275,11 @@ def _path_counts(quiver: Quiver, n: int, i_max: int) -> tuple[list[Counter], Cou
     # a truncation n < 1 (refused when the algebra is built) has no short
     # paths, so its lengths only need to be valid indices
     lengths = [max(_generator_length(n, i), 0) for i in range(i_max + 1)]
-    counts = [Counter({(v, v): 1 for v in range(quiver.num_vertices)})]
-    out_arrows = quiver.out_arrows()
-    for _ in range(max(lengths + [n - 1])):
-        step = Counter()
-        for (s, t), c in counts[-1].items():
-            for a in out_arrows[t]:
-                step[s, quiver.tgt[a]] += c
-        counts.append(step)
+    walks = _walk_counts(quiver, max(lengths + [n - 1]))
     short = Counter()
     for q in range(n):
-        short.update(counts[q])
-    return [counts[q] for q in lengths], short
+        short.update(walks[q])
+    return [walks[q] for q in lengths], short
 
 
 def _generator_boundary(quiver: Quiver, n: int, i: int, g: tuple) -> list[tuple]:
@@ -402,6 +415,7 @@ def _small_complex_dims(quiver: Quiver, n: int, p_max: int) -> list[int]:
     numbers of `_closed_pairs`, in degrees 0..p_max for the truncation of
     quiver at n, counted without building the algebra."""
     generators, short = _path_counts(quiver, n, p_max)
+    # the trace of gens . short, summed without forming the product
     return [sum(c * short[t, s] for (s, t), c in gens.items()) for gens in generators]
 
 
@@ -411,22 +425,12 @@ def _relative_chain_dims(quiver: Quiver, n: int, m_max: int) -> list[int]:
     the vertex idempotents: the closed walks a0, r1, ..., rm with a0 a path
     shorter than n and each r_i one of positive length, counted from path
     counts without building the algebra."""
-    _, short = _path_counts(quiver, n, 0)
-    # the number of paths of positive length from s to t, by s
-    steps: dict[int, list] = {}
-    for (s, t), c in short.items():
-        c -= s == t
-        if c:
-            steps.setdefault(s, []).append((t, c))
-    # walks[(s, t)]: the tuples (a0, r1, ..., rm) from s that end at t
+    (vertices,), short = _path_counts(quiver, n, 0)
+    steps = short - vertices  # the paths of positive length
     walks, dims = short, []
     for m in range(m_max + 1):
-        dims.append(sum(c for (s, t), c in walks.items() if s == t))
-        longer = Counter()
-        for (s, t), c in walks.items():
-            for u, k in steps.get(t, ()):
-                longer[s, u] += c * k
-        walks = longer
+        dims.append(_trace(walks))
+        walks = _times(walks, steps)
     return dims
 
 
@@ -440,6 +444,7 @@ def _resolution_dims(quiver: Quiver, n: int, i_max: int) -> list[int]:
     """The carrier dimensions of `skoldberg_resolution` in degrees 0..i_max
     for the truncation of quiver at n, counted without building the algebra."""
     generators, short = _path_counts(quiver, n, i_max)
+    # the entry sum of short . gens . short, from the column and row sums of short
     into, out_of = Counter(), Counter()
     for (s, t), c in short.items():
         out_of[s] += c
@@ -670,17 +675,10 @@ def _tensor_product(R, x: dict, y: dict, algebra: AlgebraData) -> dict:
     out: dict = {}
     for (a1, a2), c in x.items():
         for (b1, b2), d in y.items():
-            coeff = R.mul(c, d)
-            left = algebra.mult[a1][b1]
-            right = algebra.mult[a2][b2]
-            for l, cl in left.items():
-                for r, cr in right.items():
-                    key = (l, r)
-                    cur = R.add(out.get(key, R.zero), R.mul(coeff, R.mul(cl, cr)))
-                    if R.is_zero(cur):
-                        out.pop(key, None)
-                    else:
-                        out[key] = cur
+            left, right = algebra.mult[a1][b1], algebra.mult[a2][b2]
+            tensor_add_scaled(R, out, R.mul(c, d), {
+                (l, r): R.mul(cl, cr) for l, cl in left.items() for r, cr in right.items()
+            })
     return out
 
 

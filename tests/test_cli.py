@@ -606,9 +606,16 @@ def test_verify_quiver_bounds_the_resolution(monkeypatch):
         (["hh", "--quiver", "crown:200", "--truncation", "2", "--max-degree", "1"], "1"),
         (["verify", "--quiver", "crown:200", "--max-degree", "1"], "500"),
         (["verify", "--quiver", "crown:200", "--truncation", "2", "--max-degree", "0"], None),
+        (["hc", "--group", "cyclic:1000", "--max-degree", "0"], None),
+        (["hh", "--group", "symmetric:7", "--max-degree", "0"], None),
+        (["verify", "--group", "cyclic:400", "--max-degree", "0"], None),
+        (["hc", "--taft", "60", "--max-degree", "0"], None),
+        (["verify", "--group-file", "GROUP", "--max-degree", "0"], "8"),
     ],
     ids=["cyclic:200", "symmetric:6", "group file", "taft 12", "taft 3", "crown:200",
-         "verify crown:200", "crown:200 product table"],
+         "verify crown:200", "crown:200 product table", "cyclic:1000 product table",
+         "symmetric:7 product table", "verify cyclic:400 product table",
+         "taft 60 product table", "group file product table"],
 )
 def test_resource_cap_comes_before_any_builder(monkeypatch, tmp_path, argv, cap):
     import hopfcycl.cli as cli

@@ -11,6 +11,7 @@ from hopfcycl import (
     GroupLike,
     InvalidCharacter,
     PrimeField,
+    SparseMatrix,
     character_from_zeta,
     check_cm_triple,
     group_algebra,
@@ -21,7 +22,7 @@ from hopfcycl import (
     trivial_character,
     twisted_antipode,
 )
-from hopfcycl.hopf import admissibility_matrix, twisted_middle
+from hopfcycl.hopf import HopfAlgebraData, admissibility_matrix, contract, twisted_middle
 
 
 @pytest.mark.parametrize(
@@ -37,6 +38,56 @@ def test_group_algebra_hopf_axioms(G, ring):
     H = group_algebra(G, ring)
     report = H.verify_axioms()
     assert report == {k: True for k in report}
+    eps = Character(ring, H.counit)
+    assert contract(H, eps, 0) == contract(H, eps, 1) == SparseMatrix.identity(ring, H.dim)
+
+
+def _rebuilt(H, coproduct=None, counit=None, antipode=None):
+    """H with some of its coproduct, counit and antipode replaced."""
+    return HopfAlgebraData(
+        H.algebra,
+        H.coproduct if coproduct is None else coproduct,
+        H.counit if counit is None else counit,
+        H.antipode if antipode is None else antipode,
+    )
+
+
+def _broken_z3(part):
+    """Q[Z/3], basis e, g, g^2, with one structure map broken."""
+    H = group_algebra(FiniteGroup.cyclic(3), QQ)
+    one = QQ.one
+    if part == "S = id":
+        return _rebuilt(H, antipode=SparseMatrix.identity(QQ, 3))
+    if part == "eps(g) = 0":
+        return _rebuilt(H, counit=[one, QQ.zero, one])
+    delta_g = {
+        "Delta(g) = g (x) e": {(1, 0): one},
+        "Delta(g) = e (x) g": {(0, 1): one},
+        "Delta(g) = g (x) g + g^2 (x) g^2": {(1, 1): one, (2, 2): one},
+    }[part]
+    return _rebuilt(H, coproduct=[H.coproduct[0], delta_g, H.coproduct[2]])
+
+
+@pytest.mark.parametrize(
+    "part, failing",
+    [
+        ("S = id", {"antipode"}),
+        ("eps(g) = 0", {"counit", "antipode"}),
+        ("Delta(g) = g (x) e", {"counit", "antipode"}),
+        ("Delta(g) = e (x) g", {"counit", "antipode"}),
+        ("Delta(g) = g (x) g + g^2 (x) g^2", {"coassociativity", "counit", "antipode"}),
+    ],
+)
+def test_verify_axioms_reports_a_broken_structure(part, failing):
+    report = _broken_z3(part).verify_axioms()
+    assert {name for name, ok in report.items() if not ok} == failing
+    assert set(report) == {"associativity", "unit", "coassociativity", "counit", "antipode"}
+
+
+def test_verify_axioms_reports_a_broken_taft_antipode():
+    H = taft_hopf(2)
+    report = _rebuilt(H, antipode=SparseMatrix.identity(H.ring, H.dim)).verify_axioms()
+    assert {name for name, ok in report.items() if not ok} == {"antipode"}
 
 
 def test_iterated_coproduct_of_grouplike():

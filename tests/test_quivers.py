@@ -9,6 +9,7 @@ import pytest
 from hopfcycl import (
     QQ,
     ZZ,
+    Character,
     ClassicalCyclicModule,
     CyclotomicField,
     NegativePartialSum,
@@ -48,10 +49,16 @@ from hopfcycl import (
     zero_module,
 )
 from hopfcycl.errors import MissingRootOfUnity
+from hopfcycl.hopf import contract
 from hopfcycl.rings import euler_phi
 
 TWO_LOOP = Quiver(["v"], [("a", 0, 0), ("b", 0, 0)])
 LOOP_AND_ARROW = Quiver(["v", "w"], [("l", 0, 0), ("a", 0, 1)])
+BRANCHING = Quiver.from_json({
+    "vertices": ["a", "b"],
+    "arrows": [{"id": "x", "src": "a", "tgt": "a"}, {"id": "y", "src": "a", "tgt": "b"},
+               {"id": "z", "src": "b", "tgt": "a"}],
+})
 
 
 def moebius(n):
@@ -152,6 +159,55 @@ def test_cycle_orbits_two_loop_burnside_oracle(q):
     primitive = sum(moebius(d) * 2 ** (q // d) for d in range(1, q + 1) if q % d == 0) // q
     assert a_q == necklaces
     assert b[q] == primitive
+
+
+def listed_cycle_orbits(quiver, q):
+    """The reference for `cycle_orbit_counts`: list every closed path of
+    each length r <= q, collect its rotations and read off its period."""
+    b = {}
+    a_q = quiver.num_vertices if q == 0 else 0
+    for r in range(1, q + 1):
+        seen = set()
+        orbits = primitive = 0
+        for p in quiver.paths_of_length(r):
+            if quiver.path_tgt(p) != quiver.path_src(p) or p in seen:
+                continue
+            seen |= {p[i:] + p[:i] for i in range(r)}
+            orbits += 1
+            period = min(d for d in range(1, r + 1) if r % d == 0 and p[d:] + p[:d] == p)
+            primitive += period == r
+        b[r] = primitive
+        if r == q:
+            a_q = orbits
+    return a_q, b
+
+
+KRONECKER = Quiver(["u", "v"], [("a", 0, 1), ("b", 0, 1)])
+LOOP_AND_TWO_CYCLE = Quiver(["u", "v"], [("l", 0, 0), ("a", 0, 1), ("b", 1, 0)])
+
+
+@pytest.mark.parametrize(
+    "quiver",
+    [*(Quiver.crown(c) for c in range(1, 6)), TWO_LOOP, BRANCHING, KRONECKER,
+     LOOP_AND_TWO_CYCLE],
+    ids=[*(f"crown{c}" for c in range(1, 6)), "two-loop", "branching", "kronecker",
+         "loop-and-2-cycle"],
+)
+def test_cycle_orbit_counts_match_the_listed_orbits(quiver):
+    for q in range(9):
+        assert cycle_orbit_counts(quiver, q) == listed_cycle_orbits(quiver, q), q
+
+
+def test_necklaces_are_counted_without_listing_paths(monkeypatch):
+    """HC_13 of the two-loop quiver mod paths of length 3 reads the primitive
+    orbits of lengths r | 21 from path counts, 2 b_3 + 2 b_21 = 4 + 199716,
+    without listing one of the 2^21 paths of length 21."""
+
+    def refuse(self, q):
+        raise AssertionError("a path was listed")
+
+    monkeypatch.setattr(Quiver, "paths_of_length", refuse)
+    assert hc_closed_form_truncated(TWO_LOOP, 3, 13, QQ) == 199720
 
 
 # -- truncated algebras ------------------------------------------------------
@@ -393,6 +449,9 @@ def test_taft_hopf_axioms(n):
     hopf = taft_hopf(n)
     report = hopf.verify_axioms()
     assert report == {k: True for k in report}
+    eps = Character(hopf.ring, hopf.counit)
+    one = SparseMatrix.identity(hopf.ring, hopf.dim)
+    assert contract(hopf, eps, 0) == contract(hopf, eps, 1) == one
     for i in range(n):
         assert is_grouplike(hopf, taft_grouplike(hopf, i).as_vector())
         taft_vertex_character(hopf, i).validate(hopf.algebra)
@@ -532,13 +591,6 @@ def test_hh_via_skoldberg_enumerates_degrees_p_minus_one_to_p_plus_one(monkeypat
 def test_graded_sbi_needs_truncation_two():
     with pytest.raises(PreconditionFailed):
         graded_sbi_hc(truncated_algebra(Quiver.crown(2), 1, QQ), 2)
-
-
-BRANCHING = Quiver.from_json({
-    "vertices": ["a", "b"],
-    "arrows": [{"id": "x", "src": "a", "tgt": "a"}, {"id": "y", "src": "a", "tgt": "b"},
-               {"id": "z", "src": "b", "tgt": "a"}],
-})
 
 
 @pytest.mark.parametrize("quiver", [Quiver.crown(1), Quiver.crown(3), BRANCHING],
