@@ -35,8 +35,9 @@ sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, product
+from weakref import WeakKeyDictionary
 
 from .errors import (
     IndexOutOfRange,
@@ -117,22 +118,44 @@ def _insert_unit(ring, d, unit, p, s, M):
     return SparseMatrix._unchecked(ring, d * M.nrows, M.ncols, ent)
 
 
-def _alternating_sum(ring, faces, nrows, ncols) -> SparseMatrix:
-    """sum((-1)^i faces[i]), accumulated in one entries dict; the
-    constructor drops the sums that cancelled to zero."""
+def _signed_sum(ring, terms, nrows, ncols) -> SparseMatrix:
+    """sum(+-M) over the (M, negate) pairs in terms, accumulated in one
+    entries dict; the constructor drops the sums that cancelled to zero."""
     add, sub, neg = ring.add, ring.sub, ring.neg
     ent: dict = {}
     get = ent.get
-    for i, face in enumerate(faces):
-        if i % 2 == 0:
-            for k, v in face.entries.items():
-                s = get(k)
-                ent[k] = v if s is None else add(s, v)
-        else:
-            for k, v in face.entries.items():
+    for M, negate in terms:
+        if negate:
+            for k, v in M.entries.items():
                 s = get(k)
                 ent[k] = neg(v) if s is None else sub(s, v)
+        else:
+            for k, v in M.entries.items():
+                s = get(k)
+                ent[k] = v if s is None else add(s, v)
     return SparseMatrix(ring, nrows, ncols, ent)
+
+
+# per algebra: {(leg digits, m): inner face sum}, dropped with the algebra
+_INNER_FACE_SUMS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _inner_face_sum(algebra, legs, m) -> SparseMatrix:
+    """sum((-1)^i d_i, 0 < i < m) of a Connes-Moscovici module on tensor
+    powers of the leg basis legs = (digits, mult) of `algebra`: its own
+    basis, or that of H / k.1.  The inner faces multiply neighbouring legs
+    and read neither the grouplike nor the characters, so every module of
+    the algebra shares the sum, built once per leg basis and level."""
+    sums = _INNER_FACE_SUMS.setdefault(algebra, {})
+    digits, mult = legs
+    key = (tuple(digits), m)
+    out = sums.get(key)
+    if out is None:
+        d = len(digits)
+        faces = [(_merge_face(algebra.ring, mult, d, d ** (i - 1), d ** (m - 1 - i)), i % 2 == 1)
+                 for i in range(1, m)]
+        out = sums[key] = _signed_sum(algebra.ring, faces, d ** (m - 1), d**m)
+    return out
 
 
 class _Normalization:
@@ -397,8 +420,8 @@ class CyclicModule:
         return self._memo(("bp", m), lambda: self._alternating_faces(m, m))
 
     def _alternating_faces(self, m: int, count: int) -> SparseMatrix:
-        faces = [self.face(m, i) for i in range(count)]
-        return _alternating_sum(self.ring, faces, self.level_dim(m - 1), self.level_dim(m))
+        faces = [(self.face(m, i), i % 2 == 1) for i in range(count)]
+        return _signed_sum(self.ring, faces, self.level_dim(m - 1), self.level_dim(m))
 
     def signed_cyclic(self, m: int) -> SparseMatrix:
         t = self.cyclic(m)
@@ -461,7 +484,10 @@ class ConnesMoscoviciModule(TensorCyclicModule):
     """C_m = H^(tensor m), with operators twisted by (pi, alpha, beta).
 
     d_0 applies alpha to the first leg, d_m applies beta to the last one and
-    the inner faces multiply neighbouring legs.  The cyclic operator sends
+    the inner faces multiply neighbouring legs; their alternating sum, on
+    the legs of H and of H / k.1, is shared by every module of the algebra
+    (`_inner_face_sum`), so b and b-bar add only d_0 and d_m to it.  The
+    cyclic operator sends
     h_1 (x) ... (x) h_m, with three-leg coproducts x_p (x) y_p (x) z_p, to
 
         alpha(x_1 ... x_m) beta(z_m) S_pi(y_1 ... y_m) (x) z_1 (x) ... (x) z_(m-1).
@@ -537,8 +563,16 @@ class ConnesMoscoviciModule(TensorCyclicModule):
     def _normal(self) -> _Normalization:
         return _Normalization(self.hopf.algebra)
 
+    @property
+    def _legs(self):
+        """The leg basis (digits, mult) of C_m: the basis of H."""
+        return range(self.hopf.dim), self.hopf.algebra.mult
+
     def _face(self, m, i):
-        return self._face_on((range(self.hopf.dim), self.hopf.algebra.mult), m, i)
+        return self._face_on(self._legs, m, i)
+
+    def _alternating_faces(self, m, count):
+        return self._face_sum(self._legs, self.face, m, count)
 
     def normalized_dim(self, m):
         return (self.hopf.dim - 1) ** m
@@ -547,14 +581,22 @@ class ConnesMoscoviciModule(TensorCyclicModule):
         """b-bar_m, the projection of b_m on the normalized columns: the
         alternating face sum built on the legs of H / k.1."""
         legs = self._normal.legs
+        return self._memo(
+            ("b-bar", m), lambda: self._face_sum(legs, partial(self._face_on, legs), m, m + 1)
+        )
 
-        def build():
-            faces = [self._face_on(legs, m, i) for i in range(m + 1)]
-            return _alternating_sum(
-                self.ring, faces, self.normalized_dim(m - 1), self.normalized_dim(m)
-            )
-
-        return self._memo(("b-bar", m), build)
+    def _face_sum(self, legs, face, m, count):
+        """sum((-1)^i d_i, i < count) for count = m or m + 1 on the leg basis
+        `legs`, whose outer faces are face(m, 0) and face(m, m): the module's
+        own d_0 and d_m around the inner faces' sum, which every module of
+        the algebra shares (`_inner_face_sum`)."""
+        faces = [(face(m, 0), False)]
+        if m > 1:
+            faces.append((_inner_face_sum(self.hopf.algebra, legs, m), False))
+        if count > m:
+            faces.append((face(m, m), m % 2 == 1))
+        d = len(legs[0])
+        return _signed_sum(self.ring, faces, d ** (m - 1), d**m)
 
     def normalized_B(self, m):
         """B-bar_m: the projection of t_(m+1) s_m N_m on the normalized columns.

@@ -64,13 +64,7 @@ class AlgebraData:
         for i, xi in x.items():
             row = self.mult[i]
             for j, yj in y.items():
-                c = R.mul(xi, yj)
-                for k, s in row[j].items():
-                    t = R.add(out.get(k, R.zero), R.mul(c, s))
-                    if R.is_zero(t):
-                        out.pop(k, None)
-                    else:
-                        out[k] = t
+                tensor_add_scaled(R, out, R.mul(xi, yj), row[j])
         return out
 
     def verify_associativity(self) -> bool:

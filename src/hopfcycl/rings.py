@@ -324,6 +324,60 @@ class PrimeField(IntegersMod):
         self.name = f"F{p}"
 
 
+@lru_cache(maxsize=None)
+def _reduced_powers(n: int) -> tuple[tuple[int, ...], ...]:
+    """x^e mod Phi_n as int vectors of length phi(n), for e = 0 ..
+    max(n - 1, 2 phi(n) - 2); exact because Phi_n is monic."""
+    modulus = cyclotomic_polynomial(n)
+    d = len(modulus) - 1
+    powers = [[int(j == 0) for j in range(d)]]
+    for _ in range(max(n - 1, 2 * d - 2)):
+        top = powers[-1][-1]
+        powers.append([0] + powers[-1][:-1])
+        for j in range(d):
+            powers[-1][j] -= top * modulus[j]
+    return tuple(map(tuple, powers))
+
+
+@lru_cache(maxsize=None)
+def _straight_line_product(n: int):
+    """The product of two int numerator vectors of Q(zeta_n), reduced
+    modulo Phi_n, as one function without loops: with d = phi(n), the
+    coefficient of x^j is the convolution term p_j = sum(a_i b_(j-i)) plus
+    the high terms p_k, k = d .. 2d - 2, weighted by the integer table
+    x^k mod Phi_n.  Generated once per n; for n = 3 it reads
+
+        def product(an, bn):
+            a0, a1, = an
+            b0, b1, = bn
+            p2 = a1 * b1
+            return (a0 * b0 - p2, a0 * b1 + a1 * b0 - p2,)
+    """
+    powers = _reduced_powers(n)
+    d = len(powers[0])
+
+    def convolution(k):
+        return " + ".join(f"a{i} * b{k - i}" for i in range(max(0, k - d + 1), min(k, d - 1) + 1))
+
+    def weighted(c, name):
+        scale = "" if abs(c) == 1 else f"{abs(c)} * "
+        return f" {'+' if c > 0 else '-'} {scale}{name}"
+
+    high = range(d, 2 * d - 1)
+    lines = ["def product(an, bn):",
+             "    " + "".join(f"a{i}, " for i in range(d)) + "= an",
+             "    " + "".join(f"b{i}, " for i in range(d)) + "= bn"]
+    lines += [f"    p{k} = {convolution(k)}" for k in high]
+    coefficients = [
+        convolution(j) + "".join(weighted(powers[k][j], f"p{k}") for k in high if powers[k][j])
+        for j in range(d)
+    ]
+    lines.append(f"    return ({', '.join(coefficients)},)")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<product in Q(zeta{n})>", "exec"), namespace)
+    return namespace["product"]
+
+
 class CyclotomicField(Ring):
     """Q(zeta_n) = Q[x] / Phi_n(x), with integer-numerator payloads.
 
@@ -335,14 +389,18 @@ class CyclotomicField(Ring):
     every Taft structure constant lives, have denominator 1; the arithmetic
     reaches for gcd only when a denominator is not 1.
 
-    Products reduce modulo Phi_n with the precomputed integer vectors
-    x^k mod Phi_n for k = phi(n) .. 2 phi(n) - 2, exact because Phi_n is
-    monic; a product with the unit returns the other operand as it is, which
-    is exact because payloads are canonical (in the Taft operators most
-    products have a factor 1).  Inverses divide the product of the other
-    Galois conjugates by the norm.  No operation but `format` builds a
-    Fraction.  zeta is the class of x, a primitive n-th root of unity.  For
-    n = 1, 2 the field degenerates to Q with zeta = 1 resp. -1.
+    The numerators of a product come from one straight-line function per n
+    (`_straight_line_product`): the convolution of the two vectors with the
+    terms of degree phi(n) .. 2 phi(n) - 2 folded back by the integer table
+    x^k mod Phi_n, exact because Phi_n is monic.  It is generated once per n
+    and shared by every field object of that n; `mul` itself stays a method
+    of the class, which handles the denominators.  A product with the unit
+    returns the other operand as it is, which is exact because payloads are
+    canonical (in the Taft operators most products have a factor 1).
+    Inverses divide the product of the other Galois conjugates by the norm.
+    No operation but `format` builds a Fraction.  zeta is the class of x, a
+    primitive n-th root of unity.  For n = 1, 2 the field degenerates to Q
+    with zeta = 1 resp. -1.
     """
 
     is_field = True
@@ -355,17 +413,10 @@ class CyclotomicField(Ring):
         self.modulus = cyclotomic_polynomial(n)
         self.degree = d = len(self.modulus) - 1
         self.name = f"Q(zeta{n})"
-        # x^e mod Phi_n as int vectors, e = 0 .. max(n - 1, 2d - 2)
-        powers = [[int(j == 0) for j in range(d)]]
-        for _ in range(max(n - 1, 2 * d - 2)):
-            top = powers[-1][-1]
-            powers.append([0] + powers[-1][:-1])
-            for j in range(d):
-                powers[-1][j] -= top * self.modulus[j]
-        # products reduce x^d .. x^(2d - 2) with these sparse (index, coefficient) lists
-        self._xpow = [[(j, c) for j, c in enumerate(v) if c] for v in powers[d : 2 * d - 1]]
+        self._product = _straight_line_product(n)
         # the Galois automorphisms x -> x^k other than the identity, as the
         # images of 1, x, ..., x^(d - 1)
+        powers = _reduced_powers(n)
         self._conjugations = [
             [powers[j * k % n] for j in range(d)] for k in range(2, n) if gcd(k, n) == 1
         ]
@@ -417,21 +468,9 @@ class CyclotomicField(Ring):
             return a
         an, ad = a
         bn, bd = b
-        d = self.degree
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(an):
-            if x:
-                for k, y in enumerate(bn, i):
-                    if y:
-                        prod[k] += x * y
-        out = prod[:d]
-        for k, reduction in enumerate(self._xpow, d):
-            c = prod[k]
-            if c:
-                for j, r in reduction:
-                    out[j] += c * r
+        out = self._product(an, bn)
         if ad == 1 and bd == 1:
-            return tuple(out), 1
+            return out, 1
         return self._canonical(out, ad * bd)
 
     def from_int(self, c):

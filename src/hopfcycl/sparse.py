@@ -15,7 +15,10 @@ Every rank and Smith normal form goes through one elimination kernel,
 min-heap of columns keyed by (live row count, column), so the next pivot
 column is always the sparsest one (Markowitz order) without rescanning the
 matrix.  Only unit entries qualify as pivots: every nonzero entry over a
-field, +-1 over Z.  The Smith normal form over Z runs in two phases: the
+field, +-1 over Z.  A column with one live row is a pivot as it stands,
+with no inverse and no row operation; otherwise the pivot column's entries
+in the other live rows are dropped, not computed, since they cancel
+exactly.  The Smith normal form over Z runs in two phases: the
 kernel eliminates the +-1 pivots sparsely, each contributing an invariant
 factor 1, and a dense Smith normal form reduces the small residual that is
 left.  Over Z/m the matrix is lifted to Z; the residual is reduced mod m
@@ -217,36 +220,56 @@ def _eliminate(M: SparseMatrix):
     until one of its entries changes.  A pivot changes live counts only in
     the columns of its own row, so only those are pushed back on the queue;
     stale queue entries are dropped when popped.  The pivot column is cleared
-    from the live rows only.
+    from the live rows only: its entries there become zero exactly, so they
+    are dropped without arithmetic, and a column with one live row clears
+    nothing and needs no inverse.  The ring operations are looked up once.
     """
     R = M.ring
+    mul, sub, neg, is_zero = R.mul, R.sub, R.neg, R.is_zero
+    is_unit = None if R.is_field else R.is_unit
     rows, col_rows = _rows_and_colindex(M)  # column index over live rows only
     pivots = []
     queue = [(len(rs), j) for j, rs in col_rows.items()]
     heapify(queue)
     while queue:
         live, c = heappop(queue)
-        if live != len(col_rows[c]):
+        rs = col_rows[c]
+        if live != len(rs):
             continue
-        units = [i for i in col_rows[c] if R.is_unit(rows[i][c])]
-        if not units:
-            continue
-        r = min(units, key=lambda i: (len(rows[i]), i))
-        pivots.append((r, c))
-        pv_inv = R.inv(rows[r][c])
-        for r2 in col_rows[c] - {r}:
-            f = R.mul(rows[r2][c], pv_inv)
-            row2 = rows[r2]
-            for j, v in rows[r].items():
-                nv = R.sub(row2.get(j, R.zero), R.mul(f, v))
-                if R.is_zero(nv):
-                    if j in row2:
-                        del row2[j]
-                        col_rows[j].discard(r2)
-                else:
-                    if j not in row2:
+        if live == 1:
+            (r,) = rs
+            if is_unit is not None and not is_unit(rows[r][c]):
+                continue
+            pivots.append((r, c))
+        else:
+            units = rs if is_unit is None else [i for i in rs if is_unit(rows[i][c])]
+            if not units:
+                continue
+            r = min(units, key=lambda i: (len(rows[i]), i))
+            pivots.append((r, c))
+            pivot_row = rows[r]
+            pv_inv = R.inv(pivot_row[c])
+            terms = [(j, v) for j, v in pivot_row.items() if j != c]
+            for r2 in rs:
+                if r2 == r:
+                    continue
+                row2 = rows[r2]
+                f = mul(row2.pop(c), pv_inv)
+                for j, v in terms:
+                    w = mul(f, v)
+                    old = row2.get(j)
+                    if old is None:
+                        # fill-in: -f v is nonzero over a field and over Z
+                        row2[j] = neg(w)
                         col_rows[j].add(r2)
-                    row2[j] = nv
+                    else:
+                        nv = sub(old, w)
+                        if is_zero(nv):
+                            del row2[j]
+                            col_rows[j].discard(r2)
+                        else:
+                            row2[j] = nv
+            col_rows[c] = {r}
         # retire the pivot row from further pivot selection
         for j in rows[r]:
             rs = col_rows[j]

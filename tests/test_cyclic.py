@@ -573,6 +573,35 @@ def test_one_pass_boundaries_match_face_sums(ring):
             assert module.boundary_bprime(m) == boundary_by_face_sums(module, m, m), ("b'", m)
 
 
+def test_admissible_taft_modules_share_the_inner_face_sum(monkeypatch):
+    """The inner faces multiply neighbouring legs and read no character, so
+    every admissible triple of one Taft algebra shares their sum: b_4 of all
+    four Taft-3 modules builds d_1, d_2 and d_3 once (12 times when each
+    module summed its own faces), and b-bar_3 of all four builds the two
+    inner faces of the legs of H / k.1 once."""
+    import hopfcycl.cyclic as cyclic
+
+    hopf = taft_hopf(3)
+    modules = [taft_cm_module(hopf, *triple) for triple in taft_cm_triples(3)]
+    assert len(modules) == 4
+    merged = []
+    merge_face = cyclic._merge_face
+    monkeypatch.setattr(
+        cyclic, "_merge_face", lambda *args: merged.append(args) or merge_face(*args)
+    )
+    for module in modules:
+        module.boundary_b(4)
+    assert len(merged) == 3
+    for module in modules:
+        module.normalized_b(3)
+    assert len(merged) == 5
+    monkeypatch.undo()
+    second = modules[1]
+    assert second.boundary_b(4) == boundary_by_face_sums(second, 4, 5)
+    for m in range(1, 5):
+        assert second.normalized_b(m) == projected_boundary(second, m), m
+
+
 # -- d^2 = 0 checked once per path ---------------------------------------------
 
 

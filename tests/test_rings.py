@@ -29,6 +29,7 @@ from hopfcycl import (
     zero_module,
 )
 from hopfcycl.errors import MissingRootOfUnity
+import hopfcycl.rings as rings
 from hopfcycl.rings import Ring, _poly_mul, _poly_trim, euler_phi
 
 RINGS = [ZZ, QQ, IntegersMod(6), PrimeField(5), CyclotomicField(5)]
@@ -356,7 +357,9 @@ def assert_canonical(K, payload):
     assert den > 0 and gcd(den, *nums) == 1
 
 
-CYCLOTOMIC_ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
+# n = 7, 9 and 15 give fields of degree 6, 6 and 8, whose products fold the
+# most terms back through the table x^k mod Phi_n
+CYCLOTOMIC_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15)
 
 
 def cyclotomic_element(n):
@@ -404,6 +407,20 @@ def test_cyclotomic_constants_agree_with_fraction_tuples(n):
     assert K.pow(K.zeta, n) == K.one
 
 
+@pytest.mark.parametrize("n", CYCLOTOMIC_ORDERS)
+def test_the_product_is_generated_once_and_multiplied_through_the_class(n):
+    """`mul` is a method of the class, so a wrapper put on the class (the
+    benchmark's operation counter) sees every product, and the straight-line
+    product behind it is generated once per n, whatever the number of field
+    objects."""
+    misses = rings._straight_line_product.cache_info().misses
+    K, again = CyclotomicField(n), CyclotomicField(n)
+    assert rings._straight_line_product.cache_info().misses - misses <= 1
+    assert K._product is again._product
+    assert "mul" in vars(CyclotomicField)
+    assert "mul" not in vars(K) and "mul" not in vars(again)
+
+
 def converted(M):
     return {k: as_fractions(v) for k, v in M.entries.items()}
 
@@ -421,8 +438,6 @@ def test_taft3_operators_and_homology_match_fraction_tuples():
 
 
 def test_cyclotomic_hot_operations_make_no_fraction(monkeypatch):
-    import hopfcycl.rings as rings
-
     def refuse(*args):
         raise AssertionError("Fraction created")
 
@@ -541,7 +556,6 @@ def test_rational_constants_are_ints():
 
 
 def test_integral_rationals_make_no_fraction(monkeypatch):
-    import hopfcycl.rings as rings
     from hopfcycl import Quiver, truncated_algebra
     from hopfcycl.cyclic import ClassicalCyclicModule
 

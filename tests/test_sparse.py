@@ -245,19 +245,40 @@ def random_field_matrix(ring, rng, m, n, density):
         for j in range(n):
             if rng.random() < density:
                 v = ring.from_int(rng.randint(-3, 3))
-                if ring == QZETA3:
-                    v = ring.mul(v, ring.zeta_pow(rng.randrange(3)))
+                if isinstance(ring, CyclotomicField):
+                    v = ring.mul(v, ring.zeta_pow(rng.randrange(ring.n)))
                 ent[(i, j)] = v
     return SparseMatrix(ring, m, n, ent)
 
 
-@pytest.mark.parametrize("ring", [F7, QQ, QZETA3], ids=lambda r: r.name)
+@pytest.mark.parametrize(
+    "ring", [F7, QQ, QZETA3, CyclotomicField(5), PrimeField(2)], ids=lambda r: r.name
+)
 @given(seed=st.integers(0, 10**6), m=st.integers(1, 12), n=st.integers(1, 12),
        density=st.sampled_from([0.15, 0.4, 0.8]))
 @settings(max_examples=30, deadline=None)
 def test_pivot_queue_matches_column_scan(ring, seed, m, n, density):
     M = random_field_matrix(ring, random.Random(seed), m, n, density)
     assert _eliminate(M) == eliminate_by_column_scan(M)
+
+
+def test_singleton_columns_are_pivots_without_an_inverse(monkeypatch):
+    """A scaled permutation matrix has one live row in every column: each
+    column becomes a pivot as it is, with no inverse computed."""
+    rng = random.Random(3)
+    n = 12
+    perm = rng.sample(range(n), n)
+    M = SparseMatrix(QZETA3, n, n, {
+        (perm[j], j): QZETA3.mul(QZETA3.from_int(rng.choice([-3, -1, 2, 5])),
+                                 QZETA3.zeta_pow(rng.randrange(3)))
+        for j in range(n)
+    })
+    reference = eliminate_by_column_scan(M)
+    inverses = []
+    inv = CyclotomicField.inv
+    monkeypatch.setattr(CyclotomicField, "inv", lambda K, a: inverses.append(a) or inv(K, a))
+    assert _eliminate(M) == reference
+    assert inverses == []
 
 
 def random_integer_matrix(rng, m, n, values, per_column):
@@ -381,8 +402,8 @@ def random_signed_matrix(ring, rng, m, n, density):
         for j in range(n):
             if rng.random() < density:
                 v = ring.from_int(rng.choice((1, -1, 1, -1, 2, -2)))
-                if ring == QZETA3:
-                    v = ring.mul(v, ring.zeta_pow(rng.randrange(3)))
+                if isinstance(ring, CyclotomicField):
+                    v = ring.mul(v, ring.zeta_pow(rng.randrange(ring.n)))
                 if not ring.is_zero(v):
                     ent[(i, j)] = v
     return SparseMatrix(ring, m, n, ent)
