@@ -17,6 +17,7 @@ from hopfcycl import (
     hc_closed_form_truncated,
     hh_closed_form,
     hh_via_skoldberg,
+    path_algebra_hh,
     skoldberg_resolution,
     truncated_algebra,
 )
@@ -60,3 +61,9 @@ for quiver, n, name in ((Quiver.crown(1), 2, "k[X]/(X^2)"),
     sbi = graded_sbi_hc(A_, 4)
     closed = [hc_closed_form_truncated(quiver, n, p, QQ) for p in range(5)]
     print(f"  {name:<18} HC {sbi}  closed {closed}  agree: {sbi == closed}")
+
+print()
+print("== the untruncated path algebra k[X], grades 0..4 ==")
+loop = path_algebra_hh(Quiver.crown(1), 4, QQ)
+for p in (0, 1):
+    print(f"  HH_{p}(k[X]) by grade: {[str(loop[f'hh{p}'][q]) for q in range(5)]}")

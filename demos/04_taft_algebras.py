@@ -12,7 +12,9 @@ Run:  python3 demos/04_taft_algebras.py
 from hopfcycl import (
     ConnesMoscoviciModule,
     check_cm_triple,
+    coefficient_homology_skoldberg,
     connes_lambda_hc,
+    hochschild_homology_upto,
     taft_cm_closed_form,
     taft_cm_module,
     taft_cm_triples,
@@ -35,6 +37,10 @@ for n in (2, 3):
         closed = [taft_cm_closed_form(n, i, u, v, p) for p in range(top + 1)]
         print(f"    ({i},{u},{v}): HC {dims}  closed {closed}"
               f"  agree: {dims == closed}")
+        hh = hochschild_homology_upto(module, top)
+        small = [coefficient_homology_skoldberg(hopf.truncated, u, v, p) for p in range(top + 1)]
+        print(f"             HH {[h.free_rank for h in hh]}  small complex"
+              f" {[h.free_rank for h in small]}  agree: {hh == small}")
     print()
 
 print("== an inadmissible triple ==")

@@ -47,7 +47,7 @@ from .errors import (
 )
 from .hopf import CMTriple, HopfAlgebraData, twisted_antipode, twisted_middle
 from .rings import HomologyModule, Ring
-from .sparse import SparseMatrix, homology_at, homology_sequence, rank
+from .sparse import SparseMatrix, homology_window, rank
 
 
 def tuple_to_index(t, d):
@@ -811,7 +811,8 @@ class ClassicalCyclicModule(TensorCyclicModule):
 class ChainComplexWindow:
     """Degrees 0..N of a chain complex: carrier dims and boundary matrices.
 
-    boundaries[m] maps degree m to degree m-1, for 1 <= m <= N.
+    boundaries[m] maps degree m to degree m-1, for 1 <= m <= N; as D_0 = 0,
+    the rows of boundaries[1] are the dims[0] chains of degree 0.
     """
 
     ring: Ring
@@ -824,15 +825,10 @@ class ChainComplexWindow:
 
     def homology(self, n: int) -> HomologyModule:
         """Homology at degree n; needs boundaries n and n+1 inside the window,
-        whose square `homology_at` checks."""
+        whose square `homology_window` checks."""
         if n + 1 > self.top:
             raise IndexOutOfRange(f"degree {n} needs boundary {n + 1} in the window")
-        d_in = self.boundaries[n + 1]
-        if n == 0:
-            d_out = SparseMatrix.zero(self.ring, 0, self.dims[0])
-        else:
-            d_out = self.boundaries[n]
-        return homology_at(d_in, d_out)
+        return homology_window(self.boundaries.__getitem__, n, n)[0]
 
 
 def hochschild_window(module: CyclicModule, N: int) -> ChainComplexWindow:
@@ -849,18 +845,13 @@ def hochschild_homology(module: CyclicModule, n: int) -> HomologyModule:
     whose inclusion into the b-complex of `hochschild_window` is a
     quasi-isomorphism over any ring: b-bar_(n+1) and b-bar_n alone, their
     square checked once."""
-    d_in = module.normalized_b(n + 1)
-    if n == 0:
-        d_out = SparseMatrix.zero(module.ring, 0, module.normalized_dim(0))
-    else:
-        d_out = module.normalized_b(n)
-    return homology_at(d_in, d_out)
+    return homology_window(module.normalized_b, n, n)[0]
 
 
 def hochschild_homology_upto(module: CyclicModule, N: int) -> list[HomologyModule]:
     """HH_0..HH_N from the normalized boundaries b-bar_1, ..., b-bar_(N+1),
     each reduced and each square checked once."""
-    return homology_sequence(module.normalized_b(m) for m in range(1, N + 2))
+    return homology_window(module.normalized_b, 0, N)
 
 
 # -- normalized (b, B) bicomplex ---------------------------------------------
@@ -921,19 +912,14 @@ def cyclic_bicomplex_hc(module: CyclicModule, n: int) -> HomologyModule:
     """HC_n as homology of the total complex of the normalized (b, B)
     bicomplex (Loday, Cyclic Homology, 2.1.8), over any ground ring."""
     _require_cyclic(module, n + 1, "the (b, B) bicomplex")
-    d_in = _mixed_boundary(module, n + 1)
-    if n == 0:
-        d_out = SparseMatrix.zero(module.ring, 0, module.normalized_dim(0))
-    else:
-        d_out = _mixed_boundary(module, n)
-    return homology_at(d_in, d_out)
+    return homology_window(partial(_mixed_boundary, module), n, n)[0]
 
 
 def cyclic_bicomplex_hc_upto(module: CyclicModule, N: int) -> list[HomologyModule]:
     """HC_0..HC_N from the total complex, each total boundary built and
     reduced once (`cyclic_bicomplex_hc` per degree builds D_n and D_(n+1))."""
     _require_cyclic(module, N + 1, "the (b, B) bicomplex")
-    return homology_sequence(_mixed_boundary(module, k) for k in range(1, N + 2))
+    return homology_window(partial(_mixed_boundary, module), 0, N)
 
 
 # -- Connes quotient complex -------------------------------------------------

@@ -153,6 +153,8 @@ class HopfAlgebraData:
         self.counit = list(counit)
         self.antipode = antipode
         self._iterated: dict[tuple[int, int], Tensor] = {}
+        # S_pi by grouplike and M by character pair, shared by every caller
+        self._twisted: dict = {}
 
     # -- coproduct machinery -------------------------------------------------
     def iterated_coproduct_basis(self, b: int, r: int) -> Tensor:
@@ -237,16 +239,22 @@ def contract(hopf: HopfAlgebraData, chi: Character, leg: int) -> SparseMatrix:
 
 
 def twisted_antipode(hopf: HopfAlgebraData, pi: GroupLike) -> SparseMatrix:
-    """S_pi = (left multiplication by pi) . S."""
-    return hopf.algebra.left_multiplication_matrix(pi.as_vector()) @ hopf.antipode
+    """S_pi = (left multiplication by pi) . S, built once per grouplike."""
+    if (s_pi := hopf._twisted.get(pi)) is None:
+        s_pi = hopf._twisted[pi] = (
+            hopf.algebra.left_multiplication_matrix(pi.as_vector()) @ hopf.antipode
+        )
+    return s_pi
 
 
 def twisted_middle(hopf: HopfAlgebraData, alpha: Character, beta: Character) -> SparseMatrix:
     """M = (alpha (x) id (x) beta) Delta^2 = (alpha (x) id)Delta . (id (x) beta)Delta
     as a matrix: beta on the right leg of Delta(b), then alpha on the left leg
     of each Delta(p).  The admissibility check and the last leg of the cyclic
-    operator both read it."""
-    return contract(hopf, alpha, 0) @ contract(hopf, beta, 1)
+    operator both read it; it is built once per character pair."""
+    if (middle := hopf._twisted.get((alpha, beta))) is None:
+        middle = hopf._twisted[alpha, beta] = contract(hopf, alpha, 0) @ contract(hopf, beta, 1)
+    return middle
 
 
 def admissibility_matrix(

@@ -41,7 +41,7 @@ from .rings import (
     primitive_root_of_unity,
     zero_module,
 )
-from .sparse import SparseMatrix, homology_sequence, rank
+from .sparse import SparseMatrix, homology_window, rank
 
 
 class Quiver:
@@ -452,15 +452,21 @@ def _resolution_dims(quiver: Quiver, n: int, i_max: int) -> list[int]:
     return [sum(c * into[s] * out_of[t] for (s, t), c in gens.items()) for gens in generators]
 
 
-def _graded_hh(A: TruncatedPathAlgebra, N: int, first: int = 0) -> list[tuple]:
+def _graded_hh(A: TruncatedPathAlgebra, N: int, first=0, pairs_of=None, carry=None) -> list:
     """HH_first..HH_N of A from the small complex A (x)_{A^e} P on closed
     (a, gamma) pairs, each as (total, {grade q: HomologyModule}) over the
     grades of its degree.
 
-    The boundaries keep the path-length grade len(a) + len(gamma), so the
+    The one builder of the small complex: pairs_of(A, i) lists the pairs
+    (x, gamma) of degree i and carry(x, left, right) is the carry rule of
+    `_boundaries`.  They default to `_closed_pairs` and `_hochschild_carry`,
+    looked up at call time; `coefficient_homology_skoldberg` passes the pairs
+    and carry of a coefficient module instead.
+
+    The boundaries keep the path-length grade len(x) + len(gamma), so the
     complex is built grade by grade: the pairs of grade q, from one below
     the first to one past the last degree of first..N in which q occurs,
-    go through `_boundaries` and one `homology_sequence`, squares checked.
+    go through `_boundaries` and one `homology_window`, squares checked.
     Only degrees first - 1..N + 1 are enumerated.
 
     A grade spans at most two adjacent degrees, since the generator lengths
@@ -472,30 +478,26 @@ def _graded_hh(A: TruncatedPathAlgebra, N: int, first: int = 0) -> list[tuple]:
     """
     if A.n < 2:
         raise PreconditionFailed("the small complex needs truncation exponent >= 2")
+    pairs_of = pairs_of or _closed_pairs
+    carry = carry or _hochschild_carry(A.quiver)
     path_len = A.quiver.path_len
-    # pairs[q][i]: the pairs of grade q in degree i, in `_closed_pairs` order
+    # pairs[q][i]: the pairs of grade q in degree i, in pairs_of order
     pairs: dict[int, dict[int, list]] = {}
     for i in range(max(first - 1, 0), N + 2):
-        for a, g in _closed_pairs(A, i):
-            pairs.setdefault(path_len(a) + path_len(g), {}).setdefault(i, []).append((a, g))
-    carry = _hochschild_carry(A.quiver)
+        for x, g in pairs_of(A, i):
+            pairs.setdefault(path_len(x) + path_len(g), {}).setdefault(i, []).append((x, g))
     homology = {}
     for q, by_degree in pairs.items():
         ps = [p for p in range(first, N + 1) if p in by_degree]
-        if not ps:
-            continue
-        # `_boundaries` reads each degree from its position in bases, and
-        # degrees below first - 1 stay empty.  D_lo..D_top give
-        # H_(lo-1)..H_(top-1); as D_0 = 0, H_(lo-1) is right only for lo = 1.
-        lo, top = max(ps[0], 1), ps[-1] + 1
-        bases = [by_degree.get(i, []) for i in range(top + 1)]
-        boundaries = _boundaries(A.quiver, A.n, A.ring, bases, carry)
-        sequence = homology_sequence(boundaries[i] for i in range(lo, top + 1))
-        for p in ps:
-            homology[p, q] = sequence[p - lo + 1]
+        if ps:
+            # degrees below first - 1 stay empty
+            bases = [by_degree.get(i, []) for i in range(ps[-1] + 2)]
+            boundaries = _boundaries(A.quiver, A.n, A.ring, bases, carry)
+            window = homology_window(boundaries.__getitem__, ps[0], ps[-1])
+            homology[q] = dict(zip(range(ps[0], ps[-1] + 1), window))
     table = []
     for p in range(first, N + 1):
-        per_grade = {q: homology[p, q] for q in sorted(pairs) if p in pairs[q]}
+        per_grade = {q: homology[q][p] for q in sorted(pairs) if p in pairs[q]}
         table.append((sum(per_grade.values(), zero_module(A.ring)), per_grade))
     return table
 
@@ -548,33 +550,25 @@ def coefficient_homology_skoldberg(
 
     The coefficient module k has a.x = alpha(a) x and x.a = beta(a) x, so
     the degree-i carrier is spanned by the generators gamma running from the
-    beta vertex to the alpha vertex, and x (x) gamma goes across the term
-    left (x) gamma' (x) right to alpha(right) beta(left) x (x) gamma'.  The
-    closed description (homology = carrier, since vertex characters kill
-    every arrow) and the built complex are both computed; they must agree.
+    beta vertex to the alpha vertex, as the pairs (e_alpha, gamma) of
+    `_graded_hh`.  x (x) gamma goes across the term left (x) gamma' (x) right
+    to alpha(right) beta(left) x (x) gamma': x itself when left = e_beta and
+    right = e_alpha, and 0 otherwise.  The closed description (homology =
+    carrier, since vertex characters kill every arrow) and the built complex
+    are both computed; they must agree.
     """
-    if A.n < 2:
-        raise PreconditionFailed("the small complex needs truncation exponent >= 2")
-    quiver, R = A.quiver, A.ring
-    alpha = vertex_character(A, alpha_vertex).values
-    beta = vertex_character(A, beta_vertex).values
-    bases = [
-        [
-            ((), g)
-            for g in _generator_paths(quiver, A.n, i)
-            if quiver.path_src(g) == beta_vertex and quiver.path_tgt(g) == alpha_vertex
-        ]
-        for i in range(p + 2)
-    ]
+    quiver = A.quiver
+    e_alpha, e_beta = ("e", alpha_vertex), ("e", beta_vertex)
+
+    def pairs_of(_, i):
+        return [(e_alpha, g) for g in _generator_paths(quiver, A.n, i)
+                if quiver.path_src(g) == beta_vertex and quiver.path_tgt(g) == alpha_vertex]
 
     def carry(x, left, right):
-        # vertex characters take the values 0 and 1 only
-        weight = R.mul(alpha[A.path_index[right]], beta[A.path_index[left]])
-        return None if R.is_zero(weight) else x
+        return x if left == e_beta and right == e_alpha else None
 
-    boundaries = _boundaries(quiver, A.n, R, bases, carry)
-    built = homology_sequence(boundaries[i] for i in range(max(p, 1), p + 2))[-1]
-    if built.free_rank != len(bases[p]):
+    built, _ = _graded_hh(A, p, p, pairs_of, carry)[0]
+    if built.free_rank != len(pairs_of(A, p)):
         raise HopfCyclError("closed and built coefficient homology disagree")
     return built
 
@@ -585,34 +579,20 @@ def coefficient_homology_skoldberg(
 
 
 def path_algebra_hh(quiver: Quiver, grade_cap: int, ring: Ring) -> dict:
-    """Per-grade HH_0 and HH_1 of the full path algebra (zero above degree 1).
+    """Per-grade HH_0 and HH_1 of the full path algebra (zero above degree 1)
+    in grades 0..grade_cap.
 
-    Uses the length-1 bimodule resolution, the degree <= 1 part of the small
+    The length-1 bimodule resolution is the degree <= 1 part of the small
     one: in grade q the complex is k[pairs (nu, arrow) closing up] ->
-    k[cycles of length q], with (nu, a) -> nu.a - a.nu.
+    k[cycles of length q], with (nu, a) -> nu.a - a.nu.  So these are the
+    degrees 0 and 1 of `_graded_hh` on the truncation at n, the larger of
+    grade_cap + 1 and 2: below grade n no carried path reaches the
+    truncation, and the degree-2 generators have length n.
     """
-    out = {"hh0": {}, "hh1": {}}
-    for q in range(grade_cap + 1):
-        cycles = [
-            (p, ("e", quiver.path_src(p)))
-            for p in quiver.paths_of_length(q)
-            if quiver.path_src(p) == quiver.path_tgt(p)
-        ]
-        if q == 0:
-            out["hh0"][q] = HomologyModule(ring, len(cycles))
-            out["hh1"][q] = HomologyModule(ring, 0)
-            continue
-        pairs = [
-            (nu, (a,))
-            for nu in quiver.paths_of_length(q - 1)
-            for a in range(quiver.num_arrows)
-            if quiver.path_tgt(nu) == quiver.src[a] and quiver.tgt[a] == quiver.path_src(nu)
-        ]
-        # n = 0 marks no truncation; degree 1 does not depend on n
-        delta = _boundaries(quiver, 0, ring, [cycles, pairs], _hochschild_carry(quiver))[1]
-        zero_in = SparseMatrix.zero(ring, len(pairs), 0)
-        out["hh0"][q], out["hh1"][q] = homology_sequence([delta, zero_in])
-    return out
+    A = truncated_algebra(quiver, max(grade_cap + 1, 2), ring)
+    zero = zero_module(ring)
+    return {f"hh{p}": {q: per_grade.get(q, zero) for q in range(grade_cap + 1)}
+            for p, (_, per_grade) in enumerate(_graded_hh(A, 1))}
 
 
 # ---------------------------------------------------------------------------

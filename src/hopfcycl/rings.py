@@ -586,35 +586,21 @@ def primitive_root_of_unity(ring: Ring, m: int):
 
 
 def _invariant_chain(torsion):
-    """Normalize a multiset of cyclic orders into an invariant-factor chain."""
-    powers: dict[int, list[int]] = {}
+    """Normalize a multiset of cyclic orders into an invariant-factor chain
+    c_1 | c_2 | ...  Each order d >= 2 is merged in by replacing (c_i, d)
+    with (gcd, lcm) along the chain, which sorts the prime powers of d into
+    place: the gcd stays when it is > 1, and the lcm is carried on."""
+    chain: tuple[int, ...] = ()
     for d in torsion:
         if d < 2:
             continue
-        x, p = d, 2
-        while x > 1:
-            if p * p > x:
-                p = x
-            if x % p == 0:
-                e = 0
-                while x % p == 0:
-                    x //= p
-                    e += 1
-                powers.setdefault(p, []).append(p**e)
-            else:
-                p += 1
-    for p in powers:
-        powers[p].sort(reverse=True)
-    depth = max((len(v) for v in powers.values()), default=0)
-    chain = []
-    for j in range(depth):
-        f = 1
-        for p, v in powers.items():
-            if j < len(v):
-                f *= v[j]
-        chain.append(f)
-    chain.reverse()
-    return tuple(chain)
+        merged = []
+        for c in chain:
+            if (g := gcd(c, d)) > 1:
+                merged.append(g)
+            d = c * d // g
+        chain = (*merged, d)
+    return chain
 
 
 @dataclass(frozen=True)

@@ -459,3 +459,12 @@ def homology_sequence(boundaries) -> list[HomologyModule]:
         out.append(HomologyModule(d.ring, d.nrows - prev_rank - r, torsion))
         prev, prev_rank = d, r
     return out
+
+
+def homology_window(boundary, first: int, last: int) -> list[HomologyModule]:
+    """H_first..H_last of the complex with boundaries D_n = boundary(n): C_n ->
+    C_(n-1).  H_n reads D_n and D_(n+1), and D_0 = 0, so the window builds
+    D_max(first,1)..D_(last+1) in order, through one `homology_sequence`."""
+    sequence = homology_sequence(boundary(n) for n in range(max(first, 1), last + 2))
+    # from D_first on, the first entry is the cokernel of D_first, not H_(first-1)
+    return sequence[1:] if first else sequence

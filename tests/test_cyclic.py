@@ -43,7 +43,7 @@ from hopfcycl import (
     truncated_algebra,
     verify_cyclic_axioms,
 )
-from hopfcycl.cyclic import index_to_tuple, tuple_to_index
+from hopfcycl.cyclic import _mixed_boundary, index_to_tuple, total_offsets, tuple_to_index
 from hopfcycl.rings import primitive_root_of_unity
 from hopfcycl.sparse import homology_sequence
 
@@ -200,6 +200,23 @@ def test_chain_window_guards():
     with pytest.raises(IndexOutOfRange):
         window.homology(2)
     assert window.top == 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cm_z3(1),
+    lambda: taft_cm_module(taft_hopf(2), *taft_cm_triples(2)[0]),
+    lambda: ClassicalCyclicModule(truncated_algebra(Quiver.crown(2), 2, QQ).algebra),
+    lambda: GammaCyclicModule(FiniteGroup.symmetric(3), 1, ZZ),
+], ids=["cm-group", "cm-taft", "classical", "gamma"])
+def test_the_first_boundary_has_one_row_per_degree_zero_chain(build):
+    """Degree 0 is read from D_1 alone, as D_0 = 0, so the rows of D_1 must
+    be the chains of degree 0: in the normalized b-complex, in the total
+    complex of the (b, B) bicomplex and in the full b-complex window."""
+    module = build()
+    assert module.normalized_b(1).nrows == module.normalized_dim(0)
+    assert _mixed_boundary(module, 1).nrows == total_offsets(module.normalized_dim, 0)[-1]
+    window = hochschild_window(module, 1)
+    assert window.boundaries[1].nrows == window.dims[0] == module.level_dim(0)
 
 
 def test_norm_and_lambda_relations():
@@ -624,11 +641,11 @@ def test_each_square_is_checked_once(monkeypatch):
     assert not any(key[0] == "b" for key in module._cache)
     window = hochschild_window(module, 4)
     products = count_products(monkeypatch)
-    # one product per window read, the square of the pair it reads: b_n
-    # b_(n+1) on the full carriers of Q[Z/3], of dimension 3^m, and the zero
-    # map out of degree 0 times b_1
+    # one product per window read above degree 0, the square of the pair it
+    # reads: b_n b_(n+1) on the full carriers of Q[Z/3], of dimension 3^m;
+    # degree 0 reads b_1 alone, as D_0 = 0
     assert [window.homology(n) for n in range(4)] == expected
-    assert sorted(products) == [(0, 1, 3), (1, 3, 9), (3, 9, 27), (9, 27, 81)]
+    assert sorted(products) == [(1, 3, 9), (3, 9, 27), (9, 27, 81)]
     products.clear()
     # one sequence over b-bar_1..b-bar_4 checks b-bar_1 b-bar_2, b-bar_2
     # b-bar_3 and b-bar_3 b-bar_4 once each, on the normalized carriers of

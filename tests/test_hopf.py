@@ -216,3 +216,32 @@ def test_admissibility_matrix_matches_the_three_leg_formula(candidates):
         assert (M.nrows, M.ncols) == (hopf.dim, hopf.dim)
         assert M.entries == three_leg_reference(hopf, pi, alpha, beta)
         assert twisted_middle(hopf, alpha, beta).entries == three_leg_middle(hopf, alpha, beta)
+
+
+def test_twisted_antipode_and_middle_are_built_once_per_key(monkeypatch):
+    """`taft_cm_triples(4)` checks 4^3 candidates on one Taft algebra: S_pi is
+    built once per grouplike (4) and M once per character pair (16), each a
+    product of two contractions, and both are shared by every later caller."""
+    import hopfcycl.hopf as hopf_module
+    from hopfcycl import AlgebraData, taft_cm_triples
+
+    built = {"S_pi": 0, "contract": 0}
+    left_multiplication, contraction = AlgebraData.left_multiplication_matrix, contract
+
+    def counting_left(algebra, x):
+        built["S_pi"] += 1
+        return left_multiplication(algebra, x)
+
+    def counting_contract(*args):
+        built["contract"] += 1
+        return contraction(*args)
+
+    monkeypatch.setattr(AlgebraData, "left_multiplication_matrix", counting_left)
+    monkeypatch.setattr(hopf_module, "contract", counting_contract)
+    assert taft_cm_triples(4) == [(0, 0, 3), (0, 1, 0), (0, 2, 1), (0, 3, 2), (3, 0, 0)]
+    assert built == {"S_pi": 4, "contract": 2 * 16}
+    hopf = taft_hopf(3)
+    pi, alpha = taft_grouplike(hopf, 2), taft_vertex_character(hopf, 0)
+    assert twisted_antipode(hopf, pi) is twisted_antipode(hopf, taft_grouplike(hopf, 2))
+    assert twisted_middle(hopf, alpha, alpha) is twisted_middle(
+        hopf, alpha, taft_vertex_character(hopf, 0))

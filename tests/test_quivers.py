@@ -306,6 +306,74 @@ def test_path_algebra_hh_loop_and_crown():
     assert [out["hh1"][q].free_rank for q in range(5)] == [0, 0, 1, 0, 1]
 
 
+def coefficient_complex_homology(A, u, v, p):
+    """H_p of the vertex-character complex built on its own: in degree i the
+    generators gamma from vertex v to vertex u, and x (x) gamma goes across
+    the term left (x) gamma' (x) right to alpha(right) beta(left) x (x)
+    gamma', with alpha the character of u and beta that of v."""
+    from hopfcycl.quivers import _boundaries, _generator_paths
+
+    quiver, R = A.quiver, A.ring
+    alpha, beta = vertex_character(A, u).values, vertex_character(A, v).values
+    bases = [[((), g) for g in _generator_paths(quiver, A.n, i)
+              if quiver.path_src(g) == v and quiver.path_tgt(g) == u] for i in range(p + 2)]
+
+    def carry(x, left, right):
+        weight = R.mul(alpha[A.path_index[right]], beta[A.path_index[left]])
+        return None if R.is_zero(weight) else x
+
+    boundaries = _boundaries(quiver, A.n, R, bases, carry)
+    return homology_sequence(boundaries[i] for i in range(max(p, 1), p + 2))[-1]
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, PrimeField(2)], ids=["Q", "Z", "F2"])
+@pytest.mark.parametrize("crown", [1, 2, 3, 4])
+def test_coefficient_homology_matches_its_own_complex(crown, ring):
+    """`coefficient_homology_skoldberg` reads the small complex of
+    `_graded_hh` with vertex-character pairs; it equals the complex built on
+    its own, for every pair of vertices, n = 2..5 and p <= 7."""
+    for n in range(2, 6):
+        A = truncated_algebra(Quiver.crown(crown), n, ring)
+        for u, v, p in product(range(crown), range(crown), range(8)):
+            assert coefficient_homology_skoldberg(A, u, v, p) == \
+                coefficient_complex_homology(A, u, v, p), (n, u, v, p)
+
+
+def length_one_resolution_hh(quiver, grade_cap, ring):
+    """Per-grade HH_0 and HH_1 of the full path algebra from the length-1
+    bimodule resolution: in grade q the complex k[pairs (nu, arrow) closing
+    up] -> k[cycles of length q], with (nu, a) -> nu.a - a.nu."""
+    from hopfcycl.quivers import _boundaries, _hochschild_carry
+
+    out = {"hh0": {}, "hh1": {}}
+    for q in range(grade_cap + 1):
+        cycles = [(p, ("e", quiver.path_src(p))) for p in quiver.paths_of_length(q)
+                  if quiver.path_src(p) == quiver.path_tgt(p)]
+        pairs = [] if q == 0 else [
+            (nu, (a,)) for nu in quiver.paths_of_length(q - 1) for a in range(quiver.num_arrows)
+            if quiver.path_tgt(nu) == quiver.src[a] and quiver.tgt[a] == quiver.path_src(nu)
+        ]
+        # n = 0 marks no truncation; degree 1 does not depend on n
+        delta = _boundaries(quiver, 0, ring, [cycles, pairs], _hochschild_carry(quiver))[1]
+        out["hh0"][q], out["hh1"][q] = homology_sequence(
+            [delta, SparseMatrix.zero(ring, len(pairs), 0)])
+    return out
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, PrimeField(2)], ids=["Q", "Z", "F2"])
+@pytest.mark.parametrize(
+    "quiver", [Quiver.crown(1), Quiver.crown(2), Quiver.crown(3), TWO_LOOP, LOOP_AND_ARROW,
+               BRANCHING],
+    ids=["crown1", "crown2", "crown3", "two-loop", "loop-and-arrow", "branching"],
+)
+def test_path_algebra_hh_matches_the_length_one_resolution(quiver, ring):
+    """`path_algebra_hh` reads degrees 0 and 1 of `_graded_hh` on a
+    truncation above the grade cap; it equals the complex of the length-1
+    resolution in every grade up to the cap."""
+    for cap in range(6):
+        assert path_algebra_hh(quiver, cap, ring) == length_one_resolution_hh(quiver, cap, ring)
+
+
 def vertex_bar_homology(A, alpha, beta, N):
     """H_0..H_N of the b-complex k (x) A^(x m) of two vertex characters,
     built tuple by tuple: d_0 sends a_1 (x) ... (x) a_m to

@@ -1,7 +1,8 @@
 """Coefficient rings: exact arithmetic, parsing, homology descriptors."""
 
+import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +167,23 @@ def test_homology_module_invariant_chain():
     assert str(zero_module(QQ)) == "0"
     assert str(HomologyModule(QQ, 3)) == "Q^3"
     assert (HomologyModule(ZZ, 1, (2,)) + HomologyModule(ZZ, 0, (2,))).torsion == (2, 2)
+
+
+def test_invariant_chain_matches_the_torsion_count_oracle():
+    """A finite abelian group is fixed by its numbers of k-torsion elements,
+    and sum of Z/d_i has prod gcd(k, d_i) of them, for every k up to the lcm
+    of the orders; the chain must count the same, divide along, and drop 0
+    and 1.  The orders are 2-, 3- and 5-smooth, so prime powers collide."""
+    rng = random.Random(5)
+    values = [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 18, 20, 24, 25, 27, 30, 36]
+    for _ in range(300):
+        orders = [rng.choice(values) for _ in range(rng.randint(0, 6))]
+        chain = rings._invariant_chain(orders)
+        assert all(c > 1 for c in chain)
+        assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
+        kept = [d for d in orders if d > 1]
+        for k in range(1, lcm(*kept) + 1):
+            assert prod(gcd(k, c) for c in chain) == prod(gcd(k, d) for d in kept), orders
 
 
 def test_homology_module_guards():

@@ -22,6 +22,7 @@ from hopfcycl import (
     SparseMatrix,
     UnsupportedRing,
     homology_at,
+    homology_window,
     rank,
     smith_normal_form,
 )
@@ -118,16 +119,19 @@ def test_smith_normal_form_known_values():
 
 
 def unimodular(rng, n):
-    """Random product of elementary integer row operations."""
-    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    """A random product U of elementary integer row operations, and U^-1,
+    as lists of rows."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    U_inv = [row[:] for row in U]
     for _ in range(3 * n):
         i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.randint(-2, 2)
-        for k in range(n):
-            M[i][k] += c * M[j][k]
-    return SparseMatrix.from_rows(ZZ, M)
+        if i != j:
+            c = rng.randint(-2, 2)
+            # (1 + c e_ij) U, and U^-1 (1 - c e_ij)
+            U[i] = [x + c * y for x, y in zip(U[i], U[j])]
+            for row in U_inv:
+                row[j] -= c * row[i]
+    return U, U_inv
 
 
 @given(seed=st.integers(0, 10**6), m=st.integers(1, 4), n=st.integers(1, 4))
@@ -138,7 +142,7 @@ def test_snf_unimodular_invariance_and_divisibility(seed, m, n):
     inv = smith_normal_form(M)
     for a, b in zip(inv, inv[1:]):
         assert b % a == 0
-    L, R = unimodular(rng, m), unimodular(rng, n)
+    L, R = (SparseMatrix.from_rows(ZZ, unimodular(rng, k)[0]) for k in (m, n))
     assert smith_normal_form(L @ M @ R) == inv
     assert len(inv) == rank_over_rationals(M)
 
@@ -195,6 +199,55 @@ def test_homology_at_guards():
             SparseMatrix.zero(IntegersMod(4), 1, 1),
             SparseMatrix.zero(IntegersMod(4), 0, 1),
         )
+
+
+def random_complex(ring, rng, top):
+    """Boundaries D_1..D_top of a random complex over ring, by degree.  Each
+    D_n sends the last b_n coordinates of C_n into the first a_(n-1)
+    coordinates of C_(n-1) and kills the rest, with a_n + b_n <= dim C_n,
+    so D_(n-1) D_n = 0; then each C_n is rewritten in a random unimodular
+    basis, so that the homology stays the same over every ring."""
+    dims = [rng.randint(0, 5) for _ in range(top + 1)]
+    a = [rng.randint(0, d) for d in dims]
+    b = [rng.randint(0, d - k) for d, k in zip(dims, a)]
+    bases = [unimodular(rng, d) for d in dims]
+    boundaries = {}
+    for n in range(1, top + 1):
+        block = [[0] * dims[n] for _ in range(dims[n - 1])]
+        for i in range(a[n - 1]):
+            for j in range(dims[n] - b[n], dims[n]):
+                block[i][j] = rng.choice([0, 1, -1, 2, 3])
+        U, U_inv = bases[n - 1][0], bases[n][1]
+        rows = [[sum(U[i][k] * block[k][l] * U_inv[l][j]
+                     for k in range(dims[n - 1]) for l in range(dims[n]))
+                 for j in range(dims[n])] for i in range(dims[n - 1])]
+        boundaries[n] = SparseMatrix.from_rows(ring, rows) if rows else \
+            SparseMatrix.zero(ring, 0, dims[n])
+    return dims, boundaries
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, PrimeField(2)], ids=["Q", "Z", "F2"])
+@pytest.mark.parametrize("seed", range(12))
+def test_homology_window_matches_homology_at(ring, seed):
+    """H_first..H_last from one window equal `homology_at` degree by
+    degree, with the 0 x dim C_0 zero map as D_0, for first = 0 and >= 1."""
+    rng = random.Random(seed)
+    dims, D = random_complex(ring, rng, 5)
+    D[0] = SparseMatrix.zero(ring, 0, dims[0])
+    for first in range(4):
+        for last in range(first, 4):
+            assert homology_window(D.__getitem__, first, last) == [
+                homology_at(D[n + 1], D[n]) for n in range(first, last + 1)
+            ], (first, last)
+
+
+def test_homology_window_refuses_a_bad_pair():
+    one = SparseMatrix.from_rows(ZZ, [[1]])
+    D = {1: one, 2: one, 3: SparseMatrix.zero(ZZ, 1, 0)}
+    for first, last in ((0, 1), (1, 1), (1, 2)):
+        with pytest.raises(NotAComplex):
+            homology_window(D.__getitem__, first, last)
+    assert homology_window(D.__getitem__, 2, 2) == [HomologyModule(ZZ, 0)]
 
 
 # -- the pivot-queue elimination kernel ---------------------------------------
