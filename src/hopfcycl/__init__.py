@@ -45,7 +45,6 @@ from .sparse import (
     SparseMatrix,
     homology_at,
     homology_sequence,
-    homology_window,
     rank,
     smith_normal_form,
 )

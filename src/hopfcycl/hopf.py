@@ -240,11 +240,9 @@ def contract(hopf: HopfAlgebraData, chi: Character, leg: int) -> SparseMatrix:
 
 def twisted_antipode(hopf: HopfAlgebraData, pi: GroupLike) -> SparseMatrix:
     """S_pi = (left multiplication by pi) . S, built once per grouplike."""
-    if (s_pi := hopf._twisted.get(pi)) is None:
-        s_pi = hopf._twisted[pi] = (
-            hopf.algebra.left_multiplication_matrix(pi.as_vector()) @ hopf.antipode
-        )
-    return s_pi
+    if pi not in hopf._twisted:
+        hopf._twisted[pi] = hopf.algebra.left_multiplication_matrix(pi.as_vector()) @ hopf.antipode
+    return hopf._twisted[pi]
 
 
 def twisted_middle(hopf: HopfAlgebraData, alpha: Character, beta: Character) -> SparseMatrix:
@@ -252,9 +250,9 @@ def twisted_middle(hopf: HopfAlgebraData, alpha: Character, beta: Character) -> 
     as a matrix: beta on the right leg of Delta(b), then alpha on the left leg
     of each Delta(p).  The admissibility check and the last leg of the cyclic
     operator both read it; it is built once per character pair."""
-    if (middle := hopf._twisted.get((alpha, beta))) is None:
-        middle = hopf._twisted[alpha, beta] = contract(hopf, alpha, 0) @ contract(hopf, beta, 1)
-    return middle
+    if (alpha, beta) not in hopf._twisted:
+        hopf._twisted[alpha, beta] = contract(hopf, alpha, 0) @ contract(hopf, beta, 1)
+    return hopf._twisted[alpha, beta]
 
 
 def admissibility_matrix(

@@ -399,15 +399,19 @@ def skoldberg_resolution(A: TruncatedPathAlgebra, i_max: int) -> dict:
     return report
 
 
-def _closed_pairs(A: TruncatedPathAlgebra, i: int) -> list[tuple]:
+def _closed_pairs(A: TruncatedPathAlgebra, i: int, top: int | None = None) -> list[tuple]:
     """Basis of the induced Hochschild carrier in degree i: pairs (a, gamma)
-    with a a truncated path, gamma a degree-i generator, and a.gamma closed."""
-    quiver = A.quiver
-    return [
-        (a, g)
-        for g in _generator_paths(quiver, A.n, i)
-        for a in A.paths_between.get((quiver.path_tgt(g), quiver.path_src(g)), ())
-    ]
+    with a a truncated path, gamma a degree-i generator, and a.gamma closed;
+    with top, only the pairs of grade len(a) + len(gamma) <= top."""
+    quiver, path_len = A.quiver, A.quiver.path_len
+    pairs = []
+    for g in _generator_paths(quiver, A.n, i):
+        # paths_between is in basis order, which is by length
+        for a in A.paths_between.get((quiver.path_tgt(g), quiver.path_src(g)), ()):
+            if top is not None and path_len(a) + path_len(g) > top:
+                break
+            pairs.append((a, g))
+    return pairs
 
 
 def _small_complex_dims(quiver: Quiver, n: int, p_max: int) -> list[int]:
@@ -452,22 +456,17 @@ def _resolution_dims(quiver: Quiver, n: int, i_max: int) -> list[int]:
     return [sum(c * into[s] * out_of[t] for (s, t), c in gens.items()) for gens in generators]
 
 
-def _graded_hh(A: TruncatedPathAlgebra, N: int, first=0, pairs_of=None, carry=None) -> list:
+def _graded_hh(A: TruncatedPathAlgebra, N: int, first: int = 0) -> list[tuple]:
     """HH_first..HH_N of A from the small complex A (x)_{A^e} P on closed
     (a, gamma) pairs, each as (total, {grade q: HomologyModule}) over the
     grades of its degree.
 
-    The one builder of the small complex: pairs_of(A, i) lists the pairs
-    (x, gamma) of degree i and carry(x, left, right) is the carry rule of
-    `_boundaries`.  They default to `_closed_pairs` and `_hochschild_carry`,
-    looked up at call time; `coefficient_homology_skoldberg` passes the pairs
-    and carry of a coefficient module instead.
-
-    The boundaries keep the path-length grade len(x) + len(gamma), so the
+    The boundaries keep the path-length grade len(a) + len(gamma), so the
     complex is built grade by grade: the pairs of grade q, from one below
     the first to one past the last degree of first..N in which q occurs,
     go through `_boundaries` and one `homology_window`, squares checked.
-    Only degrees first - 1..N + 1 are enumerated.
+    Only degrees first - 1..N + 1 are enumerated, and degree N + 1 only up
+    to the top grade of the degrees below it.
 
     A grade spans at most two adjacent degrees, since the generator lengths
     of degrees i and i + 2 differ by n, so those squares cannot fail here
@@ -478,14 +477,14 @@ def _graded_hh(A: TruncatedPathAlgebra, N: int, first=0, pairs_of=None, carry=No
     """
     if A.n < 2:
         raise PreconditionFailed("the small complex needs truncation exponent >= 2")
-    pairs_of = pairs_of or _closed_pairs
-    carry = carry or _hochschild_carry(A.quiver)
     path_len = A.quiver.path_len
-    # pairs[q][i]: the pairs of grade q in degree i, in pairs_of order
+    # pairs[q][i]: the pairs of grade q in degree i, in `_closed_pairs` order
     pairs: dict[int, dict[int, list]] = {}
     for i in range(max(first - 1, 0), N + 2):
-        for x, g in pairs_of(A, i):
-            pairs.setdefault(path_len(x) + path_len(g), {}).setdefault(i, []).append((x, g))
+        top = max(pairs, default=-1) if i == N + 1 else None
+        for a, g in _closed_pairs(A, i, top):
+            pairs.setdefault(path_len(a) + path_len(g), {}).setdefault(i, []).append((a, g))
+    carry = _hochschild_carry(A.quiver)
     homology = {}
     for q, by_degree in pairs.items():
         ps = [p for p in range(first, N + 1) if p in by_degree]
@@ -550,25 +549,35 @@ def coefficient_homology_skoldberg(
 
     The coefficient module k has a.x = alpha(a) x and x.a = beta(a) x, so
     the degree-i carrier is spanned by the generators gamma running from the
-    beta vertex to the alpha vertex, as the pairs (e_alpha, gamma) of
-    `_graded_hh`.  x (x) gamma goes across the term left (x) gamma' (x) right
-    to alpha(right) beta(left) x (x) gamma': x itself when left = e_beta and
-    right = e_alpha, and 0 otherwise.  The closed description (homology =
-    carrier, since vertex characters kill every arrow) and the built complex
-    are both computed; they must agree.
+    beta vertex to the alpha vertex, and x (x) gamma goes across the term
+    left (x) gamma' (x) right to alpha(right) beta(left) x (x) gamma'.  The
+    closed description (homology = carrier, since vertex characters kill
+    every arrow) and the built complex are both computed; they must agree.
+    The complex is built whole: split by the grade len(gamma), as in
+    `_graded_hh`, each grade would lie in one degree and no carry be read.
     """
-    quiver = A.quiver
-    e_alpha, e_beta = ("e", alpha_vertex), ("e", beta_vertex)
-
-    def pairs_of(_, i):
-        return [(e_alpha, g) for g in _generator_paths(quiver, A.n, i)
-                if quiver.path_src(g) == beta_vertex and quiver.path_tgt(g) == alpha_vertex]
+    if A.n < 2:
+        raise PreconditionFailed("the small complex needs truncation exponent >= 2")
+    quiver, R = A.quiver, A.ring
+    alpha = vertex_character(A, alpha_vertex).values
+    beta = vertex_character(A, beta_vertex).values
+    bases = [
+        [
+            ((), g)
+            for g in _generator_paths(quiver, A.n, i)
+            if quiver.path_src(g) == beta_vertex and quiver.path_tgt(g) == alpha_vertex
+        ]
+        for i in range(p + 2)
+    ]
 
     def carry(x, left, right):
-        return x if left == e_beta and right == e_alpha else None
+        # vertex characters take the values 0 and 1 only
+        weight = R.mul(alpha[A.path_index[right]], beta[A.path_index[left]])
+        return None if R.is_zero(weight) else x
 
-    built, _ = _graded_hh(A, p, p, pairs_of, carry)[0]
-    if built.free_rank != len(pairs_of(A, p)):
+    boundaries = _boundaries(quiver, A.n, R, bases, carry)
+    built = homology_window(boundaries.__getitem__, p, p)[0]
+    if built.free_rank != len(bases[p]):
         raise HopfCyclError("closed and built coefficient homology disagree")
     return built
 
@@ -585,9 +594,9 @@ def path_algebra_hh(quiver: Quiver, grade_cap: int, ring: Ring) -> dict:
     The length-1 bimodule resolution is the degree <= 1 part of the small
     one: in grade q the complex is k[pairs (nu, arrow) closing up] ->
     k[cycles of length q], with (nu, a) -> nu.a - a.nu.  So these are the
-    degrees 0 and 1 of `_graded_hh` on the truncation at n, the larger of
-    grade_cap + 1 and 2: below grade n no carried path reaches the
-    truncation, and the degree-2 generators have length n.
+    degrees 0 and 1 of `_graded_hh` on the truncation at n = max(grade_cap
+    + 1, 2): below grade n no carried path reaches the truncation, and the
+    degree-2 pairs have grade >= n.
     """
     A = truncated_algebra(quiver, max(grade_cap + 1, 2), ring)
     zero = zero_module(ring)

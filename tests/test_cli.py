@@ -170,9 +170,9 @@ def enumerated_degrees(monkeypatch) -> list[int]:
     degrees = []
     enumerate_pairs = quivers._closed_pairs
 
-    def counting(A, i):
+    def counting(A, i, top=None):
         degrees.append(i)
-        return enumerate_pairs(A, i)
+        return enumerate_pairs(A, i, top)
 
     monkeypatch.setattr(quivers, "_closed_pairs", counting)
     return degrees

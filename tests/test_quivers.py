@@ -48,7 +48,7 @@ from hopfcycl import (
     vertex_character,
     zero_module,
 )
-from hopfcycl.errors import MissingRootOfUnity
+from hopfcycl.errors import HopfCyclError, MissingRootOfUnity
 from hopfcycl.hopf import contract
 from hopfcycl.rings import euler_phi
 
@@ -306,37 +306,21 @@ def test_path_algebra_hh_loop_and_crown():
     assert [out["hh1"][q].free_rank for q in range(5)] == [0, 0, 1, 0, 1]
 
 
-def coefficient_complex_homology(A, u, v, p):
-    """H_p of the vertex-character complex built on its own: in degree i the
-    generators gamma from vertex v to vertex u, and x (x) gamma goes across
-    the term left (x) gamma' (x) right to alpha(right) beta(left) x (x)
-    gamma', with alpha the character of u and beta that of v."""
-    from hopfcycl.quivers import _boundaries, _generator_paths
+def test_coefficient_homology_reads_the_characters(monkeypatch):
+    """The vertex-character complex is built whole, so its carry reads the
+    characters: one that does not kill the loop x of k[x]/x^2 sends
+    x (x) x to 2 (x) x in D_2, and the built homology leaves the closed
+    carrier in every degree that D_2 or D_4 touches."""
+    import hopfcycl.quivers as quivers
 
-    quiver, R = A.quiver, A.ring
-    alpha, beta = vertex_character(A, u).values, vertex_character(A, v).values
-    bases = [[((), g) for g in _generator_paths(quiver, A.n, i)
-              if quiver.path_src(g) == v and quiver.path_tgt(g) == u] for i in range(p + 2)]
-
-    def carry(x, left, right):
-        weight = R.mul(alpha[A.path_index[right]], beta[A.path_index[left]])
-        return None if R.is_zero(weight) else x
-
-    boundaries = _boundaries(quiver, A.n, R, bases, carry)
-    return homology_sequence(boundaries[i] for i in range(max(p, 1), p + 2))[-1]
-
-
-@pytest.mark.parametrize("ring", [QQ, ZZ, PrimeField(2)], ids=["Q", "Z", "F2"])
-@pytest.mark.parametrize("crown", [1, 2, 3, 4])
-def test_coefficient_homology_matches_its_own_complex(crown, ring):
-    """`coefficient_homology_skoldberg` reads the small complex of
-    `_graded_hh` with vertex-character pairs; it equals the complex built on
-    its own, for every pair of vertices, n = 2..5 and p <= 7."""
-    for n in range(2, 6):
-        A = truncated_algebra(Quiver.crown(crown), n, ring)
-        for u, v, p in product(range(crown), range(crown), range(8)):
-            assert coefficient_homology_skoldberg(A, u, v, p) == \
-                coefficient_complex_homology(A, u, v, p), (n, u, v, p)
+    A = truncated_algebra(Quiver.crown(1), 2, QQ)
+    assert [coefficient_homology_skoldberg(A, 0, 0, p).free_rank for p in range(4)] == [1] * 4
+    monkeypatch.setattr(quivers, "vertex_character",
+                        lambda A, v: Character(A.ring, [A.ring.one] * A.dim))
+    assert coefficient_homology_skoldberg(A, 0, 0, 0).free_rank == 1
+    for p in range(1, 4):
+        with pytest.raises(HopfCyclError):
+            coefficient_homology_skoldberg(A, 0, 0, p)
 
 
 def length_one_resolution_hh(quiver, grade_cap, ring):
@@ -372,6 +356,25 @@ def test_path_algebra_hh_matches_the_length_one_resolution(quiver, ring):
     resolution in every grade up to the cap."""
     for cap in range(6):
         assert path_algebra_hh(quiver, cap, ring) == length_one_resolution_hh(quiver, cap, ring)
+
+
+def test_path_algebra_hh_lists_degree_two_in_one_grade(monkeypatch):
+    """On two loops the truncation at cap + 1 = 7 has 2^7 degree-2
+    generators, each with 2^7 - 1 closing paths; only the pairs of grade 7,
+    the top grade of degree 1, are listed: the generators with a = e."""
+    import hopfcycl.quivers as quivers
+
+    listed = {}
+    enumerate_pairs = quivers._closed_pairs
+
+    def recording(A, i, top=None):
+        listed[i] = enumerate_pairs(A, i, top)
+        return listed[i]
+
+    monkeypatch.setattr(quivers, "_closed_pairs", recording)
+    path_algebra_hh(TWO_LOOP, 6, QQ)
+    assert sorted(listed) == [0, 1, 2]
+    assert len(listed[2]) == 2 ** 7 and all(a == ("e", 0) for a, _ in listed[2])
 
 
 def vertex_bar_homology(A, alpha, beta, N):
@@ -626,9 +629,9 @@ def enumerated_degrees(monkeypatch) -> list[int]:
     degrees = []
     enumerate_pairs = quivers._closed_pairs
 
-    def counting(A, i):
+    def counting(A, i, top=None):
         degrees.append(i)
-        return enumerate_pairs(A, i)
+        return enumerate_pairs(A, i, top)
 
     monkeypatch.setattr(quivers, "_closed_pairs", counting)
     return degrees
@@ -770,6 +773,22 @@ def test_each_grade_of_the_small_complex_spans_two_adjacent_degrees(quiver, n):
     assert degrees
     for q, ds in degrees.items():
         assert max(ds) - min(ds) <= 1, (q, sorted(ds))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("quiver", [Quiver.crown(3), TWO_LOOP, BRANCHING],
+                         ids=["crown3", "two-loop", "branching"])
+def test_closed_pairs_up_to_a_top_grade_are_the_grade_filter(quiver, n):
+    """`_graded_hh` lists degree N + 1 up to the top grade of the degrees
+    below it; the cut keeps the pairs of grade <= top, in order."""
+    from hopfcycl.quivers import _closed_pairs
+
+    A = truncated_algebra(quiver, n, QQ)
+    for i in range(5):
+        full = _closed_pairs(A, i)
+        for top in range(-1, 3 * n + 2):
+            assert _closed_pairs(A, i, top) == [
+                pair for pair in full if pair_grade(quiver, pair) <= top]
 
 
 def test_graded_hh_refuses_a_boundary_whose_square_is_nonzero(monkeypatch):

@@ -22,12 +22,11 @@ from hopfcycl import (
     SparseMatrix,
     UnsupportedRing,
     homology_at,
-    homology_window,
     rank,
     smith_normal_form,
 )
 import hopfcycl.sparse as sparse
-from hopfcycl.sparse import _eliminate, _rows_and_colindex, _snf_invariants
+from hopfcycl.sparse import _eliminate, _rows_and_colindex, _snf_invariants, homology_window
 
 F7 = PrimeField(7)
 QZETA3 = CyclotomicField(3)
