@@ -34,7 +34,6 @@ sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import accumulate, product
 from weakref import WeakKeyDictionary
@@ -46,7 +45,7 @@ from .errors import (
     RingWithoutRationals,
 )
 from .hopf import CMTriple, HopfAlgebraData, twisted_antipode, twisted_middle
-from .rings import HomologyModule, Ring
+from .rings import HomologyModule, Record, Ring
 from .sparse import SparseMatrix, homology_window, rank
 
 
@@ -807,17 +806,23 @@ class ClassicalCyclicModule(TensorCyclicModule):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ChainComplexWindow:
+class ChainComplexWindow(Record):
     """Degrees 0..N of a chain complex: carrier dims and boundary matrices.
 
     boundaries[m] maps degree m to degree m-1, for 1 <= m <= N; as D_0 = 0,
     the rows of boundaries[1] are the dims[0] chains of degree 0.
     """
 
-    ring: Ring
-    dims: list[int]
-    boundaries: dict[int, SparseMatrix] = field(default_factory=dict)
+    __slots__ = ("ring", "dims", "boundaries")
+
+    def __init__(self, ring: Ring, dims: list[int],
+                 boundaries: dict[int, SparseMatrix] | None = None):
+        self.ring = ring
+        self.dims = dims
+        self.boundaries = {} if boundaries is None else boundaries
+
+    def _key(self):
+        return self.ring, self.dims, self.boundaries
 
     @property
     def top(self) -> int:
@@ -1087,11 +1092,16 @@ def _cyclic_laws(module: CyclicModule, N: int):
 # -- SBI rank bookkeeping ----------------------------------------------------
 
 
-@dataclass
-class SBIReport:
-    consistent: bool
-    ranks: list[tuple[int, int, int]]  # per degree: rank(I_n), rank(S_n), rank(B_n)
-    reason: str = ""
+class SBIReport(Record):
+    __slots__ = ("consistent", "ranks", "reason")
+
+    def __init__(self, consistent: bool, ranks: list[tuple[int, int, int]], reason: str = ""):
+        self.consistent = consistent
+        self.ranks = ranks  # per degree: rank(I_n), rank(S_n), rank(B_n)
+        self.reason = reason
+
+    def _key(self):
+        return self.consistent, self.ranks, self.reason
 
 
 def sbi_rank_assignment(h_dims: list[int], hc_dims: list[int]) -> SBIReport:

@@ -15,10 +15,8 @@ built as one matrix and squared exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidCharacter
-from .rings import Ring
+from .rings import FrozenRecord, Ring
 from .sparse import SparseMatrix
 
 Vector = dict  # basis index -> payload
@@ -128,11 +126,17 @@ class Character:
                     )
 
 
-@dataclass(frozen=True)
-class GroupLike:
+class GroupLike(FrozenRecord):
     """A grouplike element, kept as its coefficient vector."""
 
-    vector: tuple  # frozen form of the sparse vector: sorted (index, payload) pairs
+    __slots__ = ("vector",)
+
+    def __init__(self, vector: tuple):
+        # frozen form of the sparse vector: sorted (index, payload) pairs
+        object.__setattr__(self, "vector", vector)
+
+    def _key(self):
+        return (self.vector,)
 
     @classmethod
     def from_vector(cls, vec: Vector) -> "GroupLike":
@@ -276,8 +280,7 @@ def is_grouplike(hopf: HopfAlgebraData, x: Vector) -> bool:
     return delta == square
 
 
-@dataclass(frozen=True)
-class CMTriple:
+class CMTriple(FrozenRecord):
     """A grouplike with two characters, flagged by the admissibility check.
 
     In the cyclic module of the triple, alpha acts at the face d_0 and beta
@@ -286,11 +289,18 @@ class CMTriple:
     alpha at vertex u and beta at vertex v (`coefficient_homology_skoldberg`).
     """
 
-    pi: GroupLike
-    alpha: Character
-    beta: Character
-    valid: bool
-    failures: tuple[str, ...] = ()
+    __slots__ = ("pi", "alpha", "beta", "valid", "failures")
+
+    def __init__(self, pi: GroupLike, alpha: Character, beta: Character, valid: bool,
+                 failures: tuple[str, ...] = ()):
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "failures", failures)
+
+    def _key(self):
+        return self.pi, self.alpha, self.beta, self.valid, self.failures
 
 
 def check_cm_triple(

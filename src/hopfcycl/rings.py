@@ -17,7 +17,6 @@ equality of ring elements.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -581,8 +580,42 @@ def primitive_root_of_unity(ring: Ring, m: int):
 
 
 # ---------------------------------------------------------------------------
-# homology result descriptors
+# value records and homology result descriptors
 # ---------------------------------------------------------------------------
+
+
+class Record:
+    """Base of the package's small result types.  A subclass names its
+    fields in __slots__ and returns their values, in the same order (that of
+    its constructor), from `_key`; == compares the keys, repr lists them."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self._key() == other._key()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record hashed by its key, with read-only fields: __init__ sets each
+    one once, through object.__setattr__."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self):
+        return type(self), self._key()
 
 
 def _invariant_chain(torsion):
@@ -603,25 +636,32 @@ def _invariant_chain(torsion):
     return chain
 
 
-@dataclass(frozen=True)
-class HomologyModule:
+class HomologyModule(FrozenRecord):
     """A homology group: free rank plus invariant-factor torsion list.
 
     Over a field the torsion list is empty and free_rank is the dimension.
     Over Z/m, modules are recorded purely by their torsion chain (a free
-    rank-1 module over Z/m is the cyclic group of order m).
+    rank-1 module over Z/m is the cyclic group of order m), so a free rank
+    there is refused: `free_module` gives the torsion form.
     """
 
-    ring: Ring
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("ring", "free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
-            raise ValueError(f"negative free rank {self.free_rank}")
-        object.__setattr__(self, "torsion", _invariant_chain(self.torsion))
-        if self.ring.is_field and self.torsion:
+    def __init__(self, ring: Ring, free_rank: int = 0, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
+            raise ValueError(f"negative free rank {free_rank}")
+        if free_rank and isinstance(ring, IntegersMod) and not ring.is_field:
+            raise ValueError(f"a module over {ring.name} is recorded by its torsion, "
+                             f"not by free rank {free_rank}")
+        torsion = _invariant_chain(torsion)
+        if ring.is_field and torsion:
             raise ValueError("field homology cannot carry torsion")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+
+    def _key(self):
+        return self.ring, self.free_rank, self.torsion
 
     @property
     def dim(self) -> int:

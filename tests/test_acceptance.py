@@ -23,6 +23,7 @@ from hopfcycl import (
     chi_isomorphism,
     closed_hc_cyclic_group,
     cm_group_module,
+    conjugacy_classes,
     connes_lambda_hc,
     cyclic_bicomplex_hc,
     cyclic_bicomplex_hc_upto,
@@ -135,6 +136,13 @@ def test_acceptance_3_burghelea_decomposition():
         check(
             failures, out["passed"],
             f"{name}: classical {out['classical']} != sum {out['sum']}",
+        )
+        # HC of QG over Q is Q^c in even degrees and 0 in odd ones, c the
+        # number of conjugacy classes: a closed value, apart from both sides
+        c = len(conjugacy_classes(G))
+        check(
+            failures, out["classical"] == [c, 0, c, 0],
+            f"{name}: classical {out['classical']} != {[c, 0, c, 0]}",
         )
     conclude(3, "HC(QG) decomposes over conjugacy classes", failures)
 

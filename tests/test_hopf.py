@@ -159,6 +159,22 @@ def test_grouplike_round_trip():
     assert GroupLike.from_vector(vec).as_vector() == vec
 
 
+def test_grouplike_and_triple_are_frozen_values():
+    G = FiniteGroup.cyclic(3)
+    H = group_algebra(G, QQ)
+    eps = trivial_character(G, QQ)
+    pi, again = GroupLike.from_vector({1: QQ.one}), GroupLike(((1, QQ.one),))
+    assert pi == again and hash(pi) == hash(again) and pi != GroupLike.from_vector({2: QQ.one})
+    assert len({pi, again}) == 1
+    triple = check_cm_triple(H, pi, eps, eps)
+    assert triple == check_cm_triple(H, again, eps, eps)
+    with pytest.raises(AttributeError):
+        pi.vector = ()
+    with pytest.raises(AttributeError):
+        triple.valid = False
+    assert triple.valid and pi.vector == ((1, QQ.one),)
+
+
 def three_leg_middle(hopf, alpha, beta):
     """(alpha (x) id (x) beta) Delta^2 from the three-leg coproduct
     (id (x) Delta) Delta of `iterated_coproduct_basis`: column b is the sum

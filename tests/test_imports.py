@@ -1,6 +1,10 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and
+importing the package loads no module it does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +36,20 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    """dataclasses, with the inspect, ast and dis it pulls in, would be the
+    largest part of the package's import time; a fresh process without site
+    shows what importing hopfcycl and hopfcycl.cli adds to sys.modules."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import hopfcycl, hopfcycl.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert "hopfcycl.cli" in out
+    assert sorted({"dataclasses", "inspect"} & set(out)) == []

@@ -590,9 +590,10 @@ def test_taft_hh_is_tor_over_the_small_complex():
     """HH of the Connes-Moscovici module of a Taft triple (i, u, v) is
     Tor^H(k_alpha, k_beta), whatever pi is: it equals the homology of the
     truncated crown with alpha at vertex u and beta at vertex v.  With the
-    vertices swapped, three Taft-3 triples differ, which pins alpha at d_0."""
+    vertices swapped, three Taft-3 and four Taft-4 triples differ, which pins
+    alpha at d_0."""
     swapped_differs = []
-    for n, top in ((2, 4), (3, 3)):
+    for n, top in ((2, 4), (3, 3), (4, 3)):
         hopf = taft_hopf(n)
         for i, u, v in taft_cm_triples(n):
             hh = hochschild_homology_upto(taft_cm_module(hopf, i, u, v), top)
@@ -601,7 +602,10 @@ def test_taft_hh_is_tor_over_the_small_complex():
             if small != [coefficient_homology_skoldberg(hopf.truncated, v, u, p)
                          for p in range(top + 1)]:
                 swapped_differs.append((n, i, u, v))
-    assert swapped_differs == [(3, 0, 0, 2), (3, 0, 1, 0), (3, 0, 2, 1)]
+    assert swapped_differs == [
+        (3, 0, 0, 2), (3, 0, 1, 0), (3, 0, 2, 1),
+        (4, 0, 0, 3), (4, 0, 1, 0), (4, 0, 2, 1), (4, 0, 3, 2),
+    ]
 
 
 def test_taft_homology_small_degrees():

@@ -1,5 +1,6 @@
 """Coefficient rings: exact arithmetic, parsing, homology descriptors."""
 
+import pickle
 import random
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -209,6 +210,30 @@ def test_free_module_over_zmod():
     h = free_module(IntegersMod(4), 2)
     assert h.free_rank == 0 and h.torsion == (4, 4)
     assert free_module(QQ, 2).free_rank == 2
+
+
+def test_homology_module_over_zmod_has_no_free_rank():
+    """Over Z/m a module is its torsion chain, so the free form of Z/4 is
+    refused rather than kept as a second, unequal record of free_module."""
+    with pytest.raises(ValueError):
+        HomologyModule(IntegersMod(4), 1)
+    assert HomologyModule(IntegersMod(4), 0, (4,)) == free_module(IntegersMod(4), 1)
+    assert HomologyModule(PrimeField(5), 1).free_rank == 1
+
+
+def test_homology_module_is_a_frozen_value():
+    h = HomologyModule(ZZ, 1, (4, 2, 3))
+    same = HomologyModule(ZZ, 1, (12, 2))
+    assert h == same and hash(h) == hash(same) and len({h, same}) == 1
+    assert h != HomologyModule(ZZ, 1, (24,)) and h != HomologyModule(QQ, 1)
+    assert repr(h) == "HomologyModule(ring=Z, free_rank=1, torsion=(2, 12))"
+    assert pickle.loads(pickle.dumps(h)) == h
+    for name, value in (("free_rank", 2), ("torsion", ()), ("ring", QQ)):
+        with pytest.raises(AttributeError):
+            setattr(h, name, value)
+        with pytest.raises(AttributeError):
+            delattr(h, name)
+    assert h == same
 
 
 @pytest.mark.parametrize("m", range(0, 9))
