@@ -7,15 +7,17 @@ t^(m+1) = id.  Carriers are tensor powers of a basis of size d, and the
 operators are assembled by index arithmetic on the base-d digits of the
 basis index; no basis tuple is decoded, and no operator stores a zero
 entry.  A degeneracy, which inserts the unit, also acts directly on the
-rows of a matrix (`CyclicModule.degenerate`); the law checks and Connes' B
-apply it that way, so the checks through level N build no operator from a
-level above N.  Two main instances live here:
+rows of a matrix (`CyclicModule.degenerate`); the law checks apply it that
+way, so the checks through level N build no operator from a level above N.
+Two main instances live here:
 
 * the Connes-Moscovici module of a Hopf algebra with an admissible
   (grouplike, character, character) triple, whose level-m carrier is the
   m-th tensor power of the algebra; its cyclic operator folds all legs of
   a column but the last, and closes the column with a per-module table of
-  the last leg with beta and S_pi applied, and
+  the last leg with beta and S_pi applied.  Its B-bar_m runs the same fold
+  over all m legs, closed by S_pi alone (the last leg of s_m is the unit)
+  and emitting legs of H / k.1, so it builds no operator of level m + 1, and
 * the classical cyclic module of an algebra, with carrier the (m+1)-st
   tensor power; its normalized chains are always taken relative to a
   separable E (`_RelativeChains`): the span of the vertex idempotents when
@@ -498,7 +500,11 @@ class ConnesMoscoviciModule(TensorCyclicModule):
     contributes column h_m of S_pi . L_Y . M, where L_Y is the left
     multiplication by b_Y and M = (alpha (x) id (x) beta) Delta^2 is
     `twisted_middle`, the matrix the admissibility check reads too.  These
-    columns form one table per module (`_closing`).
+    columns form one table per module (`_closing`).  B-bar_m applies
+    t_(m+1) s_m, the same fold (`_fold`) over the m legs with the unit as
+    last leg, to N_m of the normalized columns: M sends 1 to 1, so the one
+    closing is column Y of S_pi, and with the third legs and S_pi taken to
+    H / k.1 the fold writes its rows in normalized coordinates.
     """
 
     fixed_legs = 0
@@ -541,20 +547,18 @@ class ConnesMoscoviciModule(TensorCyclicModule):
 
     @cached_property
     def _closing(self) -> list[list[dict]]:
-        """closing[Y][h]: column h of S_pi . L_Y . M, with L_Y the left
+        """closing[h][Y]: column h of S_pi . L_Y . M, with L_Y the left
         multiplication by b_Y and M = (alpha (x) id (x) beta) Delta^2 of
         `twisted_middle`: the last leg h of a column of the cyclic operator,
         closed against the second-leg product b_Y of the legs before it, as a
         sparse vector.  One d x d table per module."""
         algebra, d = self.hopf.algebra, self.hopf.dim
         middle = twisted_middle(self.hopf, self.alpha, self.beta)
-        closing = []
+        closing: list[list[dict]] = [[{} for _ in range(d)] for _ in range(d)]
         for Y in range(d):
             table = self.s_pi @ algebra.left_multiplication_matrix({Y: self.ring.one}) @ middle
-            cols: list[dict] = [{} for _ in range(d)]
             for (w, h), v in table.entries.items():
-                cols[h][w] = v
-            closing.append(cols)
+                closing[h][Y][w] = v
         return closing
 
     # -- the normalized chains: every leg is projected to H / k.1 -----------
@@ -571,7 +575,7 @@ class ConnesMoscoviciModule(TensorCyclicModule):
         return self._face_on(self._legs, m, i)
 
     def _alternating_faces(self, m, count):
-        return self._face_sum(self._legs, self.face, m, count)
+        return self._face_sum(self._legs, m, count)
 
     def normalized_dim(self, m):
         return (self.hopf.dim - 1) ** m
@@ -579,21 +583,17 @@ class ConnesMoscoviciModule(TensorCyclicModule):
     def normalized_b(self, m):
         """b-bar_m, the projection of b_m on the normalized columns: the
         alternating face sum built on the legs of H / k.1."""
-        legs = self._normal.legs
-        return self._memo(
-            ("b-bar", m), lambda: self._face_sum(legs, partial(self._face_on, legs), m, m + 1)
-        )
+        return self._memo(("b-bar", m), lambda: self._face_sum(self._normal.legs, m, m + 1))
 
-    def _face_sum(self, legs, face, m, count):
+    def _face_sum(self, legs, m, count):
         """sum((-1)^i d_i, i < count) for count = m or m + 1 on the leg basis
-        `legs`, whose outer faces are face(m, 0) and face(m, m): the module's
-        own d_0 and d_m around the inner faces' sum, which every module of
-        the algebra shares (`_inner_face_sum`)."""
-        faces = [(face(m, 0), False)]
+        `legs`: the module's own d_0 and d_m around the inner faces' sum,
+        which every module of the algebra shares (`_inner_face_sum`)."""
+        faces = [(self._face_on(legs, m, 0), False)]
         if m > 1:
             faces.append((_inner_face_sum(self.hopf.algebra, legs, m), False))
         if count > m:
-            faces.append((face(m, m), m % 2 == 1))
+            faces.append((self._face_on(legs, m, m), m % 2 == 1))
         d = len(legs[0])
         return _signed_sum(self.ring, faces, d ** (m - 1), d**m)
 
@@ -604,7 +604,9 @@ class ConnesMoscoviciModule(TensorCyclicModule):
         s = (-1)^(m+1) t_(m+1) s_m.  On normalized chains lambda s N drops
         out, since t^2 s_m = s_0 t is degenerate; s_m is used here without
         the sign, so that b-bar B-bar = -B-bar b-bar and b-bar + B-bar
-        squares to zero.  N_m is applied to the normalized columns only.
+        squares to zero.  N_m is applied to the normalized columns only, and
+        t_(m+1) s_m is the fold of their m legs closed by S_pi, with its
+        emitted legs in H / k.1 (`_normal_tables`).
         """
 
         def build():
@@ -620,33 +622,20 @@ class ConnesMoscoviciModule(TensorCyclicModule):
             for _ in range(m):
                 term = lam @ term
                 total = total + term
-            image = self.cyclic(m + 1) @ self.degenerate(m, m, total)
-            return self._normalize_rows(image, m + 1)
+            cop3, s_pi = self._normal_tables
+            return self._fold(m, cop3, [s_pi], d - 1) @ total
 
         return self._memo(("B-bar", m), build)
 
-    def _normalize_rows(self, M: SparseMatrix, m: int) -> SparseMatrix:
-        """M with its rows, basis tensors of C_m, projected to the normalized
-        carrier leg by leg."""
-        R = self.ring
-        mul, add = R.mul, R.add
-        d = self.hopf.dim
-        image = self._normal.image
-        rows: dict = {}
-        ent: dict = {}
-        for (row, col), v in M.entries.items():
-            terms = rows.get(row)
-            if terms is None:
-                terms = [(0, R.one)]
-                for x in index_to_tuple(row, d, m):
-                    terms = [(i * (d - 1) + r, mul(c, p))
-                             for i, c in terms for r, p in image[x].items()]
-                rows[row] = terms
-            for r, p in terms:
-                key = (r, col)
-                s = ent.get(key)
-                ent[key] = mul(v, p) if s is None else add(s, mul(v, p))
-        return SparseMatrix(R, self.normalized_dim(m), M.ncols, ent)
+    @cached_property
+    def _normal_tables(self) -> tuple[list[dict], list[dict]]:
+        """`_cop3_alpha` with its third legs, and the columns of S_pi, taken
+        to H / k.1: the tables of the fold of t_(m+1) s_m."""
+        R, d, image = self.ring, self.hopf.dim, self._normal.image
+        third = {(y, z): {(y, r): p for r, p in image[z].items()}
+                 for y in range(d) for z in range(d)}
+        return ([_project(R, third, table) for table in self._cop3_alpha],
+                [_project(R, image, self.s_pi.column(Y)) for Y in range(d)])
 
     def _face_on(self, legs, m, i):
         """Face d_i at level m on the leg basis `legs` = (digits, mult): the
@@ -674,42 +663,48 @@ class ConnesMoscoviciModule(TensorCyclicModule):
         return SparseMatrix._unchecked(R, D, d**m, ent)
 
     def _cyclic(self, m):
-        """Columns in index order.  Legs 1..m-1 are folded into states keyed
-        by (product of the second legs, index of the emitted third legs); the
-        fold of each prefix is kept, so a column re-folds only from the first
-        leg that differs from the previous column's, and the d columns that
-        share legs 1..m-1 share their whole fold.  Each column then closes
-        with the table `_closing` of its last leg, one lookup per state
-        entry.  Level 1 folds from the unit, a sum of basis elements."""
-        R = self.ring
+        """The fold of legs 1..m-1 of each column, closed once per last leg
+        h with the table `_closing[h]`."""
         if m == 0:
-            return SparseMatrix.identity(R, 1)
+            return SparseMatrix.identity(self.ring, 1)
+        return self._fold(m - 1, self._cop3_alpha, self._closing, self.hopf.dim)
+
+    def _fold(self, n, cop3, closings, r):
+        """The operator on n + 1 legs whose first n legs, basis elements of H,
+        are folded into states keyed by (product of the second legs, index of
+        the emitted third legs), and whose last leg is the j-th of the
+        closings: column (index of the n legs) * len(closings) + j.
+        `cop3[b]` is `_cop3_alpha` with its third legs written in a leg basis
+        of radix r, and closings[j][Y] is the first leg emitted for the
+        second-leg product b_Y, in the same basis; the rows are its r^(n+1)
+        tensors.  The fold of each prefix is kept, so a column re-folds only
+        from the first leg that differs from the previous column's, and the
+        columns that share the n legs share their whole fold.  The fold of
+        no legs is the unit, a sum of basis elements."""
+        R = self.ring
         mul, add, is_zero = R.mul, R.add, R.is_zero
-        d = self.hopf.dim
-        D = d ** (m - 1)
+        D = r**n
         mult = self.hopf.algebra.mult
-        cop3a = self._cop3_alpha
-        closing = self._closing
         # states[p]: the fold over legs 1..p; states[0] is the unit
-        states: list = [None] * m
+        states: list = [None] * (n + 1)
         states[0] = {(u, 0): c for u, c in self.hopf.algebra.unit.items()}
         prev = None
         ent = {}
         col = 0
-        for t in product(range(d), repeat=m - 1):
+        for t in product(range(self.hopf.dim), repeat=n):
             # re-fold from the first leg that differs from the previous prefix's
-            p = 0 if prev is None else next(q for q in range(m - 1) if t[q] != prev[q])
+            p = 0 if prev is None else next(q for q in range(n) if t[q] != prev[q])
             prev = t
-            if p == 0 and m > 1:
+            if p == 0 and n > 0:
                 # folding the first leg into the unit leaves its table as it is
-                states[1] = cop3a[t[0]]
+                states[1] = cop3[t[0]]
                 p = 1
-            for p in range(p, m - 1):
+            for p in range(p, n):
                 nxt: dict = {}
-                table = cop3a[t[p]].items()
+                table = cop3[t[p]].items()
                 for (yacc, zidx), c in states[p].items():
                     row = mult[yacc]
-                    zidx *= d
+                    zidx *= r
                     for (y2, z2), c2 in table:
                         cc = mul(c, c2)
                         for k, pv in row[y2].items():
@@ -717,11 +712,11 @@ class ConnesMoscoviciModule(TensorCyclicModule):
                             s = nxt.get(key)
                             nxt[key] = mul(cc, pv) if s is None else add(s, mul(cc, pv))
                 states[p + 1] = {key: c for key, c in nxt.items() if not is_zero(c)}
-            state = states[m - 1].items()
-            for last in range(d):
+            state = states[n].items()
+            for closing in closings:
                 out: dict = {}
                 for (yacc, zidx), c in state:
-                    for w, sv in closing[yacc][last].items():
+                    for w, sv in closing[yacc].items():
                         key = w * D + zidx
                         s = out.get(key)
                         out[key] = mul(c, sv) if s is None else add(s, mul(c, sv))
@@ -729,7 +724,7 @@ class ConnesMoscoviciModule(TensorCyclicModule):
                     if not is_zero(c):
                         ent[(row, col)] = c
                 col += 1
-        return SparseMatrix._unchecked(R, d**m, d**m, ent)
+        return SparseMatrix._unchecked(R, r * D, col, ent)
 
 
 # ---------------------------------------------------------------------------

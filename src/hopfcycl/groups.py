@@ -263,9 +263,6 @@ class GammaCyclicModule(CyclicModule):
         """All (m+1)-tuples with ordered product in the class of pi, sorted."""
         return self._level(m)[0]
 
-    def _index_for(self, m: int) -> dict:
-        return {t: j for j, t in enumerate(self.basis(m))}
-
     def normalized_basis(self, m: int) -> list[tuple]:
         """The nondegenerate tuples of `basis(m)`, sorted."""
         return self._normalized_level(m)[0]
@@ -310,13 +307,13 @@ def theta_map(G: FiniteGroup, pi: int, n: int, ring: Ring) -> SparseMatrix:
     """
     H = centralizer(G, pi)
     gamma = GammaCyclicModule(G, pi, ring)
-    index = gamma._index_for(n)
+    index = gamma._level(n)[1]
     d = H.order
     ent = {}
     for col in range(d**n):
         gs = tuple(H.parent_elements[x] for x in index_to_tuple(col, d, n))
         g0 = G.op(pi, G.inverse[G.product(gs)])
-        ent[(index[(g0,) + gs], col)] = ring.one
+        ent[(index[tuple_to_index((g0,) + gs, G.order)], col)] = ring.one
     return SparseMatrix(ring, gamma.level_dim(n), d**n, ent)
 
 

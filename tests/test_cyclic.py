@@ -1068,18 +1068,43 @@ def b_bar_is_induced(module, m):
 @pytest.mark.parametrize("build", [
     lambda: cm_group_module(FiniteGroup.symmetric(3), 0, ZZ),
     lambda: taft_cm_module(taft_hopf(3, PrimeField(7)), *taft_cm_triples(3, PrimeField(7))[1]),
+    lambda: cm_group_module(FiniteGroup.cyclic(4), 1, ZZ),
     lambda: ClassicalCyclicModule(truncated_algebra(Quiver.crown(2), 3, ZZ).algebra),
-], ids=["Z[S3]", "Taft-3 over F7", "classical crown(2) n=3"])
+], ids=["Z[S3]", "Taft-3 over F7", "Z[Z/4] pi=g", "classical crown(2) n=3"])
 def test_direct_normalized_boundary_is_the_projected_one(build):
     """b-bar is induced by b: on the k.1 chains it is P b J, and on the
     chains relative to the vertex idempotents q b = b-bar q on every basis
-    tensor."""
+    tensor.  On the k.1 chains the directly folded B-bar is also
+    P t_(m+1) s_m N_m J, built from the full operators."""
     module = build()
     for m in range(1, 4):
         if isinstance(module, ClassicalCyclicModule):
             assert b_bar_is_induced(module, m), m
         else:
             assert module.normalized_b(m) == projected_boundary(module, m), m
+    if not isinstance(module, ClassicalCyclicModule):
+        for m in range(4):
+            assert module.normalized_B(m) == projected_connes(module, m), m
+
+
+@pytest.mark.parametrize("build", [
+    lambda: taft_cm_module(taft_hopf(2, PrimeField(3)), 1, 0, 0),
+    lambda: cm_group_module(FiniteGroup.cyclic(4), 1, ZZ),
+], ids=["Taft-2 (1,0,0) over F3", "Z[Z/4] pi=g"])
+def test_bicomplex_builds_the_cyclic_operator_below_its_top_degree(monkeypatch, build):
+    """HC_0..4 reads B-bar_m for m <= 3 only, and B-bar_m folds its
+    t_(m+1) s_m directly: t is built through level 3, not 4."""
+    levels = []
+    real = ConnesMoscoviciModule._cyclic
+
+    def recording(self, m):
+        levels.append(m)
+        return real(self, m)
+
+    monkeypatch.setattr(ConnesMoscoviciModule, "_cyclic", recording)
+    module = build()
+    assert len(cyclic_bicomplex_hc_upto(module, 4)) == 5
+    assert max(levels) == 3
 
 
 @pytest.mark.parametrize("ring", [QQ, ZZ], ids=lambda r: r.name)
