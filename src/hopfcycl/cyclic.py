@@ -121,20 +121,23 @@ def _insert_unit(ring, d, unit, p, s, M):
 
 def _signed_sum(ring, terms, nrows, ncols) -> SparseMatrix:
     """sum(+-M) over the (M, negate) pairs in terms, accumulated in one
-    entries dict; the constructor drops the sums that cancelled to zero."""
-    add, sub, neg = ring.add, ring.sub, ring.neg
+    entries dict.  A key written once holds a nonzero entry of some M or
+    its negative, so only a sum is tested for zero, and a sum that
+    cancelled is dropped at once (a later term starts the key afresh)."""
+    add, sub, neg, is_zero = ring.add, ring.sub, ring.neg, ring.is_zero
     ent: dict = {}
     get = ent.get
     for M, negate in terms:
-        if negate:
-            for k, v in M.entries.items():
-                s = get(k)
-                ent[k] = neg(v) if s is None else sub(s, v)
-        else:
-            for k, v in M.entries.items():
-                s = get(k)
-                ent[k] = v if s is None else add(s, v)
-    return SparseMatrix(ring, nrows, ncols, ent)
+        op = sub if negate else add
+        for k, v in M.entries.items():
+            s = get(k)
+            if s is None:
+                ent[k] = neg(v) if negate else v
+            elif is_zero(s := op(s, v)):
+                del ent[k]
+            else:
+                ent[k] = s
+    return SparseMatrix._unchecked(ring, nrows, ncols, ent)
 
 
 # per algebra: {(leg digits, m): inner face sum}, dropped with the algebra
@@ -434,12 +437,17 @@ class CyclicModule:
         n = self.level_dim(m)
         t = self.cyclic(m).entries
         ent = dict(t) if m % 2 else {k: R.neg(v) for k, v in t.items()}
-        one, add = R.one, R.add
+        one, add, is_zero = R.one, R.add, R.is_zero
         for i in range(n):
             s = ent.get((i, i))
-            ent[(i, i)] = one if s is None else add(s, one)
-        # the constructor drops the diagonal sums that cancelled
-        return SparseMatrix(R, n, n, ent)
+            if s is None:
+                ent[(i, i)] = one
+            elif is_zero(s := add(s, one)):
+                # only a diagonal sum can cancel
+                del ent[(i, i)]
+            else:
+                ent[(i, i)] = s
+        return SparseMatrix._unchecked(R, n, n, ent)
 
     def norm(self, m: int) -> SparseMatrix:
         """N = sum(lambda^i, i = 0..m) with lambda the signed cyclic operator."""

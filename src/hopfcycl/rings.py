@@ -11,7 +11,9 @@ All arithmetic is exact: integers are arbitrary precision, fractions are kept
 reduced with denominator > 1, residues canonical in [0, m), and cyclotomic
 payloads reduced modulo the n-th cyclotomic polynomial, with numerators and
 denominator coprime.  Every payload is canonical, so == on payloads is
-equality of ring elements.
+equality of ring elements.  The numerators of a cyclotomic sum, difference,
+negative and product come from loop-free functions generated once per n;
+the operations stay methods of the ring class.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add as _add, neg as _neg, sub as _sub
 
 from .errors import NotAUnit, ParseError, UnsupportedRing
 
@@ -339,18 +340,26 @@ def _reduced_powers(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _straight_line_product(n: int):
-    """The product of two int numerator vectors of Q(zeta_n), reduced
-    modulo Phi_n, as one function without loops: with d = phi(n), the
-    coefficient of x^j is the convolution term p_j = sum(a_i b_(j-i)) plus
-    the high terms p_k, k = d .. 2d - 2, weighted by the integer table
-    x^k mod Phi_n.  Generated once per n; for n = 3 it reads
+def _straight_line_kernels(n: int):
+    """The numerator kernels of Q(zeta_n) on int vectors, as functions
+    without loops, generated together by one exec once per n: the product,
+    sum and difference of two vectors and the negative of one.  With
+    d = phi(n), the coefficient of x^j in the product is the convolution
+    term p_j = sum(a_i b_(j-i)) plus the high terms p_k, k = d .. 2d - 2,
+    weighted by the integer table x^k mod Phi_n.  For n = 3 they read
 
         def product(an, bn):
             a0, a1, = an
             b0, b1, = bn
             p2 = a1 * b1
             return (a0 * b0 - p2, a0 * b1 + a1 * b0 - p2,)
+
+        def total(an, bn):
+            a0, a1, = an
+            b0, b1, = bn
+            return (a0 + b0, a1 + b1,)
+
+    and `difference` and `negative` alike.
     """
     powers = _reduced_powers(n)
     d = len(powers[0])
@@ -362,19 +371,23 @@ def _straight_line_product(n: int):
         scale = "" if abs(c) == 1 else f"{abs(c)} * "
         return f" {'+' if c > 0 else '-'} {scale}{name}"
 
+    def kernel(name, operands, coefficients, temporaries=()):
+        lines = [f"def {name}({', '.join(f'{v}n' for v in operands)}):"]
+        lines += ["    " + "".join(f"{v}{i}, " for i in range(d)) + f"= {v}n" for v in operands]
+        lines += [f"    {line}" for line in temporaries]
+        return lines + [f"    return ({', '.join(coefficients)},)"]
+
     high = range(d, 2 * d - 1)
-    lines = ["def product(an, bn):",
-             "    " + "".join(f"a{i}, " for i in range(d)) + "= an",
-             "    " + "".join(f"b{i}, " for i in range(d)) + "= bn"]
-    lines += [f"    p{k} = {convolution(k)}" for k in high]
-    coefficients = [
+    lines = kernel("product", "ab", [
         convolution(j) + "".join(weighted(powers[k][j], f"p{k}") for k in high if powers[k][j])
         for j in range(d)
-    ]
-    lines.append(f"    return ({', '.join(coefficients)},)")
+    ], [f"p{k} = {convolution(k)}" for k in high])
+    lines += kernel("total", "ab", [f"a{i} + b{i}" for i in range(d)])
+    lines += kernel("difference", "ab", [f"a{i} - b{i}" for i in range(d)])
+    lines += kernel("negative", "a", [f"-a{i}" for i in range(d)])
     namespace: dict = {}
-    exec(compile("\n".join(lines), f"<product in Q(zeta{n})>", "exec"), namespace)
-    return namespace["product"]
+    exec(compile("\n".join(lines), f"<kernels of Q(zeta{n})>", "exec"), namespace)
+    return namespace["product"], namespace["total"], namespace["difference"], namespace["negative"]
 
 
 class CyclotomicField(Ring):
@@ -388,15 +401,19 @@ class CyclotomicField(Ring):
     every Taft structure constant lives, have denominator 1; the arithmetic
     reaches for gcd only when a denominator is not 1.
 
-    The numerators of a product come from one straight-line function per n
-    (`_straight_line_product`): the convolution of the two vectors with the
-    terms of degree phi(n) .. 2 phi(n) - 2 folded back by the integer table
-    x^k mod Phi_n, exact because Phi_n is monic.  It is generated once per n
-    and shared by every field object of that n; `mul` itself stays a method
-    of the class, which handles the denominators.  A product with the unit
-    returns the other operand as it is, which is exact because payloads are
-    canonical (in the Taft operators most products have a factor 1).
-    Inverses divide the product of the other Galois conjugates by the norm.
+    The numerators of a product, sum, difference and negative come from
+    straight-line functions generated once per n (`_straight_line_kernels`)
+    and shared by every field object of that n; the product is the
+    convolution of the two vectors with the terms of degree phi(n) ..
+    2 phi(n) - 2 folded back by the integer table x^k mod Phi_n, exact
+    because Phi_n is monic.  `add`, `sub`, `neg` and `mul` themselves stay
+    methods of the class, which handle the denominators.  A product of two
+    denominator-1 payloads, the common case, is tested for a unit factor
+    first and returns the other operand as it is, which is exact because
+    payloads are canonical (in the Taft operators most products have a
+    factor 1).  The zero test compares the numerators with the zero tuple.
+    The units +-1 are their own inverses; any other inverse divides the
+    product of the other Galois conjugates by the norm.
     No operation but `format` builds a Fraction.  zeta is the class of x, a
     primitive n-th root of unity.  For n = 1, 2 the field degenerates to Q
     with zeta = 1 resp. -1.
@@ -412,7 +429,7 @@ class CyclotomicField(Ring):
         self.modulus = cyclotomic_polynomial(n)
         self.degree = d = len(self.modulus) - 1
         self.name = f"Q(zeta{n})"
-        self._product = _straight_line_product(n)
+        self._product, self._total, self._difference, self._negative = _straight_line_kernels(n)
         # the Galois automorphisms x -> x^k other than the identity, as the
         # images of 1, x, ..., x^(d - 1)
         powers = _reduced_powers(n)
@@ -421,6 +438,9 @@ class CyclotomicField(Ring):
         ]
         self._zero = self.from_int(0)
         self._one = self.from_int(1)
+        self._minus_one = self.from_int(-1)
+        self._zero_nums = self._zero[0]
+        self._one_nums = self._one[0]
 
     def _key(self):
         return (self.n,)
@@ -445,7 +465,7 @@ class CyclotomicField(Ring):
         an, ad = a
         bn, bd = b
         if ad == bd:
-            nums = tuple(map(_add, an, bn))
+            nums = self._total(an, bn)
             return (nums, 1) if ad == 1 else self._canonical(nums, ad)
         return self._canonical([x * bd + y * ad for x, y in zip(an, bn)], ad * bd)
 
@@ -453,30 +473,34 @@ class CyclotomicField(Ring):
         an, ad = a
         bn, bd = b
         if ad == bd:
-            nums = tuple(map(_sub, an, bn))
+            nums = self._difference(an, bn)
             return (nums, 1) if ad == 1 else self._canonical(nums, ad)
         return self._canonical([x * bd - y * ad for x, y in zip(an, bn)], ad * bd)
 
     def neg(self, a):
-        return tuple(map(_neg, a[0])), a[1]
+        return self._negative(a[0]), a[1]
 
     def mul(self, a, b):
+        an, ad = a
+        bn, bd = b
+        if ad == 1 and bd == 1:
+            one = self._one_nums
+            if an == one:
+                return b
+            if bn == one:
+                return a
+            return self._product(an, bn), 1
         if a == self._one:
             return b
         if b == self._one:
             return a
-        an, ad = a
-        bn, bd = b
-        out = self._product(an, bn)
-        if ad == 1 and bd == 1:
-            return out, 1
-        return self._canonical(out, ad * bd)
+        return self._canonical(self._product(an, bn), ad * bd)
 
     def from_int(self, c):
         return (c,) + (0,) * (self.degree - 1), 1
 
     def is_zero(self, a):
-        return not any(a[0])
+        return a[0] == self._zero_nums
 
     def is_unit(self, a):
         return not self.is_zero(a)
@@ -495,8 +519,12 @@ class CyclotomicField(Ring):
         """1 / a as the product of the other Galois conjugates of a over its norm.
 
         For integer numerators the norm a * prod(sigma(a)) is a nonzero
-        integer, so no step leaves Z[zeta_n] until the final division.
+        integer, so no step leaves Z[zeta_n] until the final division.  The
+        units +-1, most pivots of the Taft operators, are their own inverses
+        and are returned as they are.
         """
+        if a == self._one or a == self._minus_one:
+            return a
         if self.is_zero(a):
             raise NotAUnit("0 is not a unit")
         nums, den = a
@@ -576,7 +604,7 @@ def primitive_root_of_unity(ring: Ring, m: int):
             z = pow(x, (ring.m - 1) // m, ring.m)
             if all(pow(z, d, ring.m) != 1 for d in range(1, m) if m % d == 0):
                 return z
-    raise MissingRootOfUnity(f"{ring} has no primitive {m}-th root of unity")
+    raise MissingRootOfUnity(f"{ring} has no primitive root of unity of order {m}")
 
 
 # ---------------------------------------------------------------------------

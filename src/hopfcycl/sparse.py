@@ -16,9 +16,11 @@ min-heap of columns keyed by (live row count, column), so the next pivot
 column is always the sparsest one (Markowitz order) without rescanning the
 matrix.  Only unit entries qualify as pivots: every nonzero entry over a
 field, +-1 over Z.  A column with one live row is a pivot as it stands,
-with no inverse and no row operation; otherwise the pivot column's entries
-in the other live rows are dropped, not computed, since they cancel
-exactly.  The Smith normal form over Z runs in two phases: the
+with no inverse and no row operation; the kernel takes these first from a
+heap of bare column indices, and builds the (count, column) queue only
+for what is left.  Otherwise the pivot column's entries in the other live
+rows are dropped, not computed, since they cancel exactly.  The Smith
+normal form over Z runs in two phases: the
 kernel eliminates the +-1 pivots sparsely, each contributing an invariant
 factor 1, and a dense Smith normal form reduces the small residual that is
 left.  Over Z/m the matrix is lifted to Z; the residual is reduced mod m
@@ -223,13 +225,37 @@ def _eliminate(M: SparseMatrix):
     from the live rows only: its entries there become zero exactly, so they
     are dropped without arithmetic, and a column with one live row clears
     nothing and needs no inverse.  The ring operations are looked up once.
+
+    Columns with one live row come first in that order, and taking one
+    changes no entry, so a first phase takes them from a heap of column
+    indices alone, pushing a column when its count falls to 1.  When none is
+    left, or over Z at the first non-unit one, the live columns go to the
+    (count, column) queue, which goes on in the same order.
     """
     R = M.ring
     mul, sub, neg, is_zero = R.mul, R.sub, R.neg, R.is_zero
     is_unit = None if R.is_field else R.is_unit
     rows, col_rows = _rows_and_colindex(M)  # column index over live rows only
     pivots = []
-    queue = [(len(rs), j) for j, rs in col_rows.items()]
+    # singleton phase: retiring a row only lowers counts, so a column joins
+    # the singletons once, when its count falls to 1, and leaves at 0
+    singles = [j for j, rs in col_rows.items() if len(rs) == 1]
+    heapify(singles)
+    while singles:
+        c = heappop(singles)
+        rs = col_rows[c]
+        if not rs:
+            continue
+        (r,) = rs
+        if is_unit is not None and not is_unit(rows[r][c]):
+            break  # the queue skips this column, as it skips any non-unit singleton
+        pivots.append((r, c))
+        for j in rows[r]:
+            rs = col_rows[j]
+            rs.discard(r)
+            if len(rs) == 1:
+                heappush(singles, j)
+    queue = [(len(rs), j) for j, rs in col_rows.items() if rs]
     heapify(queue)
     while queue:
         live, c = heappop(queue)

@@ -475,6 +475,12 @@ def test_malformed_inputs_are_refused_before_any_algebra(monkeypatch, argv):
     assert out.startswith("error: ParseError: ")
 
 
+def test_a_missing_root_of_unity_is_named_by_its_order():
+    code, out = run_cli(["hh", "--taft", "3", "--ring", "Q"])
+    assert code == 2
+    assert out == "error: MissingRootOfUnity: Q has no primitive root of unity of order 3\n"
+
+
 def test_parser_is_built_once_per_process(monkeypatch):
     import hopfcycl.cli as cli
 

@@ -228,6 +228,35 @@ def test_norm_and_lambda_relations():
         assert (w @ N).is_zero and (N @ w).is_zero
 
 
+@pytest.mark.parametrize("ring", [PrimeField(2), IntegersMod(4), CyclotomicField(3)],
+                         ids=lambda r: r.name)
+@pytest.mark.parametrize("pi", [0, 1])
+def test_assembled_operators_store_no_cancelled_sum(ring, pi):
+    """b, b' and 1 - lambda add up faces and the diagonal entry by entry,
+    and drop only the sums that cancel (1 + 1 over F2, 1 + 3 over Z/4):
+    each matrix holds no zero payload, passes the checked constructor
+    unchanged, and equals the same sum taken with matrix + and -."""
+    module = cm_group_module(FiniteGroup.cyclic(4), pi, ring)
+
+    def alternating(faces):
+        out = faces[0]
+        for i, face in enumerate(faces[1:], 1):
+            out = out - face if i % 2 else out + face
+        return out
+
+    for m in range(1, 5):
+        faces = [module.face(m, i) for i in range(m + 1)]
+        identity = SparseMatrix.identity(ring, module.level_dim(m))
+        expected = {"b": alternating(faces), "b'": alternating(faces[:m]),
+                    "1 - lambda": identity - module.signed_cyclic(m)}
+        built = {"b": module.boundary_b(m), "b'": module.boundary_bprime(m),
+                 "1 - lambda": module.one_minus_lambda(m)}
+        for name, M in built.items():
+            assert not any(ring.is_zero(v) for v in M.entries.values()), (name, m)
+            assert M == SparseMatrix(ring, M.nrows, M.ncols, M.entries), (name, m)
+            assert M == expected[name], (name, m)
+
+
 def test_sbi_rank_assignment():
     rep = sbi_rank_assignment([1, 0, 0, 0], [1, 0, 1, 0])
     assert rep.consistent

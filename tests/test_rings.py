@@ -452,16 +452,30 @@ def test_cyclotomic_constants_agree_with_fraction_tuples(n):
 
 @pytest.mark.parametrize("n", CYCLOTOMIC_ORDERS)
 def test_the_product_is_generated_once_and_multiplied_through_the_class(n):
-    """`mul` is a method of the class, so a wrapper put on the class (the
-    benchmark's operation counter) sees every product, and the straight-line
-    product behind it is generated once per n, whatever the number of field
-    objects."""
-    misses = rings._straight_line_product.cache_info().misses
+    """`mul`, `add`, `sub` and `neg` are methods of the class, so a wrapper
+    put on the class (the benchmark's operation counter) sees every call,
+    and the straight-line numerator kernels behind them are generated once
+    per n, whatever the number of field objects."""
+    misses = rings._straight_line_kernels.cache_info().misses
     K, again = CyclotomicField(n), CyclotomicField(n)
-    assert rings._straight_line_product.cache_info().misses - misses <= 1
-    assert K._product is again._product
-    assert "mul" in vars(CyclotomicField)
-    assert "mul" not in vars(K) and "mul" not in vars(again)
+    assert rings._straight_line_kernels.cache_info().misses - misses <= 1
+    for kernel in ("_product", "_total", "_difference", "_negative"):
+        assert getattr(K, kernel) is getattr(again, kernel), kernel
+    for op in ("mul", "add", "sub", "neg"):
+        assert op in vars(CyclotomicField), op
+        assert op not in vars(K) and op not in vars(again), op
+
+
+@pytest.mark.parametrize("n", CYCLOTOMIC_ORDERS)
+def test_the_units_plus_and_minus_one_are_their_own_inverses(n, monkeypatch):
+    """inv(1) and inv(-1) return their argument with no product computed."""
+    K = CyclotomicField(n)
+    products = []
+    mul = CyclotomicField.mul
+    monkeypatch.setattr(CyclotomicField, "mul", lambda K, a, b: products.append(a) or mul(K, a, b))
+    for unit in (K.one, K.neg(K.one)):
+        assert K.inv(unit) is unit
+    assert products == []
 
 
 def converted(M):

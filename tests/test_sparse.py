@@ -333,6 +333,50 @@ def test_singleton_columns_are_pivots_without_an_inverse(monkeypatch):
     assert inverses == []
 
 
+# rows of small integer entries, each case named by how its columns start
+SINGLETON_CASES = {
+    # retiring row 1 (pivot of singleton column 1) leaves column 0 with one
+    # live row while the singletons 2 and 3 are pending: column 0 goes first
+    "lower-column-joins": ([[2, 0, 0, 0], [1, 3, 0, 0], [0, 0, -1, 1], [0, 0, 0, 0],
+                            [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 5]],
+                           [(1, 1), (0, 0), (2, 2), (6, 3)]),
+    # every column a singleton; retiring row 0 empties columns 1 and 2
+    "all-singletons": ([[1, 2, -3, 0, 0], [0, 0, 0, 4, 0], [0, 0, 0, 0, -2]],
+                       [(0, 0), (1, 3), (2, 4)]),
+    # no singleton at the start; the first pivots make some
+    "no-singletons": ([[1, 1, 0, 2], [1, 0, 1, 1], [0, 1, 1, 3], [2, 1, 1, 0]], None),
+}
+
+
+@pytest.mark.parametrize("ring", [F7, QZETA3], ids=lambda r: r.name)
+@pytest.mark.parametrize("case", sorted(SINGLETON_CASES))
+def test_singleton_phase_matches_column_scan(ring, case):
+    rows, pivots = SINGLETON_CASES[case]
+    entries = {(i, j): ring.from_int(v) for i, row in enumerate(rows) for j, v in enumerate(row)}
+    if ring == QZETA3:
+        # a root of unity on every entry keeps the units and the pivot order
+        entries = {(i, j): ring.mul(v, ring.zeta_pow(i + j)) for (i, j), v in entries.items()}
+    M = SparseMatrix(ring, len(rows), len(rows[0]), entries)
+    if case == "no-singletons":
+        assert all(len(rs) > 1 for rs in _rows_and_colindex(M)[1].values())
+    out = _eliminate(M)
+    assert out == eliminate_by_column_scan(M)
+    if pivots is not None:
+        assert out[1] == pivots
+
+
+def test_non_unit_singletons_reach_the_dense_stage_over_z():
+    """Column 0 is the singleton 1, a pivot as it stands; columns 1, 2 and 5
+    are the singletons 2, -3 and 2, which the kernel leaves to the queue,
+    which skips them, and the dense stage reduces what is left."""
+    rows = [[0, 2, 0, 1, 0, 0], [0, 0, -3, 1, 1, 0], [0, 0, 0, 0, -1, 2], [1, 0, 0, 3, 1, 0]]
+    M = SparseMatrix.from_rows(ZZ, rows)
+    assert smith_normal_form(M) == _snf_invariants(rows)
+    pivots = _eliminate(M)[1]
+    assert pivots[0] == (3, 0)
+    assert {c for _, c in pivots} <= {0, 3, 4}
+
+
 def random_integer_matrix(rng, m, n, values, per_column):
     """Each column gets up to per_column entries, drawn from values."""
     return SparseMatrix(ZZ, m, n, {
