@@ -59,6 +59,7 @@ from .quivers import (
     truncated_algebra,
 )
 from .rings import QQ, ZZ, CyclotomicField, HomologyModule, parse_ring, primitive_root_of_unity
+from .sparse import _paused
 
 DEFAULT_CARRIER_CAP = 100_000
 
@@ -471,6 +472,7 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@_paused
 def run(argv=None, stream=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)

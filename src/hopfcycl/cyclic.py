@@ -48,7 +48,7 @@ from .errors import (
 )
 from .hopf import CMTriple, HopfAlgebraData, twisted_antipode, twisted_middle
 from .rings import HomologyModule, Record, Ring
-from .sparse import SparseMatrix, homology_window, rank
+from .sparse import SparseMatrix, _paused, homology_window, rank
 
 
 def tuple_to_index(t, d):
@@ -831,6 +831,7 @@ class ChainComplexWindow(Record):
     def top(self) -> int:
         return len(self.dims) - 1
 
+    @_paused
     def homology(self, n: int) -> HomologyModule:
         """Homology at degree n; needs boundaries n and n+1 inside the window,
         whose square `homology_window` checks."""
@@ -848,6 +849,7 @@ def hochschild_window(module: CyclicModule, N: int) -> ChainComplexWindow:
     return ChainComplexWindow(module.ring, dims, boundaries)
 
 
+@_paused
 def hochschild_homology(module: CyclicModule, n: int) -> HomologyModule:
     """HH_n from the normalized chains, C_m modulo the degenerate tensors,
     whose inclusion into the b-complex of `hochschild_window` is a
@@ -856,6 +858,7 @@ def hochschild_homology(module: CyclicModule, n: int) -> HomologyModule:
     return homology_window(module.normalized_b, n, n)[0]
 
 
+@_paused
 def hochschild_homology_upto(module: CyclicModule, N: int) -> list[HomologyModule]:
     """HH_0..HH_N from the normalized boundaries b-bar_1, ..., b-bar_(N+1),
     each reduced and each square checked once."""
@@ -916,6 +919,7 @@ def _require_cyclic(module: CyclicModule, top: int, engine: str) -> None:
             )
 
 
+@_paused
 def cyclic_bicomplex_hc(module: CyclicModule, n: int) -> HomologyModule:
     """HC_n as homology of the total complex of the normalized (b, B)
     bicomplex (Loday, Cyclic Homology, 2.1.8), over any ground ring."""
@@ -923,6 +927,7 @@ def cyclic_bicomplex_hc(module: CyclicModule, n: int) -> HomologyModule:
     return homology_window(partial(_mixed_boundary, module), n, n)[0]
 
 
+@_paused
 def cyclic_bicomplex_hc_upto(module: CyclicModule, N: int) -> list[HomologyModule]:
     """HC_0..HC_N from the total complex, each total boundary built and
     reduced once (`cyclic_bicomplex_hc` per degree builds D_n and D_(n+1))."""
@@ -933,6 +938,7 @@ def cyclic_bicomplex_hc_upto(module: CyclicModule, N: int) -> list[HomologyModul
 # -- Connes quotient complex -------------------------------------------------
 
 
+@_paused
 def connes_lambda_hc(module: CyclicModule, n: int) -> HomologyModule:
     """HC_n from the quotient of the b-complex by the cyclic action.  The
     tests and demos 01 and 04 hold the (b, B) bicomplex to it, and the
@@ -1015,6 +1021,7 @@ def _cyclic_order_holds(module: CyclicModule, m: int) -> bool:
 # -- cyclic module law verification ------------------------------------------
 
 
+@_paused
 def verify_cyclic_axioms(module: CyclicModule, N: int) -> dict[str, bool]:
     """Exact matrix verification of the simplicial and cyclic identities.
 
@@ -1138,6 +1145,7 @@ def sbi_rank_assignment(h_dims: list[int], hc_dims: list[int]) -> SBIReport:
     return SBIReport(True, ranks)
 
 
+@_paused
 def sbi_check(module: CyclicModule, N: int) -> SBIReport:
     """Compute Hochschild and cyclic dimensions up to N and run the
     bookkeeping; HH comes from the normalized b-complex and HC from the

@@ -31,7 +31,7 @@ from .rings import (
     free_module,
     zero_module,
 )
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, _paused
 
 
 class FiniteGroup:
@@ -317,6 +317,7 @@ def theta_map(G: FiniteGroup, pi: int, n: int, ring: Ring) -> SparseMatrix:
     return SparseMatrix(ring, gamma.level_dim(n), d**n, ent)
 
 
+@_paused
 def theta_chain_map_check(G: FiniteGroup, pi: int, n: int, ring: Ring) -> dict[str, bool]:
     """Verify theta . op = op . theta for all faces, degeneracies and t, level <= n."""
     H = centralizer(G, pi)
@@ -352,6 +353,7 @@ def _hc_upto(module: CyclicModule, N: int) -> list[HomologyModule]:
     return cyclic_bicomplex_hc_upto(module, N)
 
 
+@_paused
 def burghelea_check(G: FiniteGroup, ring: Ring, N: int) -> dict:
     """Compare HC(kG) with the sum over classes of twisted HC of centralizers.
 
@@ -415,6 +417,7 @@ def closed_hc_group_algebra(G: FiniteGroup, ring: Ring, n: int) -> HomologyModul
 # ---------------------------------------------------------------------------
 
 
+@_paused
 def periodic_resolution_homology(m: int, ring: Ring, zeta, rho, N: int) -> list[HomologyModule]:
     """Homology of the 2-periodic scalar complex attached to (alpha, beta).
 

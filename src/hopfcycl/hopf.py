@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import InvalidCharacter
 from .rings import FrozenRecord, Ring
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, _paused
 
 Vector = dict  # basis index -> payload
 Tensor = dict  # tuple of basis indices -> payload
@@ -188,6 +188,7 @@ class HopfAlgebraData:
         return out
 
     # -- axiom verification --------------------------------------------------
+    @_paused
     def verify_axioms(self) -> dict[str, bool]:
         """Check all Hopf axioms as exact identities on the basis; the counit
         axiom is (eps (x) id)Delta = id = (id (x) eps)Delta, read off `contract`."""

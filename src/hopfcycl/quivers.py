@@ -41,7 +41,7 @@ from .rings import (
     primitive_root_of_unity,
     zero_module,
 )
-from .sparse import SparseMatrix, homology_window, rank
+from .sparse import SparseMatrix, _paused, homology_window, rank
 
 
 class Quiver:
@@ -334,6 +334,7 @@ def _hochschild_carry(quiver: Quiver):
     return lambda a, left, right: quiver.compose(quiver.compose(right, a), left)
 
 
+@_paused
 def skoldberg_resolution(A: TruncatedPathAlgebra, i_max: int) -> dict:
     """The bimodule complex P_i = A (x) k[generators] (x) A, with exactness report.
 
@@ -501,6 +502,7 @@ def _graded_hh(A: TruncatedPathAlgebra, N: int, first: int = 0) -> list[tuple]:
     return table
 
 
+@_paused
 def hh_via_skoldberg(A: TruncatedPathAlgebra, p: int):
     """HH_p(A, A) from the small complex: (total, {grade q: HomologyModule}).
 
@@ -542,6 +544,7 @@ def hh_closed_form(quiver: Quiver, n: int, p: int, q: int, ring: Ring) -> Homolo
 # ---------------------------------------------------------------------------
 
 
+@_paused
 def coefficient_homology_skoldberg(
     A: TruncatedPathAlgebra, alpha_vertex: int, beta_vertex: int, p: int
 ) -> HomologyModule:
@@ -587,6 +590,7 @@ def coefficient_homology_skoldberg(
 # ---------------------------------------------------------------------------
 
 
+@_paused
 def path_algebra_hh(quiver: Quiver, grade_cap: int, ring: Ring) -> dict:
     """Per-grade HH_0 and HH_1 of the full path algebra (zero above degree 1)
     in grades 0..grade_cap.
@@ -609,6 +613,7 @@ def path_algebra_hh(quiver: Quiver, grade_cap: int, ring: Ring) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@_paused
 def graded_sbi_hc(A: TruncatedPathAlgebra, N: int) -> list[int]:
     """HC dimensions 0..N of the truncation from the graded splitting.
 
@@ -811,6 +816,7 @@ def taft_cm_closed_form(n: int, i: int, u: int, v: int, p: int) -> int:
     return 0
 
 
+@_paused
 def taft_cm_homology(hopf: HopfAlgebraData, i: int, u: int, v: int, p: int) -> HomologyModule:
     """Twisted cyclic homology of the Taft algebra via the (b, B) bicomplex."""
     from .cyclic import cyclic_bicomplex_hc

@@ -26,14 +26,50 @@ factor 1, and a dense Smith normal form reduces the small residual that is
 left.  Over Z/m the matrix is lifted to Z; the residual is reduced mod m
 and m * identity rows are appended for its columns only.  `homology_sequence`
 reduces every boundary of a complex once for a whole table of degrees.
+
+Every public engine that answers a query (the HH and HC engines of
+`cyclic`, `ChainComplexWindow.homology`, the cyclic-law and Hopf-axiom
+checks, the small-resolution engines of `quivers`, the group checks and
+`cli.run`) is wrapped in `_paused`: it runs with the cyclic garbage
+collector off, and the caller's state comes back when it returns or
+raises; inside another paused engine the call passes straight through.
+Builders and kernels are not wrapped.  An engine allocates millions of
+entry-key tuples, payload tuples and entry dicts, which the collector would
+walk every 700 container allocations, but none of them forms a reference
+cycle, so the pause frees nothing later and holds no memory:
+`tests/test_collector.py` runs engines of every kind with the collector off
+and `gc.collect()` then finds nothing to free.  The collector is
+process-wide, so another thread's cyclic garbage waits until the engine
+returns.
 """
 
 from __future__ import annotations
 
+import gc
+from functools import wraps
 from heapq import heapify, heappop, heappush
 
 from .errors import NotAComplex, NotAField, RingMismatch, UnsupportedRing
 from .rings import ZZ, HomologyModule, IntegersMod, Ring
+
+
+def _paused(engine):
+    """`engine` run with the cyclic garbage collector off, and the
+    caller's collector state restored when it returns or raises.  When the
+    collector is already off, as inside another paused engine, the call
+    passes straight through."""
+
+    @wraps(engine)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return engine(*args, **kwargs)
+        gc.disable()
+        try:
+            return engine(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class SparseMatrix:
@@ -68,7 +104,8 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, ring, n):
-        return cls._unchecked(ring, n, n, {(i, i): ring.one for i in range(n)})
+        one = ring.one
+        return cls._unchecked(ring, n, n, {(i, i): one for i in range(n)})
 
     @classmethod
     def from_rows(cls, ring, rows):
