@@ -9,6 +9,11 @@ basis index; no basis tuple is decoded, and no operator stores a zero
 entry.  A degeneracy, which inserts the unit, also acts directly on the
 rows of a matrix (`CyclicModule.degenerate`); the law checks apply it that
 way, so the checks through level N build no operator from a level above N.
+On tensor legs a degeneracy reads only the ring, the dimension and unit of
+the algebra and the number of fixed legs, so the verdicts of the laws
+s_i s_j = s_(j+1) s_i are kept per algebra, under (module class, level),
+and every module of one algebra and class shares them (`_degeneracy_laws`):
+the triples of a Hopf algebra build their level-(m + 2) composites once.
 Two main instances live here:
 
 * the Connes-Moscovici module of a Hopf algebra with an admissible
@@ -809,6 +814,12 @@ class ClassicalCyclicModule(TensorCyclicModule):
 # ---------------------------------------------------------------------------
 
 
+def _require_degree(n: int) -> None:
+    """Refuse a negative degree or level before anything is looked up."""
+    if n < 0:
+        raise IndexOutOfRange(f"negative degree {n}")
+
+
 class ChainComplexWindow(Record):
     """Degrees 0..N of a chain complex: carrier dims and boundary matrices.
 
@@ -835,6 +846,7 @@ class ChainComplexWindow(Record):
     def homology(self, n: int) -> HomologyModule:
         """Homology at degree n; needs boundaries n and n+1 inside the window,
         whose square `homology_window` checks."""
+        _require_degree(n)
         if n + 1 > self.top:
             raise IndexOutOfRange(f"degree {n} needs boundary {n + 1} in the window")
         return homology_window(self.boundaries.__getitem__, n, n)[0]
@@ -855,6 +867,7 @@ def hochschild_homology(module: CyclicModule, n: int) -> HomologyModule:
     whose inclusion into the b-complex of `hochschild_window` is a
     quasi-isomorphism over any ring: b-bar_(n+1) and b-bar_n alone, their
     square checked once."""
+    _require_degree(n)
     return homology_window(module.normalized_b, n, n)[0]
 
 
@@ -862,6 +875,7 @@ def hochschild_homology(module: CyclicModule, n: int) -> HomologyModule:
 def hochschild_homology_upto(module: CyclicModule, N: int) -> list[HomologyModule]:
     """HH_0..HH_N from the normalized boundaries b-bar_1, ..., b-bar_(N+1),
     each reduced and each square checked once."""
+    _require_degree(N)
     return homology_window(module.normalized_b, 0, N)
 
 
@@ -923,6 +937,7 @@ def _require_cyclic(module: CyclicModule, top: int, engine: str) -> None:
 def cyclic_bicomplex_hc(module: CyclicModule, n: int) -> HomologyModule:
     """HC_n as homology of the total complex of the normalized (b, B)
     bicomplex (Loday, Cyclic Homology, 2.1.8), over any ground ring."""
+    _require_degree(n)
     _require_cyclic(module, n + 1, "the (b, B) bicomplex")
     return homology_window(partial(_mixed_boundary, module), n, n)[0]
 
@@ -931,6 +946,7 @@ def cyclic_bicomplex_hc(module: CyclicModule, n: int) -> HomologyModule:
 def cyclic_bicomplex_hc_upto(module: CyclicModule, N: int) -> list[HomologyModule]:
     """HC_0..HC_N from the total complex, each total boundary built and
     reduced once (`cyclic_bicomplex_hc` per degree builds D_n and D_(n+1))."""
+    _require_degree(N)
     _require_cyclic(module, N + 1, "the (b, B) bicomplex")
     return homology_window(partial(_mixed_boundary, module), 0, N)
 
@@ -961,6 +977,7 @@ def connes_lambda_hc(module: CyclicModule, n: int) -> HomologyModule:
     cached on the module, so neighbouring degrees share the augmented rank
     they have in common.
     """
+    _require_degree(n)
     R = module.ring
     if not R.contains_rationals:
         raise RingWithoutRationals(
@@ -1030,7 +1047,13 @@ def verify_cyclic_axioms(module: CyclicModule, N: int) -> dict[str, bool]:
     t^(m+1) = id.  Returns a name -> pass map; failures are itemized by name.
     A degeneracy on the left of a product acts on the rows of the right
     factor (`degenerate`), so no operator with source level above N is built.
+    The laws s_i s_j = s_(j+1) s_i of a module with tensor legs read only
+    the ring, the dimension and unit of its algebra and its fixed legs, so
+    their verdicts are kept per algebra under (module class, level) and
+    shared by every module of that algebra and class (`_degeneracy_laws`).
+    A negative N is refused with `IndexOutOfRange`.
     """
+    _require_degree(N)
     report: dict[str, bool] = {}
 
     def check(name, lhs, rhs):
@@ -1046,14 +1069,7 @@ def verify_cyclic_axioms(module: CyclicModule, N: int) -> dict[str, bool]:
                         module.face(m - 1, i) @ module.face(m, j),
                         module.face(m - 1, j - 1) @ module.face(m, i),
                     )
-        for j in range(m + 1):
-            for i in range(j + 1):
-                # s_i s_j = s_(j+1) s_i for i <= j
-                check(
-                    f"s_{i} s_{j} (level {m})",
-                    module.degenerate(m + 1, i, module.degeneracy(m, j)),
-                    module.degenerate(m + 1, j + 1, module.degeneracy(m, i)),
-                )
+        report.update(_degeneracy_laws(module, m))
         if m >= 1:
             for j in range(m):
                 for i in range(m + 1):
@@ -1070,6 +1086,44 @@ def verify_cyclic_axioms(module: CyclicModule, N: int) -> dict[str, bool]:
     for _, laws in _cyclic_laws(module, N):
         report.update(laws)
     return report
+
+
+# per algebra: {(module class, level m): {law name: verdict}} of the laws
+# s_i s_j = s_(j+1) s_i at level m, dropped with the algebra
+_DEGENERACY_LAWS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _degeneracy_laws(module: CyclicModule, m: int) -> dict[str, bool]:
+    """The verdicts of s_i s_j = s_(j+1) s_i, i <= j <= m, at level m
+    (Loday, Cyclic Homology, 1.5.1), in report order; each composite of
+    level m + 2 is built and compared exactly.
+
+    `TensorCyclicModule.degenerate` reads only the ring, `algebra.dim`,
+    `algebra.unit` and `fixed_legs`, so every module of one algebra and
+    class has the same laws: the Connes-Moscovici modules of all triples of
+    a Hopf algebra share them, computed once per level.  The key holds the
+    class, so a subclass that overrides `degenerate` and the classical
+    module of the same algebra compute their own.  A module without tensor
+    legs (`GammaCyclicModule`) computes them on every call."""
+
+    def build():
+        return {
+            f"s_{i} s_{j} (level {m})": (
+                module.degenerate(m + 1, i, module.degeneracy(m, j))
+                == module.degenerate(m + 1, j + 1, module.degeneracy(m, i))
+            )
+            for j in range(m + 1)
+            for i in range(j + 1)
+        }
+
+    if not isinstance(module, TensorCyclicModule):
+        return build()
+    verdicts = _DEGENERACY_LAWS.setdefault(module.algebra, {})
+    key = (type(module), m)
+    laws = verdicts.get(key)
+    if laws is None:
+        laws = verdicts[key] = build()
+    return laws
 
 
 def _cyclic_laws(module: CyclicModule, N: int):

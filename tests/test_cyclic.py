@@ -562,6 +562,130 @@ def test_verify_names_the_laws_a_late_unit_breaks():
     assert all("s_" in name for name in failures)
 
 
+# -- degeneracy laws checked once per algebra and class ------------------------
+
+
+def spy_composites(monkeypatch):
+    """Record the shape of every s o s_j that `_insert_unit` builds: the
+    degeneracy applied to the rows of a degeneracy matrix, d^(m+1) x d^m,
+    the only tall matrix a law check hands it."""
+    import hopfcycl.cyclic as cyclic
+
+    built = []
+    insert_unit = cyclic._insert_unit
+
+    def spying(ring, d, unit, p, s, M):
+        if M.nrows == d * M.ncols:
+            built.append((M.nrows, M.ncols))
+        return insert_unit(ring, d, unit, p, s, M)
+
+    monkeypatch.setattr(cyclic, "_insert_unit", spying)
+    return built
+
+
+def test_second_taft_triple_builds_no_degeneracy_composite(monkeypatch):
+    """The laws s_i s_j = s_(j+1) s_i read only the unit of the algebra: the
+    first Taft-3 triple builds their 40 composites through level 3, and a
+    second triple of the same algebra reuses the verdicts and builds none."""
+    hopf = taft_hopf(3)
+    first, second = (taft_cm_module(hopf, *triple) for triple in taft_cm_triples(3)[:2])
+    built = spy_composites(monkeypatch)
+    report = verify_cyclic_axioms(first, 3)
+    # (m + 1)(m + 2) / 2 laws at level m, two composites each
+    assert len(built) == 2 * (1 + 3 + 6 + 10)
+    # the level-3 composites, on the 9-dimensional Taft-3 legs
+    assert max(built) == (9**4, 9**3)
+    built.clear()
+    shared = verify_cyclic_axioms(second, 3)
+    assert built == []
+    assert list(shared) == list(report) and all(shared.values())
+
+
+def test_late_unit_after_a_good_module_still_fails_its_laws():
+    good = cm_z3(1)
+    assert all(verify_cyclic_axioms(good, 3).values())
+    module = LateUnitCM(good.hopf, good.triple)
+    failures = {name for name, ok in verify_cyclic_axioms(module, 3).items() if not ok}
+    assert {"s_0 s_0 (level 1)", "s_2 s_3 (level 3)"} <= failures
+    # and the verdicts of the good module's class are untouched by the late one
+    assert all(verify_cyclic_axioms(ConnesMoscoviciModule(good.hopf, good.triple), 3).values())
+
+
+def test_cm_and_classical_modules_of_one_algebra_check_their_own_laws(monkeypatch):
+    """C_m has m legs in the Connes-Moscovici module and m + 1 in the
+    classical one (fixed_legs 0 and 1), so each computes its own laws."""
+    from hopfcycl.cyclic import _DEGENERACY_LAWS
+
+    cm = cm_z3(1)
+    classical = ClassicalCyclicModule(cm.algebra)
+    built = spy_composites(monkeypatch)
+    verify_cyclic_axioms(cm, 2)
+    assert sorted(set(built)) == [(3, 1), (9, 3), (27, 9)]
+    built.clear()
+    assert all(verify_cyclic_axioms(classical, 2).values())
+    assert sorted(set(built)) == [(9, 3), (27, 9), (81, 27)]
+    built.clear()
+    verify_cyclic_axioms(cm, 2)
+    verify_cyclic_axioms(ClassicalCyclicModule(cm.algebra), 2)
+    assert built == []
+    assert sorted((cls.__name__, m) for cls, m in _DEGENERACY_LAWS[cm.algebra]) == [
+        ("ClassicalCyclicModule", m) for m in range(3)
+    ] + [("ConnesMoscoviciModule", m) for m in range(3)]
+
+
+def test_gamma_module_checks_its_degeneracy_laws_on_every_call(monkeypatch):
+    """A module without tensor legs multiplies by its degeneracy matrices and
+    shares no verdict: its own cache is the only thing reused."""
+    import hopfcycl.cyclic as cyclic
+
+    module = GammaCyclicModule(FiniteGroup.cyclic(3), 1, QQ)
+    calls = []
+    laws = cyclic._degeneracy_laws
+    monkeypatch.setattr(cyclic, "_degeneracy_laws", lambda *a: calls.append(a[1]) or laws(*a))
+    before = len(cyclic._DEGENERACY_LAWS)
+    first = verify_cyclic_axioms(module, 2)
+    assert verify_cyclic_axioms(module, 2) == first and all(first.values())
+    assert calls == [0, 1, 2, 0, 1, 2]
+    assert len(cyclic._DEGENERACY_LAWS) == before
+
+
+def test_degeneracy_verdicts_are_dropped_with_their_algebra():
+    import gc
+    import weakref
+
+    from hopfcycl.cyclic import _DEGENERACY_LAWS
+
+    module = cm_group_module(FiniteGroup.cyclic(3), 1, QQ)
+    verify_cyclic_axioms(module, 2)
+    algebra = weakref.ref(module.algebra)
+    assert algebra() in _DEGENERACY_LAWS
+    held = len(_DEGENERACY_LAWS)
+    del module
+    gc.collect()
+    assert algebra() is None
+    assert len(_DEGENERACY_LAWS) < held
+
+
+def test_negative_degree_is_refused_before_any_lookup():
+    """At degree -1 every engine refuses, and no operator or verdict is
+    looked up or stored; the refusal is a HopfCyclError."""
+    from hopfcycl import HopfCyclError
+    from hopfcycl.cyclic import _DEGENERACY_LAWS
+
+    module = cm_z3(1)
+    engines = [verify_cyclic_axioms, hochschild_homology, hochschild_homology_upto,
+               cyclic_bicomplex_hc, cyclic_bicomplex_hc_upto, connes_lambda_hc, sbi_check]
+    for engine in engines:
+        with pytest.raises(IndexOutOfRange, match="negative degree -1"):
+            engine(module, -1)
+    assert module._cache == {}
+    assert module.algebra not in _DEGENERACY_LAWS
+    with pytest.raises(HopfCyclError):
+        verify_cyclic_axioms(module, -2)
+    with pytest.raises(IndexOutOfRange, match="negative degree -1"):
+        hochschild_window(module, 2).homology(-1)
+
+
 @pytest.mark.parametrize("triple", [(1, 0, 0), (0, 1, 0)])
 def test_lambda_engine_ranks_each_matrix_once(monkeypatch, triple):
     """HC_n ranks [b_n | 1 - lambda_(n-1)], the matrix HC_(n-1) already ranked."""

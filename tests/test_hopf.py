@@ -22,7 +22,7 @@ from hopfcycl import (
     trivial_character,
     twisted_antipode,
 )
-from hopfcycl.hopf import HopfAlgebraData, admissibility_matrix, contract, twisted_middle
+from hopfcycl.hopf import AlgebraData, HopfAlgebraData, admissibility_matrix, contract, twisted_middle
 
 
 @pytest.mark.parametrize(
@@ -80,6 +80,38 @@ def _broken_z3(part):
 )
 def test_verify_axioms_reports_a_broken_structure(part, failing):
     report = _broken_z3(part).verify_axioms()
+    assert {name for name, ok in report.items() if not ok} == failing
+    assert set(report) == {"associativity", "unit", "coassociativity", "counit", "antipode"}
+
+
+def _broken_z3_algebra(product, unit):
+    """Q[Z/3] with g * g^2 = g in place of e (product), or with g in place of
+    e as its unit (unit), and the coproduct, counit and antipode of Q[Z/3]."""
+    H = group_algebra(FiniteGroup.cyclic(3), QQ)
+    A, one = H.algebra, QQ.one
+    mult = [[dict(v) for v in row] for row in A.mult]
+    if product:
+        mult[1][2] = {1: one}
+    algebra = AlgebraData(QQ, A.basis_labels, mult, {1: one} if unit else A.unit)
+    return HopfAlgebraData(algebra, H.coproduct, H.counit, H.antipode)
+
+
+@pytest.mark.parametrize(
+    "product, unit, failing",
+    [
+        # (g g) g^2 = g but g (g g^2) = g^2, and S(g) g = e but g S(g) = g
+        (True, False, {"associativity", "antipode"}),
+        # g e = g^2, and S(b_1) b_2 = e is not eps(b) times the unit g
+        (False, True, {"unit", "antipode"}),
+        (True, True, {"associativity", "unit", "antipode"}),
+    ],
+    ids=["g g^2 = g", "unit g", "both"],
+)
+def test_verify_axioms_reports_a_broken_algebra(product, unit, failing):
+    H = _broken_z3_algebra(product, unit)
+    assert H.algebra.verify_associativity() is not product
+    assert H.algebra.verify_unit() is not unit
+    report = H.verify_axioms()
     assert {name for name, ok in report.items() if not ok} == failing
     assert set(report) == {"associativity", "unit", "coassociativity", "counit", "antipode"}
 
