@@ -46,6 +46,7 @@ from itertools import accumulate, product
 from weakref import WeakKeyDictionary
 
 from .errors import (
+    HopfCyclError,
     IndexOutOfRange,
     NotAUnit,
     PreconditionFailed,
@@ -143,6 +144,26 @@ def _signed_sum(ring, terms, nrows, ncols) -> SparseMatrix:
             else:
                 ent[k] = s
     return SparseMatrix._unchecked(ring, nrows, ncols, ent)
+
+
+def _write_one_minus_lambda(ring, m, t: SparseMatrix, ent: dict, offset: int) -> dict:
+    """Write 1 - lambda = 1 - (-1)^m t, with t = t_m, into ent, its column j
+    at column offset + j, in one pass over the entries of t; ent holds no
+    entry in those columns.  Only a diagonal sum can cancel."""
+    neg, odd = ring.neg, m % 2
+    for (i, j), v in t.entries.items():
+        ent[(i, j + offset)] = v if odd else neg(v)
+    one, add, is_zero = ring.one, ring.add, ring.is_zero
+    for i in range(t.nrows):
+        key = (i, i + offset)
+        s = ent.get(key)
+        if s is None:
+            ent[key] = one
+        elif is_zero(s := add(s, one)):
+            del ent[key]
+        else:
+            ent[key] = s
+    return ent
 
 
 # per algebra: {(leg digits, m): inner face sum}, dropped with the algebra
@@ -419,6 +440,11 @@ class CyclicModule:
             self._cache[key] = out
         return out
 
+    def _peek(self, key, thunk):
+        """The memoized value under key, or thunk() unstored if there is none."""
+        out = self._cache.get(key)
+        return thunk() if out is None else out
+
     # -- derived operators ---------------------------------------------------
     def boundary_b(self, m: int) -> SparseMatrix:
         """Hochschild boundary sum((-1)^i d_i), i = 0..m."""
@@ -429,7 +455,10 @@ class CyclicModule:
         return self._memo(("bp", m), lambda: self._alternating_faces(m, m))
 
     def _alternating_faces(self, m: int, count: int) -> SparseMatrix:
-        faces = [(self.face(m, i), i % 2 == 1) for i in range(count)]
+        """sum((-1)^i d_i, i < count) in a fresh entries dict; a face is read
+        from the memo if it is there, and not stored otherwise."""
+        faces = [(self._peek(("d", m, i), partial(self._face, m, i)), i % 2 == 1)
+                 for i in range(count)]
         return _signed_sum(self.ring, faces, self.level_dim(m - 1), self.level_dim(m))
 
     def signed_cyclic(self, m: int) -> SparseMatrix:
@@ -438,21 +467,9 @@ class CyclicModule:
 
     def one_minus_lambda(self, m: int) -> SparseMatrix:
         """1 - lambda = 1 - (-1)^m t, in one pass over the entries of t."""
-        R = self.ring
         n = self.level_dim(m)
-        t = self.cyclic(m).entries
-        ent = dict(t) if m % 2 else {k: R.neg(v) for k, v in t.items()}
-        one, add, is_zero = R.one, R.add, R.is_zero
-        for i in range(n):
-            s = ent.get((i, i))
-            if s is None:
-                ent[(i, i)] = one
-            elif is_zero(s := add(s, one)):
-                # only a diagonal sum can cancel
-                del ent[(i, i)]
-            else:
-                ent[(i, i)] = s
-        return SparseMatrix._unchecked(R, n, n, ent)
+        ent = _write_one_minus_lambda(self.ring, m, self.cyclic(m), {}, 0)
+        return SparseMatrix._unchecked(self.ring, n, n, ent)
 
     def norm(self, m: int) -> SparseMatrix:
         """N = sum(lambda^i, i = 0..m) with lambda the signed cyclic operator."""
@@ -956,9 +973,10 @@ def cyclic_bicomplex_hc_upto(module: CyclicModule, N: int) -> list[HomologyModul
 
 @_paused
 def connes_lambda_hc(module: CyclicModule, n: int) -> HomologyModule:
-    """HC_n from the quotient of the b-complex by the cyclic action.  The
-    tests and demos 01 and 04 hold the (b, B) bicomplex to it, and the
-    benchmark times it directly.
+    """HC_n from the quotient of the b-complex by the cyclic action, which
+    computes HC over Q (Loday, Cyclic Homology, 2.1.5).  The tests and
+    demos 01 and 04 hold the (b, B) bicomplex to it, and the benchmark
+    times it directly.
 
     Only valid when the coefficient ring contains Q.  Dimensions of the
     quotient homology are recovered from ranks of the boundary matrices
@@ -967,15 +985,24 @@ def connes_lambda_hc(module: CyclicModule, n: int) -> HomologyModule:
         dim H_n = dim C_n + rank(1 - lambda_{n-1})
                   - rank[b_n | 1 - lambda_{n-1}] - rank[b_{n+1} | 1 - lambda_n]
 
+    with rank(1 - lambda_m) = dim C_m - f_m.  The fixed dimension
+    f_m = dim ker(1 - lambda_m) is read from the traces of the powers of t_m
+    that the check t_m^(m+1) = id builds (`_fixed_dim`), so the only
+    matrices ranked are the augmented ones.  Each level m has one pass
+    (`_lambda_level`), and the module keeps nothing of it but numbers:
+    whether t_m^(m+1) = id, f_m and rank[b_(m+1) | 1 - lambda_m].  The
+    operators t_m and b_(m+1) and the powers of t_m are dropped when the
+    pass is done, and neighbouring degrees share the augmented rank they
+    have in common.
+
     The formula needs a module that is cyclic through level n + 1; where it
     is not (an inadmissible triple) it would return a meaningless, possibly
-    negative, dimension.  So t_m^(m+1) = id is checked on every level
-    m <= n for every module, and a module that is not cyclic by
+    negative, dimension.  So t_m^(m+1) = id is checked first, on every level
+    m <= n for every module; then a module that is not cyclic by
     construction is refused, like by the bicomplex, unless all laws of t
-    hold through level n + 1.  A negative dimension is refused as well,
-    with the laws the module breaks.  The ranks and the level checks are
-    cached on the module, so neighbouring degrees share the augmented rank
-    they have in common.
+    hold through level n + 1; only then is a rank taken or an operator of
+    level n + 1 built.  A negative dimension is refused as well, with the
+    laws the module breaks.
     """
     _require_degree(n)
     R = module.ring
@@ -983,19 +1010,20 @@ def connes_lambda_hc(module: CyclicModule, n: int) -> HomologyModule:
         raise RingWithoutRationals(
             f"the quotient complex computes HC only over rings containing Q, not {R}"
         )
+    # the operators t_m built by the checks, for the ranks after the refusals
+    built: dict = {}
     for m in range(n + 1):
-        if not _cyclic_order_holds(module, m):
+        if not _lambda_level(module, m, built)[0]:
             raise PreconditionFailed(
                 f"t_{m}^{m + 1} != id: the module is not cyclic at level {m}, "
                 f"so the quotient complex does not compute HC_{n}"
             )
     _require_cyclic(module, n + 1, "the quotient complex")
-    dim_n = module.level_dim(n)
-    r_in = _augmented_rank(module, n + 1)
+    r_in = _lambda_level(module, n, built, ranked=True)[2]
     if n == 0:
-        return HomologyModule(R, dim_n - r_in)
-    r_w = module._memo(("rank 1-lambda", n - 1), lambda: rank(module.one_minus_lambda(n - 1)))
-    dim = dim_n + r_w - _augmented_rank(module, n) - r_in
+        return HomologyModule(R, module.level_dim(0) - r_in)
+    _, f, r_out = _lambda_level(module, n - 1, built, ranked=True)
+    dim = module.level_dim(n) + module.level_dim(n - 1) - f - r_out - r_in
     if dim < 0:
         raise PreconditionFailed(
             f"the quotient complex gives dimension {dim} for HC_{n}: the module is not "
@@ -1004,35 +1032,83 @@ def connes_lambda_hc(module: CyclicModule, n: int) -> HomologyModule:
     return HomologyModule(R, dim)
 
 
-def _augmented_rank(module: CyclicModule, m: int) -> int:
-    """rank[b_m | 1 - lambda_(m-1)], kept with the module's operators: it is
-    the r_in of HC_(m-1) and the r_out of HC_m."""
+def _lambda_level(module: CyclicModule, m: int, built: dict, ranked: bool = False) -> tuple:
+    """The pass of level m of `connes_lambda_hc`, kept with the module under
+    one key: (t_m^(m+1) = id, f_m, rank[b_(m+1) | 1 - lambda_m]), with f_m
+    None where t_m^(m+1) != id and the rank None until `ranked`.
 
-    def build():
-        return rank(module.boundary_b(m).hstack(module.one_minus_lambda(m - 1)))
+    t_m comes from the memo or is built unstored, and a t_m built here goes
+    into `built` for a later rank of the same call.  The verdict is also
+    stored under the key of `_cyclic_order_holds`, which the law checks
+    share.  1 - lambda_m is written into the fresh entries of b_(m+1)."""
+    key = ("lambda", m)
+    level = module._cache.get(key)
+    if level is None:
+        t = built[m] = module._peek(("t", m), partial(module._cyclic, m))
+        holds, powers = _order_powers(module.ring, m, t)
+        module._cache[("t^(m+1) = id", m)] = holds
+        level = (holds, _fixed_dim(module.ring, m, powers) if holds else None, None)
+        module._cache[key] = level
+    if ranked and level[2] is None:
+        t = built[m] if m in built else module._peek(("t", m), partial(module._cyclic, m))
+        b = module._alternating_faces(m + 1, m + 2)
+        ent = _write_one_minus_lambda(module.ring, m, t, b.entries, b.ncols)
+        augmented = SparseMatrix._unchecked(module.ring, b.nrows, b.ncols + t.ncols, ent)
+        level = module._cache[key] = level[:2] + (rank(augmented),)
+    return level
 
-    return module._memo(("rank [b|1-lambda]", m), build)
+
+def _order_powers(R: Ring, m: int, t: SparseMatrix) -> tuple[bool, list[SparseMatrix]]:
+    """Whether t^(m+1) = id for t = t_m, and the powers t^1..t^a,
+    a = ceil((m + 1) / 2), that the check builds: the power is split as
+    t^a . t^b with b = m + 1 - a, so it takes a products instead of m."""
+    a = (m + 2) // 2
+    powers = [t]  # powers[k - 1] = t^k
+    while len(powers) < a:
+        powers.append(t @ powers[-1])
+    top = powers[-1] @ powers[m - a] if m else t
+    return top == SparseMatrix.identity(R, t.nrows), powers
+
+
+def _fixed_dim(R: Ring, m: int, powers: list[SparseMatrix]) -> int:
+    """f = dim ker(1 - lambda_m), from the powers t^1..t^a of `_order_powers`
+    of a t = t_m with t^(m+1) = id.
+
+    Then lambda = (-1)^m t has lambda^(m+1) = id, so over a ring containing
+    Q, P = (1/(m+1)) sum(lambda^k, k = 0..m) is the projector onto
+    ker(1 - lambda), and f is its trace,
+    f = (1/(m+1)) sum((-1)^(mk) tr(t^k), k = 0..m).  For k > a,
+    tr(t^k) = sum((t^a)_ij (t^(k-a))_ji) is summed over the entries without
+    forming the product.  The trace must be an integer 0 <= f <= dim C_m;
+    any other value is refused with `HopfCyclError`."""
+    dim = powers[0].nrows
+    a = len(powers)
+    top = powers[-1].entries
+    total = R.from_int(dim)  # the trace of t^0
+    for k in range(1, m + 1):
+        if k <= a:
+            diagonal = powers[k - 1].entries.get
+            tr = R.sum(v for i in range(dim) if (v := diagonal((i, i))) is not None)
+        else:
+            small, large = sorted((top, powers[k - a - 1].entries), key=len)
+            mul, get = R.mul, large.get
+            tr = R.sum(mul(v, w) for (i, j), v in small.items() if (w := get((j, i))) is not None)
+        total = R.sub(total, tr) if m * k % 2 else R.add(total, tr)
+    trace = R.mul(total, R.inv(R.from_int(m + 1)))
+    f = R.as_int(trace)
+    if f is None or not 0 <= f <= dim:
+        raise HopfCyclError(
+            f"the traces of the powers of t_{m} give dim ker(1 - lambda_{m}) = "
+            f"{R.format(trace)}, not an integer in 0..{dim}"
+        )
+    return f
 
 
 def _cyclic_order_holds(module: CyclicModule, m: int) -> bool:
-    """Whether t_m^(m+1) = id, kept with the module's operators.
-
-    The power is split as t^a . t^b with a = ceil((m + 1) / 2) and
-    b = m + 1 - a, so it takes a products instead of m.
-    """
-
-    def build():
-        t = module.cyclic(m)
-        identity = SparseMatrix.identity(module.ring, module.level_dim(m))
-        if m == 0:
-            return t == identity
-        a = (m + 2) // 2
-        powers = [t]  # powers[k - 1] = t^k
-        while len(powers) < a:
-            powers.append(t @ powers[-1])
-        return powers[a - 1] @ powers[m - a] == identity
-
-    return module._memo(("t^(m+1) = id", m), build)
+    """Whether t_m^(m+1) = id (`_order_powers`), kept with the module's
+    operators; the quotient engine keeps its verdicts under the same key."""
+    return module._memo(("t^(m+1) = id", m),
+                        lambda: _order_powers(module.ring, m, module.cyclic(m))[0])
 
 
 # -- cyclic module law verification ------------------------------------------

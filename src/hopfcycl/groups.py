@@ -17,6 +17,7 @@ from .cyclic import (
     ClassicalCyclicModule,
     ConnesMoscoviciModule,
     CyclicModule,
+    _require_degree,
     connes_lambda_hc,
     cyclic_bicomplex_hc_upto,
     index_to_tuple,
@@ -319,7 +320,9 @@ def theta_map(G: FiniteGroup, pi: int, n: int, ring: Ring) -> SparseMatrix:
 
 @_paused
 def theta_chain_map_check(G: FiniteGroup, pi: int, n: int, ring: Ring) -> dict[str, bool]:
-    """Verify theta . op = op . theta for all faces, degeneracies and t, level <= n."""
+    """Verify theta . op = op . theta for all faces, degeneracies and t, level <= n.
+    A negative n is refused with `IndexOutOfRange`."""
+    _require_degree(n)
     H = centralizer(G, pi)
     cm = cm_group_module(H, H.parent_pi, ring)
     gamma = GammaCyclicModule(G, pi, ring)
@@ -360,8 +363,10 @@ def burghelea_check(G: FiniteGroup, ring: Ring, N: int) -> dict:
     Left side: cyclic homology of the classical cyclic module of the algebra
     kG.  Right side: for one representative pi per conjugacy class, the
     (pi, eps, eps)-twisted cyclic homology of the centralizer algebra.
-    Returns per-degree dimensions of both and a pass flag.
+    Returns per-degree dimensions of both and a pass flag.  A negative N is
+    refused with `IndexOutOfRange`.
     """
+    _require_degree(N)
     algebra = group_algebra(G, ring).algebra
     classical = ClassicalCyclicModule(algebra)
     lhs = [h.free_rank for h in _hc_upto(classical, N)]
@@ -425,8 +430,10 @@ def periodic_resolution_homology(m: int, ring: Ring, zeta, rho, N: int) -> list[
     k[Z/m] by applying the characters has one copy of k in each degree and
     alternating scalar differentials x - 1 and 1 + x + ... + x^(m-1), where
     x = zeta . rho^(-1).  Both characters must be genuine, i.e. zeta and rho
-    must be m-th roots of unity.
+    must be m-th roots of unity.  A negative N is refused with
+    `IndexOutOfRange`.
     """
+    _require_degree(N)
     for value in (zeta, rho):
         if ring.pow(value, m) != ring.one:
             raise InvalidCharacter("character value is not an m-th root of unity")

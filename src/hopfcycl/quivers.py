@@ -17,6 +17,7 @@ from collections import Counter
 from functools import cached_property
 from math import gcd
 
+from .cyclic import _require_degree
 from .errors import (
     HopfCyclError,
     NegativePartialSum,
@@ -343,7 +344,9 @@ def skoldberg_resolution(A: TruncatedPathAlgebra, i_max: int) -> dict:
     across a term of d(gamma) to u.left (x) gamma' (x) right.v.  The report
     verifies d.d = 0, grade preservation, and exactness of the augmented
     complex in degrees < i_max via rank counts over the coefficient field.
+    A negative i_max is refused with `IndexOutOfRange`.
     """
+    _require_degree(i_max)
     quiver, n, R = A.quiver, A.n, A.ring
     bases = []
     for i in range(i_max + 1):
@@ -508,7 +511,9 @@ def hh_via_skoldberg(A: TruncatedPathAlgebra, p: int):
 
     The one-degree view of `_graded_hh`: only the pairs of degrees p - 1..p + 1
     are enumerated, and only the graded blocks of D_p and D_(p+1) reduced.
+    A negative p is refused with `IndexOutOfRange`.
     """
+    _require_degree(p)
     return _graded_hh(A, p, first=p)[0]
 
 
@@ -558,7 +563,9 @@ def coefficient_homology_skoldberg(
     every arrow) and the built complex are both computed; they must agree.
     The complex is built whole: split by the grade len(gamma), as in
     `_graded_hh`, each grade would lie in one degree and no carry be read.
+    A negative p is refused with `IndexOutOfRange`.
     """
+    _require_degree(p)
     if A.n < 2:
         raise PreconditionFailed("the small complex needs truncation exponent >= 2")
     quiver, R = A.quiver, A.ring
@@ -620,8 +627,10 @@ def graded_sbi_hc(A: TruncatedPathAlgebra, N: int) -> list[int]:
     The reduced theory satisfies dim rHC_n = sum((-1)^(n-j) dim rHH_j, j<=n),
     where reduced means relative to the vertex subalgebra; the full HC adds
     back the vertex-algebra cyclic homology (vertex count in even degrees).
-    Negative partial sums signal an inconsistent Hochschild table.
+    Negative partial sums signal an inconsistent Hochschild table.  A
+    negative N is refused with `IndexOutOfRange`.
     """
+    _require_degree(N)
     if not A.ring.contains_rationals:
         raise RingWithoutRationals("the graded splitting argument needs Q in the ring")
     v = A.quiver.num_vertices

@@ -130,6 +130,11 @@ class Ring:
     def from_int(self, c: int):
         raise NotImplementedError
 
+    def as_int(self, a) -> int | None:
+        """The integer c with from_int(c) == a, or None if a is no integer;
+        defined on the rings that contain Q."""
+        raise NotImplementedError
+
     @property
     def zero(self):
         return self.from_int(0)
@@ -251,6 +256,10 @@ class RationalField(Ring):
 
     def from_int(self, c):
         return c
+
+    def as_int(self, a):
+        # an integral payload is a plain int
+        return a if type(a) is int else None
 
     def is_zero(self, a):
         return not a
@@ -498,6 +507,10 @@ class CyclotomicField(Ring):
 
     def from_int(self, c):
         return (c,) + (0,) * (self.degree - 1), 1
+
+    def as_int(self, a):
+        nums, den = a
+        return nums[0] if den == 1 and not any(nums[1:]) else None
 
     def is_zero(self, a):
         return a[0] == self._zero_nums

@@ -22,24 +22,31 @@ from hopfcycl import (
     Quiver,
     RingWithoutRationals,
     SparseMatrix,
+    burghelea_check,
     character_from_zeta,
     check_cm_triple,
     cm_group_module,
+    coefficient_homology_skoldberg,
     conjugacy_classes,
     connes_lambda_hc,
     cyclic_bicomplex_hc,
     cyclic_bicomplex_hc_upto,
+    graded_sbi_hc,
     group_algebra,
+    hh_via_skoldberg,
     hochschild_homology,
     hochschild_homology_upto,
     hochschild_window,
+    periodic_resolution_homology,
     sbi_check,
     sbi_rank_assignment,
+    skoldberg_resolution,
     taft_cm_closed_form,
     taft_cm_congruences,
     taft_cm_module,
     taft_cm_triples,
     taft_hopf,
+    theta_chain_map_check,
     truncated_algebra,
     verify_cyclic_axioms,
 )
@@ -686,9 +693,37 @@ def test_negative_degree_is_refused_before_any_lookup():
         hochschild_window(module, 2).homology(-1)
 
 
+NEGATIVE_DEGREE_CALLS = {
+    "burghelea_check": lambda G, A, K: burghelea_check(G, QQ, -1),
+    "theta_chain_map_check": lambda G, A, K: theta_chain_map_check(G, 1, -1, QQ),
+    "skoldberg_resolution": lambda G, A, K: skoldberg_resolution(A, -1),
+    "coefficient_homology_skoldberg":
+        lambda G, A, K: coefficient_homology_skoldberg(A, 0, 1, -1),
+    "graded_sbi_hc": lambda G, A, K: graded_sbi_hc(A, -1),
+    "periodic_resolution_homology": lambda G, A, K: periodic_resolution_homology(
+        3, K, K.zeta, K.zeta, -1),
+    "hh_via_skoldberg": lambda G, A, K: hh_via_skoldberg(A, -1),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(NEGATIVE_DEGREE_CALLS))
+def test_group_and_quiver_engines_refuse_a_negative_degree(monkeypatch, engine):
+    """At degree -1 the group and small-resolution engines refuse before
+    anything is built (no product is taken), where they returned vacuous
+    passes, empty tables or a zero module, or raised a bare IndexError;
+    on crown(2) mod paths of length 2, and Z/3."""
+    A = truncated_algebra(Quiver.crown(2), 2, QQ)
+    products = count_products(monkeypatch)
+    with pytest.raises(IndexOutOfRange, match="negative degree -1"):
+        NEGATIVE_DEGREE_CALLS[engine](FiniteGroup.cyclic(3), A, CyclotomicField(3))
+    assert products == []
+
+
 @pytest.mark.parametrize("triple", [(1, 0, 0), (0, 1, 0)])
 def test_lambda_engine_ranks_each_matrix_once(monkeypatch, triple):
-    """HC_n ranks [b_n | 1 - lambda_(n-1)], the matrix HC_(n-1) already ranked."""
+    """HC_n ranks [b_n | 1 - lambda_(n-1)], the matrix HC_(n-1) already
+    ranked, and reads rank(1 - lambda) from traces, ranking no square
+    1 - lambda."""
     import hopfcycl.cyclic as cyclic
 
     seen = []
@@ -702,8 +737,54 @@ def test_lambda_engine_ranks_each_matrix_once(monkeypatch, triple):
     module = taft_cm_module(taft_hopf(2), *triple)
     dims = {n: connes_lambda_hc(module, n).free_rank for n in (3, 1, 2, 0)}
     assert dims == {n: taft_cm_closed_form(2, *triple, n) for n in range(4)}
-    # augmented ranks at levels 1..4 and rank(1 - lambda) at levels 0..2
-    assert len(seen) == len(set(seen)) == 7
+    # the augmented ranks at levels 1..4, each once: [b_m | 1 - lambda_(m-1)]
+    # is 4^(m-1) x (4^m + 4^(m-1)), and no matrix ranked is square
+    assert len(seen) == len(set(seen)) == 4
+    assert sorted((rows, cols) for rows, cols, _ in seen) == [
+        (4 ** (m - 1), 4**m + 4 ** (m - 1)) for m in range(1, 5)
+    ]
+
+
+FIXED_DIM_CASES = (
+    [("taft", (n, *triple)) for n in (2, 3) for triple in taft_cm_triples(n)]
+    + [("group", (m, pi)) for m in range(1, 6) for pi in range(m)]
+    + [("classical", "cyclic:3"), ("classical", "symmetric:3")]
+)
+
+
+@pytest.mark.parametrize(
+    "source,args", FIXED_DIM_CASES, ids=[f"{s} {a}" for s, a in FIXED_DIM_CASES]
+)
+def test_fixed_dimension_from_traces_is_the_kernel_of_one_minus_lambda(source, args):
+    """f_m = dim ker(1 - lambda_m), which the quotient engine reads from the
+    traces of the powers of t_m, equals dim C_m - rank(1 - lambda_m) at every
+    level <= 3; at level 0, where lambda = id, it is all of C_0 (|G| for the
+    classical module of a group algebra)."""
+    from hopfcycl.cyclic import _lambda_level
+    from hopfcycl.sparse import rank
+
+    module = dual_path_module(source, args)
+    for m in range(4):
+        holds, f, _ = _lambda_level(module, m, {})
+        assert holds
+        assert f == module.level_dim(m) - rank(module.one_minus_lambda(m)), m
+
+
+def test_lambda_engine_keeps_numbers_not_matrices(monkeypatch):
+    """HC_0..3 of a Taft-3 triple leave no matrix in the module's memo, only
+    the numbers of each level; asking again takes no product and no rank."""
+    import hopfcycl.cyclic as cyclic
+
+    module = taft_cm_module(taft_hopf(3), *taft_cm_triples(3)[1])
+    first = [connes_lambda_hc(module, n) for n in range(4)]
+    assert [h.free_rank for h in first] == [
+        taft_cm_closed_form(3, *taft_cm_triples(3)[1], n) for n in range(4)]
+    assert not [key for key, value in module._cache.items() if isinstance(value, SparseMatrix)]
+    products = count_products(monkeypatch)
+    ranked = []
+    monkeypatch.setattr(cyclic, "rank", lambda M: ranked.append(M) or 0)
+    assert [connes_lambda_hc(module, n) for n in range(4)] == first
+    assert products == [] and ranked == []
 
 
 # -- one-pass boundaries against the sum of face matrices ----------------------

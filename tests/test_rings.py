@@ -323,6 +323,9 @@ class FractionTupleCyclotomic(CyclotomicField):
     def from_int(self, c):
         return tuple([Fraction(c)] + [Fraction(0)] * (self.degree - 1))
 
+    def as_int(self, a):
+        return int(a[0]) if a[0].denominator == 1 and not any(a[1:]) else None
+
     def is_zero(self, a):
         return all(x == 0 for x in a)
 
