@@ -775,10 +775,10 @@ def test_lambda_engine_keeps_numbers_not_matrices(monkeypatch):
     the numbers of each level; asking again takes no product and no rank."""
     import hopfcycl.cyclic as cyclic
 
-    module = taft_cm_module(taft_hopf(3), *taft_cm_triples(3)[1])
+    triple = taft_cm_triples(3)[1]
+    module = taft_cm_module(taft_hopf(3), *triple)
     first = [connes_lambda_hc(module, n) for n in range(4)]
-    assert [h.free_rank for h in first] == [
-        taft_cm_closed_form(3, *taft_cm_triples(3)[1], n) for n in range(4)]
+    assert [h.free_rank for h in first] == [taft_cm_closed_form(3, *triple, n) for n in range(4)]
     assert not [key for key, value in module._cache.items() if isinstance(value, SparseMatrix)]
     products = count_products(monkeypatch)
     ranked = []
