@@ -11,9 +11,11 @@ rows of a matrix (`CyclicModule.degenerate`); the law checks apply it that
 way, so the checks through level N build no operator from a level above N.
 On tensor legs a degeneracy reads only the ring, the dimension and unit of
 the algebra and the number of fixed legs, so the verdicts of the laws
-s_i s_j = s_(j+1) s_i are kept per algebra, under (module class, level),
-and every module of one algebra and class shares them (`_degeneracy_laws`):
-the triples of a Hopf algebra build their level-(m + 2) composites once.
+s_i s_j = s_(j+1) s_i are kept, with the inner face sums, S_pi and M, in
+the algebra's table store (`AlgebraData.shared`) under (module class,
+level): every module of one algebra and class shares them
+(`_degeneracy_laws`), so the triples of a Hopf algebra build their
+level-(m + 2) composites once.
 Two main instances live here:
 
 * the Connes-Moscovici module of a Hopf algebra with an admissible
@@ -43,7 +45,6 @@ from __future__ import annotations
 
 from functools import cached_property, partial
 from itertools import accumulate, product
-from weakref import WeakKeyDictionary
 
 from .errors import (
     HopfCyclError,
@@ -52,7 +53,14 @@ from .errors import (
     PreconditionFailed,
     RingWithoutRationals,
 )
-from .hopf import CMTriple, HopfAlgebraData, twisted_antipode, twisted_middle
+from .hopf import (
+    CMTriple,
+    HopfAlgebraData,
+    contract,
+    tensor_add_scaled,
+    twisted_antipode,
+    twisted_middle,
+)
 from .rings import HomologyModule, Record, Ring
 from .sparse import SparseMatrix, _paused, homology_window, rank
 
@@ -166,26 +174,22 @@ def _write_one_minus_lambda(ring, m, t: SparseMatrix, ent: dict, offset: int) ->
     return ent
 
 
-# per algebra: {(leg digits, m): inner face sum}, dropped with the algebra
-_INNER_FACE_SUMS: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def _inner_face_sum(algebra, legs, m) -> SparseMatrix:
     """sum((-1)^i d_i, 0 < i < m) of a Connes-Moscovici module on tensor
     powers of the leg basis legs = (digits, mult) of `algebra`: its own
     basis, or that of H / k.1.  The inner faces multiply neighbouring legs
     and read neither the grouplike nor the characters, so every module of
-    the algebra shares the sum, built once per leg basis and level."""
-    sums = _INNER_FACE_SUMS.setdefault(algebra, {})
+    the algebra shares the sum, built once per leg basis and level and kept
+    in the algebra's table store."""
     digits, mult = legs
-    key = (tuple(digits), m)
-    out = sums.get(key)
-    if out is None:
-        d = len(digits)
+    d = len(digits)
+
+    def build():
         faces = [(_merge_face(algebra.ring, mult, d, d ** (i - 1), d ** (m - 1 - i)), i % 2 == 1)
                  for i in range(1, m)]
-        out = sums[key] = _signed_sum(algebra.ring, faces, d ** (m - 1), d**m)
-    return out
+        return _signed_sum(algebra.ring, faces, d ** (m - 1), d**m)
+
+    return algebra.shared(("inner face sum", tuple(digits), m), build)
 
 
 class _Normalization:
@@ -516,25 +520,26 @@ class ConnesMoscoviciModule(TensorCyclicModule):
 
     d_0 applies alpha to the first leg, d_m applies beta to the last one and
     the inner faces multiply neighbouring legs; their alternating sum, on
-    the legs of H and of H / k.1, is shared by every module of the algebra
-    (`_inner_face_sum`), so b and b-bar add only d_0 and d_m to it.  The
-    cyclic operator sends
+    the legs of H and of H / k.1, is kept in the algebra's table store for
+    every module of the algebra (`_inner_face_sum`), so b and b-bar add only
+    d_0 and d_m to it.  The cyclic operator sends
     h_1 (x) ... (x) h_m, with three-leg coproducts x_p (x) y_p (x) z_p, to
 
         alpha(x_1 ... x_m) beta(z_m) S_pi(y_1 ... y_m) (x) z_1 (x) ... (x) z_(m-1).
 
     Operators are materialized column by column in basis-index order.  The
-    three-leg coproducts are pre-contracted with alpha per basis element
-    (`_cop3_alpha`).  The last leg h_m enters only through beta(z_m) and the
-    closing S_pi: with b_Y the second-leg product of the legs before it, it
-    contributes column h_m of S_pi . L_Y . M, where L_Y is the left
-    multiplication by b_Y and M = (alpha (x) id (x) beta) Delta^2 is
-    `twisted_middle`, the matrix the admissibility check reads too.  These
-    columns form one table per module (`_closing`).  B-bar_m applies
-    t_(m+1) s_m, the same fold (`_fold`) over the m legs with the unit as
-    last leg, to N_m of the normalized columns: M sends 1 to 1, so the one
-    closing is column Y of S_pi, and with the third legs and S_pi taken to
-    H / k.1 the fold writes its rows in normalized coordinates.
+    three-leg coproducts are pre-contracted with alpha per basis element,
+    as Delta of the alpha-contraction (alpha (x) id)Delta (`_cop3_alpha`).
+    The last leg h_m enters only through beta(z_m) and the closing S_pi:
+    with b_Y the second-leg product of the legs before it, it contributes
+    column h_m of S_pi . L_Y . M, where L_Y is the left multiplication by
+    b_Y and M = (alpha (x) id (x) beta) Delta^2 is `twisted_middle`, the
+    matrix the admissibility check reads too.  These columns form one table
+    per module (`_closing`).  B-bar_m applies t_(m+1) s_m, the same fold
+    (`_fold`) over the m legs with the unit as last leg, to N_m of the
+    normalized columns: M sends 1 to 1, so the one closing is column Y of
+    S_pi, and with the third legs and S_pi taken to H / k.1 the fold writes
+    its rows in normalized coordinates.
     """
 
     fixed_legs = 0
@@ -556,23 +561,13 @@ class ConnesMoscoviciModule(TensorCyclicModule):
 
     @cached_property
     def _cop3_alpha(self) -> list[dict]:
-        """Per basis element b, the three-leg coproduct of b with alpha
-        applied to the first leg: (y, z) -> sum of c * alpha(x)."""
-        R = self.ring
-        tables = []
-        for b in range(self.hopf.dim):
-            table: dict = {}
-            for (x, y, z), c in self.hopf.iterated_coproduct_basis(b, 3).items():
-                v = R.mul(c, self.alpha(x))
-                if R.is_zero(v):
-                    continue
-                key = (y, z)
-                s = R.add(table.get(key, R.zero), v)
-                if R.is_zero(s):
-                    table.pop(key, None)
-                else:
-                    table[key] = s
-            tables.append(table)
+        """Per basis element b, (alpha (x) id (x) id)(id (x) Delta)Delta(b)
+        as (y, z) -> payload: Delta of column b of the alpha-contraction
+        (alpha (x) id)Delta (`contract`)."""
+        R, cop = self.ring, self.hopf.coproduct
+        tables: list[dict] = [{} for _ in range(self.hopf.dim)]
+        for (p, b), c in contract(self.hopf, self.alpha, 0).entries.items():
+            tensor_add_scaled(R, tables[b], c, cop[p])
         return tables
 
     @cached_property
@@ -1125,9 +1120,9 @@ def verify_cyclic_axioms(module: CyclicModule, N: int) -> dict[str, bool]:
     factor (`degenerate`), so no operator with source level above N is built.
     The laws s_i s_j = s_(j+1) s_i of a module with tensor legs read only
     the ring, the dimension and unit of its algebra and its fixed legs, so
-    their verdicts are kept per algebra under (module class, level) and
-    shared by every module of that algebra and class (`_degeneracy_laws`).
-    A negative N is refused with `IndexOutOfRange`.
+    their verdicts are kept in the algebra's table store under (module
+    class, level), shared by every module of that algebra and class
+    (`_degeneracy_laws`).  A negative N is refused with `IndexOutOfRange`.
     """
     _require_degree(N)
     report: dict[str, bool] = {}
@@ -1164,11 +1159,6 @@ def verify_cyclic_axioms(module: CyclicModule, N: int) -> dict[str, bool]:
     return report
 
 
-# per algebra: {(module class, level m): {law name: verdict}} of the laws
-# s_i s_j = s_(j+1) s_i at level m, dropped with the algebra
-_DEGENERACY_LAWS: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def _degeneracy_laws(module: CyclicModule, m: int) -> dict[str, bool]:
     """The verdicts of s_i s_j = s_(j+1) s_i, i <= j <= m, at level m
     (Loday, Cyclic Homology, 1.5.1), in report order; each composite of
@@ -1177,8 +1167,9 @@ def _degeneracy_laws(module: CyclicModule, m: int) -> dict[str, bool]:
     `TensorCyclicModule.degenerate` reads only the ring, `algebra.dim`,
     `algebra.unit` and `fixed_legs`, so every module of one algebra and
     class has the same laws: the Connes-Moscovici modules of all triples of
-    a Hopf algebra share them, computed once per level.  The key holds the
-    class, so a subclass that overrides `degenerate` and the classical
+    a Hopf algebra share them, computed once per level and kept in the
+    algebra's table store, which is dropped with the algebra.  The key holds
+    the class, so a subclass that overrides `degenerate` and the classical
     module of the same algebra compute their own.  A module without tensor
     legs (`GammaCyclicModule`) computes them on every call."""
 
@@ -1194,12 +1185,7 @@ def _degeneracy_laws(module: CyclicModule, m: int) -> dict[str, bool]:
 
     if not isinstance(module, TensorCyclicModule):
         return build()
-    verdicts = _DEGENERACY_LAWS.setdefault(module.algebra, {})
-    key = (type(module), m)
-    laws = verdicts.get(key)
-    if laws is None:
-        laws = verdicts[key] = build()
-    return laws
+    return module.algebra.shared(("degeneracy laws", type(module), m), build)
 
 
 def _cyclic_laws(module: CyclicModule, N: int):

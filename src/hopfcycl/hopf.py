@@ -5,12 +5,15 @@ Hopf algebra stores its coproduct as an explicit sparse tensor table on the
 basis, the counit as a functional, and the antipode as a matrix; characters
 are functionals that are multiplicative on the basis.  Contracting a
 character against one leg of the coproduct (`contract`) is written once: the
-counit axiom is that contraction with eps, and the middle legs of the
-admissibility check are (alpha (x) id)Delta . (id (x) beta)Delta.
+counit axiom is that contraction with eps, the middle legs of the
+admissibility check are (alpha (x) id)Delta . (id (x) beta)Delta, and the
+alpha-contracted three-leg coproduct of the cyclic operator is Delta of the
+alpha-contraction (alpha (x) id)Delta.
 
 The admissibility check for a (grouplike, character, character) triple is the
 involution condition (alpha * S_pi * beta)^2 = id, with alpha * S_pi * beta
-built as one matrix and squared exactly.
+built as one matrix and squared exactly.  S_pi and M are kept, with the
+shared tables of `cyclic`, in the algebra's table store (`AlgebraData.shared`).
 """
 
 from __future__ import annotations
@@ -52,6 +55,16 @@ class AlgebraData:
             [{k: c for k, c in v.items() if not is_zero(c)} for v in row] for row in mult
         ]
         self.unit = {i: v for i, v in unit.items() if not is_zero(v)}
+        self._shared: dict = {}
+
+    def shared(self, key, build):
+        """The table under key in the algebra's store, built by build() on the
+        first request and dropped with the algebra: S_pi, M, the inner face
+        sums and the degeneracy-law verdicts that every triple shares."""
+        out = self._shared.get(key)
+        if out is None:
+            out = self._shared[key] = build()
+        return out
 
     def basis_vector(self, i: int) -> Vector:
         return {i: self.ring.one}
@@ -156,36 +169,7 @@ class HopfAlgebraData:
         self.coproduct = coproduct  # per basis index: dict (i, j) -> payload
         self.counit = list(counit)
         self.antipode = antipode
-        self._iterated: dict[tuple[int, int], Tensor] = {}
-        # S_pi by grouplike and M by character pair, shared by every caller
-        self._twisted: dict = {}
-
-    # -- coproduct machinery -------------------------------------------------
-    def iterated_coproduct_basis(self, b: int, r: int) -> Tensor:
-        """Delta^(r-1) of a basis element, as an r-leg tensor (cached)."""
-        if r < 1:
-            raise ValueError("r must be >= 1")
-        key = (b, r)
-        cached = self._iterated.get(key)
-        if cached is not None:
-            return cached
-        if r == 1:
-            out: Tensor = {(b,): self.ring.one}
-        else:
-            R = self.ring
-            out = {}
-            prev = self.iterated_coproduct_basis(b, r - 1)
-            for key_prev, c in prev.items():
-                last = key_prev[-1]
-                for (i, j), d in self.coproduct[last].items():
-                    k = key_prev[:-1] + (i, j)
-                    s = R.add(out.get(k, R.zero), R.mul(c, d))
-                    if R.is_zero(s):
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-        self._iterated[key] = out
-        return out
+        self._key = object()  # keys S_pi and M to this structure, not only to its algebra
 
     # -- axiom verification --------------------------------------------------
     @_paused
@@ -244,20 +228,21 @@ def contract(hopf: HopfAlgebraData, chi: Character, leg: int) -> SparseMatrix:
 
 
 def twisted_antipode(hopf: HopfAlgebraData, pi: GroupLike) -> SparseMatrix:
-    """S_pi = (left multiplication by pi) . S, built once per grouplike."""
-    if pi not in hopf._twisted:
-        hopf._twisted[pi] = hopf.algebra.left_multiplication_matrix(pi.as_vector()) @ hopf.antipode
-    return hopf._twisted[pi]
+    """S_pi = (left multiplication by pi) . S, built once per grouplike and
+    kept in the algebra's table store."""
+    A = hopf.algebra
+    return A.shared(("S_pi", hopf._key, pi),
+                    lambda: A.left_multiplication_matrix(pi.as_vector()) @ hopf.antipode)
 
 
 def twisted_middle(hopf: HopfAlgebraData, alpha: Character, beta: Character) -> SparseMatrix:
     """M = (alpha (x) id (x) beta) Delta^2 = (alpha (x) id)Delta . (id (x) beta)Delta
     as a matrix: beta on the right leg of Delta(b), then alpha on the left leg
     of each Delta(p).  The admissibility check and the last leg of the cyclic
-    operator both read it; it is built once per character pair."""
-    if (alpha, beta) not in hopf._twisted:
-        hopf._twisted[alpha, beta] = contract(hopf, alpha, 0) @ contract(hopf, beta, 1)
-    return hopf._twisted[alpha, beta]
+    operator both read it; it is built once per character pair and kept in
+    the algebra's table store."""
+    return hopf.algebra.shared(("M", hopf._key, alpha, beta),
+                               lambda: contract(hopf, alpha, 0) @ contract(hopf, beta, 1))
 
 
 def admissibility_matrix(

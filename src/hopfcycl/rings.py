@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import NotAUnit, ParseError, UnsupportedRing
+from .errors import HopfCyclError, NotAUnit, ParseError, UnsupportedRing
 
 # ---------------------------------------------------------------------------
 # integer / rational polynomial helpers (coefficient lists, low degree first)
@@ -56,11 +56,13 @@ def _poly_divmod_exact(num, den):
     for k in range(len(out) - 1, -1, -1):
         lead = num[k + len(den) - 1]
         q, r = divmod(lead, den[-1])
-        assert r == 0, "non-exact cyclotomic division"
+        if r:
+            raise HopfCyclError("non-exact cyclotomic division")
         out[k] = q
         for j, d in enumerate(den):
             num[k + j] -= q * d
-    assert not _poly_trim(num), "nonzero remainder in cyclotomic division"
+    if _poly_trim(num):
+        raise HopfCyclError("nonzero remainder in cyclotomic division")
     return out
 
 

@@ -8,7 +8,7 @@ memory than it saves time): a product indexes whichever operand has fewer
 entries by the shared index, scans the other, and drops the sums that cancel
 in one pass at the end.  The constructor checks every entry; operations
 whose entries are in range and nonzero by construction (negation,
-transpose, stacking, sums and products after dropping their zeros) skip it.
+transpose, sums and products after dropping their zeros) skip it.
 
 Every rank and Smith normal form goes through one elimination kernel,
 `_eliminate`.  It keeps rows as dictionaries and takes pivots from a lazy
@@ -199,15 +199,6 @@ class SparseMatrix:
             self.nrows,
             {(j, i): v for (i, j), v in self.entries.items()},
         )
-
-    def hstack(self, other):
-        self._check(other)
-        if self.nrows != other.nrows:
-            raise ValueError("row mismatch in hstack")
-        ent = dict(self.entries)
-        for (i, j), v in other.entries.items():
-            ent[(i, j + self.ncols)] = v
-        return SparseMatrix._unchecked(self.ring, self.nrows, self.ncols + other.ncols, ent)
 
     # -- access --------------------------------------------------------------
     def column(self, j):

@@ -572,6 +572,13 @@ def test_verify_names_the_laws_a_late_unit_breaks():
 # -- degeneracy laws checked once per algebra and class ------------------------
 
 
+def law_keys(algebra):
+    """The (module class, level) keys of the degeneracy-law verdicts in the
+    algebra's table store."""
+    return sorted((key[1].__name__, key[2]) for key in algebra._shared
+                  if key[0] == "degeneracy laws")
+
+
 def spy_composites(monkeypatch):
     """Record the shape of every s o s_j that `_insert_unit` builds: the
     degeneracy applied to the rows of a degeneracy matrix, d^(m+1) x d^m,
@@ -621,8 +628,6 @@ def test_late_unit_after_a_good_module_still_fails_its_laws():
 def test_cm_and_classical_modules_of_one_algebra_check_their_own_laws(monkeypatch):
     """C_m has m legs in the Connes-Moscovici module and m + 1 in the
     classical one (fixed_legs 0 and 1), so each computes its own laws."""
-    from hopfcycl.cyclic import _DEGENERACY_LAWS
-
     cm = cm_z3(1)
     classical = ClassicalCyclicModule(cm.algebra)
     built = spy_composites(monkeypatch)
@@ -635,49 +640,48 @@ def test_cm_and_classical_modules_of_one_algebra_check_their_own_laws(monkeypatc
     verify_cyclic_axioms(cm, 2)
     verify_cyclic_axioms(ClassicalCyclicModule(cm.algebra), 2)
     assert built == []
-    assert sorted((cls.__name__, m) for cls, m in _DEGENERACY_LAWS[cm.algebra]) == [
+    assert law_keys(cm.algebra) == [
         ("ClassicalCyclicModule", m) for m in range(3)
     ] + [("ConnesMoscoviciModule", m) for m in range(3)]
 
 
 def test_gamma_module_checks_its_degeneracy_laws_on_every_call(monkeypatch):
     """A module without tensor legs multiplies by its degeneracy matrices and
-    shares no verdict: its own cache is the only thing reused."""
+    shares no verdict: its own cache is the only thing reused, and no
+    algebra's table store is read or written."""
     import hopfcycl.cyclic as cyclic
+    from hopfcycl import AlgebraData
 
     module = GammaCyclicModule(FiniteGroup.cyclic(3), 1, QQ)
     calls = []
     laws = cyclic._degeneracy_laws
     monkeypatch.setattr(cyclic, "_degeneracy_laws", lambda *a: calls.append(a[1]) or laws(*a))
-    before = len(cyclic._DEGENERACY_LAWS)
+    stored = []
+    shared = AlgebraData.shared
+    monkeypatch.setattr(AlgebraData, "shared", lambda *a: stored.append(a[1]) or shared(*a))
     first = verify_cyclic_axioms(module, 2)
     assert verify_cyclic_axioms(module, 2) == first and all(first.values())
     assert calls == [0, 1, 2, 0, 1, 2]
-    assert len(cyclic._DEGENERACY_LAWS) == before
+    assert stored == []
 
 
 def test_degeneracy_verdicts_are_dropped_with_their_algebra():
     import gc
     import weakref
 
-    from hopfcycl.cyclic import _DEGENERACY_LAWS
-
     module = cm_group_module(FiniteGroup.cyclic(3), 1, QQ)
     verify_cyclic_axioms(module, 2)
     algebra = weakref.ref(module.algebra)
-    assert algebra() in _DEGENERACY_LAWS
-    held = len(_DEGENERACY_LAWS)
+    assert law_keys(algebra()) == [("ConnesMoscoviciModule", m) for m in range(3)]
     del module
     gc.collect()
     assert algebra() is None
-    assert len(_DEGENERACY_LAWS) < held
 
 
 def test_negative_degree_is_refused_before_any_lookup():
     """At degree -1 every engine refuses, and no operator or verdict is
     looked up or stored; the refusal is a HopfCyclError."""
     from hopfcycl import HopfCyclError
-    from hopfcycl.cyclic import _DEGENERACY_LAWS
 
     module = cm_z3(1)
     engines = [verify_cyclic_axioms, hochschild_homology, hochschild_homology_upto,
@@ -686,7 +690,8 @@ def test_negative_degree_is_refused_before_any_lookup():
         with pytest.raises(IndexOutOfRange, match="negative degree -1"):
             engine(module, -1)
     assert module._cache == {}
-    assert module.algebra not in _DEGENERACY_LAWS
+    # the store holds only what the admissibility check built
+    assert {key[0] for key in module.algebra._shared} == {"S_pi", "M"}
     with pytest.raises(HopfCyclError):
         verify_cyclic_axioms(module, -2)
     with pytest.raises(IndexOutOfRange, match="negative degree -1"):
@@ -851,6 +856,70 @@ def test_admissible_taft_modules_share_the_inner_face_sum(monkeypatch):
     assert second.boundary_b(4) == boundary_by_face_sums(second, 4, 5)
     for m in range(1, 5):
         assert second.normalized_b(m) == projected_boundary(second, m), m
+
+
+def test_triples_of_one_taft_algebra_share_its_tables():
+    """S_pi, M and the inner face sums are kept in the algebra's store: two
+    Taft-3 triples with one grouplike read the same S_pi, two with one
+    character pair the same M, and two modules the same inner face sums;
+    a second Taft-3 algebra builds its own, equal, tables."""
+    from hopfcycl.cyclic import _inner_face_sum
+    from hopfcycl.hopf import twisted_middle
+
+    def tables(hopf):
+        # (0, 1, 0) and (0, 2, 1) share pi_0; (2, 0, 0) and the inadmissible
+        # (1, 0, 0) share the character pair (alpha_0, alpha_0)
+        first, second = taft_cm_module(hopf, 0, 1, 0), taft_cm_module(hopf, 0, 2, 1)
+        third = taft_cm_module(hopf, 2, 0, 0)
+        fourth = taft_cm_module(hopf, 1, 0, 0, require_valid=False)
+        assert first.s_pi is second.s_pi and third.s_pi is not fourth.s_pi
+        middle = twisted_middle(hopf, third.alpha, third.beta)
+        assert twisted_middle(hopf, fourth.alpha, fourth.beta) is middle
+        for module in (first, second):
+            module.boundary_b(3)
+            module.normalized_b(3)
+        sums = [_inner_face_sum(hopf.algebra, legs, 3)
+                for legs in (first._legs, first._normal.legs, second._legs, second._normal.legs)]
+        assert sums[0] is sums[2] and sums[1] is sums[3]
+        return first.s_pi, middle, sums[0], sums[1]
+
+    mine = tables(taft_hopf(3))
+    other = tables(taft_hopf(3))
+    assert all(a is not b and a == b for a, b in zip(mine, other))
+
+
+def cop3_alpha_reference(module):
+    """(alpha (x) id (x) id)(id (x) Delta)Delta(b) per basis element b,
+    written from the two-leg table: (y, z) -> the sum of c * d * alpha(x)
+    over the terms c * x (x) w of Delta(b) and d * y (x) z of Delta(w)."""
+    R, cop = module.ring, module.hopf.coproduct
+    tables = []
+    for b in range(module.hopf.dim):
+        table = {}
+        for (x, w), c in cop[b].items():
+            for (y, z), d in cop[w].items():
+                v = R.mul(R.mul(c, d), module.alpha(x))
+                table[y, z] = R.add(table.get((y, z), R.zero), v)
+        tables.append({key: v for key, v in table.items() if not R.is_zero(v)})
+    return tables
+
+
+def test_cop3_alpha_is_the_three_leg_coproduct_contracted_on_its_first_leg():
+    """Every admissible triple of Taft-2, 3 and 4 over Q(zeta_n) and over F3,
+    F7 and F5, and every pi of Z/4 and S3 over Q, Z and F3 (eps, eps; the
+    inadmissible pi of S3 too): 54 modules."""
+    modules = []
+    for n, p in ((2, 3), (3, 7), (4, 5)):
+        for ring in (CyclotomicField(n), PrimeField(p)):
+            hopf = taft_hopf(n, ring)
+            modules += [taft_cm_module(hopf, *triple) for triple in taft_cm_triples(n, ring)]
+    for G in (FiniteGroup.cyclic(4), FiniteGroup.symmetric(3)):
+        for ring in (QQ, ZZ, PrimeField(3)):
+            modules += [cm_group_module(G, pi, ring, require_valid=False)
+                        for pi in range(G.order)]
+    assert len(modules) == 54
+    for module in modules:
+        assert module._cop3_alpha == cop3_alpha_reference(module)
 
 
 # -- d^2 = 0 checked once per path ---------------------------------------------

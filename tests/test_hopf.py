@@ -116,18 +116,36 @@ def test_verify_axioms_reports_a_broken_algebra(product, unit, failing):
     assert set(report) == {"associativity", "unit", "coassociativity", "counit", "antipode"}
 
 
+def test_two_hopf_structures_on_one_algebra_keep_their_own_s_pi_and_m():
+    """S_pi and M are kept in the algebra's table store, keyed by their Hopf
+    structure too: Q[Z/3] with S = id, or with Delta(g) = g (x) e, built on
+    the algebra of Q[Z/3] after Q[Z/3] stored its tables, builds its own."""
+    H = group_algebra(FiniteGroup.cyclic(3), QQ)
+    pi, eps = GroupLike.from_vector({1: QQ.one}), trivial_character(FiniteGroup.cyclic(3), QQ)
+    assert check_cm_triple(H, pi, eps, eps).valid
+    g_times = H.algebra.left_multiplication_matrix(pi.as_vector())
+    no_antipode = _rebuilt(H, antipode=SparseMatrix.identity(QQ, 3))
+    assert twisted_antipode(no_antipode, pi) == g_times != twisted_antipode(H, pi)
+    g_then_e = _rebuilt(H, coproduct=[H.coproduct[0], {(1, 0): QQ.one}, H.coproduct[2]])
+    assert twisted_middle(g_then_e, eps, eps) != twisted_middle(H, eps, eps)
+
+
 def test_verify_axioms_reports_a_broken_taft_antipode():
     H = taft_hopf(2)
     report = _rebuilt(H, antipode=SparseMatrix.identity(H.ring, H.dim)).verify_axioms()
     assert {name for name, ok in report.items() if not ok} == {"antipode"}
 
 
-def test_iterated_coproduct_of_grouplike():
+def test_alpha_contracted_three_leg_coproduct_of_grouplikes():
+    """In k[Z/3] with alpha = eps, (alpha (x) id (x) id)(id (x) Delta)Delta(g)
+    is g (x) g for every grouplike g."""
+    from hopfcycl import ConnesMoscoviciModule
+
     H = group_algebra(FiniteGroup.cyclic(3), QQ)
-    assert H.iterated_coproduct_basis(2, 3) == {(2, 2, 2): QQ.one}
-    assert H.iterated_coproduct_basis(1, 1) == {(1,): QQ.one}
-    with pytest.raises(ValueError):
-        H.iterated_coproduct_basis(0, 0)
+    eps = trivial_character(FiniteGroup.cyclic(3), QQ)
+    triple = check_cm_triple(H, GroupLike.from_vector({0: QQ.one}), eps, eps)
+    tables = ConnesMoscoviciModule(H, triple)._cop3_alpha
+    assert tables == [{(g, g): QQ.one} for g in range(3)]
 
 
 def test_character_validate():
@@ -209,14 +227,16 @@ def test_grouplike_and_triple_are_frozen_values():
 
 def three_leg_middle(hopf, alpha, beta):
     """(alpha (x) id (x) beta) Delta^2 from the three-leg coproduct
-    (id (x) Delta) Delta of `iterated_coproduct_basis`: column b is the sum
-    of c * alpha(x) * beta(z) * b_y, as a dict (row, col) -> payload."""
+    (id (x) Delta) Delta, written from the two-leg table: column b is the sum
+    of c * d * alpha(x) * beta(z) * b_y over the terms c * x (x) w of
+    Delta(b) and d * y (x) z of Delta(w), as a dict (row, col) -> payload."""
     R = hopf.ring
     out = {}
     for b in range(hopf.dim):
-        for (x, y, z), c in hopf.iterated_coproduct_basis(b, 3).items():
-            scale = R.mul(c, R.mul(alpha(x), beta(z)))
-            out[(y, b)] = R.add(out.get((y, b), R.zero), scale)
+        for (x, w), c in hopf.coproduct[b].items():
+            for (y, z), d in hopf.coproduct[w].items():
+                scale = R.mul(R.mul(c, d), R.mul(alpha(x), beta(z)))
+                out[(y, b)] = R.add(out.get((y, b), R.zero), scale)
     return {k: v for k, v in out.items() if not R.is_zero(v)}
 
 

@@ -38,6 +38,22 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def assert_statements(source: str) -> list[int]:
+    """The lines of the assert statements in source."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_the_scan_finds_an_assert_statement():
+    assert assert_statements("x = 1\nassert x, 'x'\nif x:\n    assert x > 0\n") == [2, 4]
+    assert assert_statements("if not x:\n    raise ValueError('x')\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    """python -O strips assert statements, so the package checks with a raise."""
+    assert assert_statements(path.read_text()) == []
+
+
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
     """dataclasses, with the inspect, ast and dis it pulls in, would be the
     largest part of the package's import time; a fresh process without site

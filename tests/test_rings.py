@@ -32,7 +32,7 @@ from hopfcycl import (
 )
 from hopfcycl.errors import MissingRootOfUnity
 import hopfcycl.rings as rings
-from hopfcycl.rings import Ring, _poly_mul, _poly_trim, euler_phi
+from hopfcycl.rings import Ring, _poly_divmod_exact, _poly_mul, _poly_trim, euler_phi
 
 RINGS = [ZZ, QQ, IntegersMod(6), PrimeField(5), CyclotomicField(5)]
 
@@ -55,6 +55,20 @@ def test_cyclotomic_polynomial_product_over_divisors(n):
             prod = _poly_mul(prod, list(cyclotomic_polynomial(d)))
     assert prod == [-1] + [0] * (n - 1) + [1]
     assert len(cyclotomic_polynomial(n)) - 1 == euler_phi(n)
+
+
+@pytest.mark.parametrize(
+    "num, den, message",
+    [([1, 0, 1], [2, 1], "nonzero remainder"), ([1, 0, 1], [1, 2], "non-exact")],
+)
+def test_inexact_polynomial_division_raises(num, den, message):
+    """x^2 + 1 is divisible neither by x + 2 (remainder 5) nor by 2x + 1
+    (leading coefficients 1 and 2): a typed refusal, which python -O keeps."""
+    from hopfcycl import HopfCyclError
+
+    with pytest.raises(HopfCyclError, match=message):
+        _poly_divmod_exact(num, den)
+    assert _poly_divmod_exact([-1, 0, 0, 1], [-1, 1]) == [1, 1, 1]
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)

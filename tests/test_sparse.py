@@ -97,7 +97,6 @@ def test_matrix_algebra_basics():
     assert (A @ B) == SparseMatrix.from_rows(QQ, [[2, 1], [4, 3]])
     assert (A + (-A)).is_zero
     assert (A - A).is_zero
-    assert A.hstack(B).ncols == 4
     assert A.column(0) == {0: Fraction(1), 1: Fraction(3)}
     assert A.transpose().transpose() == A
     with pytest.raises(RingMismatch):
@@ -538,8 +537,9 @@ def test_product_either_operand_larger_with_cancellation(ring):
             assert (len(A.entries) > len(B.entries)) == dense_left
             assert A @ B == matmul_by_indexing_the_left(A, B)
             # [A | -A] @ [B ; B] = AB - AB cancels everywhere
-            stacked = B.transpose().hstack(B.transpose()).transpose()
-            assert (A.hstack(-A) @ stacked).is_zero
+            wide = {**A.entries, **{(i, j + k): ring.neg(v) for (i, j), v in A.entries.items()}}
+            tall = {**B.entries, **{(i + k, j): v for (i, j), v in B.entries.items()}}
+            assert (SparseMatrix(ring, m, 2 * k, wide) @ SparseMatrix(ring, 2 * k, n, tall)).is_zero
 
 
 def test_from_columns_checks_every_entry():
