@@ -398,8 +398,7 @@ def _cmd_report(args) -> dict:
 def emit_report(table: dict, fmt: str, stream=None) -> None:
     stream = stream or sys.stdout
     if fmt == "json":
-        json.dump(table, stream, indent=2, sort_keys=True, default=str)
-        stream.write("\n")
+        stream.write(json.dumps(table, indent=2, sort_keys=True, default=str) + "\n")
         return
     rows = table.get("rows", [])
     tables = [("HH", table.get("hh")), ("HC", table.get("hc")),
@@ -428,31 +427,34 @@ def emit_report(table: dict, fmt: str, stream=None) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand.  The options are defined once, on a
+    parent that each subparser shares; `--compare` parses to None unless
+    given, and `parse_args` reads None as closed for compare and report."""
     parser = argparse.ArgumentParser(
         prog="hopfcycl",
         description="exact cyclic homology of Hopf algebras and quiver algebras",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--group", help="group spec: cyclic:M or symmetric:N")
+    common.add_argument("--group-file", help="path to a group JSON file")
+    common.add_argument("--quiver", help="quiver spec: crown:N")
+    common.add_argument("--quiver-file", help="path to a quiver JSON file")
+    common.add_argument("--taft", type=int, help="Taft algebra size n")
+    common.add_argument("--trivial", action="store_true", help="the trivial Hopf algebra")
+    common.add_argument("--truncation", type=int, default=2,
+                        help="truncation exponent for quiver algebras")
+    common.add_argument("--ring", help="coefficient ring: Z, Q, Z/m, Fp, Q(zetaN)")
+    common.add_argument("--pi", help="grouplike selector (exponent / index)")
+    common.add_argument("--alpha", help="character selector: eps or an index")
+    common.add_argument("--beta", help="character selector: eps or an index")
+    common.add_argument("--max-degree", type=int, default=3)
+    common.add_argument("--compare", choices=["closed"])
+    common.add_argument("--allow-invalid", action="store_true",
+                        help="build the module even for an inadmissible triple")
+    common.add_argument("--format", choices=["json", "text"], default="text")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("verify", "hh", "hc", "cm-hc", "compare", "report"):
-        p = sub.add_parser(name)
-        p.add_argument("--group", help="group spec: cyclic:M or symmetric:N")
-        p.add_argument("--group-file", help="path to a group JSON file")
-        p.add_argument("--quiver", help="quiver spec: crown:N")
-        p.add_argument("--quiver-file", help="path to a quiver JSON file")
-        p.add_argument("--taft", type=int, help="Taft algebra size n")
-        p.add_argument("--trivial", action="store_true", help="the trivial Hopf algebra")
-        p.add_argument("--truncation", type=int, default=2,
-                       help="truncation exponent for quiver algebras")
-        p.add_argument("--ring", help="coefficient ring: Z, Q, Z/m, Fp, Q(zetaN)")
-        p.add_argument("--pi", help="grouplike selector (exponent / index)")
-        p.add_argument("--alpha", help="character selector: eps or an index")
-        p.add_argument("--beta", help="character selector: eps or an index")
-        p.add_argument("--max-degree", type=int, default=3)
-        p.add_argument("--compare", choices=["closed"],
-                       default="closed" if name in ("compare", "report") else None)
-        p.add_argument("--allow-invalid", action="store_true",
-                       help="build the module even for an inadmissible triple")
-        p.add_argument("--format", choices=["json", "text"], default="text")
+        sub.add_parser(name, parents=[common])
     return parser
 
 
@@ -472,12 +474,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-@_paused
-def run(argv=None, stream=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The options of argv, with --compare closed for compare and report
+    when it is not given."""
     parser = _parser()
     args = parser.parse_args(argv)
+    # not a default of the compare and report subparsers: they share the
+    # parent's --compare Action, and a default set there reaches them all
+    if args.compare is None and args.command in ("compare", "report"):
+        args.compare = "closed"
     if args.max_degree < 0:
         parser.error("--max-degree must be >= 0")
+    return args
+
+
+@_paused
+def run(argv=None, stream=None) -> int:
+    args = parse_args(argv)
     try:
         _check_scalar_options(args)
         table = COMMANDS[args.command](args)

@@ -109,10 +109,17 @@ class Ring:
     Subclasses fix the payload representation and override the core
     operations.  Ring objects are immutable and hashable; two rings compare
     equal iff they are the same ring (same kind and parameters).
+
+    `int_payloads` is True on a ring whose payloads are plain ints, reduced
+    mod `characteristic` to canonical residues in [0, m) when it is m > 0
+    and not reduced at all when it is 0 (Z and Z/m, so F_p too).  Kernels
+    may then do its arithmetic on the ints themselves, with no ring method
+    call; they still reduce mod m and drop what becomes zero.
     """
 
     is_field = False
     contains_rationals = False
+    int_payloads = False
     characteristic = 0
     name = "?"
 
@@ -192,6 +199,7 @@ class IntegerRing(Ring):
     """Z with int payloads."""
 
     name = "Z"
+    int_payloads = True
     zero = 0
     one = 1
 
@@ -282,6 +290,7 @@ class RationalField(Ring):
 class IntegersMod(Ring):
     """Z/m with canonical residues in [0, m)."""
 
+    int_payloads = True
     # canonical residues for every modulus m >= 2
     zero = 0
     one = 1

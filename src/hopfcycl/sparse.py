@@ -6,7 +6,10 @@ They are treated as immutable; every operation returns a fresh matrix.  No
 row or column index is cached on a matrix (one per operator would cost more
 memory than it saves time): a product indexes whichever operand has fewer
 entries by the shared index, scans the other, and drops the sums that cancel
-in one pass at the end.  The constructor checks every entry; operations
+in one pass at the end.  Over int payloads (Z, Z/m and F_p, see
+`Ring.int_payloads`) it sums the raw int products and reduces each sum mod
+m once, dropping the sums that are zero mod m; elsewhere it adds with the
+ring's methods.  The constructor checks every entry; operations
 whose entries are in range and nonzero by construction (negation,
 transpose, sums and products after dropping their zeros) skip it.
 
@@ -19,7 +22,11 @@ field, +-1 over Z.  A column with one live row is a pivot as it stands,
 with no inverse and no row operation; the kernel takes these first from a
 heap of bare column indices, and builds the (count, column) queue only
 for what is left.  Otherwise the pivot column's entries in the other live
-rows are dropped, not computed, since they cancel exactly.  The Smith
+rows are dropped, not computed, since they cancel exactly.  The row update
+row2 -= f * pivot_row has two forms, picked once per call: over int
+payloads it is int arithmetic reduced mod m (no reduction over Z), with a
+truthiness test for zero; over Q and Q(zeta_n) it calls the ring's
+methods.  Pivot selection and the bookkeeping are shared.  The Smith
 normal form over Z runs in two phases: the
 kernel eliminates the +-1 pivots sparsely, each contributing an invariant
 factor 1, and a dense Smith normal form reduces the small residual that is
@@ -165,31 +172,50 @@ class SparseMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
         R = self.ring
-        mul, add = R.mul, R.add
+        mul, add, ints = R.mul, R.add, R.int_payloads
         out = {}
         get = out.get
-        # index the operand with fewer entries by the shared index, scan the other
+        # index the operand with fewer entries by the shared index, scan the
+        # other; over int payloads sum the raw products and reduce once
         if len(self.entries) <= len(other.entries):
             by_col = {}
             for (i, j), v in self.entries.items():
                 by_col.setdefault(j, []).append((i, v))
-            for (j, l), w in other.entries.items():
-                for i, v in by_col.get(j, ()):
-                    k = (i, l)
-                    s = get(k)
-                    out[k] = mul(v, w) if s is None else add(s, mul(v, w))
+            if ints:
+                for (j, l), w in other.entries.items():
+                    for i, v in by_col.get(j, ()):
+                        k = (i, l)
+                        out[k] = get(k, 0) + v * w
+            else:
+                for (j, l), w in other.entries.items():
+                    for i, v in by_col.get(j, ()):
+                        k = (i, l)
+                        s = get(k)
+                        out[k] = mul(v, w) if s is None else add(s, mul(v, w))
         else:
             by_row = {}
             for (j, l), w in other.entries.items():
                 by_row.setdefault(j, []).append((l, w))
-            for (i, j), v in self.entries.items():
-                for l, w in by_row.get(j, ()):
-                    k = (i, l)
-                    s = get(k)
-                    out[k] = mul(v, w) if s is None else add(s, mul(v, w))
-        # drop the sums that cancelled to zero, once
-        is_zero = R.is_zero
-        out = {k: v for k, v in out.items() if not is_zero(v)}
+            if ints:
+                for (i, j), v in self.entries.items():
+                    for l, w in by_row.get(j, ()):
+                        k = (i, l)
+                        out[k] = get(k, 0) + v * w
+            else:
+                for (i, j), v in self.entries.items():
+                    for l, w in by_row.get(j, ()):
+                        k = (i, l)
+                        s = get(k)
+                        out[k] = mul(v, w) if s is None else add(s, mul(v, w))
+        # drop the sums that cancelled to zero, once; over Z/m a product of
+        # zero divisors vanishes too (2 * 2 in Z/4)
+        if not ints:
+            is_zero = R.is_zero
+            out = {k: v for k, v in out.items() if not is_zero(v)}
+        elif p := R.characteristic:
+            out = {k: r for k, v in out.items() if (r := v % p)}
+        else:
+            out = {k: v for k, v in out.items() if v}
         return SparseMatrix._unchecked(R, self.nrows, other.ncols, out)
 
     def transpose(self):
@@ -229,13 +255,18 @@ class SparseMatrix:
 
 
 def _rows_and_colindex(M: SparseMatrix):
-    rows = [dict() for _ in range(M.nrows)]
+    """The rows of M as dicts col -> payload and the column index col ->
+    set of rows, in one pass over the entries."""
+    rows = [{} for _ in range(M.nrows)]
+    col_rows = {}
+    get = col_rows.get
     for (i, j), v in M.entries.items():
         rows[i][j] = v
-    col_rows = {}
-    for i, row in enumerate(rows):
-        for j in row:
-            col_rows.setdefault(j, set()).add(i)
+        rs = get(j)
+        if rs is None:
+            col_rows[j] = {i}
+        else:
+            rs.add(i)
     return rows, col_rows
 
 
@@ -263,6 +294,9 @@ def _eliminate(M: SparseMatrix):
     R = M.ring
     mul, sub, neg, is_zero = R.mul, R.sub, R.neg, R.is_zero
     is_unit = None if R.is_field else R.is_unit
+    # the row update over int payloads: int arithmetic reduced mod p, where
+    # p = 0 (over Z) reduces nothing; None takes the ring methods
+    p = R.characteristic if R.int_payloads else None
     rows, col_rows = _rows_and_colindex(M)  # column index over live rows only
     pivots = []
     # singleton phase: retiring a row only lowers counts, so a column joins
@@ -308,21 +342,39 @@ def _eliminate(M: SparseMatrix):
                 if r2 == r:
                     continue
                 row2 = rows[r2]
-                f = mul(row2.pop(c), pv_inv)
-                for j, v in terms:
-                    w = mul(f, v)
-                    old = row2.get(j)
-                    if old is None:
-                        # fill-in: -f v is nonzero over a field and over Z
-                        row2[j] = neg(w)
-                        col_rows[j].add(r2)
-                    else:
-                        nv = sub(old, w)
-                        if is_zero(nv):
-                            del row2[j]
-                            col_rows[j].discard(r2)
+                if p is None:
+                    f = mul(row2.pop(c), pv_inv)
+                    for j, v in terms:
+                        w = mul(f, v)
+                        old = row2.get(j)
+                        if old is None:
+                            # fill-in: -f v is nonzero over a field and over Z
+                            row2[j] = neg(w)
+                            col_rows[j].add(r2)
                         else:
-                            row2[j] = nv
+                            nv = sub(old, w)
+                            if is_zero(nv):
+                                del row2[j]
+                                col_rows[j].discard(r2)
+                            else:
+                                row2[j] = nv
+                else:
+                    f = row2.pop(c) * pv_inv
+                    for j, v in terms:
+                        old = row2.get(j)
+                        if old is None:
+                            nv = -f * v
+                            row2[j] = nv % p if p else nv
+                            col_rows[j].add(r2)
+                        else:
+                            nv = old - f * v
+                            if p:
+                                nv %= p
+                            if nv:
+                                row2[j] = nv
+                            else:
+                                del row2[j]
+                                col_rows[j].discard(r2)
             col_rows[c] = {r}
         # retire the pivot row from further pivot selection
         for j in rows[r]:

@@ -481,6 +481,21 @@ def test_a_missing_root_of_unity_is_named_by_its_order():
     assert out == "error: MissingRootOfUnity: Q has no primitive root of unity of order 3\n"
 
 
+@pytest.mark.parametrize("command, compare", [
+    ("verify", None), ("hh", None), ("hc", None), ("cm-hc", None),
+    ("compare", "closed"), ("report", "closed"),
+])
+def test_compare_defaults_to_closed_only_for_compare_and_report(command, compare):
+    """The subcommands share one parent parser, so a default set on one of
+    them would reach them all."""
+    import hopfcycl.cli as cli
+
+    argv = [command, "--trivial"]
+    for _ in range(2):  # a second parse sees what the first one left behind
+        assert cli.parse_args(argv).compare == compare
+        assert cli.parse_args(argv + ["--compare", "closed"]).compare == "closed"
+
+
 def test_parser_is_built_once_per_process(monkeypatch):
     import hopfcycl.cli as cli
 

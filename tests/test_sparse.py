@@ -13,6 +13,7 @@ from hopfcycl import (
     ZZ,
     CyclotomicField,
     HomologyModule,
+    IntegerRing,
     IntegersMod,
     NotAComplex,
     NotAField,
@@ -504,7 +505,9 @@ def random_signed_matrix(ring, rng, m, n, density):
     return SparseMatrix(ring, m, n, ent)
 
 
-@pytest.mark.parametrize("ring", [ZZ, QQ, F3, QZETA3], ids=lambda r: r.name)
+@pytest.mark.parametrize(
+    "ring", [ZZ, QQ, F3, QZETA3, IntegersMod(4), IntegersMod(6), F7], ids=lambda r: r.name
+)
 @given(seed=st.integers(0, 10**6), m=st.integers(0, 9), k=st.integers(0, 9),
        n=st.integers(0, 9), left=st.sampled_from([0.1, 0.5, 0.9]),
        right=st.sampled_from([0.1, 0.5, 0.9]))
@@ -516,6 +519,43 @@ def test_product_matches_the_reference(ring, seed, m, k, n, left, right):
     P = A @ B
     assert P == matmul_by_indexing_the_left(A, B)
     assert not any(ring.is_zero(v) for v in P.entries.values())
+    if isinstance(ring, IntegersMod):
+        # canonical residues: 2 * 2 in Z/4 is dropped, not kept as 4 or 0
+        assert all(type(v) is int and v in range(ring.m) for v in P.entries.values())
+
+
+class GenericPrimeField(PrimeField):
+    """F_p whose kernels take the ring-method form on the same payloads."""
+
+    int_payloads = False
+
+
+class GenericIntegers(IntegerRing):
+    """Z whose kernels take the ring-method form on the same payloads."""
+
+    int_payloads = False
+
+
+@pytest.mark.parametrize(
+    "ring, generic",
+    [(PrimeField(p), GenericPrimeField(p)) for p in (2, 3, 7)] + [(ZZ, GenericIntegers())],
+    ids=["F2", "F3", "F7", "Z"],
+)
+@given(seed=st.integers(0, 10**6), m=st.integers(1, 12), n=st.integers(1, 12),
+       density=st.sampled_from([0.15, 0.4, 0.8]))
+@settings(max_examples=30, deadline=None)
+def test_int_payload_kernels_match_the_ring_method_forms(ring, generic, seed, m, n, density):
+    assert ring.int_payloads and not generic.int_payloads
+    rng = random.Random(seed)
+    # over Z mostly +-1 entries, so that the kernel finds unit pivots
+    random_matrix = random_signed_matrix if ring == ZZ else random_field_matrix
+    A = random_matrix(ring, rng, m, n, density)
+    B = random_matrix(ring, rng, n, m, density)
+    twins = [SparseMatrix._unchecked(generic, X.nrows, X.ncols, X.entries) for X in (A, B)]
+    assert _eliminate(A) == _eliminate(twins[0])
+    assert _eliminate(B) == _eliminate(twins[1])
+    assert (A @ B).entries == (twins[0] @ twins[1]).entries
+    assert (B @ A).entries == (twins[1] @ twins[0]).entries
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, F3, QZETA3], ids=lambda r: r.name)
