@@ -465,10 +465,6 @@ class CyclicModule:
                  for i in range(count)]
         return _signed_sum(self.ring, faces, self.level_dim(m - 1), self.level_dim(m))
 
-    def signed_cyclic(self, m: int) -> SparseMatrix:
-        t = self.cyclic(m)
-        return t if m % 2 == 0 else -t
-
     def one_minus_lambda(self, m: int) -> SparseMatrix:
         """1 - lambda = 1 - (-1)^m t, in one pass over the entries of t."""
         n = self.level_dim(m)
@@ -476,18 +472,25 @@ class CyclicModule:
         return SparseMatrix._unchecked(self.ring, n, n, ent)
 
     def norm(self, m: int) -> SparseMatrix:
-        """N = sum(lambda^i, i = 0..m) with lambda the signed cyclic operator."""
+        """N = sum(lambda^i, i = 0..m), lambda = (-1)^m t_m: `_norm_of` the identity."""
+        return self._memo(
+            ("N", m), lambda: self._norm_of(m, SparseMatrix.identity(self.ring, self.level_dim(m)))
+        )
 
-        def build():
-            lam = self.signed_cyclic(m)
-            acc = SparseMatrix.identity(self.ring, self.level_dim(m))
-            out = acc
-            for _ in range(m):
-                acc = lam @ acc
-                out = out + acc
-            return out
+    def _norm_of(self, m: int, M: SparseMatrix) -> SparseMatrix:
+        """N_m M = sum((-1)^(mk) t_m^k M, k = 0..m) as one `_signed_sum`,
+        fed each power t^k M as it is built from the last, so only the
+        current power and the sum are alive at once."""
+        t = self.cyclic(m)
 
-        return self._memo(("N", m), build)
+        def powers():
+            term = M
+            yield term, False
+            for k in range(1, m + 1):
+                term = t @ term
+                yield term, m * k % 2 == 1
+
+        return _signed_sum(self.ring, powers(), M.nrows, M.ncols)
 
 
 class TensorCyclicModule(CyclicModule):
@@ -629,7 +632,8 @@ class ConnesMoscoviciModule(TensorCyclicModule):
         s = (-1)^(m+1) t_(m+1) s_m.  On normalized chains lambda s N drops
         out, since t^2 s_m = s_0 t is degenerate; s_m is used here without
         the sign, so that b-bar B-bar = -B-bar b-bar and b-bar + B-bar
-        squares to zero.  N_m is applied to the normalized columns only, and
+        squares to zero.  N_m is applied to the normalized columns J only,
+        by the signed sum `norm` also takes (`_norm_of(m, J)`), and
         t_(m+1) s_m is the fold of their m legs closed by S_pi, with its
         emitted legs in H / k.1 (`_normal_tables`).
         """
@@ -640,15 +644,9 @@ class ConnesMoscoviciModule(TensorCyclicModule):
             kept = self._normal.legs[0]
             columns = {(tuple_to_index(t, d), j): R.one
                        for j, t in enumerate(product(kept, repeat=m))}
-            term = total = SparseMatrix._unchecked(
-                R, self.level_dim(m), self.normalized_dim(m), columns
-            )
-            lam = self.signed_cyclic(m)
-            for _ in range(m):
-                term = lam @ term
-                total = total + term
+            J = SparseMatrix._unchecked(R, self.level_dim(m), self.normalized_dim(m), columns)
             cop3, s_pi = self._normal_tables
-            return self._fold(m, cop3, [s_pi], d - 1) @ total
+            return self._fold(m, cop3, [s_pi], d - 1) @ self._norm_of(m, J)
 
         return self._memo(("B-bar", m), build)
 

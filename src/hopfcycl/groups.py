@@ -11,7 +11,7 @@ conjugation chi.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 
 from .cyclic import (
     ClassicalCyclicModule,
@@ -32,7 +32,7 @@ from .rings import (
     free_module,
     zero_module,
 )
-from .sparse import SparseMatrix, _paused
+from .sparse import SparseMatrix, _paused, homology_window
 
 
 class FiniteGroup:
@@ -99,8 +99,6 @@ class FiniteGroup:
 
     @classmethod
     def symmetric(cls, n: int) -> "FiniteGroup":
-        from itertools import permutations
-
         if type(n) is not int or n < 1:
             raise ParseError(f"symmetric degree must be an integer >= 1, got {n!r}")
         perms = sorted(permutations(range(n)))
@@ -363,24 +361,22 @@ def burghelea_check(G: FiniteGroup, ring: Ring, N: int) -> dict:
     Left side: cyclic homology of the classical cyclic module of the algebra
     kG.  Right side: for one representative pi per conjugacy class, the
     (pi, eps, eps)-twisted cyclic homology of the centralizer algebra.
-    Returns per-degree dimensions of both and a pass flag.  A negative N is
+    Returns per-degree free ranks of both sides and of each class, and a
+    pass flag that compares the modules, torsion included.  A negative N is
     refused with `IndexOutOfRange`.
     """
     _require_degree(N)
     algebra = group_algebra(G, ring).algebra
-    classical = ClassicalCyclicModule(algebra)
-    lhs = [h.free_rank for h in _hc_upto(classical, N)]
-    reps = [cls_[0] for cls_ in conjugacy_classes(G)]
+    lhs = _hc_upto(ClassicalCyclicModule(algebra), N)
     per_class = {}
-    for pi in reps:
+    for pi in (cls_[0] for cls_ in conjugacy_classes(G)):
         H = centralizer(G, pi)
-        module = cm_group_module(H, H.parent_pi, ring)
-        per_class[pi] = [h.free_rank for h in _hc_upto(module, N)]
-    rhs = [sum(dims[n] for dims in per_class.values()) for n in range(N + 1)]
+        per_class[pi] = _hc_upto(cm_group_module(H, H.parent_pi, ring), N)
+    rhs = [sum((hc[n] for hc in per_class.values()), zero_module(ring)) for n in range(N + 1)]
     return {
-        "classical": lhs,
-        "per_class": per_class,
-        "sum": rhs,
+        "classical": [h.free_rank for h in lhs],
+        "per_class": {pi: [h.free_rank for h in hc] for pi, hc in per_class.items()},
+        "sum": [h.free_rank for h in rhs],
         "passed": lhs == rhs,
     }
 
@@ -428,8 +424,10 @@ def periodic_resolution_homology(m: int, ring: Ring, zeta, rho, N: int) -> list[
 
     The complex obtained from the standard periodic resolution of k over
     k[Z/m] by applying the characters has one copy of k in each degree and
-    alternating scalar differentials x - 1 and 1 + x + ... + x^(m-1), where
-    x = zeta . rho^(-1).  Both characters must be genuine, i.e. zeta and rho
+    alternating 1 x 1 boundaries, x - 1 out of the odd degrees and
+    1 + x + ... + x^(m-1) out of the even ones, x = zeta . rho^(-1).  Their
+    `homology_window` keeps the torsion over Z and refuses Z/m with
+    `UnsupportedRing`.  Both characters must be genuine, i.e. zeta and rho
     must be m-th roots of unity.  A negative N is refused with
     `IndexOutOfRange`.
     """
@@ -441,15 +439,10 @@ def periodic_resolution_homology(m: int, ring: Ring, zeta, rho, N: int) -> list[
     c_odd = ring.sub(x, ring.one)
     c_even = ring.sum(ring.pow(x, i) for i in range(m))
 
-    def differential(k):  # map out of degree k, for k >= 1
-        return c_odd if k % 2 == 1 else c_even
+    def boundary(k):  # out of degree k >= 1
+        return SparseMatrix(ring, 1, 1, {(0, 0): c_odd if k % 2 else c_even})
 
-    out = []
-    for k in range(N + 1):
-        kernel = 1 if (k == 0 or ring.is_zero(differential(k))) else 0
-        image = 0 if ring.is_zero(differential(k + 1)) else 1
-        out.append(HomologyModule(ring, kernel - image))
-    return out
+    return homology_window(boundary, 0, N)
 
 
 def chi_isomorphism(m: int, s: int, zeta, n: int, ring: Ring) -> SparseMatrix:

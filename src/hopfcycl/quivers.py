@@ -17,7 +17,7 @@ from collections import Counter
 from functools import cached_property
 from math import gcd
 
-from .cyclic import _require_degree
+from .cyclic import ConnesMoscoviciModule, _require_degree, cyclic_bicomplex_hc
 from .errors import (
     HopfCyclError,
     NegativePartialSum,
@@ -803,8 +803,6 @@ def taft_cm_triples(n: int, ring: Ring | None = None) -> list[tuple[int, int, in
 
 
 def taft_cm_module(hopf: HopfAlgebraData, i: int, u: int, v: int, require_valid=True):
-    from .cyclic import ConnesMoscoviciModule
-
     triple = check_cm_triple(
         hopf,
         taft_grouplike(hopf, i),
@@ -828,6 +826,4 @@ def taft_cm_closed_form(n: int, i: int, u: int, v: int, p: int) -> int:
 @_paused
 def taft_cm_homology(hopf: HopfAlgebraData, i: int, u: int, v: int, p: int) -> HomologyModule:
     """Twisted cyclic homology of the Taft algebra via the (b, B) bicomplex."""
-    from .cyclic import cyclic_bicomplex_hc
-
     return cyclic_bicomplex_hc(taft_cm_module(hopf, i, u, v), p)

@@ -23,7 +23,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import HopfCyclError, NotAUnit, ParseError, UnsupportedRing
+from .errors import (
+    HopfCyclError,
+    MissingRootOfUnity,
+    NotAUnit,
+    ParseError,
+    RingMismatch,
+    UnsupportedRing,
+)
 
 # ---------------------------------------------------------------------------
 # integer / rational polynomial helpers (coefficient lists, low degree first)
@@ -614,8 +621,6 @@ def parse_ring(spec: str) -> Ring:
 
 def primitive_root_of_unity(ring: Ring, m: int):
     """A primitive m-th root of unity in the ring, if one is available."""
-    from .errors import MissingRootOfUnity
-
     if m == 1:
         return ring.one
     if isinstance(ring, CyclotomicField) and ring.n % m == 0:
@@ -727,8 +732,6 @@ class HomologyModule(FrozenRecord):
 
     def __add__(self, other: "HomologyModule") -> "HomologyModule":
         if self.ring != other.ring:
-            from .errors import RingMismatch
-
             raise RingMismatch("direct sum over different rings")
         return HomologyModule(
             self.ring, self.free_rank + other.free_rank, self.torsion + other.torsion

@@ -116,28 +116,16 @@ class SparseMatrix:
 
     @classmethod
     def from_rows(cls, ring, rows):
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        ent = {}
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                v = v if not isinstance(v, int) or ring == ZZ else ring.from_int(v)
-                if not ring.is_zero(v):
-                    ent[(i, j)] = v
-        return cls(ring, nrows, ncols, ent)
+        """rows: list of lists of payloads or ints; zero payloads are dropped."""
+        ent = {(i, j): v if not isinstance(v, int) or ring == ZZ else ring.from_int(v)
+               for i, row in enumerate(rows) for j, v in enumerate(row)}
+        return cls(ring, len(rows), len(rows[0]) if rows else 0, ent)
 
     @classmethod
     def from_columns(cls, ring, nrows, columns):
         """columns: list of dicts row -> payload; zero payloads are dropped."""
-        out = cls(ring, nrows, len(columns))
-        ent, is_zero = out.entries, ring.is_zero
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                if not 0 <= i < nrows:
-                    raise IndexError(f"entry ({i},{j}) outside {nrows}x{len(columns)}")
-                if not is_zero(v):
-                    ent[(i, j)] = v
-        return out
+        ent = {(i, j): v for j, col in enumerate(columns) for i, v in col.items()}
+        return cls(ring, nrows, len(columns), ent)
 
     # -- basic algebra -------------------------------------------------------
     def _check(self, other):
@@ -363,9 +351,11 @@ def _eliminate(M: SparseMatrix):
                     for j, v in terms:
                         old = row2.get(j)
                         if old is None:
-                            nv = -f * v
-                            row2[j] = nv % p if p else nv
-                            col_rows[j].add(r2)
+                            # fill-in: -f v can vanish mod a composite m
+                            nv = -f * v % p if p else -f * v
+                            if nv:
+                                row2[j] = nv
+                                col_rows[j].add(r2)
                         else:
                             nv = old - f * v
                             if p:

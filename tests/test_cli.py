@@ -351,6 +351,17 @@ def test_parse_errors_exit_2():
         assert "error:" in out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["hc", "--group", "cyclic:3", "--pi", "x"], "--pi must be an integer selector, got 'x'"),
+    (["hc", "--group", "cyclic:3", "--alpha", "y"], "--alpha must be an integer selector, got 'y'"),
+    (["hc", "--group", "symmetric:3", "--pi", "9"], "grouplike index 9 out of range"),
+], ids=["pi", "alpha", "pi out of range"])
+def test_group_selectors_are_refused_with_exit_2(argv, message):
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out.startswith("error: ParseError: ") and message in out
+
+
 def test_invalid_triple_exit_2_and_allow_invalid():
     argv = ["hc", "--taft", "2", "--pi", "1", "--alpha", "1", "--beta", "1",
             "--max-degree", "1"]

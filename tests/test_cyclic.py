@@ -235,6 +235,17 @@ def test_norm_and_lambda_relations():
         assert (w @ N).is_zero and (N @ w).is_zero
 
 
+@pytest.mark.parametrize("ring", [ZZ, PrimeField(2), IntegersMod(4), CyclotomicField(3)],
+                         ids=lambda r: r.name)
+def test_norm_is_the_sum_of_the_powers_of_lambda(ring):
+    """norm(m) equals sum(lambda^k, k = 0..m) taken with matrix @ and +
+    (`reference_norm`), on a twisted and a classical module, levels 0..3."""
+    for module in (cm_group_module(FiniteGroup.cyclic(4), 1, ring),
+                   ClassicalCyclicModule(group_algebra(FiniteGroup.cyclic(3), ring).algebra)):
+        for m in range(4):
+            assert module.norm(m) == reference_norm(module, m), m
+
+
 @pytest.mark.parametrize("ring", [PrimeField(2), IntegersMod(4), CyclotomicField(3)],
                          ids=lambda r: r.name)
 @pytest.mark.parametrize("pi", [0, 1])
@@ -254,8 +265,9 @@ def test_assembled_operators_store_no_cancelled_sum(ring, pi):
     for m in range(1, 5):
         faces = [module.face(m, i) for i in range(m + 1)]
         identity = SparseMatrix.identity(ring, module.level_dim(m))
+        t = module.cyclic(m)
         expected = {"b": alternating(faces), "b'": alternating(faces[:m]),
-                    "1 - lambda": identity - module.signed_cyclic(m)}
+                    "1 - lambda": identity - (-t if m % 2 else t)}
         built = {"b": module.boundary_b(m), "b'": module.boundary_bprime(m),
                  "1 - lambda": module.one_minus_lambda(m)}
         for name, M in built.items():
@@ -1342,9 +1354,21 @@ def projected_boundary(module, m):
     return k1_projection(module, m - 1)[0] @ module.boundary_b(m) @ k1_projection(module, m)[1]
 
 
+def reference_norm(module, m):
+    """N_m = sum(lambda^k, k = 0..m) with lambda = (-1)^m t_m, taken with
+    matrix @ and +, apart from the package's signed sum."""
+    t = module.cyclic(m)
+    lam = -t if m % 2 else t
+    power = total = SparseMatrix.identity(module.ring, module.level_dim(m))
+    for _ in range(m):
+        power = lam @ power
+        total = total + power
+    return total
+
+
 def projected_connes(module, m):
     """P t_(m+1) s_m N_m J, for comparison with the directly built B-bar."""
-    full = module.cyclic(m + 1) @ module.degenerate(m, m, module.norm(m))
+    full = module.cyclic(m + 1) @ module.degenerate(m, m, reference_norm(module, m))
     return k1_projection(module, m + 1)[0] @ full @ k1_projection(module, m)[1]
 
 

@@ -15,6 +15,7 @@ from hopfcycl import (
     ParseError,
     PreconditionFailed,
     PrimeField,
+    UnsupportedRing,
     burghelea_check,
     centralizer,
     character_from_zeta,
@@ -33,8 +34,10 @@ from hopfcycl import (
     theta_map,
     verify_cyclic_axioms,
 )
+import hopfcycl.groups as groups
 from hopfcycl.hopf import Character, GroupLike, check_cm_triple
-from hopfcycl.cyclic import ConnesMoscoviciModule
+from hopfcycl.cyclic import ClassicalCyclicModule, ConnesMoscoviciModule
+from hopfcycl.rings import HomologyModule
 from hopfcycl.sparse import SparseMatrix, rank
 
 
@@ -69,6 +72,14 @@ def test_group_table_validation_errors():
         FiniteGroup([[0, 1]])  # not square
     with pytest.raises(ParseError):
         FiniteGroup([])
+
+
+def test_a_loop_that_is_no_group_is_refused():
+    """A loop of order 5 with identity 0 and every element its own inverse:
+    it passes the identity and inverse checks and fails associativity."""
+    table = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(ParseError, match="table is not associative"):
+        FiniteGroup(table)
 
 
 def test_group_from_json():
@@ -310,6 +321,43 @@ def test_burghelea_z3_over_cyclotomic():
     assert out["classical"] == [3, 0, 3]
 
 
+GROUPS = {"Z/3": lambda: FiniteGroup.cyclic(3), "Z/4": lambda: FiniteGroup.cyclic(4),
+          "S3": lambda: FiniteGroup.symmetric(3)}
+
+
+@pytest.mark.parametrize("ring", [ZZ, PrimeField(2), PrimeField(3)], ids=lambda r: r.name)
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_burghelea_without_rationals(group, ring):
+    """Over a ring without Q both sides come from the (b, B) bicomplex, and
+    the modules agree through degree 3, torsion included."""
+    out = burghelea_check(GROUPS[group](), ring, 3)
+    assert out["passed"]
+    assert out["classical"] == out["sum"]
+
+
+def test_integral_hc_of_s3_carries_torsion():
+    """HC_3(Z[S3]) = Z/2 + Z/6: torsion that `burghelea_check` compares."""
+    algebra = group_algebra(FiniteGroup.symmetric(3), ZZ).algebra
+    assert str(cyclic_bicomplex_hc_upto(ClassicalCyclicModule(algebra), 3)[3]) == "Z/2 + Z/6"
+
+
+def test_burghelea_fails_on_a_torsion_mismatch(monkeypatch):
+    """With the torsion stripped from the centralizer side only, every free
+    rank still agrees, and the check fails."""
+    real = groups.cyclic_bicomplex_hc_upto
+
+    def stripped(module, N):
+        out = real(module, N)
+        if isinstance(module, ConnesMoscoviciModule):
+            return [HomologyModule(h.ring, h.free_rank) for h in out]
+        return out
+
+    monkeypatch.setattr(groups, "cyclic_bicomplex_hc_upto", stripped)
+    out = burghelea_check(FiniteGroup.cyclic(3), ZZ, 3)
+    assert out["classical"] == out["sum"]
+    assert not out["passed"]
+
+
 # -- closed formulas ---------------------------------------------------------
 
 
@@ -380,6 +428,27 @@ def test_periodic_resolution_matches_b_complex_m3():
                 assert closed == [1, 0, 0]
             else:
                 assert closed == [0, 0, 0]
+
+
+@pytest.mark.parametrize("m,zeta,rho", [(2, 1, 1), (2, -1, 1), (2, 1, -1), (3, 1, 1),
+                                       (4, 1, 1), (4, -1, 1)])
+def test_periodic_resolution_keeps_the_torsion_over_z(m, zeta, rho):
+    """Over Z the periodic complex has the homology of the b-complex of the
+    CM module of Z[Z/m] with pi = 1 and the characters zeta^i, rho^i,
+    torsion included."""
+    H = group_algebra(FiniteGroup.cyclic(m), ZZ)
+    triple = check_cm_triple(H, GroupLike.from_vector({0: ZZ.one}),
+                             character_from_zeta(ZZ, m, zeta), character_from_zeta(ZZ, m, rho))
+    window = hochschild_window(ConnesMoscoviciModule(H, triple, require_valid=False), 4)
+    periodic = periodic_resolution_homology(m, ZZ, zeta, rho, 3)
+    assert periodic == [window.homology(n) for n in range(4)]
+    if (m, zeta, rho) == (3, 1, 1):
+        assert [str(h) for h in periodic] == ["Z", "Z/3", "0", "Z/3"]
+
+
+def test_periodic_resolution_refuses_z_mod_m():
+    with pytest.raises(UnsupportedRing):
+        periodic_resolution_homology(4, IntegersMod(4), 1, 1, 3)
 
 
 def test_periodic_resolution_rejects_non_roots():

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and
-importing the package loads no module it does not need."""
+"""Every name a package module imports is used in that module and is
+imported at module level, and importing the package loads no module it does
+not need."""
 
 import ast
 import os
@@ -36,6 +37,34 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_imports(source: str) -> list[int]:
+    """The lines of the import statements inside function bodies in source."""
+    functions = (node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return sorted({node.lineno for fn in functions for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_the_scan_finds_an_import_in_a_function():
+    source = ("import os\n"
+              "def f():\n"
+              "    from math import gcd\n"
+              "    def g():\n"
+              "        import re\n"
+              "class C:\n"
+              "    def h(self):\n"
+              "        import sys\n")
+    assert function_imports(source) == [3, 5, 8]
+    assert function_imports("import os\nfrom math import gcd\nclass C:\n    import re\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    """Every module of the package imports at module level; no import here
+    breaks a cycle."""
+    assert function_imports(path.read_text()) == []
 
 
 def assert_statements(source: str) -> list[int]:

@@ -323,6 +323,12 @@ def test_coefficient_homology_reads_the_characters(monkeypatch):
             coefficient_homology_skoldberg(A, 0, 0, p)
 
 
+def test_coefficient_homology_needs_truncation_at_least_two():
+    """Mod the arrows (truncation 1) the small complex does not apply."""
+    with pytest.raises(PreconditionFailed, match="truncation exponent >= 2"):
+        coefficient_homology_skoldberg(truncated_algebra(Quiver.crown(2), 1, QQ), 0, 0, 0)
+
+
 def length_one_resolution_hh(quiver, grade_cap, ring):
     """Per-grade HH_0 and HH_1 of the full path algebra from the length-1
     bimodule resolution: in grade q the complex k[pairs (nu, arrow) closing

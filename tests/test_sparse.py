@@ -582,8 +582,18 @@ def test_product_either_operand_larger_with_cancellation(ring):
             assert (SparseMatrix(ring, m, 2 * k, wide) @ SparseMatrix(ring, 2 * k, n, tall)).is_zero
 
 
+def test_from_rows_checks_every_entry():
+    """Ints are taken into the ring, zeros are dropped, and a row longer
+    than the first is refused with the entry it names."""
+    with pytest.raises(IndexError, match=r"^entry \(1,1\) outside 2x1$"):
+        SparseMatrix.from_rows(ZZ, [[1], [0, 2]])
+    M = SparseMatrix.from_rows(IntegersMod(4), [[4, 5], [0, -1]])
+    assert (M.nrows, M.ncols, M.entries) == (2, 2, {(0, 1): 1, (1, 1): 3})
+    assert SparseMatrix.from_rows(QQ, []) == SparseMatrix.zero(QQ, 0, 0)
+
+
 def test_from_columns_checks_every_entry():
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^entry \(2,1\) outside 2x2$"):
         SparseMatrix.from_columns(QQ, 2, [{0: Fraction(1)}, {2: Fraction(1)}])
     with pytest.raises(IndexError):
         SparseMatrix.from_columns(QQ, 2, [{-1: Fraction(1)}])
@@ -649,3 +659,40 @@ def test_elimination_over_q_matches_fraction_payloads(entries, seed, m, n, densi
     assert all(type(v) is int or v.denominator > 1 for row in rows for v in row.values())
     if entries == "integral":
         assert all(type(v) is int for v in M.entries.values())
+
+
+# -- elimination over Z/m with m composite -------------------------------------
+
+
+def test_int_fill_in_that_vanishes_mod_m_is_not_stored():
+    """Over Z/4 the fill-in -2 * 2 of [[1, 2], [2, 0]] is zero mod 4."""
+    rows, pivots = _eliminate(SparseMatrix.from_rows(IntegersMod(4), [[1, 2], [2, 0]]))
+    assert rows == [{0: 1, 1: 2}, {}]
+    assert pivots == [(0, 0)]
+
+
+@pytest.mark.parametrize("modulus", [6, 9])
+@pytest.mark.parametrize("seed", range(20))
+def test_elimination_over_composite_moduli_stores_only_nonzero_payloads(monkeypatch, modulus, seed):
+    """Every payload left in the rows is a nonzero residue, and the column
+    index holds, for each column, exactly the live rows with an entry in it."""
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 10), rng.randint(1, 12)
+    density = rng.choice([0.3, 0.7])
+    rows = [[rng.randrange(modulus) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(m)]
+    indexes = []
+    real = sparse._rows_and_colindex
+
+    def recording(M):
+        out = real(M)
+        indexes.append(out[1])
+        return out
+
+    monkeypatch.setattr(sparse, "_rows_and_colindex", recording)
+    out, pivots = _eliminate(SparseMatrix.from_rows(IntegersMod(modulus), rows))
+    assert all(0 < v < modulus for row in out for v in row.values())
+    pivot_rows = {r for r, _ in pivots}
+    live = {j: {i for i, row in enumerate(out) if i not in pivot_rows and j in row}
+            for j in range(n)}
+    assert {j: rs for j, rs in indexes[0].items() if rs} == {j: rs for j, rs in live.items() if rs}
