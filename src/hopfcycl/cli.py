@@ -162,8 +162,13 @@ def _bicomplex_dims(quiver: Quiver, n: int, top: int) -> list[int]:
 
 
 def _check_scalar_options(args) -> None:
-    """Refuse a malformed --taft, --pi, --alpha or --beta before any algebra
-    is built."""
+    """Refuse more than one algebra source, and a malformed --taft, --pi,
+    --alpha or --beta, before any algebra is built."""
+    given = [f"--{n.replace('_', '-')}"
+             for n in ("group", "group_file", "quiver", "quiver_file", "taft", "trivial")
+             if (v := getattr(args, n)) is not None and v is not False]
+    if len(given) > 1:
+        raise ParseError(f"give one algebra source, got {' and '.join(given)}")
     if args.taft is not None and args.taft < 2:
         raise ParseError(f"Taft algebra size must be >= 2, got {args.taft}")
     for name in ("pi", "alpha", "beta"):

@@ -57,7 +57,6 @@ from .hopf import (
     CMTriple,
     HopfAlgebraData,
     contract,
-    tensor_add_scaled,
     twisted_antipode,
     twisted_middle,
 )
@@ -79,31 +78,14 @@ def index_to_tuple(idx, d, length):
     return tuple(out)
 
 
-# Operators on tensor powers are assembled by index arithmetic: a basis
-# tensor is the index (A * dx + x) * D + C with A the index of the legs
-# before leg x and C < D that of the legs after it, so an operator acting
-# on the middle legs only moves the middle digit(s).  The structure
-# constants and the unit of an `AlgebraData` hold no zeros, so the
-# operators built from them skip the constructor's zero check.
-
-
-def _merge_face(ring, mult, dk, P, D):
-    """The face multiplying two neighbouring legs: column
-    ((A * dx + x) * dy + y) * D + C, for A < P and C < D, goes to rows
-    (A * dk + k) * D + C with the structure constants mult[x][y][k].  The
-    table mult is dx x dy, and dk is the radix of the product leg."""
-    # the row offsets k * D and constants of each (x, y), in column order
-    pair_terms = [[(k * D, c) for k, c in v.items()] for row in mult for v in row]
-    ent = {}
-    col = 0
-    for A in range(P):
-        base = A * dk * D
-        for terms in pair_terms:
-            for C in range(base, base + D):
-                for k, c in terms:
-                    ent[(k + C, col)] = c
-                col += 1
-    return SparseMatrix._unchecked(ring, P * dk * D, col, ent)
+# Operators on tensor powers are assembled by index arithmetic: the basis
+# tensor b_(x_1) (x) ... (x) b_(x_m) on a leg basis of size d is the number
+# with base-d digits x_1 ... x_m, the first leg most significant, so an
+# operator M on a block of neighbouring legs, with legs of dimension P
+# before it and D after it, is 1_P (x) M (x) 1_D (`SparseMatrix.amid`): a
+# face multiplying two legs pads the product matrix mu.  The structure
+# constants and the unit of an `AlgebraData` hold no zeros, so the operators
+# built from them skip the constructor's zero check.
 
 
 def _insert_unit(ring, d, unit, p, s, M):
@@ -176,17 +158,16 @@ def _write_one_minus_lambda(ring, m, t: SparseMatrix, ent: dict, offset: int) ->
 
 def _inner_face_sum(algebra, legs, m) -> SparseMatrix:
     """sum((-1)^i d_i, 0 < i < m) of a Connes-Moscovici module on tensor
-    powers of the leg basis legs = (digits, mult) of `algebra`: its own
+    powers of the leg basis legs = (digits, mu) of `algebra`: its own
     basis, or that of H / k.1.  The inner faces multiply neighbouring legs
     and read neither the grouplike nor the characters, so every module of
     the algebra shares the sum, built once per leg basis and level and kept
     in the algebra's table store."""
-    digits, mult = legs
+    digits, mu = legs
     d = len(digits)
 
     def build():
-        faces = [(_merge_face(algebra.ring, mult, d, d ** (i - 1), d ** (m - 1 - i)), i % 2 == 1)
-                 for i in range(1, m)]
+        faces = [(mu.amid(d ** (i - 1), d ** (m - 1 - i)), i % 2 == 1) for i in range(1, m)]
         return _signed_sum(algebra.ring, faces, d ** (m - 1), d**m)
 
     return algebra.shared(("inner face sum", tuple(digits), m), build)
@@ -199,9 +180,9 @@ class _Normalization:
     is the image of b_x in it: b_x itself for x != u*, and
     -c*^-1 sum(c_u b_u, u != u*) for u*, since 1 maps to zero.  For a group
     algebra, whose unit is e, the image of e is zero.  `legs` is the leg
-    basis (digits, mult) of the quotient: digit r stands for the basis
-    element digits[r], and mult[x][y] is the product of digits x and y
-    written in the quotient."""
+    basis (digits, mu) of the quotient: digit r stands for the basis
+    element digits[r], and mu is the product matrix of the digits, written
+    in the quotient."""
 
     def __init__(self, algebra):
         R = algebra.ring
@@ -221,7 +202,8 @@ class _Normalization:
             for x in range(algebra.dim)
         ]
         mult = algebra.mult
-        self.legs = (kept, [[_project(R, self.image, mult[x][y]) for y in kept] for x in kept])
+        self.legs = (kept, SparseMatrix.from_columns(
+            R, len(kept), [_project(R, self.image, mult[x][y]) for x in kept for y in kept]))
 
 
 def _project(R, image, vec: dict) -> dict:
@@ -522,7 +504,8 @@ class ConnesMoscoviciModule(TensorCyclicModule):
     """C_m = H^(tensor m), with operators twisted by (pi, alpha, beta).
 
     d_0 applies alpha to the first leg, d_m applies beta to the last one and
-    the inner faces multiply neighbouring legs; their alternating sum, on
+    the inner faces multiply neighbouring legs (a 1 x d row or mu, padded
+    with identities); the alternating sum of the inner faces, on
     the legs of H and of H / k.1, is kept in the algebra's table store for
     every module of the algebra (`_inner_face_sum`), so b and b-bar add only
     d_0 and d_m to it.  The cyclic operator sends
@@ -535,10 +518,10 @@ class ConnesMoscoviciModule(TensorCyclicModule):
     as Delta of the alpha-contraction (alpha (x) id)Delta (`_cop3_alpha`).
     The last leg h_m enters only through beta(z_m) and the closing S_pi:
     with b_Y the second-leg product of the legs before it, it contributes
-    column h_m of S_pi . L_Y . M, where L_Y is the left multiplication by
-    b_Y and M = (alpha (x) id (x) beta) Delta^2 is `twisted_middle`, the
-    matrix the admissibility check reads too.  These columns form one table
-    per module (`_closing`).  B-bar_m applies t_(m+1) s_m, the same fold
+    S_pi(b_Y M(h_m)), column (Y, h_m) of S_pi mu (1 (x) M), where
+    M = (alpha (x) id (x) beta) Delta^2 is `twisted_middle`, the matrix the
+    admissibility check reads too.  These columns form one table per module
+    (`_closing`).  B-bar_m applies t_(m+1) s_m, the same fold
     (`_fold`) over the m legs with the unit as last leg, to N_m of the
     normalized columns: M sends 1 to 1, so the one closing is column Y of
     S_pi, and with the third legs and S_pi taken to H / k.1 the fold writes
@@ -565,28 +548,26 @@ class ConnesMoscoviciModule(TensorCyclicModule):
     @cached_property
     def _cop3_alpha(self) -> list[dict]:
         """Per basis element b, (alpha (x) id (x) id)(id (x) Delta)Delta(b)
-        as (y, z) -> payload: Delta of column b of the alpha-contraction
-        (alpha (x) id)Delta (`contract`)."""
-        R, cop = self.ring, self.hopf.coproduct
-        tables: list[dict] = [{} for _ in range(self.hopf.dim)]
-        for (p, b), c in contract(self.hopf, self.alpha, 0).entries.items():
-            tensor_add_scaled(R, tables[b], c, cop[p])
+        as (y, z) -> payload: column b of Delta . (alpha (x) id)Delta."""
+        d = self.hopf.dim
+        tables: list[dict] = [{} for _ in range(d)]
+        for (yz, b), c in (self.hopf.delta @ contract(self.hopf, self.alpha, 0)).entries.items():
+            tables[b][divmod(yz, d)] = c
         return tables
 
     @cached_property
     def _closing(self) -> list[list[dict]]:
-        """closing[h][Y]: column h of S_pi . L_Y . M, with L_Y the left
-        multiplication by b_Y and M = (alpha (x) id (x) beta) Delta^2 of
+        """closing[h][Y]: column Y * d + h of S_pi mu (1 (x) M), that is
+        S_pi(b_Y M(b_h)), with M = (alpha (x) id (x) beta) Delta^2 of
         `twisted_middle`: the last leg h of a column of the cyclic operator,
         closed against the second-leg product b_Y of the legs before it, as a
         sparse vector.  One d x d table per module."""
-        algebra, d = self.hopf.algebra, self.hopf.dim
+        d = self.hopf.dim
         middle = twisted_middle(self.hopf, self.alpha, self.beta)
         closing: list[list[dict]] = [[{} for _ in range(d)] for _ in range(d)]
-        for Y in range(d):
-            table = self.s_pi @ algebra.left_multiplication_matrix({Y: self.ring.one}) @ middle
-            for (w, h), v in table.entries.items():
-                closing[h][Y][w] = v
+        for (w, Yh), v in (self.s_pi @ (self.algebra.mu @ middle.amid(d, 1))).entries.items():
+            Y, h = divmod(Yh, d)
+            closing[h][Y][w] = v
         return closing
 
     # -- the normalized chains: every leg is projected to H / k.1 -----------
@@ -596,8 +577,8 @@ class ConnesMoscoviciModule(TensorCyclicModule):
 
     @property
     def _legs(self):
-        """The leg basis (digits, mult) of C_m: the basis of H."""
-        return range(self.hopf.dim), self.hopf.algebra.mult
+        """The leg basis (digits, mu) of C_m: the basis of H."""
+        return range(self.hopf.dim), self.hopf.algebra.mu
 
     def _face(self, m, i):
         return self._face_on(self._legs, m, i)
@@ -661,29 +642,17 @@ class ConnesMoscoviciModule(TensorCyclicModule):
                 [_project(R, image, self.s_pi.column(Y)) for Y in range(d)])
 
     def _face_on(self, legs, m, i):
-        """Face d_i at level m on the leg basis `legs` = (digits, mult): the
-        algebra's basis for C_m, that of H / k.1 for the normalized chains."""
-        R = self.ring
-        digits, mult = legs
+        """Face d_i at level m on the leg basis `legs` = (digits, mu): the
+        algebra's basis for C_m, that of H / k.1 for the normalized chains.
+        d_i is mu on legs i and i + 1, d_0 the 1 x d row of alpha on the
+        first leg and d_m that of beta on the last, padded by identities."""
+        digits, mu = legs
         d = len(digits)
         if 0 < i < m:
-            return _merge_face(R, mult, d, d ** (i - 1), d ** (m - 1 - i))
-        D = d ** (m - 1)
-        ent = {}
-        if i == 0:
-            # column a * D + c goes to row c with alpha(a), for alpha(a) != 0
-            for a, x in enumerate(digits):
-                c = self.alpha(x)
-                if not R.is_zero(c):
-                    for row in range(D):
-                        ent[(row, a * D + row)] = c
-        else:
-            # column c * d + b goes to row c with beta(b), for beta(b) != 0
-            betas = [(b, c) for b, x in enumerate(digits) if not R.is_zero(c := self.beta(x))]
-            for row in range(D):
-                for b, c in betas:
-                    ent[(row, row * d + b)] = c
-        return SparseMatrix._unchecked(R, D, d**m, ent)
+            return mu.amid(d ** (i - 1), d ** (m - 1 - i))
+        chi = self.alpha if i == 0 else self.beta
+        row = SparseMatrix(self.ring, 1, d, {(0, a): chi(x) for a, x in enumerate(digits)})
+        return row.amid(1, d ** (m - 1)) if i == 0 else row.amid(d ** (m - 1), 1)
 
     def _cyclic(self, m):
         """The fold of legs 1..m-1 of each column, closed once per last leg
@@ -794,7 +763,7 @@ class ClassicalCyclicModule(TensorCyclicModule):
     def _face(self, m, i):
         R, d, mult = self.ring, self.algebra.dim, self.algebra.mult
         if i < m:
-            return _merge_face(R, mult, d, d**i, d ** (m - 1 - i))
+            return self.algebra.mu.amid(d**i, d ** (m - 1 - i))
         # the last face multiplies t[m] . t[0]: column (x * E + B) * d + y
         # goes to rows k * E + B for k in mult[y][x], E = d**(m - 1)
         E = d ** (m - 1)

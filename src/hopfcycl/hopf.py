@@ -3,11 +3,14 @@
 Elements are sparse coefficient vectors (dict basis_index -> payload).  A
 Hopf algebra stores its coproduct as an explicit sparse tensor table on the
 basis, the counit as a functional, and the antipode as a matrix; characters
-are functionals that are multiplicative on the basis.  Contracting a
-character against one leg of the coproduct (`contract`) is written once: the
-counit axiom is that contraction with eps, the middle legs of the
-admissibility check are (alpha (x) id)Delta . (id (x) beta)Delta, and the
-alpha-contracted three-leg coproduct of the cyclic operator is Delta of the
+are functionals that are multiplicative on the basis.  The product mu and
+the coproduct Delta are also kept as matrices, b_i (x) b_j at index
+i * d + j, so each axiom check is one matrix identity whose tensor factors
+`SparseMatrix.amid` pads with identities.  Contracting a character against
+one leg of the coproduct (`contract`) is written once: the counit axiom is
+that contraction with eps, the middle legs of the admissibility check are
+(alpha (x) id)Delta . (id (x) beta)Delta, and the alpha-contracted
+three-leg coproduct of the cyclic operator is Delta of the
 alpha-contraction (alpha (x) id)Delta.
 
 The admissibility check for a (grouplike, character, character) triple is the
@@ -17,6 +20,8 @@ shared tables of `cyclic`, in the algebra's table store (`AlgebraData.shared`).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .errors import InvalidCharacter
 from .rings import FrozenRecord, Ring
@@ -66,9 +71,6 @@ class AlgebraData:
             out = self._shared[key] = build()
         return out
 
-    def basis_vector(self, i: int) -> Vector:
-        return {i: self.ring.one}
-
     def multiply(self, x: Vector, y: Vector) -> Vector:
         R = self.ring
         out: Vector = {}
@@ -78,26 +80,28 @@ class AlgebraData:
                 tensor_add_scaled(R, out, R.mul(xi, yj), row[j])
         return out
 
+    @cached_property
+    def mu(self) -> SparseMatrix:
+        """The product as a d x d^2 matrix: column x * d + y is b_x b_y."""
+        return SparseMatrix.from_columns(self.ring, self.dim, [v for r in self.mult for v in r])
+
+    @cached_property
+    def eta(self) -> SparseMatrix:
+        """The unit as a d x 1 matrix."""
+        return SparseMatrix.from_columns(self.ring, self.dim, [self.unit])
+
     def verify_associativity(self) -> bool:
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.mult[i][j]
-                for k in range(self.dim):
-                    left = self.multiply(ij, self.basis_vector(k))
-                    right = self.multiply(self.basis_vector(i), self.mult[j][k])
-                    if left != right:
-                        return False
-        return True
+        """mu (mu (x) 1) = mu (1 (x) mu)."""
+        mu, d = self.mu, self.dim
+        return mu @ mu.amid(1, d) == mu @ mu.amid(d, 1)
 
     def verify_unit(self) -> bool:
-        for i in range(self.dim):
-            b = self.basis_vector(i)
-            if self.multiply(self.unit, b) != b or self.multiply(b, self.unit) != b:
-                return False
-        return True
+        """mu (eta (x) 1) = 1 = mu (1 (x) eta)."""
+        mu, eta, d = self.mu, self.eta, self.dim
+        return mu @ eta.amid(1, d) == SparseMatrix.identity(self.ring, d) == mu @ eta.amid(d, 1)
 
     def left_multiplication_matrix(self, x: Vector) -> SparseMatrix:
-        cols = [self.multiply(x, self.basis_vector(j)) for j in range(self.dim)]
+        cols = [self.multiply(x, {j: self.ring.one}) for j in range(self.dim)]
         return SparseMatrix.from_columns(self.ring, self.dim, cols)
 
 
@@ -125,18 +129,15 @@ class Character:
         return hash((self.ring, tuple(self.values)))
 
     def validate(self, algebra: AlgebraData) -> None:
-        """Raise InvalidCharacter unless multiplicative with value 1 on the unit."""
-        R = self.ring
-        if self(algebra.unit) != R.one:
+        """Raise InvalidCharacter unless chi(1) = 1 and chi mu = chi (chi (x) 1);
+        a failure names the basis pair of the smallest failing column."""
+        if self(algebra.unit) != self.ring.one:
             raise InvalidCharacter("character does not send the unit to 1")
-        for i in range(algebra.dim):
-            for j in range(algebra.dim):
-                lhs = self(algebra.mult[i][j])
-                rhs = R.mul(self.values[i], self.values[j])
-                if lhs != rhs:
-                    raise InvalidCharacter(
-                        f"character not multiplicative on basis pair ({i},{j})"
-                    )
+        chi, d = SparseMatrix.from_rows(self.ring, [self.values]), algebra.dim
+        failing = (chi @ algebra.mu - chi @ chi.amid(1, d)).entries
+        if failing:
+            i, j = divmod(min(col for _, col in failing), d)
+            raise InvalidCharacter(f"character not multiplicative on basis pair ({i},{j})")
 
 
 class GroupLike(FrozenRecord):
@@ -171,43 +172,30 @@ class HopfAlgebraData:
         self.antipode = antipode
         self._key = object()  # keys S_pi and M to this structure, not only to its algebra
 
+    @cached_property
+    def delta(self) -> SparseMatrix:
+        """The coproduct as a d^2 x d matrix: column b is Delta(b), with
+        b_i (x) b_j at row i * d + j."""
+        d = self.dim
+        return SparseMatrix.from_columns(
+            self.ring, d * d, [{i * d + j: c for (i, j), c in t.items()} for t in self.coproduct])
+
     # -- axiom verification --------------------------------------------------
     @_paused
     def verify_axioms(self) -> dict[str, bool]:
-        """Check all Hopf axioms as exact identities on the basis; the counit
-        axiom is (eps (x) id)Delta = id = (id (x) eps)Delta, read off `contract`."""
-        A, R, cop = self.algebra, self.ring, self.coproduct
-        report = {
+        """Check each Hopf axiom as one matrix identity: the antipode is
+        mu (S (x) 1) Delta = eta eps = mu (1 (x) S) Delta, and the counit
+        (eps (x) id)Delta = id = (id (x) eps)Delta, read off `contract`."""
+        A, R, d, S = self.algebra, self.ring, self.dim, self.antipode
+        mu, delta, eps = A.mu, self.delta, Character(R, self.counit)
+        one, eta_eps = SparseMatrix.identity(R, d), A.eta @ SparseMatrix.from_rows(R, [eps.values])
+        return {
             "associativity": A.verify_associativity(),
             "unit": A.verify_unit(),
+            "coassociativity": delta.amid(1, d) @ delta == delta.amid(d, 1) @ delta,
+            "counit": contract(self, eps, 0) == one == contract(self, eps, 1),
+            "antipode": mu @ (S.amid(1, d) @ delta) == eta_eps == mu @ (S.amid(d, 1) @ delta),
         }
-        coassoc = True
-        for b in range(self.dim):
-            left: Tensor = {}
-            right: Tensor = {}
-            for (i, j), c in cop[b].items():
-                tensor_add_scaled(R, left, c, {(p, q, j): d for (p, q), d in cop[i].items()})
-                tensor_add_scaled(R, right, c, {(i, p, q): d for (p, q), d in cop[j].items()})
-            if left != right:
-                coassoc = False
-                break
-        report["coassociativity"] = coassoc
-
-        eps, one = Character(R, self.counit), SparseMatrix.identity(R, self.dim)
-        report["counit"] = contract(self, eps, 0) == one == contract(self, eps, 1)
-
-        antipode_ok = True
-        for b in range(self.dim):
-            left, right, target = {}, {}, {}
-            for (i, j), c in cop[b].items():
-                tensor_add_scaled(R, left, c, A.multiply(self.antipode.column(i), {j: R.one}))
-                tensor_add_scaled(R, right, c, A.multiply({i: R.one}, self.antipode.column(j)))
-            tensor_add_scaled(R, target, self.counit[b], A.unit)
-            if left != target or right != target:
-                antipode_ok = False
-                break
-        report["antipode"] = antipode_ok
-        return report
 
 
 def contract(hopf: HopfAlgebraData, chi: Character, leg: int) -> SparseMatrix:
@@ -254,16 +242,10 @@ def admissibility_matrix(
 
 
 def is_grouplike(hopf: HopfAlgebraData, x: Vector) -> bool:
-    """Delta(x) = x (x) x and eps(x) = 1."""
+    """Delta g = (g (x) 1) g = g (x) g and eps(g) = 1, g the column of x."""
     R = hopf.ring
-    if Character(R, hopf.counit)(x) != R.one:
-        return False
-    delta: Tensor = {}
-    square: Tensor = {}
-    for i, v in x.items():
-        tensor_add_scaled(R, delta, v, hopf.coproduct[i])
-        tensor_add_scaled(R, square, v, {(i, j): w for j, w in x.items()})
-    return delta == square
+    g = SparseMatrix.from_columns(R, hopf.dim, [x])
+    return Character(R, hopf.counit)(x) == R.one and hopf.delta @ g == g.amid(1, hopf.dim) @ g
 
 
 class CMTriple(FrozenRecord):

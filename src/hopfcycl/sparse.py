@@ -214,6 +214,19 @@ class SparseMatrix:
             {(j, i): v for (i, j), v in self.entries.items()},
         )
 
+    def amid(self, P, D):
+        """1_P (x) self (x) 1_D: entry (i, j) goes to ((A * nrows + i) * D + C,
+        (A * ncols + j) * D + C) for A < P, C < D.  Entries are copied, not
+        multiplied, one identity factor at a time, skipping a factor of size 1."""
+        ent, nr, nc = self.entries, self.nrows, self.ncols
+        if D != 1:
+            ent = {(i * D + C, j * D + C): v for (i, j), v in ent.items() for C in range(D)}
+            nr, nc = nr * D, nc * D
+        if P != 1:
+            ent = {(A * nr + i, A * nc + j): v for A in range(P) for (i, j), v in ent.items()}
+        return SparseMatrix._unchecked(
+            self.ring, P * nr, P * nc, dict(ent) if ent is self.entries else ent)
+
     # -- access --------------------------------------------------------------
     def column(self, j):
         return {i: v for (i, jj), v in self.entries.items() if jj == j}

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -349,6 +350,22 @@ def test_parse_errors_exit_2():
         code, out = run_cli(argv)
         assert code == 2, argv
         assert "error:" in out
+
+
+ALGEBRA_SOURCES = {"--group": ["cyclic:2"], "--group-file": ["group.json"],
+                   "--quiver": ["crown:2"], "--quiver-file": ["quiver.json"],
+                   "--taft": ["2"], "--trivial": []}
+
+
+@pytest.mark.parametrize("first, second", list(combinations(ALGEBRA_SOURCES, 2)),
+                         ids=lambda flag: flag.lstrip("-"))
+def test_two_algebra_sources_are_refused(first, second):
+    """Any two of the six algebra sources exit 2 with both flags named,
+    before either is read or built (the files named here do not exist)."""
+    argv = ["hc", first, *ALGEBRA_SOURCES[first], second, *ALGEBRA_SOURCES[second]]
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == f"error: ParseError: give one algebra source, got {first} and {second}\n"
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -435,12 +435,15 @@ def cm_reference(module):
 
 
 @pytest.mark.parametrize(
-    "group,pi",
-    [(FiniteGroup.cyclic(3), 1), (FiniteGroup.symmetric(3), 0)],
-    ids=["Z3 pi=g", "S3"],
+    "group,pi,ring",
+    [(FiniteGroup.cyclic(3), 1, QQ), (FiniteGroup.symmetric(3), 0, QQ),
+     (FiniteGroup.cyclic(4), 3, IntegersMod(4)), (FiniteGroup.symmetric(3), 0, IntegersMod(4)),
+     (FiniteGroup.cyclic(4), 1, PrimeField(2)), (FiniteGroup.symmetric(3), 0, PrimeField(2))],
+    ids=["Z3 pi=g", "S3", "Z4 pi=g^3 over Z/4", "S3 over Z/4", "Z4 pi=g over F2",
+         "S3 over F2"],
 )
-def test_cm_group_operators_match_tuple_decoding(group, pi):
-    module = cm_group_module(group, pi, QQ)
+def test_cm_group_operators_match_tuple_decoding(group, pi, ring):
+    module = cm_group_module(group, pi, ring)
     assert_same_operators(module, cm_reference(module), 3)
 
 
@@ -846,17 +849,20 @@ def test_admissible_taft_modules_share_the_inner_face_sum(monkeypatch):
     every admissible triple of one Taft algebra shares their sum: b_4 of all
     four Taft-3 modules builds d_1, d_2 and d_3 once (12 times when each
     module summed its own faces), and b-bar_3 of all four builds the two
-    inner faces of the legs of H / k.1 once."""
-    import hopfcycl.cyclic as cyclic
-
+    inner faces of the legs of H / k.1 once.  An inner face pads a product
+    matrix with identities, the outer faces pad a 1 x d row."""
     hopf = taft_hopf(3)
     modules = [taft_cm_module(hopf, *triple) for triple in taft_cm_triples(3)]
     assert len(modules) == 4
     merged = []
-    merge_face = cyclic._merge_face
-    monkeypatch.setattr(
-        cyclic, "_merge_face", lambda *args: merged.append(args) or merge_face(*args)
-    )
+    amid = SparseMatrix.amid
+
+    def counting_amid(M, P, D):
+        if M.nrows > 1:
+            merged.append((P, D))
+        return amid(M, P, D)
+
+    monkeypatch.setattr(SparseMatrix, "amid", counting_amid)
     for module in modules:
         module.boundary_b(4)
     assert len(merged) == 3

@@ -161,6 +161,18 @@ def test_character_validate():
         character_from_zeta(QQ, 4, QQ.from_int(2))
 
 
+@pytest.mark.parametrize("values, pair", [([1, 2, 1, 1], (1, 1)), ([1, -1, 1, 2], (1, 2))])
+def test_character_validate_names_the_first_failing_pair(values, pair):
+    """On Q[Z/4] the failure names the basis pair (i, j) of the smallest
+    failing column i * 4 + j of chi mu - chi (chi (x) 1): chi(g) = 2 fails
+    first at g g, and chi(g^3) = 2 at g g^2."""
+    H = group_algebra(FiniteGroup.cyclic(4), QQ)
+    chi = Character(QQ, [QQ.from_int(v) for v in values])
+    with pytest.raises(InvalidCharacter) as failure:
+        chi.validate(H.algebra)
+    assert str(failure.value) == "character not multiplicative on basis pair (%d,%d)" % pair
+
+
 def test_character_call_on_vectors():
     G = FiniteGroup.cyclic(3)
     K = CyclotomicField(3)

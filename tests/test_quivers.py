@@ -580,6 +580,17 @@ def test_taft_closed_form_values():
         taft_cm_closed_form(2, 1, 1, 1, 0)
 
 
+@pytest.mark.parametrize("triple", [(2, 0, 3), (2, 3, 0), (3, 0, 2), (3, 2, 4), (3, 4, 0)])
+def test_taft6_triples_outside_both_closed_cases_have_no_cyclic_homology(triple):
+    """Five admissible Taft-6 triples are neither (n - 1, 0, 0) nor
+    (0, u, u - 1): the closed form gives 0 in every degree, and the
+    bicomplex over Q(zeta6) agrees through degree 2."""
+    assert triple in taft_cm_congruences(6)
+    computed = cyclic_bicomplex_hc_upto(taft_cm_module(taft_hopf(6), *triple), 2)
+    assert [taft_cm_closed_form(6, *triple, p) for p in range(3)] == [0, 0, 0]
+    assert all(h.free_rank == 0 and not h.torsion for h in computed)
+
+
 def test_taft4_bicomplex_matches_the_closed_form():
     """HC_0..3 of all five Taft-4 triples over Q(zeta4), from the normalized
     (b, B) bicomplex: the closed form holds beyond n = 3."""

@@ -18,6 +18,7 @@ from hopfcycl import (
     NotAComplex,
     NotAField,
     PrimeField,
+    RationalField,
     Ring,
     RingMismatch,
     SparseMatrix,
@@ -600,6 +601,66 @@ def test_from_columns_checks_every_entry():
     M = SparseMatrix.from_columns(QQ, 3, [{0: Fraction(0), 2: Fraction(5)}, {}])
     assert (M.nrows, M.ncols) == (3, 2)
     assert M.entries == {(2, 0): Fraction(5)}
+
+
+# -- identity padding 1_P (x) M (x) 1_D ---------------------------------------
+
+
+def dense_kronecker(ring, A, B, shape_a, shape_b):
+    """A (x) B of two dense lists of lists with the given shapes, from the
+    definition: entry ((i, k), (j, l)) at (i * mB + k, j * nB + l) is
+    A[i][j] * B[k][l]."""
+    (mA, nA), (mB, nB) = shape_a, shape_b
+    return [[ring.mul(A[i][j], B[k][l]) for j in range(nA) for l in range(nB)]
+            for i in range(mA) for k in range(mB)]
+
+
+def dense_of(M):
+    return [[M.entries.get((i, j), M.ring.zero) for j in range(M.ncols)] for i in range(M.nrows)]
+
+
+class RationalsWithoutProducts(RationalField):
+    """Q whose product fails: identity padding copies entries and never
+    multiplies."""
+
+    def mul(self, a, b):
+        raise AssertionError("identity padding multiplied two payloads")
+
+
+@pytest.mark.parametrize("ring", [QQ, IntegersMod(4), QZETA3], ids=lambda r: r.name)
+@given(seed=st.integers(0, 10**6), m=st.integers(0, 4), n=st.integers(0, 4),
+       P=st.integers(0, 3), D=st.integers(0, 3), density=st.sampled_from([0.2, 0.6, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_amid_is_the_kronecker_product_with_identities(ring, seed, m, n, P, D, density):
+    """M.amid(P, D) = 1_P (x) M (x) 1_D against a dense Kronecker product,
+    on shapes with no rows or no columns and with P or D of size 0 or 1."""
+    M = random_signed_matrix(ring, random.Random(seed), m, n, density)
+    one, zero = ring.one, ring.zero
+
+    def eye(k):
+        return [[one if i == j else zero for j in range(k)] for i in range(k)]
+
+    left = dense_kronecker(ring, eye(P), dense_of(M), (P, P), (m, n))
+    full = dense_kronecker(ring, left, eye(D), (P * m, P * n), (D, D))
+    out = M.amid(P, D)
+    assert (out.nrows, out.ncols) == (P * m * D, P * n * D)
+    assert dense_of(out) == full
+    assert not any(ring.is_zero(v) for v in out.entries.values())
+    if P == D == 1:
+        assert out == M
+    # the result shares no dict with its input
+    before = dict(M.entries)
+    out.entries.clear()
+    assert M.entries == before and out.entries is not M.entries
+
+
+def test_amid_copies_entries_and_multiplies_nothing():
+    entries = {(0, 1): Fraction(1, 2), (1, 0): 3}
+    M = SparseMatrix._unchecked(RationalsWithoutProducts(), 2, 2, entries)
+    out = M.amid(2, 3)
+    assert (out.nrows, out.ncols, len(out.entries)) == (12, 12, 12)
+    assert out.entries[((1 * 2 + 0) * 3 + 2, (1 * 2 + 1) * 3 + 2)] == Fraction(1, 2)
+    assert M.amid(1, 1).entries == entries
 
 
 # -- elimination over Q with int payloads, against Fraction payloads ---------
