@@ -136,6 +136,28 @@ def test_verify_axioms_reports_a_broken_taft_antipode():
     assert {name for name, ok in report.items() if not ok} == {"antipode"}
 
 
+@pytest.mark.parametrize(
+    "H", [group_algebra(FiniteGroup.cyclic(24), QQ), taft_hopf(5)], ids=["Q[Z/24]", "Taft-5"]
+)
+def test_verify_axioms_holds_no_matrix_above_d_squared_entries(monkeypatch, H):
+    """A group algebra's product has d^2 nonzeros, and padding it whole,
+    mu (x) 1, would hold d^3: associativity and coassociativity go one basis
+    element at a time, so no padded matrix or product the checks build holds
+    more than d^2 entries."""
+    largest = [0]
+    amid, matmul = SparseMatrix.amid, SparseMatrix.__matmul__
+
+    def record(out):
+        largest[0] = max(largest[0], out.nnz())
+        return out
+
+    monkeypatch.setattr(SparseMatrix, "amid", lambda M, P, D: record(amid(M, P, D)))
+    monkeypatch.setattr(SparseMatrix, "__matmul__", lambda A, B: record(matmul(A, B)))
+    report = H.verify_axioms()
+    assert report == {k: True for k in report}
+    assert 0 < largest[0] <= H.dim**2 < amid(H.algebra.mu, 1, H.dim).nnz()
+
+
 def test_alpha_contracted_three_leg_coproduct_of_grouplikes():
     """In k[Z/3] with alpha = eps, (alpha (x) id (x) id)(id (x) Delta)Delta(g)
     is g (x) g for every grouplike g."""
