@@ -78,13 +78,15 @@ def carrier_cap() -> int:
 
 
 def ensure_within_cap(base_dim: int, top_level: int) -> None:
-    """Refuse before allocating any carrier larger than the configured cap."""
-    cap = carrier_cap()
-    size = max(base_dim, 1) ** top_level if base_dim > 1 else 1
-    if size > cap:
-        raise ResourceCap(
-            f"carrier dimension {base_dim}^{top_level} = {size} exceeds the cap {cap}"
-        )
+    """Refuse before allocating any carrier larger than the configured cap.
+    The power base_dim^top_level is multiplied up only until it first
+    exceeds the cap, and the refusal names that power, base_dim^k."""
+    cap, size = carrier_cap(), 1
+    for k in range(1, top_level + 1 if base_dim > 1 else 1):
+        size *= base_dim
+        if size > cap:
+            power = f"{base_dim}^{top_level}" + (f" >= {base_dim}^{k}" if k < top_level else "")
+            raise ResourceCap(f"carrier dimension {power} = {size} exceeds the cap {cap}")
 
 
 def ensure_table_within_cap(dim: int) -> None:
@@ -221,14 +223,16 @@ def _cm_module(args, top: int, normalized: bool = False):
     level top or its product table is above the cap.  With normalized=True
     the cap counts the normalized carrier, one basis element fewer per leg
     (the unit is dropped), which is all that HH builds."""
-    pi_exp = int(args.pi or 0)
     if args.taft is not None:
-        hopf = _taft_hopf(args, top, normalized)
-        u, v = (0 if s in (None, "eps") else int(s) for s in (args.alpha, args.beta))
-        module = taft_cm_module(hopf, pi_exp, u, v, require_valid=not args.allow_invalid)
-        return module, ("taft", args.taft, pi_exp, u, v)
+        hopf, n = _taft_hopf(args, top, normalized), args.taft
+        # read mod n, the selectors name one triple for the module and the closed formula
+        i, u, v = (0 if s in (None, "eps") else int(s) % n
+                   for s in (args.pi, args.alpha, args.beta))
+        module = taft_cm_module(hopf, i, u, v, require_valid=not args.allow_invalid)
+        return module, ("taft", n, i, u, v)
     if not (args.group or args.group_file or args.trivial):
         raise ParseError("no algebra source given (use --group, --quiver, --taft or --trivial)")
+    pi_exp = int(args.pi or 0)
     order, build = _group_spec(args)
     ring = _ring_for(args, "Q")
     ensure_within_cap(order - int(normalized), top)

@@ -454,10 +454,9 @@ class CyclicModule:
         return SparseMatrix._unchecked(self.ring, n, n, ent)
 
     def norm(self, m: int) -> SparseMatrix:
-        """N = sum(lambda^i, i = 0..m), lambda = (-1)^m t_m: `_norm_of` the identity."""
-        return self._memo(
-            ("N", m), lambda: self._norm_of(m, SparseMatrix.identity(self.ring, self.level_dim(m)))
-        )
+        """N = sum(lambda^i, i = 0..m), lambda = (-1)^m t_m: `_norm_of` the
+        identity, built on each call (no engine reads it)."""
+        return self._norm_of(m, SparseMatrix.identity(self.ring, self.level_dim(m)))
 
     def _norm_of(self, m: int, M: SparseMatrix) -> SparseMatrix:
         """N_m M = sum((-1)^(mk) t_m^k M, k = 0..m) as one `_signed_sum`,

@@ -165,12 +165,14 @@ def group_algebra(G: FiniteGroup, ring: Ring) -> HopfAlgebraData:
     one = ring.one
     mult = [[{G.op(i, j): one} for j in range(G.order)] for i in range(G.order)]
     algebra = AlgebraData(ring, G.labels, mult, {G.identity: one})
-    coproduct = [{(i, i): one} for i in range(G.order)]
+    delta = SparseMatrix.from_columns(
+        ring, G.order**2, [{i * G.order + i: one} for i in range(G.order)]
+    )
     counit = [one] * G.order
     antipode = SparseMatrix.from_columns(
         ring, G.order, [{G.inverse[i]: one} for i in range(G.order)]
     )
-    return HopfAlgebraData(algebra, coproduct, counit, antipode)
+    return HopfAlgebraData(algebra, delta, counit, antipode)
 
 
 def trivial_character(G: FiniteGroup, ring: Ring) -> Character:

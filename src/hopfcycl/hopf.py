@@ -1,18 +1,18 @@
 """Finite-dimensional algebras and Hopf algebras given by structure constants.
 
-Elements are sparse coefficient vectors (dict basis_index -> payload).  A
-Hopf algebra stores its coproduct as an explicit sparse tensor table on the
-basis, the counit as a functional, and the antipode as a matrix; characters
-are functionals that are multiplicative on the basis.  The product mu and
-the coproduct Delta are also kept as matrices, b_i (x) b_j at index
-i * d + j, so each axiom check is a matrix identity whose tensor factors
+Elements are sparse coefficient vectors (dict basis_index -> payload).  An
+algebra keeps its product as the d x d^2 matrix mu, and a Hopf algebra its
+coproduct as the d^2 x d matrix Delta and nothing else; both write
+b_i (x) b_j at index i * d + j.  The counit is a functional and the
+antipode a matrix; characters are functionals that are multiplicative on
+the basis.  Each axiom check is a matrix identity whose tensor factors
 `SparseMatrix.amid` pads with identities, (co)associativity one basis
 element at a time (`is_associative`).  Contracting a character against
-one leg of the coproduct (`contract`) is written once: the counit axiom is
-that contraction with eps, the middle legs of the admissibility check are
-(alpha (x) id)Delta . (id (x) beta)Delta, and the alpha-contracted
-three-leg coproduct of the cyclic operator is Delta of the
-alpha-contraction (alpha (x) id)Delta.
+one leg of the coproduct (`contract`) is written once, as a loop over the
+entries of Delta: the counit axiom is that contraction with eps, the middle
+legs of the admissibility check are (alpha (x) id)Delta . (id (x) beta)Delta,
+and the alpha-contracted three-leg coproduct of the cyclic operator is
+Delta of the alpha-contraction (alpha (x) id)Delta.
 
 The admissibility check for a (grouplike, character, character) triple is the
 involution condition (alpha * S_pi * beta)^2 = id, with alpha * S_pi * beta
@@ -29,7 +29,6 @@ from .rings import FrozenRecord, Ring
 from .sparse import SparseMatrix, _paused
 
 Vector = dict  # basis index -> payload
-Tensor = dict  # tuple of basis indices -> payload
 
 
 def is_associative(mu: SparseMatrix) -> bool:
@@ -42,18 +41,6 @@ def is_associative(mu: SparseMatrix) -> bool:
         blocks[c // d][(r, c % d)] = v
     return all(L @ mu == mu @ L.amid(1, d)
                for L in (SparseMatrix._unchecked(mu.ring, d, d, b) for b in blocks))
-
-
-def tensor_add_scaled(ring: Ring, acc: Tensor, c, t: Tensor) -> None:
-    """In-place acc += c * t."""
-    if ring.is_zero(c):
-        return
-    for key, v in t.items():
-        s = ring.add(acc.get(key, ring.zero), ring.mul(c, v))
-        if ring.is_zero(s):
-            acc.pop(key, None)
-        else:
-            acc[key] = s
 
 
 class AlgebraData:
@@ -84,15 +71,6 @@ class AlgebraData:
             out = self._shared[key] = build()
         return out
 
-    def multiply(self, x: Vector, y: Vector) -> Vector:
-        R = self.ring
-        out: Vector = {}
-        for i, xi in x.items():
-            row = self.mult[i]
-            for j, yj in y.items():
-                tensor_add_scaled(R, out, R.mul(xi, yj), row[j])
-        return out
-
     @cached_property
     def mu(self) -> SparseMatrix:
         """The product as a d x d^2 matrix: column x * d + y is b_x b_y."""
@@ -113,8 +91,8 @@ class AlgebraData:
         return mu @ eta.amid(1, d) == SparseMatrix.identity(self.ring, d) == mu @ eta.amid(d, 1)
 
     def left_multiplication_matrix(self, x: Vector) -> SparseMatrix:
-        cols = [self.multiply(x, {j: self.ring.one}) for j in range(self.dim)]
-        return SparseMatrix.from_columns(self.ring, self.dim, cols)
+        """y -> x y as a d x d matrix: mu (x (x) 1)."""
+        return self.mu @ SparseMatrix.from_columns(self.ring, self.dim, [x]).amid(1, self.dim)
 
 
 class Character:
@@ -173,24 +151,21 @@ class GroupLike(FrozenRecord):
 
 
 class HopfAlgebraData:
-    """Algebra plus coproduct table, counit and antipode matrix."""
+    """Algebra plus coproduct, counit and antipode.  The coproduct is the
+    d^2 x d matrix delta: column b is Delta(b), with b_i (x) b_j at row
+    i * d + j.  A coproduct of any other shape is refused."""
 
-    def __init__(self, algebra: AlgebraData, coproduct, counit, antipode: SparseMatrix):
+    def __init__(self, algebra: AlgebraData, delta: SparseMatrix, counit, antipode: SparseMatrix):
+        d = algebra.dim
+        if (delta.nrows, delta.ncols) != (d * d, d):
+            raise ValueError(f"coproduct must be {d * d} x {d}, got {delta.nrows} x {delta.ncols}")
         self.algebra = algebra
         self.ring = algebra.ring
-        self.dim = algebra.dim
-        self.coproduct = coproduct  # per basis index: dict (i, j) -> payload
+        self.dim = d
+        self.delta = delta
         self.counit = list(counit)
         self.antipode = antipode
         self._key = object()  # keys S_pi and M to this structure, not only to its algebra
-
-    @cached_property
-    def delta(self) -> SparseMatrix:
-        """The coproduct as a d^2 x d matrix: column b is Delta(b), with
-        b_i (x) b_j at row i * d + j."""
-        d = self.dim
-        return SparseMatrix.from_columns(
-            self.ring, d * d, [{i * d + j: c for (i, j), c in t.items()} for t in self.coproduct])
 
     # -- axiom verification --------------------------------------------------
     @_paused
@@ -212,19 +187,20 @@ class HopfAlgebraData:
 
 def contract(hopf: HopfAlgebraData, chi: Character, leg: int) -> SparseMatrix:
     """(chi (x) id)Delta for leg 0 and (id (x) chi)Delta for leg 1, as a
-    matrix: column b is the sum of c * chi(x) * b_y over the terms c * x (x) y
-    of Delta(b), with x on the contracted leg and y on the other."""
-    R, values = hopf.ring, chi.values
+    matrix: column b is the sum of c * chi(x) * b_y over the entries c of
+    Delta at row x * d + y or y * d + x, column b, with x on the contracted
+    leg and y on the other."""
+    R, values, d = hopf.ring, chi.values, hopf.dim
     mul, add, is_zero = R.mul, R.add, R.is_zero
     entries: dict = {}
-    for b, terms in enumerate(hopf.coproduct):
-        for pair, c in terms.items():
-            if not is_zero(v := values[pair[leg]]):
-                key = (pair[1 - leg], b)
-                s = entries.get(key)
-                entries[key] = mul(c, v) if s is None else add(s, mul(c, v))
+    for (row, b), c in hopf.delta.entries.items():
+        pair = divmod(row, d)
+        if not is_zero(v := values[pair[leg]]):
+            key = (pair[1 - leg], b)
+            s = entries.get(key)
+            entries[key] = mul(c, v) if s is None else add(s, mul(c, v))
     entries = {k: v for k, v in entries.items() if not is_zero(v)}
-    return SparseMatrix._unchecked(R, hopf.dim, hopf.dim, entries)
+    return SparseMatrix._unchecked(R, d, d, entries)
 
 
 def twisted_antipode(hopf: HopfAlgebraData, pi: GroupLike) -> SparseMatrix:

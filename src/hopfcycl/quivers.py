@@ -31,7 +31,6 @@ from .hopf import (
     GroupLike,
     HopfAlgebraData,
     check_cm_triple,
-    tensor_add_scaled,
 )
 from .rings import (
     CyclotomicField,
@@ -673,16 +672,20 @@ def hc_closed_form_truncated(quiver: Quiver, n: int, p: int, ring: Ring) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _tensor_product(R, x: dict, y: dict, algebra: AlgebraData) -> dict:
-    """Product in H (x) H of two 2-leg tensors, componentwise."""
+def _tensor_product(R, x: dict, y: dict, mult, d: int) -> dict:
+    """Product in H (x) H of two 2-leg tensors, b_i (x) b_j at i * d + j,
+    componentwise: (x1 (x) x2)(y1 (x) y2) = x1 y1 (x) x2 y2."""
     out: dict = {}
-    for (a1, a2), c in x.items():
-        for (b1, b2), d in y.items():
-            left, right = algebra.mult[a1][b1], algebra.mult[a2][b2]
-            tensor_add_scaled(R, out, R.mul(c, d), {
-                (l, r): R.mul(cl, cr) for l, cl in left.items() for r, cr in right.items()
-            })
-    return out
+    for r, c in x.items():
+        a1, a2 = divmod(r, d)
+        for s, e in y.items():
+            b1, b2 = divmod(s, d)
+            ce, right = R.mul(c, e), mult[a2][b2]
+            for l, cl in mult[a1][b1].items():
+                for k, cr in right.items():
+                    key = l * d + k
+                    out[key] = R.add(out.get(key, R.zero), R.mul(ce, R.mul(cl, cr)))
+    return {k: v for k, v in out.items() if not R.is_zero(v)}
 
 
 def taft_hopf(n: int, ring: Ring | None = None) -> HopfAlgebraData:
@@ -712,43 +715,34 @@ def taft_hopf(n: int, ring: Ring | None = None) -> HopfAlgebraData:
     def idx(i, l):  # path of length l out of vertex i
         return l * n + i % n
 
-    def alg_mul(x: dict, y: dict) -> dict:
-        return algebra.multiply(x, y)
-
-    # coproducts of the generators
-    delta = [None] * algebra.dim
+    # coproducts of the generators, b_j (x) b_k at row j * d + k
+    d = algebra.dim
+    delta = [None] * d
     for i in range(n):
-        delta[idx(i, 0)] = {
-            (idx(j, 0), idx((i - j) % n, 0)): R.one for j in range(n)
-        }
+        delta[idx(i, 0)] = {idx(j, 0) * d + idx(i - j, 0): R.one for j in range(n)}
     for i in range(n):
-        d: dict = {}
+        cop: dict = {}
         for j in range(n):
             k = (i - j) % n
-            d[(idx(j, 0), idx(k, 1))] = R.one
-            d[(idx(j, 1), idx(k, 0))] = R.pow(qv, k)
-        delta[idx(i, 1)] = d
+            cop[idx(j, 0) * d + idx(k, 1)] = R.one
+            cop[idx(j, 1) * d + idx(k, 0)] = R.pow(qv, k)
+        delta[idx(i, 1)] = cop
     # extend multiplicatively: p_{i,l} = a_(i+l-1) . p_{i,l-1}
     for l in range(2, n):
         for i in range(n):
             delta[idx(i, l)] = _tensor_product(
-                R, delta[idx(i + l - 1, 1)], delta[idx(i, l - 1)], algebra
+                R, delta[idx(i + l - 1, 1)], delta[idx(i, l - 1)], algebra.mult, d
             )
 
-    counit = [R.zero] * algebra.dim
-    for i in range(n):
-        counit[idx(i, 0)] = R.one if i == 0 else R.zero
-
-    # antipode, anti-multiplicatively: S(p_{i,l}) = S(p_{i,l-1}) . S(a_{i+l-1})
-    s_cols: list[dict] = [None] * algebra.dim
-    for i in range(n):
-        s_cols[idx(i, 0)] = {idx(-i, 0): R.one}
-        s_cols[idx(i, 1)] = {idx(-i - 1, 1): R.neg(R.pow(qv, (i + 1) % n))}
-    for l in range(2, n):
-        for i in range(n):
-            s_cols[idx(i, l)] = alg_mul(s_cols[idx(i, l - 1)], s_cols[idx(i + l - 1, 1)])
-    antipode = SparseMatrix.from_columns(R, algebra.dim, s_cols)
-    hopf = HopfAlgebraData(algebra, delta, counit, antipode)
+    counit = [R.one] + [R.zero] * (d - 1)  # eps(e_0) = 1, and 0 on every other path
+    # antipode: S(a_j) = -q^(j+1) a_(-j-1), extended anti-multiplicatively,
+    # sends the path a_(i+l-1) ... a_i to the path a_(-i-1) ... a_(-i-l), of
+    # length l out of -i-l, times the product of the -q^(j+1) over i <= j < i + l
+    minus = R.neg(R.one)
+    antipode = SparseMatrix.from_columns(R, d, [
+        {idx(-i - l, l): R.mul(R.pow(minus, l), R.pow(qv, sum(range(i + 1, i + l + 1)) % n))}
+        for l in range(n) for i in range(n)])
+    hopf = HopfAlgebraData(algebra, SparseMatrix.from_columns(R, d * d, delta), counit, antipode)
     hopf.truncated = A
     hopf.crown_n = n
     hopf.q = qv

@@ -11,7 +11,8 @@ import pytest
 
 import hopfcycl.sparse as sparse
 from hopfcycl import ZZ, HomologyModule, QQ, closed_hc_cyclic_group
-from hopfcycl.cli import build_parser, carrier_cap, emit_report, run
+from hopfcycl.cli import build_parser, carrier_cap, emit_report, ensure_within_cap, run
+from hopfcycl.errors import ResourceCap
 
 
 def run_cli(argv):
@@ -719,6 +720,30 @@ def test_hh_caps_the_normalized_carrier(monkeypatch):
     monkeypatch.setenv("HOPFCYCL_MAX_CARRIER", "26")
     code, out = run_cli(taft)
     assert code == 2 and out.startswith("error: ResourceCap: carrier dimension 3^3 = 27 ")
+
+
+def test_the_cap_check_stops_at_the_first_power_over_the_cap(monkeypatch):
+    """hc of Taft-3 through degree 5000 would need 9^5001 columns, a number
+    of 4772 digits: it is refused, naming 9^6, the first power of 9 above
+    the cap, and 3^(10^7) is refused as soon as 3^11 is."""
+    monkeypatch.delenv("HOPFCYCL_MAX_CARRIER", raising=False)
+    code, out = run_cli(["hc", "--taft", "3", "--max-degree", "5000"])
+    assert (code, out) == (
+        2, "error: ResourceCap: carrier dimension 9^5001 >= 9^6 = 531441 exceeds the cap 100000\n")
+    with pytest.raises(ResourceCap, match=r"^carrier dimension 3\^10000000 >= 3\^11 = 177147 "):
+        ensure_within_cap(3, 10**7)
+
+
+def test_taft_selectors_are_read_mod_n():
+    """--pi, --alpha and --beta of a Taft-n module are read mod n, by the
+    module and by its closed formula alike: on Taft-2, pi = 3 and pi = -1
+    are pi = 1, and alpha = 2 and alpha = -2 are alpha = 0."""
+    argv = ["hc", "--taft", "2", "--max-degree", "2", "--compare", "closed", "--format", "json"]
+    code, expected = run_cli([*argv, "--pi", "1", "--alpha", "0", "--beta", "0"])
+    assert code == 0 and json.loads(expected)["passed"]
+    for pi, alpha, beta in (("3", "0", "0"), ("-1", "0", "0"), ("1", "2", "0"),
+                            ("-1", "-2", "4")):
+        assert run_cli([*argv, "--pi", pi, "--alpha", alpha, "--beta", beta]) == (0, expected)
 
 
 def test_hc_refuses_a_module_whose_laws_fail():

@@ -53,6 +53,7 @@ from hopfcycl import (
 from hopfcycl.cyclic import _mixed_boundary, index_to_tuple, total_offsets, tuple_to_index
 from hopfcycl.rings import primitive_root_of_unity
 from hopfcycl.sparse import homology_sequence
+from test_hopf import coproduct_table
 
 
 @given(d=st.integers(2, 5), length=st.integers(0, 5), data=st.data())
@@ -227,12 +228,15 @@ def test_the_first_boundary_has_one_row_per_degree_zero_chain(build):
 
 
 def test_norm_and_lambda_relations():
-    # (1 - lambda) N = 0 = N (1 - lambda) on every level
+    # (1 - lambda) N = 0 = N (1 - lambda) on every level; no engine reads
+    # N, so it is built on each call and not kept on the module
     module = cm_z3(1)
     for m in range(3):
         N = module.norm(m)
         w = module.one_minus_lambda(m)
         assert (w @ N).is_zero and (N @ w).is_zero
+        assert module.norm(m) == N and module.norm(m) is not N
+    assert not [key for key in module._cache if key[0] == "N"]
 
 
 @pytest.mark.parametrize("ring", [ZZ, PrimeField(2), IntegersMod(4), CyclotomicField(3)],
@@ -910,9 +914,10 @@ def test_triples_of_one_taft_algebra_share_its_tables():
 
 def cop3_alpha_reference(module):
     """(alpha (x) id (x) id)(id (x) Delta)Delta(b) per basis element b,
-    written from the two-leg table: (y, z) -> the sum of c * d * alpha(x)
-    over the terms c * x (x) w of Delta(b) and d * y (x) z of Delta(w)."""
-    R, cop = module.ring, module.hopf.coproduct
+    written from the two-leg table `coproduct_table`: (y, z) -> the sum of
+    c * d * alpha(x) over the terms c * x (x) w of Delta(b) and d * y (x) z
+    of Delta(w)."""
+    R, cop = module.ring, coproduct_table(module.hopf)
     tables = []
     for b in range(module.hopf.dim):
         table = {}
@@ -1151,7 +1156,7 @@ def algebra_with_zero_constants(ring):
     ]
     unit = {**{(u + 1) % A.dim: ring.zero for u in A.unit}, **A.unit}
     algebra = AlgebraData(ring, A.basis_labels, mult, unit)
-    return HopfAlgebraData(algebra, hopf.coproduct, hopf.counit, hopf.antipode)
+    return HopfAlgebraData(algebra, hopf.delta, hopf.counit, hopf.antipode)
 
 
 def test_algebra_data_drops_zero_structure_constants():

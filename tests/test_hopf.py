@@ -9,6 +9,7 @@ from hopfcycl import (
     CyclotomicField,
     FiniteGroup,
     GroupLike,
+    IntegersMod,
     InvalidCharacter,
     PrimeField,
     SparseMatrix,
@@ -42,14 +43,31 @@ def test_group_algebra_hopf_axioms(G, ring):
     assert contract(H, eps, 0) == contract(H, eps, 1) == SparseMatrix.identity(ring, H.dim)
 
 
-def _rebuilt(H, coproduct=None, counit=None, antipode=None):
+def _rebuilt(H, delta=None, counit=None, antipode=None):
     """H with some of its coproduct, counit and antipode replaced."""
     return HopfAlgebraData(
         H.algebra,
-        H.coproduct if coproduct is None else coproduct,
+        H.delta if delta is None else delta,
         H.counit if counit is None else counit,
         H.antipode if antipode is None else antipode,
     )
+
+
+def coproduct_table(hopf):
+    """Delta(b) per basis element b as a dict (x, y) -> c, one term
+    c * b_x (x) b_y each, decoded from the entries of the Delta matrix."""
+    table = [{} for _ in range(hopf.dim)]
+    for (row, b), c in hopf.delta.entries.items():
+        table[b][divmod(row, hopf.dim)] = c
+    return table
+
+
+def _delta_with_g(H, pairs):
+    """Delta of Q[Z/3], basis e, g, g^2, with Delta(g) the sum of the
+    b_x (x) b_y over the pairs (x, y)."""
+    entries = {key: c for key, c in H.delta.entries.items() if key[1] != 1}
+    entries.update({(x * 3 + y, 1): QQ.one for x, y in pairs})
+    return SparseMatrix(QQ, 9, 3, entries)
 
 
 def _broken_z3(part):
@@ -60,12 +78,12 @@ def _broken_z3(part):
         return _rebuilt(H, antipode=SparseMatrix.identity(QQ, 3))
     if part == "eps(g) = 0":
         return _rebuilt(H, counit=[one, QQ.zero, one])
-    delta_g = {
-        "Delta(g) = g (x) e": {(1, 0): one},
-        "Delta(g) = e (x) g": {(0, 1): one},
-        "Delta(g) = g (x) g + g^2 (x) g^2": {(1, 1): one, (2, 2): one},
+    pairs = {
+        "Delta(g) = g (x) e": [(1, 0)],
+        "Delta(g) = e (x) g": [(0, 1)],
+        "Delta(g) = g (x) g + g^2 (x) g^2": [(1, 1), (2, 2)],
     }[part]
-    return _rebuilt(H, coproduct=[H.coproduct[0], delta_g, H.coproduct[2]])
+    return _rebuilt(H, delta=_delta_with_g(H, pairs))
 
 
 @pytest.mark.parametrize(
@@ -93,7 +111,7 @@ def _broken_z3_algebra(product, unit):
     if product:
         mult[1][2] = {1: one}
     algebra = AlgebraData(QQ, A.basis_labels, mult, {1: one} if unit else A.unit)
-    return HopfAlgebraData(algebra, H.coproduct, H.counit, H.antipode)
+    return HopfAlgebraData(algebra, H.delta, H.counit, H.antipode)
 
 
 @pytest.mark.parametrize(
@@ -126,8 +144,67 @@ def test_two_hopf_structures_on_one_algebra_keep_their_own_s_pi_and_m():
     g_times = H.algebra.left_multiplication_matrix(pi.as_vector())
     no_antipode = _rebuilt(H, antipode=SparseMatrix.identity(QQ, 3))
     assert twisted_antipode(no_antipode, pi) == g_times != twisted_antipode(H, pi)
-    g_then_e = _rebuilt(H, coproduct=[H.coproduct[0], {(1, 0): QQ.one}, H.coproduct[2]])
+    g_then_e = _rebuilt(H, delta=_delta_with_g(H, [(1, 0)]))
     assert twisted_middle(g_then_e, eps, eps) != twisted_middle(H, eps, eps)
+
+
+@pytest.mark.parametrize("shape", [(3, 9), (9, 4), (3, 3), (27, 3)])
+def test_a_coproduct_of_the_wrong_shape_is_refused(shape):
+    """Delta of a 3-dimensional algebra is 9 x 3, b_i (x) b_j at row 3 i + j."""
+    H = group_algebra(FiniteGroup.cyclic(3), QQ)
+    with pytest.raises(ValueError, match=r"must be 9 x 3, got %d x %d" % shape):
+        _rebuilt(H, delta=SparseMatrix.zero(QQ, *shape))
+
+
+def table_contract(hopf, chi, leg):
+    """The contraction as a loop over the tuple-keyed coproduct table
+    `coproduct_table`: (chi (x) id)Delta for leg 0 and (id (x) chi)Delta for
+    leg 1, as a dict (row, col) -> payload."""
+    R, entries = hopf.ring, {}
+    for b, terms in enumerate(coproduct_table(hopf)):
+        for pair, c in terms.items():
+            v = chi.values[pair[leg]]
+            if not R.is_zero(v):
+                key = (pair[1 - leg], b)
+                entries[key] = R.add(entries.get(key, R.zero), R.mul(c, v))
+    return {k: v for k, v in entries.items() if not R.is_zero(v)}
+
+
+def _group_characters(G, ring, signs):
+    H = group_algebra(G, ring)
+    chars = [trivial_character(G, ring)]
+    if signs:
+        chars.append(character_from_zeta(ring, G.order, ring.neg(ring.one)))
+    return H, chars
+
+
+def _taft_characters(n, ring):
+    H = taft_hopf(n, ring)
+    return H, [taft_vertex_character(H, u) for u in range(n)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda r=r: _group_characters(FiniteGroup.cyclic(4), r, True)
+     for r in (QQ, IntegersMod(4))]
+    + [lambda: _group_characters(FiniteGroup.symmetric(3), QQ, False)]
+    + [lambda n=n, r=r: _taft_characters(n, r)
+       for n, p in ((2, 5), (3, 7), (4, 5)) for r in (CyclotomicField(n), PrimeField(p))],
+    ids=["Q[Z4]", "Z/4[Z4]", "Q[S3]"]
+    + [f"Taft-{n}/{r}" for n, p in ((2, 5), (3, 7), (4, 5)) for r in (f"Q(zeta{n})", f"F{p}")],
+)
+def test_contract_matches_the_table_loop(build):
+    """Both legs of every listed character: the loop over Delta's entries
+    equals the loop over the coproduct table, and on a group algebra, where
+    Delta(g) = g (x) g, both are the diagonal matrix of chi(g)."""
+    H, chars = build()
+    for chi in chars:
+        for leg in (0, 1):
+            assert contract(H, chi, leg).entries == table_contract(H, chi, leg), (chi, leg)
+            if not hasattr(H, "crown_n"):
+                assert contract(H, chi, leg) == SparseMatrix.from_rows(
+                    H.ring, [[v if i == j else 0 for j in range(H.dim)]
+                             for i, v in enumerate(chi.values)])
 
 
 def test_verify_axioms_reports_a_broken_taft_antipode():
@@ -261,14 +338,15 @@ def test_grouplike_and_triple_are_frozen_values():
 
 def three_leg_middle(hopf, alpha, beta):
     """(alpha (x) id (x) beta) Delta^2 from the three-leg coproduct
-    (id (x) Delta) Delta, written from the two-leg table: column b is the sum
+    (id (x) Delta) Delta, written from the two-leg table `coproduct_table`:
+    column b is the sum
     of c * d * alpha(x) * beta(z) * b_y over the terms c * x (x) w of
     Delta(b) and d * y (x) z of Delta(w), as a dict (row, col) -> payload."""
-    R = hopf.ring
+    R, table = hopf.ring, coproduct_table(hopf)
     out = {}
     for b in range(hopf.dim):
-        for (x, w), c in hopf.coproduct[b].items():
-            for (y, z), d in hopf.coproduct[w].items():
+        for (x, w), c in table[b].items():
+            for (y, z), d in table[w].items():
                 scale = R.mul(R.mul(c, d), R.mul(alpha(x), beta(z)))
                 out[(y, b)] = R.add(out.get((y, b), R.zero), scale)
     return {k: v for k, v in out.items() if not R.is_zero(v)}
